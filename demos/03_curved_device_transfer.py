@@ -78,5 +78,6 @@ soft_search = stirap_stretch_search(config, mode=soft)
 print(f"same search at Re q = 35 1/um (lambda0 = "
       f"{2 * np.pi * 299792458.0 / omega_soft * 1e6:.1f} um): "
       f"s = {soft_search.stretch:.2f} is the smallest stretch reaching "
-      f"{soft_search.target:g}; the scan peaks at "
-      f"{soft_search.best_output:.4f} at s = {soft_search.best_stretch:g}")
+      f"{soft_search.target:g} (output {soft_search.output:.4f}); the scan "
+      f"peaks at {soft_search.best_output:.4f} at s = "
+      f"{soft_search.best_stretch:g}")

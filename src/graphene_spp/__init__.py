@@ -28,9 +28,8 @@ from .geometry import (AdiabaticityReport, CouplingSchedule, DeviceGeometry,
 from .materials import (CONSTANTS, GrapheneSheet, MaterialDomainError, Medium,
                         default_relaxation_rate, drude_conductivity,
                         effective_graphene_permittivity)
+from .validation import VERSION as __version__
 from .validation import build_validation_report, render_validation_text, run_oracle_suite
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AdiabaticityReport", "AmplitudeState", "CONSTANTS", "ChainHamiltonian",

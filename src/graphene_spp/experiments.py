@@ -19,17 +19,20 @@ from scipy import optimize
 
 from .config import RunConfig, config_hash
 from .coupling import coupling_at_separations, coupling_coefficient
-from .dispersion import SppMode
+from .dispersion import ConvergenceError, NoBoundModeError, SppMode
 from .dynamics import (AmplitudeState, ChainHamiltonian, Trajectory,
                        propagate, propagate_batch_three, propagate_batch_two,
                        propagate_constant)
 from .geometry import (CouplingSchedule, DeviceGeometry, build_schedule,
                        sheet_separations)
+from .materials import MaterialDomainError
 
 AXIS_NAMES = ("wavevector_per_um", "length_um", "radius_nm", "offset_nm")
 OBSERVABLES = ("output_intensity", "middle_intensity", "transfer_efficiency")
 
 _CHUNK = 512
+# Errors by which a trial frequency has no solvable bound mode.
+_UNSOLVABLE = (NoBoundModeError, ConvergenceError, MaterialDomainError)
 
 
 class ExperimentError(RuntimeError):
@@ -132,7 +135,7 @@ def wavevector_to_omega(config: RunConfig, target_q: float,
     seed = omega_ref * math.sqrt(target_q / reference.q.real)
     try:
         f_seed = attained(seed) - target_q
-    except Exception:
+    except _UNSOLVABLE:
         seed = omega_ref
         f_seed = reference.q.real - target_q
     lo = hi = seed
@@ -143,7 +146,7 @@ def wavevector_to_omega(config: RunConfig, target_q: float,
         lo *= 0.5
         try:
             f_lo = attained(lo) - target_q
-        except Exception:
+        except _UNSOLVABLE:
             lo *= 2.0  # restore the last solvable frequency
             break
     for _ in range(80):
@@ -152,7 +155,7 @@ def wavevector_to_omega(config: RunConfig, target_q: float,
         hi *= 2.0
         try:
             f_hi = attained(hi) - target_q
-        except Exception:
+        except _UNSOLVABLE:
             hi *= 0.5
             break
     if f_lo > 0 or f_hi < 0:
@@ -414,12 +417,14 @@ class StretchSearchResult:
     """Outcome of the uniform-stretch scan of (L, R, offset).
 
     stretch is the smallest scanned factor whose lossless output intensity
-    reaches the target, or None when no scanned factor does; best_stretch and
-    best_output track the scan maximum either way.
+    reaches the target, or None when no scanned factor does; output is the
+    lossless output intensity at stretch (None with it). best_stretch and
+    best_output track the coarse-scan maximum either way.
     """
 
     target: float
     stretch: float | None
+    output: float | None
     best_stretch: float
     best_output: float
     scanned_stretches: np.ndarray
@@ -477,7 +482,7 @@ def stirap_stretch_search(config: RunConfig, target: float = 0.95,
     outputs = _stretched_outputs(config, coarse, mode)
 
     hits = np.flatnonzero(outputs >= target)
-    stretch = None
+    stretch = output = None
     if hits.size:
         upper = coarse[hits[0]]
         lower = coarse[hits[0] - 1] if hits[0] > 0 else upper - coarse_step
@@ -486,10 +491,14 @@ def stirap_stretch_search(config: RunConfig, target: float = 0.95,
         fine = lower + refine_step * np.arange(fine_steps + 1)
         fine_outputs = _stretched_outputs(config, fine, mode)
         fine_hits = np.flatnonzero(fine_outputs >= target)
-        stretch = float(fine[fine_hits[0]]) if fine_hits.size else float(upper)
+        if fine_hits.size:
+            stretch = float(fine[fine_hits[0]])
+            output = float(fine_outputs[fine_hits[0]])
+        else:
+            stretch, output = float(upper), float(outputs[hits[0]])
 
     best = int(np.argmax(outputs))
-    return StretchSearchResult(target=target, stretch=stretch,
+    return StretchSearchResult(target=target, stretch=stretch, output=output,
                                best_stretch=float(coarse[best]),
                                best_output=float(outputs[best]),
                                scanned_stretches=coarse,

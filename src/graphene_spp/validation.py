@@ -30,6 +30,7 @@ from .experiments import (mode_at_wavevector, run_device,
 from .geometry import build_schedule
 from .materials import default_relaxation_rate, drude_conductivity
 
+# The package version (graphene_spp.__version__); pyproject.toml repeats it.
 VERSION = "0.1.0"
 
 # Published reference values the implementation is compared against.
@@ -160,6 +161,7 @@ def build_validation_report(config: RunConfig,
         "stretch_search": {
             "target": stretch_default.target,
             "stretch": stretch_default.stretch,
+            "output": stretch_default.output,
             "best_stretch": stretch_default.best_stretch,
             "best_output": stretch_default.best_output,
             "note": "uniform stretch of (L, R, offset) at the configured "
@@ -168,6 +170,7 @@ def build_validation_report(config: RunConfig,
                     "scale",
             "at_reference_wavevector": {
                 "stretch": stretch_paper.stretch,
+                "output": stretch_paper.output,
                 "best_stretch": stretch_paper.best_stretch,
                 "best_output": stretch_paper.best_output,
             },
@@ -283,6 +286,13 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
     }
 
 
+def _found(search: dict) -> str:
+    """A stretch-search record's result: the stretch and its output."""
+    if search["stretch"] is None:
+        return "none within reach"
+    return f"s = {search['stretch']:.2f} with output {search['output']:.4f}"
+
+
 def render_validation_text(report: dict) -> str:
     """Human-readable rendering of the validation report."""
     lines = []
@@ -313,15 +323,12 @@ def render_validation_text(report: dict) -> str:
                              for v in st["lossless_final_intensities"]))
     lines.append(f"norm defect: {st['norm_defect']:.3e}")
     ss = report["stretch_search"]
-    found = ("none within reach" if ss["stretch"] is None
-             else f"s = {ss['stretch']:.2f}")
     lines.append(
-        f"stretch search (target {ss['target']:g}): {found}; best scanned "
-        f"s = {ss['best_stretch']:.2f} with output {ss['best_output']:.4f}")
+        f"stretch search (target {ss['target']:g}): {_found(ss)}; best "
+        f"scanned s = {ss['best_stretch']:.2f} with output "
+        f"{ss['best_output']:.4f}")
     ref = ss["at_reference_wavevector"]
-    ref_found = ("none within reach" if ref["stretch"] is None
-                 else f"s = {ref['stretch']:.2f}")
-    lines.append(f"  at the reference wavevector scale: {ref_found} "
+    lines.append(f"  at the reference wavevector scale: {_found(ref)} "
                  f"(best output {ref['best_output']:.4f})")
     lo = report["lossy_default"]
     lines.append("")

@@ -2,10 +2,13 @@
 
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import graphene_spp
 from graphene_spp.cli import main
 from graphene_spp.io import read_csv
 
@@ -200,3 +203,11 @@ def test_consecutive_sweeps_are_byte_identical(tmp_path):
                      "--figure", "4a", "--grid", "5x4"]) == 0
     assert (out_a / "fig_4a.csv").read_bytes() \
         == (out_b / "fig_4a.csv").read_bytes()
+
+
+def test_package_version_matches_pyproject():
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),
+                         re.MULTILINE)
+    assert declared is not None
+    assert graphene_spp.__version__ == declared.group(1)

@@ -191,6 +191,95 @@ def test_batch_two_matches_analytic():
         assert abs(row[1]) ** 2 == pytest.approx(exact1, abs=1e-8)
 
 
+def _constant_stepwise(hamiltonian, initial, span, n_steps):
+    """propagate_constant written as one RK4 step per knot."""
+    m = hamiltonian.effective_matrix()
+    h = span / n_steps
+    a = np.asarray(initial, dtype=complex)
+    out = [a]
+    for _ in range(n_steps):
+        k1 = -1j * (m @ a)
+        k2 = -1j * (m @ (a + 0.5 * h * k1))
+        k3 = -1j * (m @ (a + 0.5 * h * k2))
+        k4 = -1j * (m @ (a + h * k3))
+        a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(a)
+    return np.array(out)
+
+
+def _batch_two_stepwise(coupling, span, alpha, n_steps):
+    """propagate_batch_two written as one RK4 step per knot."""
+    h = span / n_steps
+    a0 = np.ones_like(coupling, dtype=complex)
+    a1 = np.zeros_like(coupling, dtype=complex)
+
+    def rate(b0, b1):
+        return (-1j * coupling * b1 - alpha * b0,
+                -1j * coupling * b0 - alpha * b1)
+
+    for _ in range(n_steps):
+        k = rate(a0, a1)
+        l = rate(a0 + 0.5 * h * k[0], a1 + 0.5 * h * k[1])
+        m = rate(a0 + 0.5 * h * l[0], a1 + 0.5 * h * l[1])
+        n = rate(a0 + h * m[0], a1 + h * m[1])
+        a0 = a0 + h / 6.0 * (k[0] + 2.0 * (l[0] + m[0]) + n[0])
+        a1 = a1 + h / 6.0 * (k[1] + 2.0 * (l[1] + m[1]) + n[1])
+    return np.stack([a0, a1], axis=1)
+
+
+def _relative_gap(got, expected):
+    return np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected)))
+
+
+# Pulse areas are drawn up to min(20 pi, n_steps), so hC <= 1 stays inside
+# RK4's stability region even at a single step.
+STEP_COUNTS = (1, 2, 3, 17, 4095, 4096)
+
+
+def test_constant_step_matrix_matches_stepwise_loop():
+    rng = np.random.default_rng(11)
+    for n_steps in STEP_COUNTS:
+        for dim in (2, 3, 4):
+            for lossy in (False, True):
+                couplings = rng.uniform(0.5, 40.0, dim - 1) * 1e6
+                loss = tuple(rng.uniform(0.0, 2e6, dim)) if lossy else 0.0
+                ham = ChainHamiltonian(tuple(couplings), loss)
+                area = rng.uniform(0.1, min(20.0 * math.pi, float(n_steps)))
+                span = area / couplings.max()
+                initial = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                initial /= np.linalg.norm(initial)
+                got = propagate_constant(ham, initial, span, n_steps)
+                expected = _constant_stepwise(ham, initial, span, n_steps)
+                assert got.amplitudes.shape == expected.shape
+                assert _relative_gap(got.amplitudes, expected) < 1e-12
+                assert np.array_equal(got.x_grid,
+                                      np.linspace(0.0, span, n_steps + 1))
+
+
+def test_batch_two_step_matrix_matches_stepwise_loop():
+    rng = np.random.default_rng(12)
+    batch = 16
+    coupling = rng.uniform(0.5, 40.0, batch) * 1e6
+    alpha = np.where(np.arange(batch) % 2 == 0, 0.0,
+                     rng.uniform(0.0, 2e6, batch))
+    for n_steps in STEP_COUNTS:
+        area = rng.uniform(0.1, min(20.0 * math.pi, float(n_steps)), batch)
+        span = area / coupling
+        got = propagate_batch_two(coupling, span, alpha, n_steps)
+        expected = _batch_two_stepwise(coupling, span, alpha, n_steps)
+        assert got.shape == (batch, 2)
+        assert _relative_gap(got, expected) < 1e-12
+
+
+def test_constant_propagation_reports_blow_up():
+    # one step that overflows, and an unstable step (hC = 10) repeated
+    for ham, span, n_steps in ((ChainHamiltonian((1e80,)), 1.0, 1),
+                               (ChainHamiltonian((1e7,)), 1e-3, 1000)):
+        with pytest.raises(PropagationError) as caught:
+            propagate_constant(ham, [1.0, 0.0], span, n_steps)
+        assert 0.0 < caught.value.position <= span
+
+
 def test_chain_hamiltonian_shapes_and_loss():
     ham = ChainHamiltonian((2.0, 3.0), loss=0.5)
     assert ham.dimension == 3

@@ -1,8 +1,13 @@
 """Device runs, wavevector targeting, parameter sweeps, stretch search."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import constants as _const
 
+from graphene_spp.config import RunConfig
 from graphene_spp.experiments import (ExperimentError, SweepAxis, SweepSpec,
                                       figure_coupling_axes, figure_map_spec,
                                       mode_at_wavevector, parallel_comparator,
@@ -27,6 +32,29 @@ def test_wavevector_inversion_rejects_absurd_target(default_config):
         wavevector_to_omega(default_config, 1e-3)
 
 
+@pytest.mark.parametrize("target, failing_trial", [
+    (35e6, 1),    # the seed trial
+    (35e6, 2),    # the seed overshoots, so the bracket widens downward
+    (300e6, 2),   # the seed undershoots, so the bracket widens upward
+])
+def test_wavevector_inversion_propagates_programming_errors(
+        default_config, monkeypatch, target, failing_trial):
+    # only an unsolvable trial frequency may be skipped; a bug must surface
+    solve = RunConfig.solve_mode
+    trials = []
+
+    def broken(self, omega=None):
+        if omega is not None:
+            trials.append(omega)
+            if len(trials) == failing_trial:
+                raise TypeError("broken solver")
+        return solve(self, omega)
+
+    monkeypatch.setattr(RunConfig, "solve_mode", broken)
+    with pytest.raises(TypeError, match="broken solver"):
+        wavevector_to_omega(default_config, target)
+
+
 def test_run_device_lossless_default(default_config):
     run = run_device(default_config)
     assert not run.lossy
@@ -49,8 +77,6 @@ def test_run_device_lossy_default(default_config):
 
 
 def test_parallel_comparator_follows_rabi_formula(default_config):
-    import math
-
     from graphene_spp.coupling import coupling_coefficient
     from graphene_spp.experiments import mode_at_wavevector
 
@@ -95,7 +121,6 @@ def test_three_layer_sweep_matches_direct_runs(default_config):
     assert result.metadata["layers"] == 3
 
     # cross-check one cell against a direct single-device run
-    from dataclasses import replace
     from graphene_spp.dynamics import AmplitudeState, propagate
     from graphene_spp.geometry import build_schedule
 
@@ -185,6 +210,7 @@ def test_stretch_search_reports_scan(default_config):
     # the default-scale device transfers poorly and stretching only hurts;
     # the search must report that honestly rather than fabricate a stretch
     assert result.stretch is None
+    assert result.output is None
 
 
 def test_stretch_search_succeeds_at_reference_scale(default_config):
@@ -193,6 +219,16 @@ def test_stretch_search_succeeds_at_reference_scale(default_config):
     assert result.stretch is not None
     assert result.stretch <= 4.0
     assert result.best_output >= 0.95
+    assert result.target <= result.output <= 1.0
+    # output is the device's own lossless output at the stretch found
+    s = result.stretch
+    lambda0 = 2 * math.pi * _const.c / mode.excitation.angular_frequency
+    stretched = replace(default_config, lambda0_um=lambda0 * 1e6,
+                        L_um=default_config.L_um * s,
+                        R_nm=default_config.R_nm * s,
+                        delta_nm=default_config.delta_nm * s)
+    final = run_device(stretched).trajectory.final_intensities
+    assert result.output == pytest.approx(final[2], abs=1e-9)
 
 
 def test_sweep_metadata_records_inversion(default_config):
