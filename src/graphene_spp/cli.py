@@ -35,8 +35,7 @@ from .validation import (VERSION, build_validation_report,
 
 _USER_ERRORS = (ConfigError, ExperimentError, GeometryError,
                 CouplingDomainError, MaterialDomainError, NoBoundModeError,
-                ConvergenceError, PropagationError, OracleFailure, OSError,
-                ValueError)
+                ConvergenceError, PropagationError, OracleFailure, OSError)
 
 
 def _shared_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:

@@ -5,6 +5,11 @@ samples linearly interpolated inside each schedule interval (substeps split an
 interval exactly); the interpolation limits its order against the continuous
 device to 2. For a constant Hamiltonian one step is a fixed matrix, so a chain
 is a power of it, built by repeated squaring.
+
+The device kernels take a uniform loss rate alpha only. Uniform damping
+commutes with H, so a(x) = exp(-alpha (x - x0)) a_lossless(x) exactly: they
+integrate the lossless system and multiply by that envelope afterwards.
+Constant chains carry a per-channel loss vector inside their generator.
 """
 
 from __future__ import annotations
@@ -102,18 +107,6 @@ class Trajectory:
         return np.abs(self.amplitudes[-1]) ** 2
 
 
-def _resolve_loss(loss, n: int) -> tuple:
-    if isinstance(loss, (int, float)):
-        values = (float(loss),) * n
-    else:
-        values = tuple(float(a) for a in np.atleast_1d(loss))
-        if len(values) != n:
-            raise ValueError(f"loss must be a scalar or a length-{n} vector")
-    if any(a < 0 for a in values):
-        raise ValueError("loss rates must be >= 0")
-    return values
-
-
 def _substeps_for(spacing: float, step: float | None) -> int:
     if step is None:
         return 1
@@ -128,9 +121,10 @@ def propagate(schedule: CouplingSchedule, initial: AmplitudeState,
               loss=0.0, step: float | None = None) -> Trajectory:
     """Integrate the three-channel system along the schedule.
 
-    loss is the per-channel amplitude decay rate alpha (scalar applies to all
-    channels); step, when given, must not exceed the schedule spacing and is
-    rounded to an exact subdivision of it.
+    loss is the uniform amplitude decay rate alpha, applied as the envelope
+    exp(-alpha (x - x0)) to the lossless trajectory; step, when given, must
+    not exceed the schedule spacing and is rounded to an exact subdivision
+    of it.
     """
     a = np.asarray(initial.amplitudes, dtype=complex)
     if a.size != 3:
@@ -138,7 +132,8 @@ def propagate(schedule: CouplingSchedule, initial: AmplitudeState,
     if abs(initial.norm_squared - 1.0) > 1e-6:
         raise ValueError("initial state must have unit norm for intensity "
                          "semantics")
-    al0, al1, al2 = _resolve_loss(loss, 3)
+    if np.ndim(loss) != 0 or loss < 0:
+        raise ValueError("loss must be a scalar rate >= 0")
     x = schedule.x_grid
     o1 = schedule.omega1
     o2 = schedule.omega2
@@ -159,24 +154,24 @@ def propagate(schedule: CouplingSchedule, initial: AmplitudeState,
             u1_m, u2_m = w1a + w1d * tm, w2a + w2d * tm
             u1_1, u2_1 = w1a + w1d * t1, w2a + w2d * t1
 
-            k0 = -1j * u1_0 * a1 - al0 * a0
-            k1 = -1j * (u1_0 * a0 + u2_0 * a2) - al1 * a1
-            k2 = -1j * u2_0 * a1 - al2 * a2
+            k0 = -1j * u1_0 * a1
+            k1 = -1j * (u1_0 * a0 + u2_0 * a2)
+            k2 = -1j * u2_0 * a1
 
             b0, b1, b2 = a0 + 0.5 * h * k0, a1 + 0.5 * h * k1, a2 + 0.5 * h * k2
-            l0 = -1j * u1_m * b1 - al0 * b0
-            l1 = -1j * (u1_m * b0 + u2_m * b2) - al1 * b1
-            l2 = -1j * u2_m * b1 - al2 * b2
+            l0 = -1j * u1_m * b1
+            l1 = -1j * (u1_m * b0 + u2_m * b2)
+            l2 = -1j * u2_m * b1
 
             b0, b1, b2 = a0 + 0.5 * h * l0, a1 + 0.5 * h * l1, a2 + 0.5 * h * l2
-            m0 = -1j * u1_m * b1 - al0 * b0
-            m1 = -1j * (u1_m * b0 + u2_m * b2) - al1 * b1
-            m2 = -1j * u2_m * b1 - al2 * b2
+            m0 = -1j * u1_m * b1
+            m1 = -1j * (u1_m * b0 + u2_m * b2)
+            m2 = -1j * u2_m * b1
 
             b0, b1, b2 = a0 + h * m0, a1 + h * m1, a2 + h * m2
-            n0 = -1j * u1_1 * b1 - al0 * b0
-            n1 = -1j * (u1_1 * b0 + u2_1 * b2) - al1 * b1
-            n2 = -1j * u2_1 * b1 - al2 * b2
+            n0 = -1j * u1_1 * b1
+            n1 = -1j * (u1_1 * b0 + u2_1 * b2)
+            n2 = -1j * u2_1 * b1
 
             a0 += h / 6.0 * (k0 + 2.0 * (l0 + m0) + n0)
             a1 += h / 6.0 * (k1 + 2.0 * (l1 + m1) + n1)
@@ -186,6 +181,7 @@ def propagate(schedule: CouplingSchedule, initial: AmplitudeState,
                 and math.isfinite(a2.real) and math.isfinite(a2.imag)):
             raise PropagationError("non-finite amplitude", float(x[j + 1]))
         out[j + 1] = (a0, a1, a2)
+    out *= np.exp(-float(loss) * (x - x[0]))[:, None]
     return Trajectory(x_grid=x.copy(), amplitudes=out)
 
 
@@ -276,7 +272,8 @@ def propagate_batch_three(h, omega1, omega2, a_init, alpha,
     """Vectorized three-channel integrator over a batch of devices.
 
     h: (B,) interval widths (uniform per device); omega1, omega2: (B, N)
-    coupling tables; a_init: (B, 3); alpha: scalar or (B,) uniform loss.
+    coupling tables; a_init: (B, 3); alpha: scalar or (B,) uniform loss,
+    applied to the lossless finals as exp(-alpha h (N - 1)).
     Returns the final (B, 3) amplitudes.
 
     The channels sit in rows 1-3 of a zero-padded (5, B) array, so the chain
@@ -288,11 +285,10 @@ def propagate_batch_three(h, omega1, omega2, a_init, alpha,
     omega1 = np.asarray(omega1, dtype=float)
     omega2 = np.asarray(omega2, dtype=float)
     batch, knots = omega1.shape
+    span = np.asarray(h, dtype=float) * (knots - 1)
     h = np.asarray(h, dtype=float) / substeps
     half = 0.5 * h
     sixth = h / 6.0
-    al = np.broadcast_to(np.asarray(alpha, dtype=float), (batch,))
-    lossy = bool(np.any(al))
     a = np.zeros((5, batch), dtype=complex)
     a[1:4] = np.asarray(a_init, dtype=complex).T
     b = np.zeros((5, batch), dtype=complex)
@@ -300,11 +296,8 @@ def propagate_batch_three(h, omega1, omega2, a_init, alpha,
     # interval fractions of every substep's start, midpoint and end
     fractions = (np.arange(2 * substeps + 1) / (2 * substeps))[:, None]
 
-    def rate(lower, upper, p, mid):
-        k = lower * p[0:3] + upper * p[2:5]
-        if lossy:
-            k -= al * mid
-        return k
+    def rate(lower, upper, p):
+        return lower * p[0:3] + upper * p[2:5]
 
     for j0 in range(0, knots - 1, _KNOT_BLOCK):
         j1 = min(j0 + _KNOT_BLOCK, knots - 1)
@@ -322,15 +315,16 @@ def propagate_batch_three(h, omega1, omega2, a_init, alpha,
             lower = lower_all[j]
             upper = upper_all[j]
             for i in range(0, 2 * substeps, 2):
-                k = rate(lower[i], upper[i], a, a_mid)
+                k = rate(lower[i], upper[i], a)
                 np.add(a_mid, half * k, out=b_mid)
-                l = rate(lower[i + 1], upper[i + 1], b, b_mid)
+                l = rate(lower[i + 1], upper[i + 1], b)
                 np.add(a_mid, half * l, out=b_mid)
-                m = rate(lower[i + 1], upper[i + 1], b, b_mid)
+                m = rate(lower[i + 1], upper[i + 1], b)
                 np.add(a_mid, h * m, out=b_mid)
-                n = rate(lower[i + 2], upper[i + 2], b, b_mid)
+                n = rate(lower[i + 2], upper[i + 2], b)
                 a_mid += sixth * (k + 2.0 * (l + m) + n)
-    return a_mid.T.copy()
+    decay = np.exp(-np.asarray(alpha, dtype=float) * span)
+    return a_mid.T * decay[..., None]
 
 
 def propagate_batch_two(coupling, span, alpha, n_steps: int):

@@ -23,8 +23,7 @@ from .dispersion import ConvergenceError, NoBoundModeError, SppMode
 from .dynamics import (AmplitudeState, ChainHamiltonian, Trajectory,
                        propagate, propagate_batch_three, propagate_batch_two,
                        propagate_constant)
-from .geometry import (CouplingSchedule, DeviceGeometry, build_schedule,
-                       sheet_separations)
+from .geometry import CouplingSchedule, DeviceGeometry, build_schedule
 from .materials import MaterialDomainError
 
 AXIS_NAMES = ("wavevector_per_um", "length_um", "radius_nm", "offset_nm")
@@ -106,7 +105,10 @@ class SweepResult:
     """Observable grid with shape (len(axis2), len(axis1)).
 
     Invalid-geometry cells hold NaN; metadata records their count together
-    with the wavevector inversion table and the config hash.
+    with the wavevector inversion table and the config hash. For the
+    three-sheet device it also records nonfinite_cells, the geometry-valid
+    cells whose observable came out non-finite (a numerical blow-up, which
+    would otherwise read as one more invalid cell).
     """
 
     spec: SweepSpec
@@ -240,6 +242,19 @@ def _axis_parameter(name: str, values: np.ndarray) -> np.ndarray:
     return values * scale
 
 
+def _inverted_mode(config: RunConfig, target: float, inversion: list):
+    """Mode at Re q = target (1/m), its inversion appended to the record."""
+    omega = wavevector_to_omega(config, target)
+    mode = config.solve_mode(omega=omega)
+    inversion.append({
+        "target_per_um": target * 1e-6,
+        "omega_rad_per_s": omega,
+        "lambda0_um": 2 * math.pi * _const.c / omega * 1e6,
+        "attained_Re_q_per_um": mode.q.real * 1e-6,
+    })
+    return mode
+
+
 def _cell_parameters(spec: SweepSpec):
     """Per-cell SI parameter grids (flattened, axis2-major order) plus the
     mode table and the inversion record."""
@@ -254,7 +269,6 @@ def _cell_parameters(spec: SweepSpec):
     mode_index = np.zeros(n1 * n2, dtype=int)
     inversion = []
 
-    modes: list[SppMode]
     wavevector_axis = None
     for axis, along_rows in ((spec.axis1, False), (spec.axis2, True)):
         si = _axis_parameter(axis.name, axis.values)
@@ -268,31 +282,14 @@ def _cell_parameters(spec: SweepSpec):
 
     if wavevector_axis is not None:
         axis, along_rows = wavevector_axis
-        modes = []
-        for target in _axis_parameter(axis.name, axis.values):
-            omega = wavevector_to_omega(cfg, target)
-            mode = cfg.solve_mode(omega=omega)
-            inversion.append({
-                "target_per_um": target * 1e-6,
-                "omega_rad_per_s": omega,
-                "lambda0_um": 2 * math.pi * _const.c / omega * 1e6,
-                "attained_Re_q_per_um": mode.q.real * 1e-6,
-            })
-            modes.append(mode)
+        modes = [_inverted_mode(cfg, target, inversion)
+                 for target in _axis_parameter(axis.name, axis.values)]
         index = np.arange(axis.values.size)
         mode_index = (np.repeat(index, n1) if along_rows
                       else np.tile(index, n2))
     elif spec.fixed_wavevector_per_um is not None:
-        target = spec.fixed_wavevector_per_um * 1e6
-        omega = wavevector_to_omega(cfg, target)
-        mode = cfg.solve_mode(omega=omega)
-        inversion.append({
-            "target_per_um": spec.fixed_wavevector_per_um,
-            "omega_rad_per_s": omega,
-            "lambda0_um": 2 * math.pi * _const.c / omega * 1e6,
-            "attained_Re_q_per_um": mode.q.real * 1e-6,
-        })
-        modes = [mode]
+        modes = [_inverted_mode(cfg, spec.fixed_wavevector_per_um * 1e6,
+                                inversion)]
     else:
         modes = [cfg.solve_mode()]
     return params, modes, mode_index, inversion
@@ -307,7 +304,7 @@ def _observable_from_amplitudes(amps: np.ndarray,
     if observable == "middle_intensity":
         return intensities[:, 1]
     total = intensities.sum(axis=1)
-    return np.where(total > 0, output / total, 0.0)
+    return np.where(total == 0, 0.0, output / total)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -344,6 +341,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             flat[start:stop] = _observable_from_amplitudes(
                 amps, spec.observable)
         invalid = 0
+        nonfinite = None
     else:
         valid = length / 2.0 + offset / 2.0 <= radius
         invalid = int(np.count_nonzero(~valid))
@@ -352,7 +350,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                                   "constraint L/2 + offset/2 <= R")
         idx = np.flatnonzero(valid)
         n = cfg.n_samples
-        t = np.linspace(-0.5, 0.5, n)
         a_init = np.zeros((1, 3), dtype=complex)
         a_init[0, 0] = 1.0
         for start in range(0, idx.size, _CHUNK):
@@ -365,19 +362,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                                       offset=offset[cell],
                                       min_gap=min_gap[cell],
                                       length=length[cell])
-                x = t * length[cell]
-                d1, d2 = sheet_separations(geom, x)
-                mode = modes[mode_index[cell]]
-                c1, _ = coupling_at_separations(mode, d1, cfg.k0_convention)
-                c2, _ = coupling_at_separations(mode, d2, cfg.k0_convention)
-                omega1[row] = np.abs(c1.real)
-                omega2[row] = np.abs(c2.real)
+                schedule = build_schedule(geom, modes[mode_index[cell]], n,
+                                          cfg.k0_convention)
+                omega1[row] = schedule.omega1
+                omega2[row] = schedule.omega2
             h = length[cells] / (n - 1)
             amps = propagate_batch_three(
                 h, omega1, omega2, np.broadcast_to(a_init, (batch, 3)),
                 alpha[cells], substeps=cfg.step_divisor)
             flat[cells] = _observable_from_amplitudes(
                 amps, spec.observable)
+        nonfinite = int(np.count_nonzero(~np.isfinite(flat[idx])))
 
     grid = flat.reshape(n2, n1)
     metadata = {
@@ -394,6 +389,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "wavevector_inversion": inversion,
         "dispersion_residual_contract": "< 1e-10, enforced at solve time",
     }
+    if nonfinite is not None:
+        metadata["nonfinite_cells"] = nonfinite
     return SweepResult(spec=spec, grid=grid, metadata=metadata)
 
 
@@ -435,7 +432,6 @@ def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
                        mode: SppMode) -> np.ndarray:
     """Lossless output intensities for uniformly stretched (L, R, offset)."""
     n = config.n_samples
-    t = np.linspace(-0.5, 0.5, n)
     batch = stretches.size
     omega1 = np.empty((batch, n))
     omega2 = np.empty((batch, n))
@@ -445,12 +441,9 @@ def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
                               offset=config.delta_nm * 1e-9 * s,
                               min_gap=config.d_min_nm * 1e-9,
                               length=base_length * s)
-        x = t * geom.length
-        d1, d2 = sheet_separations(geom, x)
-        c1, _ = coupling_at_separations(mode, d1, config.k0_convention)
-        c2, _ = coupling_at_separations(mode, d2, config.k0_convention)
-        omega1[row] = np.abs(c1.real)
-        omega2[row] = np.abs(c2.real)
+        schedule = build_schedule(geom, mode, n, config.k0_convention)
+        omega1[row] = schedule.omega1
+        omega2[row] = schedule.omega2
     h = base_length * stretches / (n - 1)
     a_init = np.zeros((batch, 3), dtype=complex)
     a_init[:, 0] = 1.0

@@ -42,13 +42,6 @@ class DeviceGeometry:
             raise GeometryError(
                 "arcs do not span the device: require L/2 + offset/2 <= radius")
 
-    @staticmethod
-    def is_valid(radius: float, offset: float, min_gap: float,
-                 length: float) -> bool:
-        """Validity predicate for sweep cells, mirroring the constructor checks."""
-        return (radius > 0 and offset >= 0 and min_gap > 0 and length > 0
-                and length / 2.0 + offset / 2.0 <= radius)
-
 
 def sheet_separations(geom: DeviceGeometry, x):
     """(d1, d2) at position(s) x; each arc must contain x in its domain."""
@@ -108,15 +101,22 @@ class CouplingSchedule:
 
 def build_schedule(geom: DeviceGeometry, mode: SppMode, n_samples: int = 4096,
                    k0_convention: str = "vacuum") -> CouplingSchedule:
-    """Sample Omega_i(x) = |Re C(d_i(x))| on a uniform grid over [-L/2, L/2]."""
+    """Sample Omega_i(x) = |Re C(d_i(x))| on a uniform grid over [-L/2, L/2].
+
+    This is the one place a device becomes couplings. The arcs are mirror
+    images, d2(x) = d1(-x), so on a grid made exactly antisymmetric
+    (x[::-1] == -x bit for bit) omega2 is omega1 reversed: the coupling is
+    evaluated on d1 alone, and the result equals evaluating it on d2.
+    """
     if n_samples < 64:
         raise ValueError("n_samples must be at least 64")
     x = np.linspace(-geom.length / 2.0, geom.length / 2.0, n_samples)
-    d1, d2 = sheet_separations(geom, x)
+    x = 0.5 * (x - x[::-1])
+    d1, _ = sheet_separations(geom, x)
     c1, _ = coupling_at_separations(mode, d1, k0_convention)
-    c2, _ = coupling_at_separations(mode, d2, k0_convention)
-    return CouplingSchedule(x_grid=x, omega1=np.abs(c1.real),
-                            omega2=np.abs(c2.real))
+    omega1 = np.abs(c1.real)
+    return CouplingSchedule(x_grid=x, omega1=omega1,
+                            omega2=omega1[::-1].copy())
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,19 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_internal_value_error_escapes_main(tmp_path, monkeypatch):
+    # only the named user-input errors exit 2; a bare ValueError is a bug
+    import graphene_spp.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "run_device", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["--config", _cfg(tmp_path), "--out", str(tmp_path / "out"),
+              "schedule"])
+
+
 def test_formats_gate_emission(tmp_path):
     out = tmp_path / "out"
     cfg = _cfg(tmp_path, "formats = csv\n")

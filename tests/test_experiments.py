@@ -144,6 +144,32 @@ def test_invalid_geometry_cells_are_nan(default_config):
     assert np.isnan(result.grid[0, 0]) and np.isnan(result.grid[1, 0])
     assert np.isfinite(result.grid[:, 1]).all()
     assert result.metadata["invalid_cells"] == 2
+    assert result.metadata["nonfinite_cells"] == 0
+
+
+@pytest.mark.parametrize("observable", ["output_intensity",
+                                        "transfer_efficiency"])
+def test_nonfinite_cells_are_counted_apart_from_invalid(
+        default_config, monkeypatch, observable):
+    import graphene_spp.experiments as experiments
+
+    kernel = experiments.propagate_batch_three
+
+    def blow_up_first_row(*args, **kwargs):
+        amps = kernel(*args, **kwargs)
+        amps[0] = np.nan
+        return amps
+
+    monkeypatch.setattr(experiments, "propagate_batch_three",
+                        blow_up_first_row)
+    radius = SweepAxis("radius_nm", np.array([400.0, 800.0]))
+    offset = SweepAxis("offset_nm", np.array([100.0, 200.0]))
+    spec = SweepSpec(axis1=radius, axis2=offset, config=default_config,
+                     observable=observable, fixed_wavevector_per_um=35.0)
+    result = run_sweep(spec)
+    assert result.metadata["invalid_cells"] == 2
+    assert result.metadata["nonfinite_cells"] == 1
+    assert np.count_nonzero(np.isnan(result.grid)) == 3
 
 
 def test_robustness_metric_skips_invalid_cells(default_config):

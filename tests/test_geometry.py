@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graphene_spp.coupling import coupling_at_separations
 from graphene_spp.geometry import (DeviceGeometry, GeometryError,
                                    adiabaticity_report, build_schedule,
                                    sheet_separations)
@@ -65,6 +66,21 @@ def test_geometry_validation():
 def test_schedule_counterintuitive_ordering(default_mode):
     schedule = build_schedule(_geom(), default_mode, 2001)
     assert np.argmax(schedule.omega2) < np.argmax(schedule.omega1)
+
+
+def test_schedule_mirror_is_bitwise(default_mode):
+    # omega2 is omega1 reversed; on the antisymmetric grid that is exactly
+    # the coupling evaluated on d2, for odd and even knot counts
+    for n in (64, 501, 2001, 4096):
+        for geom in (_geom(), _geom(radius=1.1e-6, offset=130e-9,
+                                    length=1.3e-6)):
+            schedule = build_schedule(geom, default_mode, n)
+            x = schedule.x_grid
+            assert np.array_equal(x[::-1], -x)
+            assert x[0] == pytest.approx(-geom.length / 2, rel=1e-15)
+            _, d2 = sheet_separations(geom, x)
+            c2, _ = coupling_at_separations(default_mode, d2)
+            assert np.array_equal(schedule.omega2, np.abs(c2.real))
 
 
 def test_schedule_peaks_at_waists(default_mode):
