@@ -49,14 +49,15 @@ final = device.trajectory.final_intensities
 print(f"\nlossless finals: input {final[0]:.4f}, middle {final[1]:.4f}, "
       f"output {final[2]:.4f}")
 
-lossy = run_device(config, lossy=True)
-lf = lossy.trajectory.final_intensities
-print(f"with alpha = Im q = {lossy.alpha * 1e-6:.4f} 1/um: "
+# loss only damps: the lossy run is the lossless one times exp(-alpha x)
+lossy = device.trajectory.damped(device.alpha)
+lf = lossy.final_intensities
+print(f"with alpha = Im q = {device.alpha * 1e-6:.4f} 1/um: "
       f"output {lf[2]:.5f}, total {lf.sum():.5f}")
 
 rows = np.column_stack([x * 1e9,
                         device.trajectory.intensities,
-                        lossy.trajectory.intensities])
+                        lossy.intensities])
 gio.emit_csv(os.path.join(OUT, "device_transfer.csv"),
              ["x_nm", "I1", "I2", "I3", "I1_lossy", "I2_lossy", "I3_lossy"],
              rows.tolist())

@@ -25,7 +25,8 @@ from .dynamics import PropagationError, field_map
 from .experiments import (ExperimentError, figure_coupling_axes,
                           figure_map_spec, parallel_comparator, run_device,
                           run_sweep)
-from .geometry import GeometryError, adiabaticity_report, sheet_separations
+from .geometry import (GeometryError, adiabaticity_report, build_schedule,
+                       sheet_separations)
 from .io import emit_csv, emit_json, ensure_directory
 from .materials import MaterialDomainError
 from .oracles import OracleFailure
@@ -167,10 +168,11 @@ def _run_coupling_sweep(config: RunConfig, out: str) -> list[str]:
 def _run_schedule(config: RunConfig, out: str) -> list[str]:
     chash = config_hash(config)
     formats = _formats(config)
-    device = run_device(config, lossy=False)
-    schedule = device.schedule
+    geom = config.geometry()
+    schedule = build_schedule(geom, config.solve_mode(), config.n_samples,
+                              config.k0_convention)
     report = adiabaticity_report(schedule)
-    d1, d2 = sheet_separations(config.geometry(), schedule.x_grid)
+    d1, d2 = sheet_separations(geom, schedule.x_grid)
     rows = [[x * 1e9, a * 1e9, b * 1e9, o1 * 1e-6, o2 * 1e-6, theta, margin]
             for x, a, b, o1, o2, theta, margin
             in zip(schedule.x_grid, d1, d2, schedule.omega1, schedule.omega2,
@@ -198,25 +200,25 @@ def _run_device_cmd(config: RunConfig, out: str,
     chash = config_hash(config)
     formats = _formats(config)
     written = []
-    runs = {"lossless": run_device(config, lossy=False),
-            "lossy": run_device(config, lossy=True)}
-    for label, device in runs.items():
+    device = run_device(config)
+    runs = {"lossless": device.trajectory,
+            "lossy": device.trajectory.damped(device.alpha)}
+    for label, trajectory in runs.items():
         if "csv" not in formats:
             continue
-        intensities = device.trajectory.intensities
         rows = [[x * 1e9, i0, i1, i2]
                 for x, (i0, i1, i2)
-                in zip(device.trajectory.x_grid, intensities)]
+                in zip(trajectory.x_grid, trajectory.intensities)]
         path = os.path.join(out, f"device_run_{label}.csv")
         emit_csv(path, ["x_nm", "I_input", "I_middle", "I_output"], rows,
                  chash)
         written.append(path)
     if "svg" in formats:
         path = os.path.join(out, "device_run.svg")
-        x_nm = runs["lossless"].trajectory.x_grid * 1e9
+        x_nm = device.trajectory.x_grid * 1e9
         series = []
-        for label, device in runs.items():
-            intensities = device.trajectory.intensities
+        for label, trajectory in runs.items():
+            intensities = trajectory.intensities
             for channel, name in enumerate(("I_input", "I_middle",
                                             "I_output")):
                 series.append((f"{name} ({label})",
@@ -225,8 +227,7 @@ def _run_device_cmd(config: RunConfig, out: str,
                        "three-sheet transfer", chash)
         written.append(path)
     if with_field_map:
-        written.extend(_emit_field_map(config, runs["lossless"], out, chash,
-                                       formats))
+        written.extend(_emit_field_map(config, device, out, chash, formats))
     return written
 
 

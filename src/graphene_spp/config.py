@@ -43,7 +43,6 @@ class RunConfig:
     d_min_nm: float = 20.0
     L_um: float = 1.0
     n_samples: int = 4096
-    step_divisor: int = 1
     out_dir: str = "out"
     formats: str = "csv,json,svg"
 
@@ -168,11 +167,6 @@ def parse_config(text: str) -> RunConfig:
             if value < 64:
                 raise ConfigError("n_samples: must be at least 64")
             config = replace(config, n_samples=value)
-        elif key == "step_divisor":
-            value = _parse_int(key, raw)
-            if value < 1:
-                raise ConfigError("step_divisor: must be at least 1")
-            config = replace(config, step_divisor=value)
         elif key == "out_dir":
             config = replace(config, out_dir=raw)
         elif key == "formats":

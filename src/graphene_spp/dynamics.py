@@ -6,10 +6,11 @@ interval exactly); the interpolation limits its order against the continuous
 device to 2. For a constant Hamiltonian one step is a fixed matrix, so a chain
 is a power of it, built by repeated squaring.
 
-The device kernels take a uniform loss rate alpha only. Uniform damping
-commutes with H, so a(x) = exp(-alpha (x - x0)) a_lossless(x) exactly: they
-integrate the lossless system and multiply by that envelope afterwards.
-Constant chains carry a per-channel loss vector inside their generator.
+Uniform damping commutes with H, so a(x) = exp(-alpha (x - x0)) a_lossless(x)
+exactly: `propagate` integrates the lossless device and `Trajectory.damped`
+applies that envelope, so one propagation serves every loss rate. The batch
+kernel applies the same envelope to its finals. Constant chains carry a
+per-channel loss vector inside their generator.
 """
 
 from __future__ import annotations
@@ -106,6 +107,16 @@ class Trajectory:
     def final_intensities(self) -> np.ndarray:
         return np.abs(self.amplitudes[-1]) ** 2
 
+    def damped(self, alpha) -> "Trajectory":
+        """The trajectory under uniform amplitude decay rate alpha: the
+        exact envelope exp(-alpha (x - x0)) on these amplitudes."""
+        if np.ndim(alpha) != 0 or alpha < 0:
+            raise ValueError("loss must be a scalar rate >= 0")
+        x = self.x_grid
+        envelope = np.exp(-float(alpha) * (x - x[0]))
+        return Trajectory(x_grid=x, amplitudes=self.amplitudes
+                          * envelope[:, None])
+
 
 def _substeps_for(spacing: float, step: float | None) -> int:
     if step is None:
@@ -118,13 +129,11 @@ def _substeps_for(spacing: float, step: float | None) -> int:
 
 
 def propagate(schedule: CouplingSchedule, initial: AmplitudeState,
-              loss=0.0, step: float | None = None) -> Trajectory:
-    """Integrate the three-channel system along the schedule.
+              step: float | None = None) -> Trajectory:
+    """Integrate the lossless three-channel system along the schedule.
 
-    loss is the uniform amplitude decay rate alpha, applied as the envelope
-    exp(-alpha (x - x0)) to the lossless trajectory; step, when given, must
-    not exceed the schedule spacing and is rounded to an exact subdivision
-    of it.
+    step, when given, must not exceed the schedule spacing and is rounded to
+    an exact subdivision of it. Loss is `Trajectory.damped` on the result.
     """
     a = np.asarray(initial.amplitudes, dtype=complex)
     if a.size != 3:
@@ -132,8 +141,6 @@ def propagate(schedule: CouplingSchedule, initial: AmplitudeState,
     if abs(initial.norm_squared - 1.0) > 1e-6:
         raise ValueError("initial state must have unit norm for intensity "
                          "semantics")
-    if np.ndim(loss) != 0 or loss < 0:
-        raise ValueError("loss must be a scalar rate >= 0")
     x = schedule.x_grid
     o1 = schedule.omega1
     o2 = schedule.omega2
@@ -181,7 +188,6 @@ def propagate(schedule: CouplingSchedule, initial: AmplitudeState,
                 and math.isfinite(a2.real) and math.isfinite(a2.imag)):
             raise PropagationError("non-finite amplitude", float(x[j + 1]))
         out[j + 1] = (a0, a1, a2)
-    out *= np.exp(-float(loss) * (x - x[0]))[:, None]
     return Trajectory(x_grid=x.copy(), amplitudes=out)
 
 

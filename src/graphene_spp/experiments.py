@@ -20,9 +20,8 @@ from scipy import optimize
 from .config import RunConfig, config_hash
 from .coupling import coupling_at_separations, coupling_coefficient
 from .dispersion import ConvergenceError, NoBoundModeError, SppMode
-from .dynamics import (AmplitudeState, ChainHamiltonian, Trajectory,
-                       propagate, propagate_batch_three, propagate_batch_two,
-                       propagate_constant)
+from .dynamics import (AmplitudeState, Trajectory, propagate,
+                       propagate_batch_three, propagate_batch_two)
 from .geometry import CouplingSchedule, DeviceGeometry, build_schedule
 from .materials import MaterialDomainError
 
@@ -179,47 +178,39 @@ def mode_at_wavevector(config: RunConfig, target_q: float) -> SppMode:
 
 @dataclass(frozen=True)
 class DeviceRun:
-    """One propagation through the curved three-sheet device."""
+    """One lossless propagation through the curved three-sheet device.
+
+    alpha = Im q is the mode's uniform damping rate; the lossy run is
+    trajectory.damped(alpha).
+    """
 
     mode: SppMode
     schedule: CouplingSchedule
     trajectory: Trajectory
     alpha: float
-    lossy: bool
 
 
-def run_device(config: RunConfig, lossy: bool = False,
-               n_samples: int | None = None,
-               initial=None) -> DeviceRun:
-    """Solve the mode, build the coupling schedule, and propagate (1, 0, 0).
-
-    Loss enters only as the uniform damping rate alpha = Im q during
-    propagation; the couplings always come from the configured material.
-    """
+def run_device(config: RunConfig) -> DeviceRun:
+    """Solve the mode, build the coupling schedule, and propagate (1, 0, 0)
+    once, without loss."""
     mode = config.solve_mode()
-    geom = config.geometry()
-    n = config.n_samples if n_samples is None else n_samples
-    schedule = build_schedule(geom, mode, n, config.k0_convention)
-    alpha = mode.q.imag if lossy else 0.0
-    step = None
-    if config.step_divisor > 1:
-        step = schedule.spacing / config.step_divisor
-    if initial is None:
-        initial = AmplitudeState(np.array([1.0, 0.0, 0.0], dtype=complex),
-                                 position=float(schedule.x_grid[0]))
-    trajectory = propagate(schedule, initial, loss=alpha, step=step)
-    return DeviceRun(mode=mode, schedule=schedule, trajectory=trajectory,
-                     alpha=alpha, lossy=lossy)
+    schedule = build_schedule(config.geometry(), mode, config.n_samples,
+                              config.k0_convention)
+    initial = AmplitudeState(np.array([1.0, 0.0, 0.0], dtype=complex),
+                             position=float(schedule.x_grid[0]))
+    return DeviceRun(mode=mode, schedule=schedule,
+                     trajectory=propagate(schedule, initial),
+                     alpha=mode.q.imag)
 
 
 def parallel_comparator(wavevector: float, length: float, separation: float,
-                        config: RunConfig | None = None, lossy: bool = False,
-                        n_steps: int = 4096) -> float:
+                        config: RunConfig | None = None,
+                        lossy: bool = False) -> float:
     """Output intensity of two parallel sheets after length L (meters).
 
-    The two-channel system is integrated with the same fixed-step scheme as
-    the device; for the lossless case the result matches sin^2(C L) to the
-    integrator tolerance.
+    The two-channel system is integrated with the kernel and step count of
+    the figure 4a map (n_samples - 1 steps); for the lossless case the
+    result matches sin^2(C L) to the integrator tolerance.
     """
     if wavevector <= 0 or length <= 0 or separation <= 0:
         raise ExperimentError("wavevector, length, and separation must be > 0")
@@ -227,12 +218,11 @@ def parallel_comparator(wavevector: float, length: float, separation: float,
         config = RunConfig()
     mode = mode_at_wavevector(config, wavevector)
     pair = coupling_coefficient(mode, separation, config.k0_convention)
-    strength = abs(pair.c12.real)
     alpha = mode.q.imag if lossy else 0.0
-    ham = ChainHamiltonian((strength,), loss=alpha)
-    trajectory = propagate_constant(ham, np.array([1.0, 0.0], dtype=complex),
-                                    span=length, n_steps=n_steps)
-    return float(trajectory.final_intensities[1])
+    amps = propagate_batch_two(np.array([abs(pair.c12.real)]),
+                               np.array([length]), np.array([alpha]),
+                               max(config.n_samples - 1, 1))
+    return float(np.abs(amps[0, 1]) ** 2)
 
 
 def _axis_parameter(name: str, values: np.ndarray) -> np.ndarray:
@@ -321,7 +311,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     length = params["length"]
     radius = params["radius"]
     offset = params["offset"]
-    min_gap = np.full(total, cfg.d_min_nm * 1e-9)
+    min_gap = cfg.d_min_nm * 1e-9
     alpha_mode = np.array([m.q.imag for m in modes])
     alpha = alpha_mode[mode_index] if spec.lossy else np.zeros(total)
 
@@ -329,8 +319,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.layers == 2:
         couplings = np.empty(total)
         for i, mode in enumerate(modes):
-            pair = coupling_coefficient(mode, cfg.d_min_nm * 1e-9,
-                                        cfg.k0_convention)
+            pair = coupling_coefficient(mode, min_gap, cfg.k0_convention)
             couplings[mode_index == i] = abs(pair.c12.real)
         n_steps = max(cfg.n_samples - 1, 1)
         for start in range(0, total, _CHUNK):
@@ -360,7 +349,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             for row, cell in enumerate(cells):
                 geom = DeviceGeometry(radius=radius[cell],
                                       offset=offset[cell],
-                                      min_gap=min_gap[cell],
+                                      min_gap=min_gap,
                                       length=length[cell])
                 schedule = build_schedule(geom, modes[mode_index[cell]], n,
                                           cfg.k0_convention)
@@ -369,7 +358,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             h = length[cells] / (n - 1)
             amps = propagate_batch_three(
                 h, omega1, omega2, np.broadcast_to(a_init, (batch, 3)),
-                alpha[cells], substeps=cfg.step_divisor)
+                alpha[cells])
             flat[cells] = _observable_from_amplitudes(
                 amps, spec.observable)
         nonfinite = int(np.count_nonzero(~np.isfinite(flat[idx])))
@@ -448,7 +437,7 @@ def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
     a_init = np.zeros((batch, 3), dtype=complex)
     a_init[:, 0] = 1.0
     amps = propagate_batch_three(h, omega1, omega2, a_init,
-                                 np.zeros(batch), substeps=1)
+                                 np.zeros(batch))
     return np.abs(amps[:, 2]) ** 2
 
 

@@ -89,15 +89,6 @@ class CouplingSchedule:
     def spacing(self) -> float:
         return float(self.x_grid[1] - self.x_grid[0])
 
-    def mirrored(self) -> "CouplingSchedule":
-        """Schedule of the end-for-end flipped device: each profile sampled
-        at -x. For the arc device, whose profiles satisfy
-        omega1(x) = omega2(-x), this is the same as swapping the two coupling
-        arrays."""
-        return CouplingSchedule(x_grid=-self.x_grid[::-1],
-                                omega1=self.omega1[::-1].copy(),
-                                omega2=self.omega2[::-1].copy())
-
 
 def build_schedule(geom: DeviceGeometry, mode: SppMode, n_samples: int = 4096,
                    k0_convention: str = "vacuum") -> CouplingSchedule:

@@ -116,17 +116,17 @@ def build_validation_report(config: RunConfig,
             f"lambda0 = {paper_lambda0_um:.4g} um instead"),
     ]
 
-    lossless = run_device(config, lossy=False)
-    lossy = run_device(config, lossy=True)
-    lossless_final = lossless.trajectory.final_intensities
+    device = run_device(config)
+    lossless_final = device.trajectory.final_intensities
+    lossy_final = device.trajectory.damped(device.alpha).final_intensities
     norm_defect = abs(float(lossless_final.sum()) - 1.0)
 
     stretch_default = stirap_stretch_search(config)
     stretch_paper = stirap_stretch_search(config, mode=paper_mode)
 
-    lossy_output = float(lossy.trajectory.final_intensities[2])
-    paper_lossy = run_device(replace(config, lambda0_um=paper_lambda0_um),
-                             lossy=True)
+    lossy_output = float(lossy_final[2])
+    paper_device = run_device(replace(config, lambda0_um=paper_lambda0_um))
+    paper_lossy = paper_device.trajectory.damped(paper_device.alpha)
     report = {
         "config_hash": config_hash(config),
         "version": VERSION,
@@ -155,8 +155,7 @@ def build_validation_report(config: RunConfig,
         "stirap_default": {
             "lossless_final_intensities": [float(v) for v in lossless_final],
             "norm_defect": norm_defect,
-            "lossy_final_intensities": [
-                float(v) for v in lossy.trajectory.final_intensities],
+            "lossy_final_intensities": [float(v) for v in lossy_final],
         },
         "stretch_search": {
             "target": stretch_default.target,
@@ -190,8 +189,7 @@ def build_validation_report(config: RunConfig,
                     "length of 4.092 um (compare the propagation_length "
                     "comparison and at_reference_wavevector)",
             "at_reference_wavevector": {
-                "I_output": float(
-                    paper_lossy.trajectory.final_intensities[2]),
+                "I_output": float(paper_lossy.final_intensities[2]),
                 "propagation_length_um": paper_lx * 1e6,
             },
         },

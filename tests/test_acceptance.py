@@ -242,22 +242,21 @@ def test_criterion_08_robustness_comparison():
 def test_criterion_09_loss_behavior(validation_report):
     config = RunConfig()
     started = time.perf_counter()
-    lossy = run_device(config, lossy=True)
-    totals = np.sum(lossy.trajectory.intensities, axis=1)
+    device = run_device(config)
+    lossy = device.trajectory.damped(device.alpha)
+    totals = np.sum(lossy.intensities, axis=1)
     assert np.all(np.diff(totals) <= 1e-12), "total intensity grew under loss"
 
-    lossless = run_device(config, lossy=False)
-    x = lossless.trajectory.x_grid
-    factor = np.exp(-lossy.alpha * (x - x[0]))
-    predicted = lossless.trajectory.amplitudes * factor[:, None]
-    factorization = float(np.abs(lossy.trajectory.amplitudes
-                                 - predicted).max())
+    x = device.trajectory.x_grid
+    factor = np.exp(-device.alpha * (x - x[0]))
+    predicted = device.trajectory.amplitudes * factor[:, None]
+    factorization = float(np.abs(lossy.amplitudes - predicted).max())
     assert factorization < 1e-8
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
 
     recorded = validation_report["lossy_default"]
-    output = lossy.trajectory.final_intensities[2]
+    output = lossy.final_intensities[2]
     assert recorded["I_output"] == pytest.approx(output, rel=1e-9)
     assert recorded["paper_band"] == [0.6, 0.9]
 
@@ -270,8 +269,8 @@ def test_criterion_09_loss_behavior(validation_report):
     assert in_band, (
         f"lossy default output {output:.5f} is outside [0.4, 1.0]: the "
         f"uniform damping factor over the 1 um device is exp(-2 alpha L) = "
-        f"{math.exp(-2 * lossy.alpha * 1e-6):.4f}, a modelled propagation "
-        f"length of {0.5e6 / lossy.alpha:.3g} um; the band presumes the "
+        f"{math.exp(-2 * device.alpha * 1e-6):.4f}, a modelled propagation "
+        f"length of {0.5e6 / device.alpha:.3g} um; the band presumes the "
         "published 4.092 um, which the configured relaxation rate gives "
         "neither here nor at the 35 1/um wavevector scale "
         f"({reference['propagation_length_um']:.3g} um, I_output "

@@ -196,7 +196,38 @@ def test_internal_value_error_escapes_main(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_device", broken)
     with pytest.raises(ValueError, match="internal"):
         main(["--config", _cfg(tmp_path), "--out", str(tmp_path / "out"),
-              "schedule"])
+              "device-run"])
+
+
+def test_removed_step_divisor_is_an_unknown_key(tmp_path, capsys):
+    code = main(["--config", _cfg(tmp_path, "step_divisor = 2\n"),
+                 "--out", str(tmp_path / "out"), "dispersion"])
+    assert code == 2
+    assert "unknown key 'step_divisor'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["schedule"], 0),
+    (["device-run"], 1),
+    (["robustness-sweep", "--figure", "3"], 1),
+    # the default and the reference-scale device, two staircase checks
+    (["verify"], 4),
+])
+def test_each_device_is_propagated_once(tmp_path, monkeypatch, argv,
+                                        expected):
+    # loss is an envelope on the lossless trajectory, never a second run
+    import graphene_spp.experiments as experiments
+    import graphene_spp.validation as validation
+
+    calls = []
+    for module in (experiments, validation):
+        def counted(*args, _propagate=module.propagate, **kwargs):
+            calls.append(1)
+            return _propagate(*args, **kwargs)
+        monkeypatch.setattr(module, "propagate", counted)
+    assert main(["--config", _cfg(tmp_path), "--out", str(tmp_path / "out")]
+                + argv) == 0
+    assert len(calls) == expected
 
 
 def test_formats_gate_emission(tmp_path):

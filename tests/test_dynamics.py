@@ -56,8 +56,7 @@ def test_default_device_endpoint_matches_staircase_golden(
     reference = np.array([as_complex(z) for z in pins["lossless_final"]])
     assert np.abs(lossless.amplitudes[-1] - reference).max() < 2e-6
 
-    lossy = propagate(schedule, AmplitudeState(START),
-                      loss=pins["alpha_per_m"])
+    lossy = lossless.damped(pins["alpha_per_m"])
     reference = np.array([as_complex(z) for z in pins["lossy_final"]])
     assert np.abs(lossy.amplitudes[-1] - reference).max() < 2e-6
 
@@ -117,8 +116,8 @@ def test_propagate_matches_stepwise_loss_loop(default_config, default_mode):
     alpha = default_mode.q.imag
     for step in (None, schedule.spacing / 2, schedule.spacing / 3):
         for loss in (0.0, alpha):
-            got = propagate(schedule, AmplitudeState(START), loss=loss,
-                            step=step).amplitudes
+            got = propagate(schedule, AmplitudeState(START),
+                            step=step).damped(loss).amplitudes
             expected = _propagate_stepwise(schedule, START, (loss,) * 3, step)
             assert got.shape == expected.shape
             assert _relative_gap(got, expected) < 1e-12
@@ -134,13 +133,14 @@ def test_uniform_loss_factorizes(default_config, default_mode):
     assert np.abs(lossy - predicted).max() < 1e-8
 
 
-def test_propagate_rejects_vector_or_negative_loss(default_config,
-                                                   default_mode):
+def test_damped_rejects_vector_or_negative_loss(default_config,
+                                                default_mode):
     schedule = _schedule(default_config, default_mode, 129)
     alpha = default_mode.q.imag
+    trajectory = propagate(schedule, AmplitudeState(START))
     for loss in ((0.0, alpha, 0.0), np.full(3, alpha), -alpha):
         with pytest.raises(ValueError):
-            propagate(schedule, AmplitudeState(START), loss=loss)
+            trajectory.damped(loss)
 
 
 def test_propagate_rejects_bad_initial_states(default_config, default_mode):
@@ -166,12 +166,12 @@ def test_propagate_step_subdivides(default_config, default_mode):
 def test_batch_three_matches_scalar_integrator(default_config, default_mode):
     schedule = _schedule(default_config, default_mode, 257)
     h = np.array([schedule.spacing])
-    # substeps > 1 is the sweep's step_divisor path
+    # substeps > 1 is the batch kernel's counterpart of propagate's step
     for substeps in (1, 2):
         step = None if substeps == 1 else schedule.spacing / substeps
         for alpha in (0.0, default_mode.q.imag):
-            scalar = propagate(schedule, AmplitudeState(START), loss=alpha,
-                               step=step).amplitudes[-1]
+            scalar = propagate(schedule, AmplitudeState(START),
+                               step=step).damped(alpha).amplitudes[-1]
             batch = propagate_batch_three(h, schedule.omega1[None, :],
                                           schedule.omega2[None, :],
                                           START[None, :], np.array([alpha]),

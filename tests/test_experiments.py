@@ -57,7 +57,7 @@ def test_wavevector_inversion_propagates_programming_errors(
 
 def test_run_device_lossless_default(default_config):
     run = run_device(default_config)
-    assert not run.lossy
+    assert run.alpha == run.mode.q.imag
     assert run.trajectory.amplitudes.shape[0] == default_config.n_samples
     # feasibility pins for the default configuration
     final = run.trajectory.final_intensities
@@ -67,12 +67,12 @@ def test_run_device_lossless_default(default_config):
 
 
 def test_run_device_lossy_default(default_config):
-    run = run_device(default_config, lossy=True)
-    assert run.lossy
+    run = run_device(default_config)
     assert run.alpha > 0
-    final = run.trajectory.final_intensities
+    lossy = run.trajectory.damped(run.alpha)
+    final = lossy.final_intensities
     assert final[2] == pytest.approx(0.00851436, abs=1e-6)
-    totals = np.sum(run.trajectory.intensities, axis=1)
+    totals = np.sum(lossy.intensities, axis=1)
     assert np.all(np.diff(totals) <= 1e-12)
 
 
@@ -193,6 +193,8 @@ def test_two_layer_sweep_matches_comparator(default_config):
     direct = parallel_comparator(35e6, 1.0e-6, default_config.d_min_nm * 1e-9,
                                  config=default_config)
     assert result.grid[1, 1] == pytest.approx(direct, rel=1e-4, abs=1e-9)
+    # the comparator runs the map's kernel at the map's step count
+    assert result.grid[1, 1] == direct
 
 
 def test_figure_map_specs(default_config):

@@ -104,17 +104,6 @@ def test_schedule_spacing_uniform(default_mode):
                                                      rel=1e-9)
 
 
-def test_mirrored_schedule_reverses_and_swaps_roles(default_mode):
-    schedule = build_schedule(_geom(), default_mode, 501)
-    flipped = schedule.mirrored()
-    assert flipped.x_grid == pytest.approx(schedule.x_grid, rel=1e-12)
-    assert np.array_equal(flipped.omega1, schedule.omega1[::-1])
-    # arc profiles satisfy omega1(-x) = omega2(x), so the flip swaps roles
-    assert flipped.omega1 == pytest.approx(schedule.omega2, rel=1e-9)
-    # and the flipped device loses the counterintuitive ordering
-    assert np.argmax(flipped.omega1) < np.argmax(flipped.omega2)
-
-
 def test_adiabaticity_report_fields(default_mode):
     schedule = build_schedule(_geom(), default_mode, 2001)
     report = adiabaticity_report(schedule)
