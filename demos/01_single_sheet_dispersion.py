@@ -1,7 +1,7 @@
 """Survey the bound plasmon mode of a single graphene sheet.
 
-Solves the two-interface dispersion relation for the sheet between its
-substrate and superstrate, then reports how the propagation constant, the
+Solves the dispersion relation for the sheet in its host dielectric (the
+same medium above and below), then reports how the propagation constant, the
 propagation length, and the field confinement move with excitation
 wavelength and Fermi level.
 """
@@ -32,7 +32,7 @@ print()
 def solve_at(lambda0_um, scan_sheet):
     exc = Excitation(vacuum_wavelength=lambda0_um * 1e-6)
     sigma = drude_conductivity(exc.angular_frequency, scan_sheet, gamma)
-    return solve_dispersion(exc, medium, medium, sigma,
+    return solve_dispersion(exc, medium, sigma,
                             thickness=scan_sheet.thickness)
 
 
@@ -70,7 +70,6 @@ for fermi in (0.05, 0.10, 0.15, 0.20, 0.30):
 # without damping the conductivity is purely imaginary and q comes out real
 exc = Excitation(vacuum_wavelength=config.lambda0_um * 1e-6)
 sigma0 = drude_conductivity(exc.angular_frequency, sheet, 0.0)
-lossless = solve_dispersion(exc, medium, medium, sigma0,
-                            thickness=sheet.thickness)
+lossless = solve_dispersion(exc, medium, sigma0, thickness=sheet.thickness)
 assert propagation_length(lossless) is INFINITE_PROPAGATION
 print("\ngamma = 0 gives a purely real q: propagation length is infinite")

@@ -46,8 +46,8 @@ for fermi in (0.05, 0.10, 0.15, 0.20):
                           thickness=config.thickness_nm * 1e-9)
     exc = config.excitation()
     sigma = drude_conductivity(exc.angular_frequency, sheet, config.gamma())
-    scan_mode = solve_dispersion(exc, config.medium(), config.medium(),
-                                 sigma, thickness=sheet.thickness)
+    scan_mode = solve_dispersion(exc, config.medium(), sigma,
+                                 thickness=sheet.thickness)
     mags = [abs(p.c12) * 1e-6 for p in coupling_vs_distance(scan_mode, d_grid)]
     curves.append((f"E_F = {fermi:.2f} eV", np.array(mags)))
     print(f"E_F = {fermi:.2f} eV: |C12|(20 nm) = "

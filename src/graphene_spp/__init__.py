@@ -1,9 +1,9 @@
 """Coupled-mode simulation of SPP transfer between stacked graphene sheets.
 
-The package models the bound plasmon mode of a conducting sheet between two
-dielectric half-spaces, the evanescent coupling of two such sheets, and the
-three-sheet curved device in which two counterintuitively ordered coupling
-pulses move power adiabatically from the input sheet to the output sheet.
+The package models the bound plasmon mode of a conducting sheet in a host
+dielectric, the evanescent coupling of two such sheets, and the three-sheet
+curved device in which two counterintuitively ordered coupling pulses move
+power adiabatically from the input sheet to the output sheet.
 """
 
 from .config import ConfigError, RunConfig, config_hash, load_config, parse_config
@@ -11,8 +11,7 @@ from .coupling import (CouplingDomainError, PairCoupling,
                        coupling_at_separations, coupling_coefficient,
                        coupling_vs_distance, overlap_integral)
 from .dispersion import (INFINITE_PROPAGATION, ConvergenceError, Excitation,
-                         ModeProfile, NoBoundModeError, SppMode,
-                         confinement_length, evaluate_profile,
+                         NoBoundModeError, SppMode, confinement_length,
                          propagation_length, solve_dispersion)
 from .dynamics import (AmplitudeState, ChainHamiltonian, PropagationError,
                        Trajectory, dark_state, field_map, propagate,
@@ -36,14 +35,14 @@ __all__ = [
     "ConfigError", "ConvergenceError", "CouplingDomainError",
     "CouplingSchedule", "DeviceGeometry", "DeviceRun", "Excitation",
     "ExperimentError", "GeometryError", "GrapheneSheet",
-    "INFINITE_PROPAGATION", "MaterialDomainError", "Medium", "ModeProfile",
+    "INFINITE_PROPAGATION", "MaterialDomainError", "Medium",
     "NoBoundModeError", "PairCoupling", "PropagationError", "RunConfig",
     "SppMode", "StretchSearchResult", "SweepAxis", "SweepResult", "SweepSpec",
     "Trajectory", "adiabaticity_report", "build_schedule",
     "build_validation_report", "config_hash", "confinement_length",
     "coupling_at_separations", "coupling_coefficient", "coupling_vs_distance",
     "dark_state", "default_relaxation_rate", "drude_conductivity",
-    "effective_graphene_permittivity", "evaluate_profile", "field_map",
+    "effective_graphene_permittivity", "field_map",
     "load_config", "mode_at_wavevector", "overlap_integral",
     "parallel_comparator", "parse_config", "propagate", "propagate_constant",
     "propagation_length", "render_validation_text", "robustness_metric",

@@ -307,7 +307,7 @@ def _run_robustness(config: RunConfig, out: str, figure: str,
         path = os.path.join(out, f"fig_{figure}.svg")
         emit_svg_heatmap(path, result.grid, axis1.values, axis2.values,
                          axis1.name, axis2.name,
-                         f"figure {figure}: {spec.observable}", chash)
+                         f"figure {figure}: output_intensity", chash)
         written.append(path)
     return written
 

@@ -12,12 +12,10 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-from scipy import constants as _const
-
 from .coupling import K0_CONVENTIONS
 from .dispersion import Excitation, SppMode, solve_dispersion
 from .geometry import DeviceGeometry
-from .materials import (GAMMA_CONVENTIONS, GrapheneSheet, Medium,
+from .materials import (CONSTANTS, GAMMA_CONVENTIONS, GrapheneSheet, Medium,
                         default_relaxation_rate, drude_conductivity)
 
 
@@ -73,19 +71,22 @@ class RunConfig:
         """Bound mode at the configured (or an overriding) angular frequency."""
         excitation = self.excitation()
         if omega is not None:
-            excitation = Excitation(vacuum_wavelength=2 * math.pi * _const.c / omega)
+            excitation = Excitation(
+                vacuum_wavelength=2 * math.pi * CONSTANTS.c / omega)
         sigma = drude_conductivity(excitation.angular_frequency, self.sheet(),
                                    self.gamma())
-        medium = self.medium()
-        return solve_dispersion(excitation, medium, medium, sigma,
+        return solve_dispersion(excitation, self.medium(), sigma,
                                 thickness=self.thickness_nm * 1e-9)
 
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
 
 from .dispersion import SppMode
+from .materials import CONSTANTS
 
 K0_CONVENTIONS = ("vacuum", "film")
 
@@ -78,7 +78,7 @@ def overlap_integral(k_a: complex, k_b: complex, d):
 
 def _k0_squared(mode: SppMode, k0_convention: str) -> complex:
     if k0_convention == "vacuum":
-        k0 = mode.excitation.angular_frequency / _const.c
+        k0 = mode.excitation.angular_frequency / CONSTANTS.c
         return k0 * k0
     if k0_convention == "film":
         return mode.k0 ** 2

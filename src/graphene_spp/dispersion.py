@@ -1,8 +1,10 @@
-"""Bound-mode dispersion solver for a conducting sheet between two dielectrics.
+"""Bound-mode dispersion solver for a conducting sheet in a host dielectric.
 
-Solves eps1/k1 + eps2/k2 + i sigma/(eps0 omega) = 0 for the complex propagation
-constant q, with k_m = sqrt(q^2 - omega^2 eps_m/c^2) and the branch fixed by
-Re(k_m) > 0 (evanescent confinement on both sides).
+Solves the TM relation 2 eps/k + i sigma/(eps0 omega) = 0 for the complex
+propagation constant q, with k = sqrt(q^2 - omega^2 eps/c^2) and the branch
+fixed by Re(k) > 0 (evanescent confinement on both sides). With one medium on
+both sides the root is closed form, k = 2 i eps eps0 omega / sigma (Jablan,
+Buljan & Soljacic, Phys. Rev. B 80, 245435 (2009)).
 """
 
 from __future__ import annotations
@@ -11,14 +13,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import constants as _const
-
-from .materials import Medium, effective_graphene_permittivity
+from .materials import CONSTANTS, Medium, effective_graphene_permittivity
 
 
 class ConvergenceError(RuntimeError):
-    """Root search did not reach the residual contract."""
+    """The root failed the residual contract or its branch and bound checks."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -41,7 +40,7 @@ class Excitation:
 
     @property
     def angular_frequency(self) -> float:
-        return 2.0 * math.pi * _const.c / self.vacuum_wavelength
+        return 2.0 * math.pi * CONSTANTS.c / self.vacuum_wavelength
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,13 @@ class SppMode:
     """Solved bound mode.
 
     q : complex propagation constant (1/m), Im(q) >= 0 encodes damping.
-    k1, k2 : transverse decay constants (1/m) above and below the sheet.
+    k1, k2 : transverse decay constants (1/m) above and below the sheet;
+        equal, since one host medium fills both sides.
     eps_g : thin-film equivalent permittivity of the sheet.
     k0 : sqrt(q^2 - omega^2 eps_g/c^2), the film-referenced transverse constant.
     normalization : N with N^2 = 1/(2 Re k1) + 1/(2 Re k2), so that the
         profile u/N has unit squared integral.
+    media : the host medium on each side, (medium, medium).
     """
 
     q: complex
@@ -66,120 +67,65 @@ class SppMode:
     media: tuple[Medium, Medium]
 
 
-@dataclass(frozen=True)
-class ModeProfile:
-    """A mode pinned to a sheet elevation along z."""
-
-    mode: SppMode
-    sheet_elevation: float = 0.0
-
-
 def _transverse_constant(q: complex, omega: float, eps: float) -> complex:
-    k = cmath.sqrt(q * q - omega * omega * eps / _const.c**2)
+    k = cmath.sqrt(q * q - omega * omega * eps / CONSTANTS.c**2)
     if k.real < 0:
         k = -k
     return k
 
 
-def _relation(q: complex, omega: float, eps1: float, eps2: float,
-              drive: complex) -> complex:
-    return eps1 / _transverse_constant(q, omega, eps1) \
-        + eps2 / _transverse_constant(q, omega, eps2) + drive
-
-
-def _relation_derivative(q: complex, omega: float, eps1: float,
-                         eps2: float) -> complex:
-    total = 0.0 + 0.0j
-    for eps in (eps1, eps2):
-        k = _transverse_constant(q, omega, eps)
-        total -= eps * q / k**3
-    return total
-
-
-def _symmetric_root(omega: float, eps: float, sigma_g: complex) -> complex:
-    k = 2j * eps * _const.epsilon_0 * omega / sigma_g
+def _closed_form_root(omega: float, eps: float, sigma_g: complex) -> complex:
+    k = 2j * eps * CONSTANTS.eps0 * omega / sigma_g
     if k.real < 0:
         k = -k
-    q = cmath.sqrt(k * k + omega * omega * eps / _const.c**2)
+    q = cmath.sqrt(k * k + omega * omega * eps / CONSTANTS.c**2)
     if q.real < 0:
         q = -q
     return q
 
 
-def solve_dispersion(excitation: Excitation, medium1: Medium, medium2: Medium,
-                     sigma_g: complex, thickness: float = 0.33e-9,
-                     method: str = "auto") -> SppMode:
-    """Solve for the bound mode at the given excitation.
+def solve_dispersion(excitation: Excitation, medium: Medium,
+                     sigma_g: complex, thickness: float = 0.33e-9) -> SppMode:
+    """Bound mode of a sheet with conductivity sigma_g in a host medium.
 
-    method "auto" uses the closed form when the media are identical and damped
-    Newton iteration otherwise; "closed_form" and "newton" force one path
-    (the closed form rejects asymmetric media).
-
-    The returned mode satisfies |eps1/k1 + eps2/k2 + i sigma/(eps0 omega)|
-    < 1e-10 * |sigma/(eps0 omega)|, or a ConvergenceError carrying the final
-    residual is raised.
+    The root is taken in closed form. It must then satisfy
+    |2 eps/k + i sigma/(eps0 omega)| < 1e-10 * |sigma/(eps0 omega)| (a NaN
+    residual fails too), decay on both sides (Re k > 0) and be bound
+    (Re q above the light line of the medium); otherwise a ConvergenceError
+    carrying the residual is raised.
     """
-    if method not in ("auto", "closed_form", "newton"):
-        raise ValueError(f"unknown method {method!r}")
     sigma_g = complex(sigma_g)
     if sigma_g.imag <= 0:
         raise NoBoundModeError("bound mode requires Im(sigma_g) > 0")
     omega = excitation.angular_frequency
-    eps1, eps2 = medium1.permittivity, medium2.permittivity
-    symmetric = eps1 == eps2
-    drive = 1j * sigma_g / (_const.epsilon_0 * omega)
+    eps = medium.permittivity
+    drive = 1j * sigma_g / (CONSTANTS.eps0 * omega)
 
-    if method == "closed_form" and not symmetric:
-        raise ValueError("closed form requires identical media")
-
-    if symmetric and method != "newton":
-        q = _symmetric_root(omega, eps1, sigma_g)
-    else:
-        q = _symmetric_root(omega, 0.5 * (eps1 + eps2), sigma_g)
-        residual = _relation(q, omega, eps1, eps2, drive)
-        for _ in range(100):
-            step = residual / _relation_derivative(q, omega, eps1, eps2)
-            damping = 1.0
-            for _ in range(8):
-                trial = q - damping * step
-                trial_residual = _relation(trial, omega, eps1, eps2, drive)
-                if abs(trial_residual) < abs(residual):
-                    break
-                damping *= 0.5
-            q = q - damping * step
-            residual = _relation(q, omega, eps1, eps2, drive)
-            if abs(damping * step) < 1e-12 * abs(q):
-                break
-        else:
-            raise ConvergenceError(
-                "Newton iteration budget exhausted",
-                residual=abs(residual) / abs(drive))
-
+    q = _closed_form_root(omega, eps, sigma_g)
     if q.imag < 0:
         # Gain is unphysical for a passive sheet; try the decaying branch and
         # let the residual contract below reject it if it is not a root.
         q = q.conjugate()
 
-    rel_residual = abs(_relation(q, omega, eps1, eps2, drive)) / abs(drive)
-    if rel_residual >= 1e-10:
+    k = _transverse_constant(q, omega, eps)
+    rel_residual = abs(2.0 * eps / k + drive) / abs(drive)
+    if not rel_residual < 1e-10:
         raise ConvergenceError(
             f"root residual {rel_residual:.3e} violates the 1e-10 contract",
             residual=rel_residual)
-    k1 = _transverse_constant(q, omega, eps1)
-    k2 = _transverse_constant(q, omega, eps2)
-    if k1.real <= 0 or k2.real <= 0:
+    if k.real <= 0:
         raise ConvergenceError("no sign-correct evanescent branch found")
-    if q.real <= (omega / _const.c) * math.sqrt(max(eps1, eps2)):
+    if q.real <= (omega / CONSTANTS.c) * math.sqrt(eps):
         raise ConvergenceError("root is not bound (faster than light in the "
-                               "denser medium)")
+                               "host medium)")
     eps_g = effective_graphene_permittivity(omega, sigma_g, thickness)
-    k0 = cmath.sqrt(q * q - omega * omega * eps_g / _const.c**2)
+    k0 = cmath.sqrt(q * q - omega * omega * eps_g / CONSTANTS.c**2)
     if k0.real < 0:
         k0 = -k0
-    normalization = math.sqrt(0.5 / k1.real + 0.5 / k2.real)
-    return SppMode(q=q, k1=k1, k2=k2, eps_g=eps_g, k0=k0,
+    normalization = math.sqrt(1.0 / k.real)
+    return SppMode(q=q, k1=k, k2=k, eps_g=eps_g, k0=k0,
                    normalization=normalization, excitation=excitation,
-                   media=(medium1, medium2))
+                   media=(medium, medium))
 
 
 #: Reported instead of an exception when a lossless mode does not decay.
@@ -204,18 +150,3 @@ def confinement_length(mode: SppMode, side: int = 1) -> float:
     if k.real <= 0:
         raise ValueError("mode is not evanescent on that side")
     return 1.0 / k.real
-
-
-def evaluate_profile(profile: ModeProfile, z):
-    """Normalized mode amplitude u(z)/N at elevation(s) z.
-
-    Medium 1 fills the half-space above the sheet, medium 2 below; the decay
-    constant is selected per side and the result integrates to unit |.|^2.
-    """
-    mode = profile.mode
-    z = np.asarray(z, dtype=float)
-    dz = z - profile.sheet_elevation
-    above = dz >= 0
-    k = np.where(above, mode.k1, mode.k2)
-    u = np.exp(-k * np.abs(dz)) / mode.normalization
-    return complex(u) if u.ndim == 0 else u

@@ -38,10 +38,9 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AmplitudeState:
-    """Channel amplitudes at one position along the device."""
+    """Channel amplitudes at the start of a propagation."""
 
     amplitudes: np.ndarray
-    position: float = 0.0
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amplitudes, dtype=complex)

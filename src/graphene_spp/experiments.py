@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import constants as _const
 from scipy import optimize
 
 from .config import RunConfig, config_hash
@@ -23,10 +22,9 @@ from .dispersion import ConvergenceError, NoBoundModeError, SppMode
 from .dynamics import (AmplitudeState, Trajectory, propagate,
                        propagate_batch_three, propagate_batch_two)
 from .geometry import CouplingSchedule, DeviceGeometry, build_schedule
-from .materials import MaterialDomainError
+from .materials import CONSTANTS, MaterialDomainError
 
 AXIS_NAMES = ("wavevector_per_um", "length_um", "radius_nm", "offset_nm")
-OBSERVABLES = ("output_intensity", "middle_intensity", "transfer_efficiency")
 
 _CHUNK = 512
 # Errors by which a trial frequency has no solvable bound mode.
@@ -65,8 +63,9 @@ class SweepAxis:
 class SweepSpec:
     """Two sweep axes plus the fixed remainder of the configuration.
 
-    layers selects the device: 3 for the curved adiabatic chain, 2 for the
-    parallel comparator at the configured minimum gap. fixed_wavevector_per_um,
+    Every cell reports the output-sheet intensity. layers selects the device:
+    3 for the curved adiabatic chain, 2 for the parallel comparator at the
+    configured minimum gap. fixed_wavevector_per_um,
     when set, pins the excitation to the frequency whose mode matches that
     wavevector (used when neither axis is the wavevector).
     """
@@ -74,7 +73,6 @@ class SweepSpec:
     axis1: SweepAxis
     axis2: SweepAxis
     config: RunConfig
-    observable: str = "output_intensity"
     layers: int = 3
     lossy: bool = False
     fixed_wavevector_per_um: float | None = None
@@ -82,13 +80,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis1.name == self.axis2.name:
             raise ExperimentError("sweep axes must differ")
-        if self.observable not in OBSERVABLES:
-            raise ExperimentError(f"unknown observable {self.observable!r}")
         if self.layers not in (2, 3):
             raise ExperimentError("layers must be 2 or 3")
-        if self.layers == 2 and self.observable == "middle_intensity":
-            raise ExperimentError("the two-sheet comparator has no middle "
-                                  "channel")
         names = {self.axis1.name, self.axis2.name}
         if self.layers == 2 and names & {"radius_nm", "offset_nm"}:
             raise ExperimentError("the parallel comparator has no curvature "
@@ -101,12 +94,12 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Observable grid with shape (len(axis2), len(axis1)).
+    """Output-intensity grid with shape (len(axis2), len(axis1)).
 
     Invalid-geometry cells hold NaN; metadata records their count together
     with the wavevector inversion table and the config hash. For the
     three-sheet device it also records nonfinite_cells, the geometry-valid
-    cells whose observable came out non-finite (a numerical blow-up, which
+    cells whose output came out non-finite (a numerical blow-up, which
     would otherwise read as one more invalid cell).
     """
 
@@ -196,8 +189,7 @@ def run_device(config: RunConfig) -> DeviceRun:
     mode = config.solve_mode()
     schedule = build_schedule(config.geometry(), mode, config.n_samples,
                               config.k0_convention)
-    initial = AmplitudeState(np.array([1.0, 0.0, 0.0], dtype=complex),
-                             position=float(schedule.x_grid[0]))
+    initial = AmplitudeState(np.array([1.0, 0.0, 0.0], dtype=complex))
     return DeviceRun(mode=mode, schedule=schedule,
                      trajectory=propagate(schedule, initial),
                      alpha=mode.q.imag)
@@ -239,7 +231,7 @@ def _inverted_mode(config: RunConfig, target: float, inversion: list):
     inversion.append({
         "target_per_um": target * 1e-6,
         "omega_rad_per_s": omega,
-        "lambda0_um": 2 * math.pi * _const.c / omega * 1e6,
+        "lambda0_um": 2 * math.pi * CONSTANTS.c / omega * 1e6,
         "attained_Re_q_per_um": mode.q.real * 1e-6,
     })
     return mode
@@ -285,20 +277,30 @@ def _cell_parameters(spec: SweepSpec):
     return params, modes, mode_index, inversion
 
 
-def _observable_from_amplitudes(amps: np.ndarray,
-                                observable: str) -> np.ndarray:
-    intensities = np.abs(amps) ** 2
-    output = intensities[:, -1]
-    if observable == "output_intensity":
-        return output
-    if observable == "middle_intensity":
-        return intensities[:, 1]
-    total = intensities.sum(axis=1)
-    return np.where(total == 0, 0.0, output / total)
+def _three_sheet_finals(geometries, modes, config: RunConfig,
+                        alpha) -> np.ndarray:
+    """Output-sheet intensities of a batch of three-sheet devices.
+
+    Each device starts in the input sheet; geometries[i] is run with
+    modes[i] on config.n_samples knots and uniform loss alpha[i].
+    """
+    n = config.n_samples
+    batch = len(geometries)
+    omega1 = np.empty((batch, n))
+    omega2 = np.empty((batch, n))
+    for row, (geom, mode) in enumerate(zip(geometries, modes)):
+        schedule = build_schedule(geom, mode, n, config.k0_convention)
+        omega1[row] = schedule.omega1
+        omega2[row] = schedule.omega2
+    h = np.array([geom.length for geom in geometries]) / (n - 1)
+    a_init = np.zeros((batch, 3), dtype=complex)
+    a_init[:, 0] = 1.0
+    amps = propagate_batch_three(h, omega1, omega2, a_init, alpha)
+    return np.abs(amps[:, 2]) ** 2
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the observable over the axis1 x axis2 grid.
+    """Evaluate the output intensity over the axis1 x axis2 grid.
 
     Three-layer cells violating the arc-validity constraint
     L/2 + offset/2 <= R are reported as NaN; a grid with no valid cell raises.
@@ -327,8 +329,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             amps = propagate_batch_two(couplings[start:stop],
                                        length[start:stop],
                                        alpha[start:stop], n_steps)
-            flat[start:stop] = _observable_from_amplitudes(
-                amps, spec.observable)
+            flat[start:stop] = np.abs(amps[:, 1]) ** 2
         invalid = 0
         nonfinite = None
     else:
@@ -338,29 +339,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             raise ExperimentError("every grid cell violates the arc validity "
                                   "constraint L/2 + offset/2 <= R")
         idx = np.flatnonzero(valid)
-        n = cfg.n_samples
-        a_init = np.zeros((1, 3), dtype=complex)
-        a_init[0, 0] = 1.0
         for start in range(0, idx.size, _CHUNK):
             cells = idx[start:start + _CHUNK]
-            batch = cells.size
-            omega1 = np.empty((batch, n))
-            omega2 = np.empty((batch, n))
-            for row, cell in enumerate(cells):
-                geom = DeviceGeometry(radius=radius[cell],
-                                      offset=offset[cell],
-                                      min_gap=min_gap,
-                                      length=length[cell])
-                schedule = build_schedule(geom, modes[mode_index[cell]], n,
-                                          cfg.k0_convention)
-                omega1[row] = schedule.omega1
-                omega2[row] = schedule.omega2
-            h = length[cells] / (n - 1)
-            amps = propagate_batch_three(
-                h, omega1, omega2, np.broadcast_to(a_init, (batch, 3)),
-                alpha[cells])
-            flat[cells] = _observable_from_amplitudes(
-                amps, spec.observable)
+            geometries = [DeviceGeometry(radius=radius[cell],
+                                         offset=offset[cell],
+                                         min_gap=min_gap,
+                                         length=length[cell])
+                          for cell in cells]
+            flat[cells] = _three_sheet_finals(
+                geometries, [modes[mode_index[cell]] for cell in cells],
+                cfg, alpha[cells])
         nonfinite = int(np.count_nonzero(~np.isfinite(flat[idx])))
 
     grid = flat.reshape(n2, n1)
@@ -368,7 +356,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "config_hash": config_hash(cfg),
         "layers": spec.layers,
         "lossy": spec.lossy,
-        "observable": spec.observable,
+        "observable": "output_intensity",
         "axis1": {"name": spec.axis1.name,
                   "values": spec.axis1.values.tolist()},
         "axis2": {"name": spec.axis2.name,
@@ -385,7 +373,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def robustness_metric(result: SweepResult,
                       band: tuple | None = None) -> tuple[float, float, float]:
-    """(min, mean, stddev) of the observable over a band, skipping NaN cells.
+    """(min, mean, stddev) of the output intensity over a band, skipping NaN
+    cells.
 
     band is a pair of slices (rows, cols); None means the whole grid.
     """
@@ -420,25 +409,13 @@ class StretchSearchResult:
 def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
                        mode: SppMode) -> np.ndarray:
     """Lossless output intensities for uniformly stretched (L, R, offset)."""
-    n = config.n_samples
-    batch = stretches.size
-    omega1 = np.empty((batch, n))
-    omega2 = np.empty((batch, n))
-    base_length = config.L_um * 1e-6
-    for row, s in enumerate(stretches):
-        geom = DeviceGeometry(radius=config.R_nm * 1e-9 * s,
-                              offset=config.delta_nm * 1e-9 * s,
-                              min_gap=config.d_min_nm * 1e-9,
-                              length=base_length * s)
-        schedule = build_schedule(geom, mode, n, config.k0_convention)
-        omega1[row] = schedule.omega1
-        omega2[row] = schedule.omega2
-    h = base_length * stretches / (n - 1)
-    a_init = np.zeros((batch, 3), dtype=complex)
-    a_init[:, 0] = 1.0
-    amps = propagate_batch_three(h, omega1, omega2, a_init,
-                                 np.zeros(batch))
-    return np.abs(amps[:, 2]) ** 2
+    geometries = [DeviceGeometry(radius=config.R_nm * 1e-9 * s,
+                                 offset=config.delta_nm * 1e-9 * s,
+                                 min_gap=config.d_min_nm * 1e-9,
+                                 length=config.L_um * 1e-6 * s)
+                  for s in stretches]
+    return _three_sheet_finals(geometries, [mode] * stretches.size, config,
+                               np.zeros(stretches.size))
 
 
 def stirap_stretch_search(config: RunConfig, target: float = 0.95,

@@ -20,13 +20,8 @@ class MaterialDomainError(ValueError):
 
 
 def ev_to_joule(energy_ev):
-    return np.asarray(energy_ev, dtype=float) * _const.e if np.ndim(energy_ev) \
-        else float(energy_ev) * _const.e
-
-
-def joule_to_ev(energy_j):
-    return np.asarray(energy_j, dtype=float) / _const.e if np.ndim(energy_j) \
-        else float(energy_j) / _const.e
+    return np.asarray(energy_ev, dtype=float) * CONSTANTS.e \
+        if np.ndim(energy_ev) else float(energy_ev) * CONSTANTS.e
 
 
 @dataclass(frozen=True)
@@ -65,15 +60,12 @@ class GrapheneSheet:
     fermi_velocity : Fermi velocity in m/s.
     thickness : effective sheet thickness in m, used by the thin-film
         permittivity picture.
-    relaxation_rate : optional explicit carrier relaxation rate in 1/s;
-        when None it is derived from the mobility on demand.
     """
 
     fermi_level_ev: float = 0.15
     mobility_cm2: float = 6e4
     fermi_velocity: float = 1e6
     thickness: float = 0.33e-9
-    relaxation_rate: float | None = None
 
     def __post_init__(self) -> None:
         if self.fermi_level_ev <= 0:
@@ -84,8 +76,6 @@ class GrapheneSheet:
             raise MaterialDomainError("fermi_velocity must be > 0")
         if self.thickness <= 0:
             raise MaterialDomainError("thickness must be > 0")
-        if self.relaxation_rate is not None and self.relaxation_rate < 0:
-            raise MaterialDomainError("relaxation_rate must be >= 0")
 
 
 def default_relaxation_rate(sheet: GrapheneSheet,
@@ -100,19 +90,11 @@ def default_relaxation_rate(sheet: GrapheneSheet,
     if convention not in GAMMA_CONVENTIONS:
         raise ValueError(f"unknown relaxation-rate convention {convention!r}")
     mobility_si = sheet.mobility_cm2 * 1e-4  # cm^2/(V s) -> m^2/(V s)
-    rate = _const.e * sheet.fermi_velocity**2 / (
+    rate = CONSTANTS.e * sheet.fermi_velocity**2 / (
         mobility_si * ev_to_joule(sheet.fermi_level_ev))
     if convention == "literal_two_pi":
         rate *= 2.0 * math.pi
     return rate
-
-
-def relaxation_rate_of(sheet: GrapheneSheet,
-                       convention: str = "no_two_pi") -> float:
-    """Explicit relaxation rate when set, otherwise the mobility-derived one."""
-    if sheet.relaxation_rate is not None:
-        return sheet.relaxation_rate
-    return default_relaxation_rate(sheet, convention)
 
 
 def drude_conductivity(omega, sheet: GrapheneSheet, gamma: float):
@@ -127,7 +109,7 @@ def drude_conductivity(omega, sheet: GrapheneSheet, gamma: float):
     if gamma < 0:
         raise MaterialDomainError("gamma must be >= 0")
     ef_joule = ev_to_joule(sheet.fermi_level_ev)
-    denom = _const.hbar * gamma - 1j * _const.hbar * omega
+    denom = CONSTANTS.hbar * gamma - 1j * CONSTANTS.hbar * omega
     sigma = CONSTANTS.sigma0 * (4.0 * ef_joule / math.pi) / denom
     return complex(sigma) if sigma.ndim == 0 else sigma
 
@@ -139,5 +121,6 @@ def effective_graphene_permittivity(omega, sigma_g, thickness: float):
         raise MaterialDomainError("omega must be > 0")
     if thickness <= 0:
         raise MaterialDomainError("thickness must be > 0")
-    eps = 1.0 + 1j * np.asarray(sigma_g) * CONSTANTS.eta0 * _const.c / (omega * thickness)
+    eps = 1.0 + 1j * np.asarray(sigma_g) * CONSTANTS.eta0 * CONSTANTS.c / (
+        omega * thickness)
     return complex(eps) if eps.ndim == 0 else eps

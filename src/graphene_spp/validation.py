@@ -16,7 +16,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy import constants as _const
 
 from . import oracles
 from .config import RunConfig, config_hash
@@ -28,7 +27,8 @@ from .dynamics import (AmplitudeState, ChainHamiltonian, propagate,
 from .experiments import (mode_at_wavevector, run_device,
                           stirap_stretch_search)
 from .geometry import build_schedule
-from .materials import default_relaxation_rate, drude_conductivity
+from .materials import (CONSTANTS, default_relaxation_rate,
+                        drude_conductivity)
 
 # The package version (graphene_spp.__version__); pyproject.toml repeats it.
 VERSION = "0.1.0"
@@ -80,7 +80,7 @@ def build_validation_report(config: RunConfig,
     paper_mode = mode_at_wavevector(config,
                                     REFERENCE_WAVEVECTOR_PER_UM * 1e6)
     paper_pair = coupling_coefficient(paper_mode, d_min, "vacuum")
-    paper_lambda0_um = (2 * math.pi * _const.c
+    paper_lambda0_um = (2 * math.pi * CONSTANTS.c
                         / paper_mode.excitation.angular_frequency * 1e6)
     paper_lx = propagation_length(paper_mode)
 
@@ -259,7 +259,7 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
     for knots in (1025, 2049):
         schedule = build_schedule(config.geometry(), mode, knots,
                                   config.k0_convention)
-        start = AmplitudeState(start_vec, position=float(schedule.x_grid[0]))
+        start = AmplitudeState(start_vec)
         integrated = propagate(schedule, start).amplitudes[-1]
         staircase = oracles.staircase_evolution(
             schedule.x_grid, schedule.omega1, schedule.omega2, start_vec)

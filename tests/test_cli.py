@@ -179,6 +179,20 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "radius > 0" in captured.err
 
 
+@pytest.mark.parametrize("command", ["dispersion", "schedule", "device-run"])
+@pytest.mark.parametrize("line", ["lambda0_um = nan", "E_F_eV = nan",
+                                  "L_um = nan", "d_min_nm = nan",
+                                  "gamma_per_s = nan", "R_nm = inf"])
+def test_nonfinite_config_value_exits_2(tmp_path, capsys, command, line):
+    out = tmp_path / "out"
+    code = main(["--config", _cfg(tmp_path, line + "\n"), "--out", str(out),
+                 command])
+    assert code == 2
+    key = line.split("=")[0].strip()
+    assert f"error: {key}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "out"), "dispersion"])

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphene_spp.config import (ConfigError, RunConfig, config_hash,
                                  load_config, parse_config)
@@ -71,6 +73,32 @@ def test_invalid_geometry_combination_rejected():
     # R too small for the configured device length
     with pytest.raises(ConfigError):
         parse_config("R_nm = 400\n").geometry()
+
+
+_KEYS = sorted(RunConfig.__dataclass_fields__) + ["step_divisor", "bogus"]
+_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e999",
+                     "1e-999", "NaN", "Infinity", "auto", "", "csv,svg",
+                     "vacuum", "no_two_pi"]),
+    st.text(alphabet="0123456789.e+-nainf_ #=,", max_size=10),
+)
+_LINES = st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES)
+                  .map(lambda item: f"{item[0]} = {item[1]}"), max_size=6)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_LINES)
+def test_parsed_config_is_finite_or_config_error(lines):
+    try:
+        config = parse_config("\n".join(lines))
+    except ConfigError:
+        return
+    for name in RunConfig.__dataclass_fields__:
+        value = getattr(config, name)
+        if isinstance(value, (int, float)):
+            assert math.isfinite(value), (name, value)
 
 
 def test_config_hash_is_stable_and_sensitive(default_config):

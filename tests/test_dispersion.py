@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from graphene_spp.config import RunConfig
-from graphene_spp.dispersion import (INFINITE_PROPAGATION, Excitation,
-                                     ModeProfile, confinement_length,
-                                     evaluate_profile, propagation_length,
+from graphene_spp.dispersion import (INFINITE_PROPAGATION, ConvergenceError,
+                                     Excitation, NoBoundModeError,
+                                     confinement_length, propagation_length,
                                      solve_dispersion)
 from graphene_spp.materials import Medium, drude_conductivity
 from graphene_spp.oracles import dispersion_residual
@@ -78,18 +78,6 @@ def test_confinement_length_definition(default_mode):
         1.0 / default_mode.k1.real, rel=1e-12)
 
 
-def test_profile_decays_away_from_sheet(default_mode):
-    profile = ModeProfile(mode=default_mode, sheet_elevation=0.0)
-    z = np.array([0.0, 5e-9, 20e-9, -5e-9, -20e-9])
-    u = evaluate_profile(profile, z)
-    assert abs(u[0]) == pytest.approx(max(np.abs(u)), rel=1e-12)
-    assert np.all(np.abs(u[1:]) < np.abs(u[0]))
-    # exponential tail: |u(z)| = exp(-Re(k) * |z|) up to normalization
-    ratio = abs(u[2]) / abs(u[1])
-    assert ratio == pytest.approx(math.exp(-default_mode.k1.real * 15e-9),
-                                  rel=1e-9)
-
-
 def test_wavelength_scaling_of_wavevector(default_config):
     # q scales like omega^2 for the Drude sheet: longer wavelength, weaker q
     short = replace(default_config, lambda0_um=8.0).solve_mode()
@@ -105,19 +93,15 @@ def test_excitation_validation():
 
 
 def test_capacitive_sheet_has_no_bound_mode(default_config):
-    from graphene_spp.dispersion import NoBoundModeError
     with pytest.raises(NoBoundModeError):
         solve_dispersion(default_config.excitation(),
-                         Medium(permittivity=3.9), Medium(permittivity=3.9),
-                         1e-4 - 1e-4j)
+                         Medium(permittivity=3.9), 1e-4 - 1e-4j)
 
 
-def test_solver_methods_agree(default_config):
-    excitation = default_config.excitation()
-    medium = Medium(permittivity=3.9)
-    sigma = _sigma(default_config)
-    closed = solve_dispersion(excitation, medium, medium, sigma,
-                              method="closed_form")
-    newton = solve_dispersion(excitation, medium, medium, sigma,
-                              method="newton")
-    assert closed.q == pytest.approx(newton.q, rel=1e-9)
+@pytest.mark.parametrize("sigma", [complex(math.nan, 1e-3),
+                                   complex(1e-5, math.nan)])
+def test_nan_conductivity_fails_the_residual_contract(default_config, sigma):
+    with pytest.raises(ConvergenceError) as caught:
+        solve_dispersion(default_config.excitation(),
+                         Medium(permittivity=3.9), sigma)
+    assert math.isnan(caught.value.residual)

@@ -107,9 +107,6 @@ def test_sweep_spec_validation(default_config):
     with pytest.raises(ExperimentError):
         SweepSpec(axis1=wavevector, axis2=length, config=default_config,
                   layers=4)
-    with pytest.raises(ExperimentError):
-        SweepSpec(axis1=wavevector, axis2=length, config=default_config,
-                  layers=2, observable="middle_intensity")
 
 
 def test_three_layer_sweep_matches_direct_runs(default_config):
@@ -147,10 +144,8 @@ def test_invalid_geometry_cells_are_nan(default_config):
     assert result.metadata["nonfinite_cells"] == 0
 
 
-@pytest.mark.parametrize("observable", ["output_intensity",
-                                        "transfer_efficiency"])
-def test_nonfinite_cells_are_counted_apart_from_invalid(
-        default_config, monkeypatch, observable):
+def test_nonfinite_cells_are_counted_apart_from_invalid(default_config,
+                                                        monkeypatch):
     import graphene_spp.experiments as experiments
 
     kernel = experiments.propagate_batch_three
@@ -165,7 +160,7 @@ def test_nonfinite_cells_are_counted_apart_from_invalid(
     radius = SweepAxis("radius_nm", np.array([400.0, 800.0]))
     offset = SweepAxis("offset_nm", np.array([100.0, 200.0]))
     spec = SweepSpec(axis1=radius, axis2=offset, config=default_config,
-                     observable=observable, fixed_wavevector_per_um=35.0)
+                     fixed_wavevector_per_um=35.0)
     result = run_sweep(spec)
     assert result.metadata["invalid_cells"] == 2
     assert result.metadata["nonfinite_cells"] == 1
