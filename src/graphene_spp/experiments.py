@@ -27,6 +27,10 @@ from .materials import CONSTANTS, MaterialDomainError
 AXIS_NAMES = ("wavevector_per_um", "length_um", "radius_nm", "offset_nm")
 
 _CHUNK = 512
+# Step-doubling knot choice of three-sheet sweeps (_sweep_knots): the first
+# knot count probed and the output-intensity error estimate to reach.
+_FIRST_KNOTS = 65
+_KNOT_TOLERANCE = 2e-7
 # Errors by which a trial frequency has no solvable bound mode.
 _UNSOLVABLE = (NoBoundModeError, ConvergenceError, MaterialDomainError)
 
@@ -100,7 +104,8 @@ class SweepResult:
     with the wavevector inversion table and the config hash. For the
     three-sheet device it also records nonfinite_cells, the geometry-valid
     cells whose output came out non-finite (a numerical blow-up, which
-    would otherwise read as one more invalid cell).
+    would otherwise read as one more invalid cell), and the step-doubling
+    knot choice: knots, knot_error_estimate and knot_tolerance.
     """
 
     spec: SweepSpec
@@ -277,26 +282,54 @@ def _cell_parameters(spec: SweepSpec):
     return params, modes, mode_index, inversion
 
 
-def _three_sheet_finals(geometries, modes, config: RunConfig,
-                        alpha) -> np.ndarray:
+def _three_sheet_finals(geometries, modes, config: RunConfig, alpha,
+                        knots: int) -> np.ndarray:
     """Output-sheet intensities of a batch of three-sheet devices.
 
     Each device starts in the input sheet; geometries[i] is run with
-    modes[i] on config.n_samples knots and uniform loss alpha[i].
+    modes[i] on `knots` knots and uniform loss alpha[i]. One schedule of
+    2 knots - 1 samples holds the knots at even and the exact interval
+    midpoints at odd indices.
     """
-    n = config.n_samples
     batch = len(geometries)
-    omega1 = np.empty((batch, n))
-    omega2 = np.empty((batch, n))
+    omega1 = np.empty((batch, 2 * knots - 1))
+    omega2 = np.empty((batch, 2 * knots - 1))
     for row, (geom, mode) in enumerate(zip(geometries, modes)):
-        schedule = build_schedule(geom, mode, n, config.k0_convention)
+        schedule = build_schedule(geom, mode, 2 * knots - 1,
+                                  config.k0_convention)
         omega1[row] = schedule.omega1
         omega2[row] = schedule.omega2
-    h = np.array([geom.length for geom in geometries]) / (n - 1)
+    h = np.array([geom.length for geom in geometries]) / (knots - 1)
     a_init = np.zeros((batch, 3), dtype=complex)
     a_init[:, 0] = 1.0
-    amps = propagate_batch_three(h, omega1, omega2, a_init, alpha)
+    amps = propagate_batch_three(h, omega1[:, ::2], omega2[:, ::2],
+                                 omega1[:, 1::2], omega2[:, 1::2], a_init,
+                                 alpha)
     return np.abs(amps[:, 2]) ** 2
+
+
+def _sweep_knots(geometries, modes, config: RunConfig) -> tuple[int, float]:
+    """Knot count for a three-sheet sweep, by step doubling on probe devices.
+
+    Starting from _FIRST_KNOTS, the knot count doubles (k -> 2k - 1) until
+    the Richardson estimate max |I_fine - I_coarse| / 15 of the 4th-order
+    kernel's output-intensity error is at most _KNOT_TOLERANCE, or until the
+    next count would exceed config.n_samples. The first pair is always
+    run, so a sweep uses at least 2 _FIRST_KNOTS - 1 knots and always has
+    an estimate; a NaN estimate keeps doubling. The probes are lossless:
+    uniform loss scales every intensity, and so its error, by
+    exp(-alpha L) <= 1. Returns (knots, estimate of the error at knots).
+    """
+    lossless = np.zeros(len(geometries))
+    knots = _FIRST_KNOTS
+    coarse = _three_sheet_finals(geometries, modes, config, lossless, knots)
+    while True:
+        knots = 2 * knots - 1
+        fine = _three_sheet_finals(geometries, modes, config, lossless, knots)
+        estimate = float(np.max(np.abs(fine - coarse))) / 15.0
+        if estimate <= _KNOT_TOLERANCE or 2 * knots - 1 > config.n_samples:
+            return knots, estimate
+        coarse = fine
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -331,24 +364,29 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                                        alpha[start:stop], n_steps)
             flat[start:stop] = np.abs(amps[:, 1]) ** 2
         invalid = 0
-        nonfinite = None
     else:
         valid = length / 2.0 + offset / 2.0 <= radius
         invalid = int(np.count_nonzero(~valid))
         if invalid == total:
             raise ExperimentError("every grid cell violates the arc validity "
                                   "constraint L/2 + offset/2 <= R")
+
+        def devices(cells):
+            return ([DeviceGeometry(radius=radius[cell], offset=offset[cell],
+                                    min_gap=min_gap, length=length[cell])
+                     for cell in cells],
+                    [modes[mode_index[cell]] for cell in cells])
+
+        # validity is monotone in L, offset and R along increasing axes, so
+        # some corner is valid whenever any cell is
+        corners = np.unique([0, n1 - 1, total - n1, total - 1])
+        knots, estimate = _sweep_knots(*devices(corners[valid[corners]]),
+                                       cfg)
         idx = np.flatnonzero(valid)
         for start in range(0, idx.size, _CHUNK):
             cells = idx[start:start + _CHUNK]
-            geometries = [DeviceGeometry(radius=radius[cell],
-                                         offset=offset[cell],
-                                         min_gap=min_gap,
-                                         length=length[cell])
-                          for cell in cells]
-            flat[cells] = _three_sheet_finals(
-                geometries, [modes[mode_index[cell]] for cell in cells],
-                cfg, alpha[cells])
+            flat[cells] = _three_sheet_finals(*devices(cells), cfg,
+                                              alpha[cells], knots)
         nonfinite = int(np.count_nonzero(~np.isfinite(flat[idx])))
 
     grid = flat.reshape(n2, n1)
@@ -366,8 +404,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "wavevector_inversion": inversion,
         "dispersion_residual_contract": "< 1e-10, enforced at solve time",
     }
-    if nonfinite is not None:
+    if spec.layers == 3:
         metadata["nonfinite_cells"] = nonfinite
+        metadata["knots"] = knots
+        metadata["knot_error_estimate"] = estimate
+        metadata["knot_tolerance"] = _KNOT_TOLERANCE
     return SweepResult(spec=spec, grid=grid, metadata=metadata)
 
 
@@ -414,8 +455,11 @@ def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
                                  min_gap=config.d_min_nm * 1e-9,
                                  length=config.L_um * 1e-6 * s)
                   for s in stretches]
+    ends = np.unique([0, stretches.size - 1])
+    knots, _ = _sweep_knots([geometries[i] for i in ends],
+                            [mode] * ends.size, config)
     return _three_sheet_finals(geometries, [mode] * stretches.size, config,
-                               np.zeros(stretches.size))
+                               np.zeros(stretches.size), knots)
 
 
 def stirap_stretch_search(config: RunConfig, target: float = 0.95,

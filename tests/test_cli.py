@@ -116,6 +116,27 @@ def test_robustness_sweep_matrix_and_sidecar(tmp_path):
     assert (out / "fig_4b.svg").exists()
 
 
+def test_robustness_sweep_records_knot_choice(tmp_path):
+    # the step-doubling knot choice is recorded as it came out: at the
+    # default n_samples the estimate meets the tolerance, while
+    # n_samples = 256 stops the doubling at 129 knots, short of it
+    default_cfg = tmp_path / "default.cfg"
+    default_cfg.write_text("")
+    metas = {}
+    for label, cfg in (("default", str(default_cfg)),
+                       ("capped", _cfg(tmp_path))):
+        out = tmp_path / label
+        assert main(["--config", cfg, "--out", str(out), "robustness-sweep",
+                     "--figure", "4b", "--grid", "3x3"]) == 0
+        metas[label] = json.loads((out / "fig_4b.json").read_text())
+    default, capped = metas["default"], metas["capped"]
+    assert default["knot_tolerance"] == capped["knot_tolerance"] == 2e-7
+    assert 0.0 <= default["knot_error_estimate"] <= default["knot_tolerance"]
+    assert default["knots"] <= default["n_samples"]
+    assert capped["knots"] == 129
+    assert capped["knot_error_estimate"] > capped["knot_tolerance"]
+
+
 def test_robustness_sweep_fig4c_comparator_reference(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", _cfg(tmp_path), "--out", str(out),

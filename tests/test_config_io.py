@@ -107,6 +107,11 @@ def test_config_hash_is_stable_and_sensitive(default_config):
     assert config_hash(other) != config_hash(default_config)
 
 
+def test_goldens_were_generated_from_the_default_config(goldens):
+    # tools/generate_goldens.py records the hash of the config it ran
+    assert goldens["config_hash"] == config_hash(RunConfig())
+
+
 def test_format_number_round_trips():
     values = [1.0, math.pi, 1.23456789012345e-17, -4.092e6, 0.0]
     for value in values:

@@ -11,7 +11,7 @@ from graphene_spp.dynamics import (AmplitudeState, ChainHamiltonian,
                                    propagate_batch_two, propagate_constant,
                                    two_level_analytic)
 from graphene_spp.geometry import build_schedule
-from tests.conftest import as_complex
+from tests.conftest import as_complex, continuous_device_finals
 
 START = np.array([1.0, 0.0, 0.0], dtype=complex)
 
@@ -143,6 +143,17 @@ def test_damped_rejects_vector_or_negative_loss(default_config,
             trajectory.damped(loss)
 
 
+def test_nan_loss_is_rejected(default_config, default_mode):
+    # a NaN rate is no rate >= 0; it must not turn amplitudes into NaN
+    schedule = _schedule(default_config, default_mode, 129)
+    trajectory = propagate(schedule, AmplitudeState(START))
+    with pytest.raises(ValueError):
+        trajectory.damped(math.nan)
+    for loss in (math.nan, (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            ChainHamiltonian((1.0e6,), loss=loss)
+
+
 def test_propagate_rejects_bad_initial_states(default_config, default_mode):
     schedule = _schedule(default_config, default_mode, 129)
     with pytest.raises(ValueError):
@@ -163,7 +174,13 @@ def test_propagate_step_subdivides(default_config, default_mode):
         propagate(schedule, AmplitudeState(START), step=schedule.spacing * 2)
 
 
+def _linear_midpoints(omega):
+    return 0.5 * (omega[:-1] + omega[1:])
+
+
 def test_batch_three_matches_scalar_integrator(default_config, default_mode):
+    # fed the midpoints of linear interpolation, the batch kernel integrates
+    # the scalar integrator's interpolated system
     schedule = _schedule(default_config, default_mode, 257)
     h = np.array([schedule.spacing])
     # substeps > 1 is the batch kernel's counterpart of propagate's step
@@ -172,16 +189,38 @@ def test_batch_three_matches_scalar_integrator(default_config, default_mode):
         for alpha in (0.0, default_mode.q.imag):
             scalar = propagate(schedule, AmplitudeState(START),
                                step=step).damped(alpha).amplitudes[-1]
-            batch = propagate_batch_three(h, schedule.omega1[None, :],
-                                          schedule.omega2[None, :],
-                                          START[None, :], np.array([alpha]),
-                                          substeps=substeps)
+            batch = propagate_batch_three(
+                h, schedule.omega1[None, :], schedule.omega2[None, :],
+                _linear_midpoints(schedule.omega1)[None, :],
+                _linear_midpoints(schedule.omega2)[None, :],
+                START[None, :], np.array([alpha]), substeps=substeps)
             assert np.abs(batch[0] - scalar).max() < 1e-10
 
 
-def _batch_three_channelwise(h, omega1, omega2, a_init, substeps):
+def test_batch_three_is_fourth_order(default_config, default_mode):
+    # exact midpoint couplings make the stages sample the continuous device:
+    # the error falls about 16x per halving of h (linear interpolation
+    # between knots gave 4x)
+    geom = default_config.geometry()
+    exact = continuous_device_finals(geom, default_mode,
+                                     default_config.k0_convention)
+    errors = []
+    for knots in (65, 129, 257):
+        schedule = _schedule(default_config, default_mode, 2 * knots - 1)
+        finals = propagate_batch_three(
+            np.array([geom.length / (knots - 1)]),
+            schedule.omega1[None, ::2], schedule.omega2[None, ::2],
+            schedule.omega1[None, 1::2], schedule.omega2[None, 1::2],
+            START[None, :], 0.0)
+        errors.append(np.abs(finals[0] - exact).max())
+    assert errors[0] >= 12.0 * errors[1]
+    assert errors[1] >= 12.0 * errors[2]
+
+
+def _batch_three_channelwise(h, omega1, omega2, omega1_mid, omega2_mid,
+                             a_init, substeps):
     """The lossless batch kernel written channel by channel, one knot at a
-    time."""
+    time, with the quadratic through start, midpoint and end samples."""
     knots = omega1.shape[1]
     h = h / substeps
     a = tuple(a_init[:, i].astype(complex) for i in range(3))
@@ -191,11 +230,15 @@ def _batch_three_channelwise(h, omega1, omega2, a_init, substeps):
                 -1j * (u1 * b0 + u2 * b2),
                 -1j * u2 * b1)
 
+    def quadratic(start, mid, end, t):
+        return ((2.0 * t - 1.0) * (t - 1.0) * start
+                + 4.0 * t * (1.0 - t) * mid + t * (2.0 * t - 1.0) * end)
+
     for j in range(knots - 1):
-        w1a, w1d = omega1[:, j], omega1[:, j + 1] - omega1[:, j]
-        w2a, w2d = omega2[:, j], omega2[:, j + 1] - omega2[:, j]
+        samples1 = omega1[:, j], omega1_mid[:, j], omega1[:, j + 1]
+        samples2 = omega2[:, j], omega2_mid[:, j], omega2[:, j + 1]
         for s in range(substeps):
-            u0, um, u1 = ((w1a + w1d * t, w2a + w2d * t)
+            u0, um, u1 = ((quadratic(*samples1, t), quadratic(*samples2, t))
                           for t in (s / substeps, (s + 0.5) / substeps,
                                     (s + 1.0) / substeps))
             k = rate(*u0, *a)
@@ -215,15 +258,18 @@ def test_batch_three_bitwise_matches_channelwise_loop():
     batch, knots = 7, 75
     omega1 = rng.uniform(0.0, 3e7, (batch, knots))
     omega2 = rng.uniform(0.0, 3e7, (batch, knots))
+    omega1_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
+    omega2_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
     h = rng.uniform(5e-10, 2e-9, batch)
     a_init = rng.normal(size=(batch, 3)) + 1j * rng.normal(size=(batch, 3))
     for substeps, alpha in ((1, np.zeros(batch)), (2, np.zeros(batch)),
                             (1, rng.uniform(0.0, 2e6, batch)),
                             (2, rng.uniform(0.0, 2e6, batch))):
-        lossless = _batch_three_channelwise(h, omega1, omega2, a_init,
-                                            substeps)
+        lossless = _batch_three_channelwise(h, omega1, omega2, omega1_mid,
+                                            omega2_mid, a_init, substeps)
         factor = np.exp(-alpha * (h * (knots - 1)))
-        got = propagate_batch_three(h, omega1, omega2, a_init, alpha,
+        got = propagate_batch_three(h, omega1, omega2, omega1_mid,
+                                    omega2_mid, a_init, alpha,
                                     substeps=substeps)
         assert np.array_equal(got, lossless * factor[:, None])
 
