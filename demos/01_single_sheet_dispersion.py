@@ -25,8 +25,7 @@ gamma = config.gamma()
 print(f"sheet: E_F = {sheet.fermi_level_ev} eV, "
       f"mobility = {sheet.mobility_cm2:.0f} cm^2/Vs, "
       f"relaxation rate = {gamma:.4g} 1/s")
-print(f"media: eps = {medium.permittivity} on both sides")
-print()
+print(f"host medium: eps = {medium.permittivity} on both sides")
 
 
 def solve_at(lambda0_um, scan_sheet):
@@ -34,6 +33,13 @@ def solve_at(lambda0_um, scan_sheet):
     sigma = drude_conductivity(exc.angular_frequency, scan_sheet, gamma)
     return solve_dispersion(exc, medium, sigma,
                             thickness=scan_sheet.thickness)
+
+
+# one medium on both sides: one transverse decay constant k, and the
+# confinement length is 1/Re k
+mode = solve_at(config.lambda0_um, sheet)
+print(f"at lambda0 = {config.lambda0_um} um: k = {mode.k * 1e-6:.4f} 1/um")
+print()
 
 
 # wavelength scan at the default Fermi level

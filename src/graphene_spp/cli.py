@@ -128,7 +128,7 @@ def _run_dispersion(config: RunConfig, out: str) -> list[str]:
         lx = propagation_length(mode)
         rows.append([
             float(lam), config.E_F_eV, config.gamma(),
-            mode.q.real * 1e-6, mode.q.imag * 1e-6, mode.k1.real * 1e-6,
+            mode.q.real * 1e-6, mode.q.imag * 1e-6, mode.k.real * 1e-6,
             math.inf if lx == INFINITE_PROPAGATION else lx * 1e6,
             confinement_length(mode) * 1e9,
         ])

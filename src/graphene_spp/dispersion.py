@@ -35,7 +35,7 @@ class Excitation:
     vacuum_wavelength: float
 
     def __post_init__(self) -> None:
-        if self.vacuum_wavelength <= 0:
+        if not self.vacuum_wavelength > 0:
             raise ValueError("vacuum_wavelength must be > 0")
 
     @property
@@ -48,23 +48,21 @@ class SppMode:
     """Solved bound mode.
 
     q : complex propagation constant (1/m), Im(q) >= 0 encodes damping.
-    k1, k2 : transverse decay constants (1/m) above and below the sheet;
-        equal, since one host medium fills both sides.
+    k : transverse decay constant (1/m) on both sides (one host medium).
     eps_g : thin-film equivalent permittivity of the sheet.
     k0 : sqrt(q^2 - omega^2 eps_g/c^2), the film-referenced transverse constant.
-    normalization : N with N^2 = 1/(2 Re k1) + 1/(2 Re k2), so that the
-        profile u/N has unit squared integral.
-    media : the host medium on each side, (medium, medium).
+    normalization : N with N^2 = 1/Re k, so that the profile
+        exp(-k|z|)/N has unit squared integral.
+    medium : the host medium.
     """
 
     q: complex
-    k1: complex
-    k2: complex
+    k: complex
     eps_g: complex
     k0: complex
     normalization: float
     excitation: Excitation
-    media: tuple[Medium, Medium]
+    medium: Medium
 
 
 def _transverse_constant(q: complex, omega: float, eps: float) -> complex:
@@ -123,9 +121,8 @@ def solve_dispersion(excitation: Excitation, medium: Medium,
     if k0.real < 0:
         k0 = -k0
     normalization = math.sqrt(1.0 / k.real)
-    return SppMode(q=q, k1=k, k2=k, eps_g=eps_g, k0=k0,
-                   normalization=normalization, excitation=excitation,
-                   media=(medium, medium))
+    return SppMode(q=q, k=k, eps_g=eps_g, k0=k0, normalization=normalization,
+                   excitation=excitation, medium=medium)
 
 
 #: Reported instead of an exception when a lossless mode does not decay.
@@ -142,11 +139,8 @@ def propagation_length(mode: SppMode) -> float:
     return 1.0 / (2.0 * im)
 
 
-def confinement_length(mode: SppMode, side: int = 1) -> float:
-    """1/Re(k_side): transverse 1/e decay distance of the field amplitude."""
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
-    k = mode.k1 if side == 1 else mode.k2
-    if k.real <= 0:
-        raise ValueError("mode is not evanescent on that side")
-    return 1.0 / k.real
+def confinement_length(mode: SppMode) -> float:
+    """1/Re k: transverse 1/e decay distance of the field amplitude."""
+    if not mode.k.real > 0:
+        raise ValueError("mode is not evanescent")
+    return 1.0 / mode.k.real

@@ -268,8 +268,7 @@ def field_map(trajectory: Trajectory, geom: DeviceGeometry, mode: SppMode,
     psi = np.zeros((len(x), len(z)), dtype=complex)
     for i in range(3):
         dz = z[None, :] - elevations[:, i][:, None]
-        k = np.where(dz >= 0, mode.k1, mode.k2)
-        psi += amps[:, i][:, None] * np.exp(-k * np.abs(dz))
+        psi += amps[:, i][:, None] * np.exp(-mode.k * np.abs(dz))
     psi /= mode.normalization
     return np.abs(psi) ** 2
 

@@ -30,15 +30,15 @@ class DeviceGeometry:
     length: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise GeometryError("radius must be > 0")
-        if self.offset < 0:
+        if not self.offset >= 0:
             raise GeometryError("offset must be >= 0")
-        if self.min_gap <= 0:
+        if not self.min_gap > 0:
             raise GeometryError("min_gap must be > 0")
-        if self.length <= 0:
+        if not self.length > 0:
             raise GeometryError("length must be > 0")
-        if self.length / 2.0 + self.offset / 2.0 > self.radius:
+        if not self.length / 2.0 + self.offset / 2.0 <= self.radius:
             raise GeometryError(
                 "arcs do not span the device: require L/2 + offset/2 <= radius")
 

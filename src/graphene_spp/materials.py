@@ -47,7 +47,7 @@ class Medium:
     permittivity: float
 
     def __post_init__(self) -> None:
-        if self.permittivity < 1.0:
+        if not self.permittivity >= 1.0:
             raise MaterialDomainError("permittivity must be >= 1")
 
 
@@ -68,13 +68,13 @@ class GrapheneSheet:
     thickness: float = 0.33e-9
 
     def __post_init__(self) -> None:
-        if self.fermi_level_ev <= 0:
+        if not self.fermi_level_ev > 0:
             raise MaterialDomainError("fermi_level_ev must be > 0")
-        if self.mobility_cm2 <= 0:
+        if not self.mobility_cm2 > 0:
             raise MaterialDomainError("mobility_cm2 must be > 0")
-        if self.fermi_velocity <= 0:
+        if not self.fermi_velocity > 0:
             raise MaterialDomainError("fermi_velocity must be > 0")
-        if self.thickness <= 0:
+        if not self.thickness > 0:
             raise MaterialDomainError("thickness must be > 0")
 
 
@@ -104,9 +104,9 @@ def drude_conductivity(omega, sheet: GrapheneSheet, gamma: float):
     Interband contributions are deliberately not modeled.
     """
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
+    if not np.all(omega > 0):
         raise MaterialDomainError("omega must be > 0")
-    if gamma < 0:
+    if not gamma >= 0:
         raise MaterialDomainError("gamma must be >= 0")
     ef_joule = ev_to_joule(sheet.fermi_level_ev)
     denom = CONSTANTS.hbar * gamma - 1j * CONSTANTS.hbar * omega
@@ -117,9 +117,9 @@ def drude_conductivity(omega, sheet: GrapheneSheet, gamma: float):
 def effective_graphene_permittivity(omega, sigma_g, thickness: float):
     """Thin-film equivalent permittivity 1 + i sigma eta0 c/(omega thickness)."""
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
+    if not np.all(omega > 0):
         raise MaterialDomainError("omega must be > 0")
-    if thickness <= 0:
+    if not thickness > 0:
         raise MaterialDomainError("thickness must be > 0")
     eps = 1.0 + 1j * np.asarray(sigma_g) * CONSTANTS.eta0 * CONSTANTS.c / (
         omega * thickness)

@@ -50,9 +50,9 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, budget, depth):
     if budget[0] <= 0:
         raise OracleFailure("adaptive quadrature exhausted its subdivision budget")
     budget[0] -= 1
-    err = abs(left + right - whole)
-    if err <= 15.0 * tol or depth >= 60:
-        return left + right + (left + right - whole) / 15.0
+    correction = left + right - whole
+    if abs(correction) <= 15.0 * tol or depth >= 60:
+        return left + right + correction / 15.0
     half = 0.5 * tol
     return _adaptive_simpson(f, a, m, fa, flm, fm, left, half, budget, depth + 1) \
         + _adaptive_simpson(f, m, b, fm, frm, fb, right, half, budget, depth + 1)
@@ -78,13 +78,15 @@ def overlap_quadrature(k_a: complex, k_b: complex, d: float,
     k_a = complex(k_a)
     k_b = complex(k_b)
     ra, rb = k_a.real, k_b.real
-    if ra <= 0 or rb <= 0:
-        raise ValueError("decay constants must have positive real part")
-    if d < 0:
+    if not (ra > 0 and rb > 0
+            and cmath.isfinite(k_a) and cmath.isfinite(k_b)):
+        raise ValueError("decay constants must be finite with Re k > 0")
+    if not d >= 0:
         raise ValueError("separation must be non-negative")
 
+    half_d, rate_a, rate_b = 0.5 * d, -k_a, -k_b
     def integrand(z: float) -> complex:
-        return cmath.exp(-k_a * abs(z - 0.5 * d) - k_b * abs(z + 0.5 * d))
+        return cmath.exp(rate_a * abs(z - half_d) + rate_b * abs(z + half_d))
 
     z_lo = -0.5 * d - 40.0 / rb
     z_hi = 0.5 * d + 40.0 / ra
@@ -109,22 +111,20 @@ def overlap_quadrature(k_a: complex, k_b: complex, d: float,
 
 
 def dispersion_residual(mode, sigma_g: complex) -> float:
-    """Relative residual of eps1/k1 + eps2/k2 + i sigma/(eps0 omega) at mode.q.
+    """Relative residual of 2 eps/k + i sigma/(eps0 omega) at mode.q in the
+    one host medium mode.medium.
 
-    The transverse constants are recomputed here from q alone, so this checks
-    the solver's root without trusting its stored k values.
+    The transverse constant is recomputed here from q alone, so this checks
+    the solver's root without trusting its stored k.
     """
     omega = mode.excitation.angular_frequency
     q = complex(mode.q)
-    lhs = 0.0 + 0.0j
-    for medium in mode.media:
-        eps = medium.permittivity
-        k = cmath.sqrt(q * q - omega * omega * eps / _const.c**2)
-        if k.real < 0:
-            k = -k
-        lhs += eps / k
+    eps = mode.medium.permittivity
+    k = cmath.sqrt(q * q - omega * omega * eps / _const.c**2)
+    if k.real < 0:
+        k = -k
     drive = 1j * sigma_g / (_const.epsilon_0 * omega)
-    return abs(lhs + drive) / abs(drive)
+    return abs(2.0 * eps / k + drive) / abs(drive)
 
 
 def expm_reference(hamiltonian, a0, span: float) -> np.ndarray:

@@ -212,13 +212,12 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
                                    max_subdivisions=65536)
     overlap_max = 0.0
     for _ in range(100):
-        k_a = complex(rng.uniform(0.2, 3.0) * 1e8,
-                      rng.uniform(-0.3, 0.3) * 1e8)
-        k_b = complex(rng.uniform(0.2, 3.0) * 1e8,
-                      rng.uniform(-0.3, 0.3) * 1e8)
+        k = complex(rng.uniform(0.2, 3.0) * 1e8, rng.uniform(-0.3, 0.3) * 1e8)
+        # Two unused draws keep the checks below on the same inputs per seed.
+        rng.uniform(size=2)
         d = rng.uniform(1.0, 100.0) * 1e-9
-        closed = complex(overlap_integral(k_a, k_b, d))
-        reference = oracles.overlap_quadrature(k_a, k_b, d, tight)
+        closed = complex(overlap_integral(k, d))
+        reference = oracles.overlap_quadrature(k, k, d, tight)
         overlap_max = max(overlap_max,
                           abs(closed - reference) / abs(reference))
 

@@ -27,8 +27,7 @@ def test_golden_pins(default_config, goldens):
                                             pin["overrides"].items()})
         mode = config.solve_mode()
         assert mode.q == pytest.approx(as_complex(pin["q_per_m"]), rel=1e-12)
-        assert mode.k1 == pytest.approx(as_complex(pin["k1_per_m"]), rel=1e-12)
-        assert mode.k2 == pytest.approx(as_complex(pin["k2_per_m"]), rel=1e-12)
+        assert mode.k == pytest.approx(as_complex(pin["k_per_m"]), rel=1e-12)
 
 
 def test_residual_small_across_parameter_grid(default_config):
@@ -40,7 +39,7 @@ def test_residual_small_across_parameter_grid(default_config):
                          gamma_per_s=float(rng.choice([0.0, 2e12])))
         mode = config.solve_mode()
         assert dispersion_residual(mode, _sigma(config)) < 1e-10
-        assert mode.k1.real > 0 and mode.k2.real > 0
+        assert mode.k.real > 0
 
 
 def test_perturbed_root_has_large_residual(default_config, default_mode):
@@ -52,13 +51,8 @@ def test_imaginary_q_nonnegative(default_mode):
     assert default_mode.q.imag >= 0
 
 
-def test_symmetric_media_give_equal_decay_constants(default_mode):
-    assert default_mode.k1 == pytest.approx(default_mode.k2, rel=1e-12)
-
-
 def test_normalization_definition(default_mode):
-    expected = math.sqrt(1.0 / (2.0 * default_mode.k1.real)
-                         + 1.0 / (2.0 * default_mode.k2.real))
+    expected = math.sqrt(1.0 / default_mode.k.real)
     assert default_mode.normalization == pytest.approx(expected, rel=1e-12)
 
 
@@ -75,7 +69,7 @@ def test_propagation_length_lossless_sentinel(default_config):
 
 def test_confinement_length_definition(default_mode):
     assert confinement_length(default_mode) == pytest.approx(
-        1.0 / default_mode.k1.real, rel=1e-12)
+        1.0 / default_mode.k.real, rel=1e-12)
 
 
 def test_wavelength_scaling_of_wavevector(default_config):

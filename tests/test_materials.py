@@ -5,11 +5,16 @@ import math
 import pytest
 from scipy import constants as const
 
+from graphene_spp.dispersion import Excitation
+from graphene_spp.geometry import DeviceGeometry, GeometryError
 from graphene_spp.materials import (CONSTANTS, GrapheneSheet,
                                     MaterialDomainError, Medium,
                                     default_relaxation_rate,
                                     drude_conductivity,
                                     effective_graphene_permittivity)
+
+NAN = float("nan")
+OMEGA = 2.0 * math.pi * const.c / 10e-6
 
 
 def test_default_relaxation_rate_no_two_pi():
@@ -90,6 +95,39 @@ def test_medium_validation():
     assert Medium(permittivity=3.9).permittivity == 3.9
     with pytest.raises(MaterialDomainError):
         Medium(permittivity=0.0)
+
+
+def _arc(**overrides):
+    fields = dict(radius=1.5e-6, offset=0.5e-6, min_gap=20e-9, length=2e-6)
+    fields.update(overrides)
+    return DeviceGeometry(**fields)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Medium(NAN), MaterialDomainError),
+    (lambda: GrapheneSheet(fermi_level_ev=NAN), MaterialDomainError),
+    (lambda: GrapheneSheet(mobility_cm2=NAN), MaterialDomainError),
+    (lambda: GrapheneSheet(fermi_velocity=NAN), MaterialDomainError),
+    (lambda: GrapheneSheet(thickness=NAN), MaterialDomainError),
+    (lambda: drude_conductivity(NAN, GrapheneSheet(), 2e12),
+     MaterialDomainError),
+    (lambda: drude_conductivity(OMEGA, GrapheneSheet(), NAN),
+     MaterialDomainError),
+    (lambda: effective_graphene_permittivity(NAN, 1e-4j, 0.33e-9),
+     MaterialDomainError),
+    (lambda: effective_graphene_permittivity(OMEGA, 1e-4j, NAN),
+     MaterialDomainError),
+    (lambda: Excitation(vacuum_wavelength=NAN), ValueError),
+    (lambda: _arc(radius=NAN), GeometryError),
+    (lambda: _arc(offset=NAN), GeometryError),
+    (lambda: _arc(min_gap=NAN), GeometryError),
+    (lambda: _arc(length=NAN), GeometryError),
+], ids=["medium", "fermi_level", "mobility", "fermi_velocity", "thickness",
+        "drude_omega", "drude_gamma", "film_omega", "film_thickness",
+        "excitation", "radius", "offset", "min_gap", "length"])
+def test_nan_parameters_raise_named_errors(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_drude_rejects_nonpositive_frequency():

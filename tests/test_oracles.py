@@ -22,11 +22,10 @@ def test_overlap_quadrature_against_closed_form_seeded():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
-        k2 = complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8))
-        k1 = complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8))
+        k = complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8))
         d = rng.uniform(1e-9, 100e-9)
-        numeric = overlap_quadrature(k2, k1, d, TIGHT)
-        closed = overlap_integral(k2, k1, d)
+        numeric = overlap_quadrature(k, k, d, TIGHT)
+        closed = overlap_integral(k, d)
         worst = max(worst, abs(numeric - closed) / abs(numeric))
     assert worst < 1e-8
 
@@ -39,6 +38,18 @@ def test_overlap_quadrature_known_integral():
     value = overlap_quadrature(k, k, d, TIGHT)
     assert value.real == pytest.approx(expected, rel=1e-10)
     assert abs(value.imag) < 1e-20
+
+
+@pytest.mark.parametrize("k, d", [
+    (1e8, float("nan")),
+    (float("nan"), 20e-9),
+    (complex(1e8, float("nan")), 20e-9),
+])
+def test_overlap_quadrature_rejects_nan_up_front(k, d):
+    # a NaN separation must not integrate to a fake 0j reference, and a NaN
+    # constant must not spend the subdivision budget before failing
+    with pytest.raises(ValueError):
+        overlap_quadrature(k, k, d, TIGHT)
 
 
 def test_quadrature_spec_validation():

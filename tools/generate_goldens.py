@@ -31,19 +31,27 @@ def _complex(z: complex) -> list:
 
 
 def overlap_cases(rng: np.random.Generator, count: int = 8) -> list:
-    """Closed-form-independent overlap values from adaptive quadrature."""
+    """Closed-form-independent overlap values from adaptive quadrature.
+
+    Each case must agree with the closed form to 1e-8 relative before it is
+    written, the bound the overlap tests hold it to.
+    """
     spec = oracles.QuadratureSpec(absolute_tolerance=1e-300,
                                   relative_tolerance=1e-11,
                                   max_subdivisions=65536)
     cases = []
     for _ in range(count):
-        k2 = complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8))
-        k1 = complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8))
+        k = complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8))
         d = rng.uniform(1e-9, 100e-9)
-        value = oracles.overlap_quadrature(k2, k1, d, spec)
-        cases.append({"k2": _complex(k2), "k1": _complex(k1), "d_m": d,
+        value = oracles.overlap_quadrature(k, k, d, spec)
+        closed = overlap_integral(k, d)
+        error = abs(closed - value) / abs(value)
+        if not error <= 1e-8:
+            raise SystemExit(f"overlap case k={k}, d={d}: closed form is "
+                             f"{error:.3e} relative from quadrature")
+        cases.append({"k": _complex(k), "d_m": d,
                       "quadrature": _complex(value),
-                      "closed_form": _complex(overlap_integral(k2, k1, d))})
+                      "closed_form": _complex(closed)})
     return cases
 
 
@@ -66,8 +74,7 @@ def dispersion_pins(config: RunConfig) -> list:
             raise SystemExit(f"dispersion pin {label}: residual {residual}")
         pins.append({"label": label, "overrides": overrides,
                      "q_per_m": _complex(mode.q),
-                     "k1_per_m": _complex(mode.k1),
-                     "k2_per_m": _complex(mode.k2),
+                     "k_per_m": _complex(mode.k),
                      "residual": residual})
     return pins
 
