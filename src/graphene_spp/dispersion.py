@@ -35,8 +35,9 @@ class Excitation:
     vacuum_wavelength: float
 
     def __post_init__(self) -> None:
-        if not self.vacuum_wavelength > 0:
-            raise ValueError("vacuum_wavelength must be > 0")
+        if not (math.isfinite(self.vacuum_wavelength)
+                and self.vacuum_wavelength > 0):
+            raise ValueError("vacuum_wavelength must be finite and > 0")
 
     @property
     def angular_frequency(self) -> float:

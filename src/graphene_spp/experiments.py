@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .config import RunConfig, config_hash
 from .coupling import coupling_at_separations, coupling_coefficient
@@ -164,8 +163,40 @@ def wavevector_to_omega(config: RunConfig, target_q: float,
             f"{(f_hi + target_q) * 1e-6:.4g}] 1/um for this material")
     if lo == hi:
         return lo
-    return float(optimize.bisect(lambda w: attained(w) - target_q, lo, hi,
-                                 rtol=relative_tolerance / 4.0, xtol=1e-30))
+    return float(_bisect(lambda w: attained(w) - target_q, lo, hi, f_lo, f_hi,
+                         xtol=1e-30, rtol=relative_tolerance / 4.0))
+
+
+def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float,
+            rtol: float) -> float:
+    """Root of f in [a, b] by bisection, given fa = f(a) and fb = f(b).
+
+    The iteration of scipy.optimize.bisect, so the same bracket and
+    tolerances give the same float: halve the step from a, move a to the
+    midpoint while f there has the sign of f(a), and stop once the step is
+    below xtol + rtol |midpoint|, giving up after 100 halvings. Unlike
+    scipy, the bracket ends are not evaluated again.
+    """
+    if math.isnan(fa) or math.isnan(fb):
+        raise ExperimentError("bisection bracket has a NaN end value")
+    if fa * fb > 0:
+        raise ExperimentError("bisection bracket ends have the same sign")
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    step = b - a
+    for _ in range(100):
+        step *= 0.5
+        xm = a + step
+        fm = f(xm)
+        if math.isnan(fm):
+            raise ExperimentError(f"bisection met NaN at {xm!r}")
+        if fm * fa >= 0:
+            a = xm
+        if fm == 0 or abs(step) < xtol + rtol * abs(xm):
+            return xm
+    raise ExperimentError("bisection did not converge in 100 halvings")
 
 
 def mode_at_wavevector(config: RunConfig, target_q: float) -> SppMode:
@@ -379,7 +410,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
         # validity is monotone in L, offset and R along increasing axes, so
         # some corner is valid whenever any cell is
-        corners = np.unique([0, n1 - 1, total - n1, total - 1])
+        corners = np.array(sorted({0, n1 - 1, total - n1, total - 1}))
         knots, estimate = _sweep_knots(*devices(corners[valid[corners]]),
                                        cfg)
         idx = np.flatnonzero(valid)
@@ -455,9 +486,9 @@ def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
                                  min_gap=config.d_min_nm * 1e-9,
                                  length=config.L_um * 1e-6 * s)
                   for s in stretches]
-    ends = np.unique([0, stretches.size - 1])
+    ends = sorted({0, stretches.size - 1})
     knots, _ = _sweep_knots([geometries[i] for i in ends],
-                            [mode] * ends.size, config)
+                            [mode] * len(ends), config)
     return _three_sheet_finals(geometries, [mode] * stretches.size, config,
                                np.zeros(stretches.size), knots)
 

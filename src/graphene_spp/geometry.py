@@ -8,6 +8,7 @@ propagation axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ class DeviceGeometry:
     length: float
 
     def __post_init__(self) -> None:
+        for name in ("radius", "offset", "min_gap", "length"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryError(f"{name} must be finite")
         if not self.radius > 0:
             raise GeometryError("radius must be > 0")
         if not self.offset >= 0:

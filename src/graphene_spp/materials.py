@@ -10,9 +10,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import constants as _const
 
 GAMMA_CONVENTIONS = ("no_two_pi", "literal_two_pi")
+
+# Vacuum permeability (CODATA 2022), used only to derive eta0.
+_MU_0 = 1.25663706127e-06
 
 
 class MaterialDomainError(ValueError):
@@ -26,15 +28,21 @@ def ev_to_joule(energy_ev):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """SI constants used throughout, stored once for auditability."""
+    """SI constants used throughout, stored once for auditability.
 
-    e: float = _const.e
-    h: float = _const.h
-    hbar: float = _const.hbar
-    c: float = _const.c
-    eps0: float = _const.epsilon_0
-    eta0: float = field(default=math.sqrt(_const.mu_0 / _const.epsilon_0))
-    sigma0: float = field(default=math.pi * _const.e**2 / (2.0 * _const.h))
+    CODATA 2022 values as `scipy.constants` 1.17 gives them, written as
+    literals so that importing the package does not import scipy;
+    `tests/test_materials.py` pins them against `scipy.constants` bit for
+    bit.
+    """
+
+    e: float = 1.602176634e-19
+    h: float = 6.62607015e-34
+    hbar: float = 1.0545718176461565e-34
+    c: float = 299792458.0
+    eps0: float = 8.8541878188e-12
+    eta0: float = field(default=math.sqrt(_MU_0 / eps0))
+    sigma0: float = field(default=math.pi * e**2 / (2.0 * h))
 
 
 CONSTANTS = PhysicalConstants()
@@ -47,8 +55,9 @@ class Medium:
     permittivity: float
 
     def __post_init__(self) -> None:
-        if not self.permittivity >= 1.0:
-            raise MaterialDomainError("permittivity must be >= 1")
+        if not (math.isfinite(self.permittivity)
+                and self.permittivity >= 1.0):
+            raise MaterialDomainError("permittivity must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,14 +77,11 @@ class GrapheneSheet:
     thickness: float = 0.33e-9
 
     def __post_init__(self) -> None:
-        if not self.fermi_level_ev > 0:
-            raise MaterialDomainError("fermi_level_ev must be > 0")
-        if not self.mobility_cm2 > 0:
-            raise MaterialDomainError("mobility_cm2 must be > 0")
-        if not self.fermi_velocity > 0:
-            raise MaterialDomainError("fermi_velocity must be > 0")
-        if not self.thickness > 0:
-            raise MaterialDomainError("thickness must be > 0")
+        for name in ("fermi_level_ev", "mobility_cm2", "fermi_velocity",
+                     "thickness"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise MaterialDomainError(f"{name} must be finite and > 0")
 
 
 def default_relaxation_rate(sheet: GrapheneSheet,

@@ -13,7 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
+
+# CODATA 2022, kept here rather than imported from materials so that the
+# oracles share no code with the production paths.
+_C = 299792458.0
+_EPSILON_0 = 8.8541878188e-12
 
 
 class OracleFailure(RuntimeError):
@@ -120,10 +124,10 @@ def dispersion_residual(mode, sigma_g: complex) -> float:
     omega = mode.excitation.angular_frequency
     q = complex(mode.q)
     eps = mode.medium.permittivity
-    k = cmath.sqrt(q * q - omega * omega * eps / _const.c**2)
+    k = cmath.sqrt(q * q - omega * omega * eps / _C**2)
     if k.real < 0:
         k = -k
-    drive = 1j * sigma_g / (_const.epsilon_0 * omega)
+    drive = 1j * sigma_g / (_EPSILON_0 * omega)
     return abs(2.0 * eps / k + drive) / abs(drive)
 
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
-import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -284,9 +286,41 @@ def test_consecutive_sweeps_are_byte_identical(tmp_path):
         == (out_b / "fig_4a.csv").read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_package_version_matches_pyproject():
+    # pyproject.toml declares the version dynamic, read from
+    # graphene_spp.validation.VERSION; setuptools resolves it statically
+    from setuptools.config.pyprojecttoml import read_configuration
+
     pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
-    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),
-                         re.MULTILINE)
-    assert declared is not None
-    assert graphene_spp.__version__ == declared.group(1)
+    declared = read_configuration(pyproject)["project"]["version"]
+    assert graphene_spp.__version__ == declared
+
+
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import graphene_spp.cli as cli
+loaded = {"import": scipy_modules()}
+out = sys.argv[1]
+codes = [cli.main(["--out", out, "robustness-sweep", "--figure", "4b",
+                   "--grid", "3x3"]),
+         cli.main(["--out", out, "verify", "--seed", "0"])]
+loaded["runs"] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # scipy is a test dependency only; a lazy import inside a command would
+    # add its start-up cost to the command's own run time
+    src = pathlib.Path(graphene_spp.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           str(tmp_path / "out")], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert result["loaded"] == {"import": [], "runs": []}

@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from graphene_spp.config import RunConfig
 from graphene_spp.experiments import (_KNOT_TOLERANCE, ExperimentError,
-                                      SweepAxis, SweepSpec,
+                                      SweepAxis, SweepSpec, _bisect,
                                       figure_coupling_axes, figure_map_spec,
                                       mode_at_wavevector, parallel_comparator,
                                       robustness_metric, run_device,
@@ -54,6 +57,78 @@ def test_wavevector_inversion_propagates_programming_errors(
     monkeypatch.setattr(RunConfig, "solve_mode", broken)
     with pytest.raises(TypeError, match="broken solver"):
         wavevector_to_omega(default_config, target)
+
+
+def _cubic(root, slope, cubic, sign):
+    """Monotone f with its only root at root; increasing when sign > 0."""
+    return lambda x: sign * (slope * (x - root) + cubic * (x - root) ** 3)
+
+
+def _xtol_on_threshold(f, lo, hi, rtol, steps):
+    """xtol for which the bisection's stopping test after `steps` halvings
+    compares two equal numbers, or None when no such xtol exists."""
+    a, fa, step = lo, f(lo), hi - lo
+    for _ in range(steps):
+        step *= 0.5
+        xm = a + step
+        if f(xm) * fa >= 0:
+            a = xm
+    xtol = step - rtol * abs(xm)
+    return xtol if 0 < xtol and xtol + rtol * abs(xm) == step else None
+
+
+_TOLERANCES = dict(xtol=st.floats(-30.0, -2.0).map(lambda p: 10.0 ** p),
+                   rtol=st.floats(4.0 * np.finfo(float).eps, 1e-3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(root=st.floats(-1e3, 1e3), below=st.floats(0.0, 1e3),
+       above=st.floats(0.0, 1e3), slope=st.floats(1e-3, 1e3),
+       cubic=st.floats(0.0, 1e3), sign=st.sampled_from([1.0, -1.0]),
+       on_threshold=st.none() | st.integers(1, 50), **_TOLERANCES)
+def test_bisect_matches_scipy_bitwise(root, below, above, slope, cubic, sign,
+                                      on_threshold, xtol, rtol):
+    f = _cubic(root, slope, cubic, sign)
+    lo, hi = root - below, root + above
+    if on_threshold is not None:
+        # the comparison that ends the loop is decided by its strictness
+        xtol = _xtol_on_threshold(f, lo, hi, rtol, on_threshold)
+        assume(xtol is not None)
+    try:
+        expected = optimize.bisect(f, lo, hi, xtol=xtol, rtol=rtol)
+    except RuntimeError:
+        with pytest.raises(ExperimentError, match="converge"):
+            _bisect(f, lo, hi, f(lo), f(hi), xtol, rtol)
+        return
+    assert _bisect(f, lo, hi, f(lo), f(hi), xtol, rtol).hex() \
+        == float(expected).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3),
+       gap=st.floats(1e-3, 1e3), slope=st.floats(1e-3, 1e3),
+       sign=st.sampled_from([1.0, -1.0]), **_TOLERANCES)
+def test_bisect_rejects_same_sign_bracket(lo, width, gap, slope, sign, xtol,
+                                          rtol):
+    f = _cubic(lo - gap, slope, 0.0, sign)
+    hi = lo + width
+    with pytest.raises(ValueError):
+        optimize.bisect(f, lo, hi, xtol=xtol, rtol=rtol)
+    with pytest.raises(ExperimentError, match="same sign"):
+        _bisect(f, lo, hi, f(lo), f(hi), xtol, rtol)
+
+
+def test_bisect_failures_raise():
+    with pytest.raises(ExperimentError, match="NaN"):
+        _bisect(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-12, 1e-9)
+    with pytest.raises(ExperimentError, match="NaN"):
+        _bisect(lambda x: x, 0.0, 1.0, math.nan, 1.0, 1e-12, 1e-9)
+    # no midpoint of [-1, 2] is 0, and the step never drops below
+    # 1e-300 + 1e-15 |midpoint|: scipy gives up after 100 steps as well
+    with pytest.raises(RuntimeError):
+        optimize.bisect(lambda x: x, -1.0, 2.0, xtol=1e-300, rtol=1e-15)
+    with pytest.raises(ExperimentError, match="converge"):
+        _bisect(lambda x: x, -1.0, 2.0, -1.0, 2.0, 1e-300, 1e-15)
 
 
 def test_run_device_lossless_default(default_config):

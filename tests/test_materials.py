@@ -1,10 +1,12 @@
 """Drude conductivity, relaxation-rate conventions, thin-film permittivity."""
 
+import dataclasses
 import math
 
 import pytest
 from scipy import constants as const
 
+from graphene_spp import oracles
 from graphene_spp.dispersion import Excitation
 from graphene_spp.geometry import DeviceGeometry, GeometryError
 from graphene_spp.materials import (CONSTANTS, GrapheneSheet,
@@ -14,6 +16,7 @@ from graphene_spp.materials import (CONSTANTS, GrapheneSheet,
                                     effective_graphene_permittivity)
 
 NAN = float("nan")
+INF = float("inf")
 OMEGA = 2.0 * math.pi * const.c / 10e-6
 
 
@@ -130,14 +133,40 @@ def test_nan_parameters_raise_named_errors(build, error):
         build()
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Medium(INF), MaterialDomainError),
+    (lambda: GrapheneSheet(fermi_level_ev=INF), MaterialDomainError),
+    (lambda: GrapheneSheet(mobility_cm2=INF), MaterialDomainError),
+    (lambda: GrapheneSheet(fermi_velocity=INF), MaterialDomainError),
+    (lambda: GrapheneSheet(thickness=INF), MaterialDomainError),
+    (lambda: Excitation(vacuum_wavelength=INF), ValueError),
+    (lambda: _arc(radius=INF), GeometryError),
+    (lambda: _arc(offset=INF), GeometryError),
+    (lambda: _arc(min_gap=INF), GeometryError),
+    (lambda: _arc(length=INF), GeometryError),
+    (lambda: _arc(radius=INF, offset=0.0, length=INF), GeometryError),
+], ids=["medium", "fermi_level", "mobility", "fermi_velocity", "thickness",
+        "excitation", "radius", "offset", "min_gap", "length",
+        "radius_and_length"])
+def test_infinite_parameters_raise_named_errors(build, error):
+    with pytest.raises(error, match="finite"):
+        build()
+
+
 def test_drude_rejects_nonpositive_frequency():
     with pytest.raises(MaterialDomainError):
         drude_conductivity(0.0, GrapheneSheet(), 2e12)
 
 
 def test_constants_are_codata():
-    assert CONSTANTS.e == const.e
-    assert CONSTANTS.hbar == const.hbar
-    assert CONSTANTS.eps0 == const.epsilon_0
-    assert CONSTANTS.sigma0 == pytest.approx(
-        math.pi * const.e**2 / (2.0 * const.h), rel=1e-15)
+    # the package writes its constants as literals; they must equal
+    # scipy.constants bit for bit (rerun after a scipy/CODATA update)
+    expected = {"e": const.e, "h": const.h, "hbar": const.hbar,
+                "c": const.c, "eps0": const.epsilon_0,
+                "eta0": math.sqrt(const.mu_0 / const.epsilon_0),
+                "sigma0": math.pi * const.e**2 / (2.0 * const.h)}
+    assert {f.name for f in dataclasses.fields(CONSTANTS)} == set(expected)
+    for name, value in expected.items():
+        assert getattr(CONSTANTS, name).hex() == value.hex(), name
+    assert oracles._C.hex() == const.c.hex()
+    assert oracles._EPSILON_0.hex() == const.epsilon_0.hex()
