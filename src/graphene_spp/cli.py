@@ -58,9 +58,9 @@ def _shared_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     else:
         parser.add_argument(
             "--seed-free", action="store_true", default=False,
-            help="assert that the invocation draws no random numbers; the "
-                 "pipeline is deterministic, only `verify` samples (with an "
-                 "explicit seed), so this is a documented no-op guard")
+            help="assert that the invocation draws no random numbers: "
+                 "every pipeline is deterministic except `verify`, which "
+                 "samples the oracle suite and so refuses this flag")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,6 +328,10 @@ def _run_verify(config: RunConfig, out: str, seed: int) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed_free and args.command == "verify":
+        print("error: --seed-free conflicts with verify, whose oracle suite "
+              "draws random numbers (from --seed)", file=sys.stderr)
+        return 2
     try:
         config = (load_config(args.config) if args.config is not None
                   else RunConfig())

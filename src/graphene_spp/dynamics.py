@@ -1,4 +1,4 @@
-"""Propagation of the coupled-amplitude equations i da/dx = (H(x) - i diag(alpha)) a.
+"""Propagation of the lossless coupled-amplitude equations i da/dx = H(x) a.
 
 Both device integrators are classic fixed-step RK4. `propagate` interpolates
 the schedule's couplings linearly inside each interval (substeps split an
@@ -9,10 +9,9 @@ For a constant Hamiltonian one step is a fixed matrix, so a chain is a power
 of it, built by repeated squaring.
 
 Uniform damping commutes with H, so a(x) = exp(-alpha (x - x0)) a_lossless(x)
-exactly: `propagate` integrates the lossless device and `Trajectory.damped`
-applies that envelope, so one propagation serves every loss rate. The batch
-kernel applies the same envelope to its finals. Constant chains carry a
-per-channel loss vector inside their generator.
+exactly. No integrator here carries loss: `Trajectory.damped` applies that
+envelope to a recorded run, and sweeps apply exp(-2 alpha L) to their final
+intensities in `experiments`, so one propagation serves every loss rate.
 """
 
 from __future__ import annotations
@@ -39,43 +38,16 @@ class PropagationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AmplitudeState:
-    """Channel amplitudes at the start of a propagation."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.ndim != 1 or a.size < 2:
-            raise ValueError("amplitudes must be a vector of length >= 2")
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-@dataclass(frozen=True)
 class ChainHamiltonian:
-    """Nearest-neighbor chain: symmetric off-diagonal couplings, diagonal loss."""
+    """Lossless nearest-neighbor chain: symmetric off-diagonal couplings."""
 
     couplings: tuple
-    loss: tuple = ()
 
     def __post_init__(self) -> None:
         couplings = tuple(float(c) for c in np.atleast_1d(self.couplings))
         if len(couplings) < 1:
             raise ValueError("need at least one coupling (two channels)")
-        loss = self.loss
-        if isinstance(loss, (int, float)):
-            loss = (float(loss),) * (len(couplings) + 1)
-        loss = tuple(float(a) for a in (loss or (0.0,) * (len(couplings) + 1)))
-        if len(loss) != len(couplings) + 1:
-            raise ValueError("loss vector must have one entry per channel")
-        if any(not a >= 0 for a in loss):
-            raise ValueError("loss rates must be >= 0")
         object.__setattr__(self, "couplings", couplings)
-        object.__setattr__(self, "loss", loss)
 
     @property
     def dimension(self) -> int:
@@ -88,9 +60,6 @@ class ChainHamiltonian:
             h[i, i + 1] = c
             h[i + 1, i] = c
         return h
-
-    def effective_matrix(self) -> np.ndarray:
-        return self.matrix().astype(complex) - 1j * np.diag(self.loss)
 
 
 @dataclass(frozen=True)
@@ -129,17 +98,18 @@ def _substeps_for(spacing: float, step: float | None) -> int:
     return max(1, math.ceil(spacing / step - 1e-12))
 
 
-def propagate(schedule: CouplingSchedule, initial: AmplitudeState,
+def propagate(schedule: CouplingSchedule, initial,
               step: float | None = None) -> Trajectory:
     """Integrate the lossless three-channel system along the schedule.
 
-    step, when given, must not exceed the schedule spacing and is rounded to
-    an exact subdivision of it. Loss is `Trajectory.damped` on the result.
+    initial is the unit-norm vector of the three channel amplitudes. step,
+    when given, must not exceed the schedule spacing and is rounded to an
+    exact subdivision of it. Loss is `Trajectory.damped` on the result.
     """
-    a = np.asarray(initial.amplitudes, dtype=complex)
-    if a.size != 3:
+    a = np.asarray(initial, dtype=complex)
+    if a.shape != (3,):
         raise ValueError("schedule propagation drives a three-channel system")
-    if abs(initial.norm_squared - 1.0) > 1e-6:
+    if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > 1e-6:
         raise ValueError("initial state must have unit norm for intensity "
                          "semantics")
     x = schedule.x_grid
@@ -211,7 +181,7 @@ def propagate_constant(hamiltonian: ChainHamiltonian, initial,
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     a = np.asarray(initial, dtype=complex)
-    m = hamiltonian.effective_matrix()
+    m = hamiltonian.matrix()
     if a.shape != (m.shape[0],):
         raise ValueError("initial state dimension does not match the chain")
     x = np.linspace(0.0, span, n_steps + 1)
@@ -283,14 +253,13 @@ def _quadratic_weights(fractions):
 
 
 def propagate_batch_three(h, omega1, omega2, omega1_mid, omega2_mid, a_init,
-                          alpha, substeps: int = 1):
-    """Vectorized three-channel integrator over a batch of devices.
+                          substeps: int = 1):
+    """Vectorized lossless three-channel integrator over a batch of devices.
 
     h: (B,) interval widths (uniform per device); omega1, omega2: (B, N)
     couplings at the knots; omega1_mid, omega2_mid: (B, N - 1) couplings at
-    the interval midpoints; a_init: (B, 3); alpha: scalar or (B,) uniform
-    loss, applied to the lossless finals as exp(-alpha h (N - 1)).
-    Returns the final (B, 3) amplitudes.
+    the interval midpoints; a_init: (B, 3). Returns the final (B, 3)
+    amplitudes.
 
     With exact midpoint couplings the RK4 stages sample the continuous
     device, so the error falls 16x per halving of h. Substeps split an
@@ -305,7 +274,6 @@ def propagate_batch_three(h, omega1, omega2, omega1_mid, omega2_mid, a_init,
         np.asarray(omega, dtype=float)
         for omega in (omega1, omega2, omega1_mid, omega2_mid))
     batch, knots = omega1.shape
-    span = np.asarray(h, dtype=float) * (knots - 1)
     h = np.asarray(h, dtype=float) / substeps
     half = 0.5 * h
     sixth = h / 6.0
@@ -346,19 +314,17 @@ def propagate_batch_three(h, omega1, omega2, omega1_mid, omega2_mid, a_init,
                 np.add(a_mid, h * m, out=b_mid)
                 n = rate(lower[i + 2], upper[i + 2], b)
                 a_mid += sixth * (k + 2.0 * (l + m) + n)
-    decay = np.exp(-np.asarray(alpha, dtype=float) * span)
-    return a_mid.T * decay[..., None]
+    return a_mid.T
 
 
-def propagate_batch_two(coupling, span, alpha, n_steps: int):
-    """Vectorized constant-coupling two-channel integrator.
+def propagate_batch_two(coupling, span, n_steps: int):
+    """Vectorized lossless constant-coupling two-channel integrator.
 
-    coupling, span, alpha: (B,) arrays; starts in channel 1, returns (B, 2),
-    the n_steps-th power of each cell's RK4 step matrix applied to (1, 0).
+    coupling, span: (B,) arrays; starts in channel 1, returns (B, 2), the
+    n_steps-th power of each cell's RK4 step matrix applied to (1, 0).
     """
     c = np.asarray(coupling, dtype=float)[..., None, None]
-    al = np.asarray(alpha, dtype=float)[..., None, None]
-    generator = -1j * c * np.array([[0.0, 1.0], [1.0, 0.0]]) - al * np.eye(2)
+    generator = -1j * c * np.array([[0.0, 1.0], [1.0, 0.0]])
     power = _rk4_step_matrix(generator, np.divide(span, n_steps))
     a = np.array([[1.0], [0.0]])  # n_steps >= 1 applies power at least once
     while n_steps:

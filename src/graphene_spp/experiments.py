@@ -18,8 +18,8 @@ import numpy as np
 from .config import RunConfig, config_hash
 from .coupling import coupling_at_separations, coupling_coefficient
 from .dispersion import ConvergenceError, NoBoundModeError, SppMode
-from .dynamics import (AmplitudeState, Trajectory, propagate,
-                       propagate_batch_three, propagate_batch_two)
+from .dynamics import (Trajectory, propagate, propagate_batch_three,
+                       propagate_batch_two)
 from .geometry import CouplingSchedule, DeviceGeometry, build_schedule
 from .materials import CONSTANTS, MaterialDomainError
 
@@ -179,12 +179,13 @@ def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float,
     """
     if math.isnan(fa) or math.isnan(fb):
         raise ExperimentError("bisection bracket has a NaN end value")
-    if fa * fb > 0:
-        raise ExperimentError("bisection bracket ends have the same sign")
     if fa == 0:
         return a
     if fb == 0:
         return b
+    # signs, not products: fa * fb underflows to 0 for tiny values
+    if (fa < 0) == (fb < 0):
+        raise ExperimentError("bisection bracket ends have the same sign")
     step = b - a
     for _ in range(100):
         step *= 0.5
@@ -192,7 +193,7 @@ def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float,
         fm = f(xm)
         if math.isnan(fm):
             raise ExperimentError(f"bisection met NaN at {xm!r}")
-        if fm * fa >= 0:
+        if (fm < 0) == (fa < 0):
             a = xm
         if fm == 0 or abs(step) < xtol + rtol * abs(xm):
             return xm
@@ -225,7 +226,7 @@ def run_device(config: RunConfig) -> DeviceRun:
     mode = config.solve_mode()
     schedule = build_schedule(config.geometry(), mode, config.n_samples,
                               config.k0_convention)
-    initial = AmplitudeState(np.array([1.0, 0.0, 0.0], dtype=complex))
+    initial = np.array([1.0, 0.0, 0.0], dtype=complex)
     return DeviceRun(mode=mode, schedule=schedule,
                      trajectory=propagate(schedule, initial),
                      alpha=mode.q.imag)
@@ -238,7 +239,8 @@ def parallel_comparator(wavevector: float, length: float, separation: float,
 
     The two-channel system is integrated with the kernel and step count of
     the figure 4a map (n_samples - 1 steps); for the lossless case the
-    result matches sin^2(C L) to the integrator tolerance.
+    result matches sin^2(C L) to the integrator tolerance, and lossy
+    multiplies it by exp(-2 Im q L), as the map does.
     """
     if wavevector <= 0 or length <= 0 or separation <= 0:
         raise ExperimentError("wavevector, length, and separation must be > 0")
@@ -246,11 +248,17 @@ def parallel_comparator(wavevector: float, length: float, separation: float,
         config = RunConfig()
     mode = mode_at_wavevector(config, wavevector)
     pair = coupling_coefficient(mode, separation, config.k0_convention)
-    alpha = mode.q.imag if lossy else 0.0
     amps = propagate_batch_two(np.array([abs(pair.c12.real)]),
-                               np.array([length]), np.array([alpha]),
+                               np.array([length]),
                                max(config.n_samples - 1, 1))
-    return float(np.abs(amps[0, 1]) ** 2)
+    intensity = float(np.abs(amps[0, 1]) ** 2)
+    return _damped(intensity, mode.q.imag, length) if lossy else intensity
+
+
+def _damped(intensity, alpha, length):
+    """Lossless output intensities damped at the uniform amplitude rate
+    alpha over length: the exact envelope exp(-2 alpha L)."""
+    return intensity * np.exp(-2.0 * alpha * length)
 
 
 def _axis_parameter(name: str, values: np.ndarray) -> np.ndarray:
@@ -313,14 +321,13 @@ def _cell_parameters(spec: SweepSpec):
     return params, modes, mode_index, inversion
 
 
-def _three_sheet_finals(geometries, modes, config: RunConfig, alpha,
+def _three_sheet_finals(geometries, modes, config: RunConfig,
                         knots: int) -> np.ndarray:
-    """Output-sheet intensities of a batch of three-sheet devices.
+    """Lossless output-sheet intensities of a batch of three-sheet devices.
 
     Each device starts in the input sheet; geometries[i] is run with
-    modes[i] on `knots` knots and uniform loss alpha[i]. One schedule of
-    2 knots - 1 samples holds the knots at even and the exact interval
-    midpoints at odd indices.
+    modes[i] on `knots` knots. One schedule of 2 knots - 1 samples holds
+    the knots at even and the exact interval midpoints at odd indices.
     """
     batch = len(geometries)
     omega1 = np.empty((batch, 2 * knots - 1))
@@ -334,8 +341,7 @@ def _three_sheet_finals(geometries, modes, config: RunConfig, alpha,
     a_init = np.zeros((batch, 3), dtype=complex)
     a_init[:, 0] = 1.0
     amps = propagate_batch_three(h, omega1[:, ::2], omega2[:, ::2],
-                                 omega1[:, 1::2], omega2[:, 1::2], a_init,
-                                 alpha)
+                                 omega1[:, 1::2], omega2[:, 1::2], a_init)
     return np.abs(amps[:, 2]) ** 2
 
 
@@ -348,15 +354,14 @@ def _sweep_knots(geometries, modes, config: RunConfig) -> tuple[int, float]:
     next count would exceed config.n_samples. The first pair is always
     run, so a sweep uses at least 2 _FIRST_KNOTS - 1 knots and always has
     an estimate; a NaN estimate keeps doubling. The probes are lossless:
-    uniform loss scales every intensity, and so its error, by
-    exp(-alpha L) <= 1. Returns (knots, estimate of the error at knots).
+    the loss envelope scales every intensity, and so its error, by
+    exp(-2 alpha L) <= 1. Returns (knots, estimate of the error at knots).
     """
-    lossless = np.zeros(len(geometries))
     knots = _FIRST_KNOTS
-    coarse = _three_sheet_finals(geometries, modes, config, lossless, knots)
+    coarse = _three_sheet_finals(geometries, modes, config, knots)
     while True:
         knots = 2 * knots - 1
-        fine = _three_sheet_finals(geometries, modes, config, lossless, knots)
+        fine = _three_sheet_finals(geometries, modes, config, knots)
         estimate = float(np.max(np.abs(fine - coarse))) / 15.0
         if estimate <= _KNOT_TOLERANCE or 2 * knots - 1 > config.n_samples:
             return knots, estimate
@@ -368,6 +373,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Three-layer cells violating the arc-validity constraint
     L/2 + offset/2 <= R are reported as NaN; a grid with no valid cell raises.
+    Both devices are integrated without loss; a lossy spec then damps every
+    cell by the exact envelope exp(-2 Im q L) of its mode and length.
     """
     cfg = spec.config
     params, modes, mode_index, inversion = _cell_parameters(spec)
@@ -378,8 +385,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     radius = params["radius"]
     offset = params["offset"]
     min_gap = cfg.d_min_nm * 1e-9
-    alpha_mode = np.array([m.q.imag for m in modes])
-    alpha = alpha_mode[mode_index] if spec.lossy else np.zeros(total)
 
     flat = np.full(total, np.nan)
     if spec.layers == 2:
@@ -391,8 +396,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
             amps = propagate_batch_two(couplings[start:stop],
-                                       length[start:stop],
-                                       alpha[start:stop], n_steps)
+                                       length[start:stop], n_steps)
             flat[start:stop] = np.abs(amps[:, 1]) ** 2
         invalid = 0
     else:
@@ -416,9 +420,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         idx = np.flatnonzero(valid)
         for start in range(0, idx.size, _CHUNK):
             cells = idx[start:start + _CHUNK]
-            flat[cells] = _three_sheet_finals(*devices(cells), cfg,
-                                              alpha[cells], knots)
+            flat[cells] = _three_sheet_finals(*devices(cells), cfg, knots)
         nonfinite = int(np.count_nonzero(~np.isfinite(flat[idx])))
+    if spec.lossy:
+        alpha = np.array([mode.q.imag for mode in modes])[mode_index]
+        flat = _damped(flat, alpha, length)
 
     grid = flat.reshape(n2, n1)
     metadata = {
@@ -490,7 +496,7 @@ def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
     knots, _ = _sweep_knots([geometries[i] for i in ends],
                             [mode] * len(ends), config)
     return _three_sheet_finals(geometries, [mode] * stretches.size, config,
-                               np.zeros(stretches.size), knots)
+                               knots)
 
 
 def stirap_stretch_search(config: RunConfig, target: float = 0.95,

@@ -134,12 +134,12 @@ def dispersion_residual(mode, sigma_g: complex) -> float:
 def expm_reference(hamiltonian, a0, span: float) -> np.ndarray:
     """Evolve a0 under a constant effective Hamiltonian via eigendecomposition.
 
-    Accepts either a plain complex matrix M or an object exposing
-    effective_matrix(); computes exp(-i M span) a0 and verifies the
-    eigendecomposition actually reconstructs M.
+    Accepts either a plain complex matrix M (a lossy one is H - i alpha I)
+    or an object exposing matrix(); computes exp(-i M span) a0 and verifies
+    the eigendecomposition actually reconstructs M.
     """
-    if hasattr(hamiltonian, "effective_matrix"):
-        m = np.asarray(hamiltonian.effective_matrix(), dtype=complex)
+    if hasattr(hamiltonian, "matrix"):
+        m = np.asarray(hamiltonian.matrix(), dtype=complex)
     else:
         m = np.asarray(hamiltonian, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -21,8 +21,7 @@ from scipy.constants import speed_of_light
 
 from graphene_spp.config import RunConfig
 from graphene_spp.coupling import coupling_coefficient, overlap_integral
-from graphene_spp.dynamics import (AmplitudeState, ChainHamiltonian,
-                                   dark_state, propagate,
+from graphene_spp.dynamics import (ChainHamiltonian, dark_state, propagate,
                                    propagate_batch_two, propagate_constant,
                                    two_level_analytic)
 from graphene_spp.experiments import (figure_map_spec, robustness_metric,
@@ -109,7 +108,7 @@ def test_criterion_04_two_level_oracle():
     areas = np.linspace(0.05, 20.0 * math.pi, 61)
     spans = areas / coupling
     finals = propagate_batch_two(np.full(areas.size, coupling), spans,
-                                 np.zeros(areas.size), n_steps=4096)
+                                 n_steps=4096)
     worst = 0.0
     for area, row in zip(areas, finals):
         worst = max(worst,

@@ -191,6 +191,20 @@ def test_seed_free_flag_accepted(tmp_path):
                  "dispersion"]) == 0
 
 
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_seed_free_verify_exits_2(tmp_path, capsys, where):
+    # verify samples the oracle suite, so the no-draw guard must refuse it
+    out = tmp_path / "out"
+    args = ["--config", _cfg(tmp_path), "--out", str(out), "verify",
+            "--seed", "1"]
+    args.insert(0 if where == "before" else len(args), "--seed-free")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed-free" in err
+    assert "verify" in err
+    assert not (out / "validation.json").exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("R_nm = -5\n")

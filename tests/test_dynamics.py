@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphene_spp.dynamics import (AmplitudeState, ChainHamiltonian,
-                                   PropagationError, Trajectory, dark_state,
-                                   field_map, propagate, propagate_batch_three,
+from graphene_spp.dynamics import (ChainHamiltonian, PropagationError,
+                                   Trajectory, dark_state, field_map,
+                                   propagate, propagate_batch_three,
                                    propagate_batch_two, propagate_constant,
                                    two_level_analytic)
 from graphene_spp.geometry import build_schedule
+from graphene_spp.oracles import expm_reference
 from tests.conftest import as_complex, continuous_device_finals
 
 START = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -43,7 +46,7 @@ def test_two_level_matches_expm_goldens(goldens):
 
 def test_lossless_norm_conserved(default_config, default_mode):
     schedule = _schedule(default_config, default_mode, 4096)
-    trajectory = propagate(schedule, AmplitudeState(START))
+    trajectory = propagate(schedule, START)
     norms = np.sum(trajectory.intensities, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-9
 
@@ -52,7 +55,7 @@ def test_default_device_endpoint_matches_staircase_golden(
         default_config, default_mode, goldens):
     pins = goldens["staircase"]
     schedule = _schedule(default_config, default_mode, pins["knots"])
-    lossless = propagate(schedule, AmplitudeState(START))
+    lossless = propagate(schedule, START)
     reference = np.array([as_complex(z) for z in pins["lossless_final"]])
     assert np.abs(lossless.amplitudes[-1] - reference).max() < 2e-6
 
@@ -116,7 +119,7 @@ def test_propagate_matches_stepwise_loss_loop(default_config, default_mode):
     alpha = default_mode.q.imag
     for step in (None, schedule.spacing / 2, schedule.spacing / 3):
         for loss in (0.0, alpha):
-            got = propagate(schedule, AmplitudeState(START),
+            got = propagate(schedule, START,
                             step=step).damped(loss).amplitudes
             expected = _propagate_stepwise(schedule, START, (loss,) * 3, step)
             assert got.shape == expected.shape
@@ -126,7 +129,7 @@ def test_propagate_matches_stepwise_loss_loop(default_config, default_mode):
 def test_uniform_loss_factorizes(default_config, default_mode):
     schedule = _schedule(default_config, default_mode, 1025)
     alpha = default_mode.q.imag
-    lossless = propagate(schedule, AmplitudeState(START))
+    lossless = propagate(schedule, START)
     lossy = _propagate_stepwise(schedule, START, (alpha,) * 3)
     factor = np.exp(-alpha * (schedule.x_grid - schedule.x_grid[0]))
     predicted = lossless.amplitudes * factor[:, None]
@@ -137,7 +140,7 @@ def test_damped_rejects_vector_or_negative_loss(default_config,
                                                 default_mode):
     schedule = _schedule(default_config, default_mode, 129)
     alpha = default_mode.q.imag
-    trajectory = propagate(schedule, AmplitudeState(START))
+    trajectory = propagate(schedule, START)
     for loss in ((0.0, alpha, 0.0), np.full(3, alpha), -alpha):
         with pytest.raises(ValueError):
             trajectory.damped(loss)
@@ -146,32 +149,28 @@ def test_damped_rejects_vector_or_negative_loss(default_config,
 def test_nan_loss_is_rejected(default_config, default_mode):
     # a NaN rate is no rate >= 0; it must not turn amplitudes into NaN
     schedule = _schedule(default_config, default_mode, 129)
-    trajectory = propagate(schedule, AmplitudeState(START))
+    trajectory = propagate(schedule, START)
     with pytest.raises(ValueError):
         trajectory.damped(math.nan)
-    for loss in (math.nan, (0.0, math.nan)):
-        with pytest.raises(ValueError):
-            ChainHamiltonian((1.0e6,), loss=loss)
 
 
 def test_propagate_rejects_bad_initial_states(default_config, default_mode):
     schedule = _schedule(default_config, default_mode, 129)
-    with pytest.raises(ValueError):
-        propagate(schedule, AmplitudeState(np.array([1.0, 0.0])))
-    with pytest.raises(ValueError):
-        propagate(schedule,
-                  AmplitudeState(np.array([2.0, 0.0, 0.0], dtype=complex)))
+    with pytest.raises(ValueError, match="three-channel"):
+        propagate(schedule, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="unit norm"):
+        propagate(schedule, np.array([2.0, 0.0, 0.0], dtype=complex))
 
 
 def test_propagate_step_subdivides(default_config, default_mode):
     schedule = _schedule(default_config, default_mode, 513)
-    coarse = propagate(schedule, AmplitudeState(START))
-    fine = propagate(schedule, AmplitudeState(START),
+    coarse = propagate(schedule, START)
+    fine = propagate(schedule, START,
                      step=schedule.spacing / 4)
     # both converged; the step option must not change the answer materially
     assert np.abs(coarse.amplitudes[-1] - fine.amplitudes[-1]).max() < 1e-7
     with pytest.raises(ValueError):
-        propagate(schedule, AmplitudeState(START), step=schedule.spacing * 2)
+        propagate(schedule, START, step=schedule.spacing * 2)
 
 
 def _linear_midpoints(omega):
@@ -186,15 +185,14 @@ def test_batch_three_matches_scalar_integrator(default_config, default_mode):
     # substeps > 1 is the batch kernel's counterpart of propagate's step
     for substeps in (1, 2):
         step = None if substeps == 1 else schedule.spacing / substeps
-        for alpha in (0.0, default_mode.q.imag):
-            scalar = propagate(schedule, AmplitudeState(START),
-                               step=step).damped(alpha).amplitudes[-1]
-            batch = propagate_batch_three(
-                h, schedule.omega1[None, :], schedule.omega2[None, :],
-                _linear_midpoints(schedule.omega1)[None, :],
-                _linear_midpoints(schedule.omega2)[None, :],
-                START[None, :], np.array([alpha]), substeps=substeps)
-            assert np.abs(batch[0] - scalar).max() < 1e-10
+        scalar = propagate(schedule, START,
+                           step=step).amplitudes[-1]
+        batch = propagate_batch_three(
+            h, schedule.omega1[None, :], schedule.omega2[None, :],
+            _linear_midpoints(schedule.omega1)[None, :],
+            _linear_midpoints(schedule.omega2)[None, :],
+            START[None, :], substeps=substeps)
+        assert np.abs(batch[0] - scalar).max() < 1e-10
 
 
 def test_batch_three_is_fourth_order(default_config, default_mode):
@@ -211,7 +209,7 @@ def test_batch_three_is_fourth_order(default_config, default_mode):
             np.array([geom.length / (knots - 1)]),
             schedule.omega1[None, ::2], schedule.omega2[None, ::2],
             schedule.omega1[None, 1::2], schedule.omega2[None, 1::2],
-            START[None, :], 0.0)
+            START[None, :])
         errors.append(np.abs(finals[0] - exact).max())
     assert errors[0] >= 12.0 * errors[1]
     assert errors[1] >= 12.0 * errors[2]
@@ -252,8 +250,7 @@ def _batch_three_channelwise(h, omega1, omega2, omega1_mid, omega2_mid,
 
 def test_batch_three_bitwise_matches_channelwise_loop():
     # block tabulation and the padded chain product must not change a bit;
-    # 75 knots span two full blocks and a partial one. Loss is the exact
-    # envelope exp(-alpha L) on the lossless finals.
+    # 75 knots span two full blocks and a partial one
     rng = np.random.default_rng(5)
     batch, knots = 7, 75
     omega1 = rng.uniform(0.0, 3e7, (batch, knots))
@@ -262,22 +259,18 @@ def test_batch_three_bitwise_matches_channelwise_loop():
     omega2_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
     h = rng.uniform(5e-10, 2e-9, batch)
     a_init = rng.normal(size=(batch, 3)) + 1j * rng.normal(size=(batch, 3))
-    for substeps, alpha in ((1, np.zeros(batch)), (2, np.zeros(batch)),
-                            (1, rng.uniform(0.0, 2e6, batch)),
-                            (2, rng.uniform(0.0, 2e6, batch))):
-        lossless = _batch_three_channelwise(h, omega1, omega2, omega1_mid,
+    for substeps in (1, 2):
+        expected = _batch_three_channelwise(h, omega1, omega2, omega1_mid,
                                             omega2_mid, a_init, substeps)
-        factor = np.exp(-alpha * (h * (knots - 1)))
         got = propagate_batch_three(h, omega1, omega2, omega1_mid,
-                                    omega2_mid, a_init, alpha,
-                                    substeps=substeps)
-        assert np.array_equal(got, lossless * factor[:, None])
+                                    omega2_mid, a_init, substeps=substeps)
+        assert np.array_equal(got, expected)
 
 
 def test_batch_two_matches_analytic():
     coupling = np.array([1.0e6, 2.5e6, 4.0e6])
     span = np.array([2.0e-6, 1.0e-6, 0.5e-6])
-    finals = propagate_batch_two(coupling, span, np.zeros(3), n_steps=2048)
+    finals = propagate_batch_two(coupling, span, n_steps=2048)
     for c, s, row in zip(coupling, span, finals):
         exact0, exact1 = two_level_analytic(c, s)
         assert abs(row[0]) ** 2 == pytest.approx(exact0, abs=1e-8)
@@ -286,7 +279,7 @@ def test_batch_two_matches_analytic():
 
 def _constant_stepwise(hamiltonian, initial, span, n_steps):
     """propagate_constant written as one RK4 step per knot."""
-    m = hamiltonian.effective_matrix()
+    m = hamiltonian.matrix()
     h = span / n_steps
     a = np.asarray(initial, dtype=complex)
     out = [a]
@@ -300,15 +293,14 @@ def _constant_stepwise(hamiltonian, initial, span, n_steps):
     return np.array(out)
 
 
-def _batch_two_stepwise(coupling, span, alpha, n_steps):
+def _batch_two_stepwise(coupling, span, n_steps):
     """propagate_batch_two written as one RK4 step per knot."""
     h = span / n_steps
     a0 = np.ones_like(coupling, dtype=complex)
     a1 = np.zeros_like(coupling, dtype=complex)
 
     def rate(b0, b1):
-        return (-1j * coupling * b1 - alpha * b0,
-                -1j * coupling * b0 - alpha * b1)
+        return -1j * coupling * b1, -1j * coupling * b0
 
     for _ in range(n_steps):
         k = rate(a0, a1)
@@ -333,35 +325,45 @@ def test_constant_step_matrix_matches_stepwise_loop():
     rng = np.random.default_rng(11)
     for n_steps in STEP_COUNTS:
         for dim in (2, 3, 4):
-            for lossy in (False, True):
-                couplings = rng.uniform(0.5, 40.0, dim - 1) * 1e6
-                loss = tuple(rng.uniform(0.0, 2e6, dim)) if lossy else 0.0
-                ham = ChainHamiltonian(tuple(couplings), loss)
-                area = rng.uniform(0.1, min(20.0 * math.pi, float(n_steps)))
-                span = area / couplings.max()
-                initial = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                initial /= np.linalg.norm(initial)
-                got = propagate_constant(ham, initial, span, n_steps)
-                expected = _constant_stepwise(ham, initial, span, n_steps)
-                assert got.amplitudes.shape == expected.shape
-                assert _relative_gap(got.amplitudes, expected) < 1e-12
-                assert np.array_equal(got.x_grid,
-                                      np.linspace(0.0, span, n_steps + 1))
+            couplings = rng.uniform(0.5, 40.0, dim - 1) * 1e6
+            ham = ChainHamiltonian(tuple(couplings))
+            area = rng.uniform(0.1, min(20.0 * math.pi, float(n_steps)))
+            span = area / couplings.max()
+            initial = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            initial /= np.linalg.norm(initial)
+            got = propagate_constant(ham, initial, span, n_steps)
+            expected = _constant_stepwise(ham, initial, span, n_steps)
+            assert got.amplitudes.shape == expected.shape
+            assert _relative_gap(got.amplitudes, expected) < 1e-12
+            assert np.array_equal(got.x_grid,
+                                  np.linspace(0.0, span, n_steps + 1))
 
 
 def test_batch_two_step_matrix_matches_stepwise_loop():
     rng = np.random.default_rng(12)
     batch = 16
     coupling = rng.uniform(0.5, 40.0, batch) * 1e6
-    alpha = np.where(np.arange(batch) % 2 == 0, 0.0,
-                     rng.uniform(0.0, 2e6, batch))
     for n_steps in STEP_COUNTS:
         area = rng.uniform(0.1, min(20.0 * math.pi, float(n_steps)), batch)
         span = area / coupling
-        got = propagate_batch_two(coupling, span, alpha, n_steps)
-        expected = _batch_two_stepwise(coupling, span, alpha, n_steps)
+        got = propagate_batch_two(coupling, span, n_steps)
+        expected = _batch_two_stepwise(coupling, span, n_steps)
         assert got.shape == (batch, 2)
         assert _relative_gap(got, expected) < 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(coupling=st.floats(0.5e6, 40e6), area=st.floats(0.1, 20.0 * math.pi),
+       alpha=st.floats(0.0, 2e6))
+def test_batch_two_envelope_matches_lossy_expm(coupling, area, alpha):
+    # uniform loss commutes with the chain, so the lossless kernel times
+    # exp(-alpha L) is the evolution under H - i alpha I
+    span = area / coupling
+    lossless = propagate_batch_two(np.array([coupling]), np.array([span]),
+                                   4096)[0]
+    lossy = ChainHamiltonian((coupling,)).matrix() - 1j * alpha * np.eye(2)
+    reference = expm_reference(lossy, [1.0, 0.0], span)
+    assert np.abs(lossless * math.exp(-alpha * span) - reference).max() < 1e-6
 
 
 def test_constant_propagation_reports_blow_up():
@@ -374,22 +376,23 @@ def test_constant_propagation_reports_blow_up():
 
 
 def test_chain_hamiltonian_shapes_and_loss():
-    ham = ChainHamiltonian((2.0, 3.0), loss=0.5)
+    # the chain is lossless: uniform loss is an envelope outside every
+    # kernel, so the Hamiltonian has no loss to carry
+    ham = ChainHamiltonian((2.0, 3.0))
     assert ham.dimension == 3
-    assert ham.loss == (0.5, 0.5, 0.5)
-    m = ham.effective_matrix()
+    m = ham.matrix()
     assert m[0, 1] == 2.0 and m[1, 2] == 3.0
-    assert m[1, 1] == -0.5j
+    assert np.array_equal(m, m.T) and not np.diag(m).any()
+    with pytest.raises(TypeError):
+        ChainHamiltonian((2.0,), loss=0.5)
     with pytest.raises(ValueError):
-        ChainHamiltonian((2.0,), loss=(0.1, 0.2, 0.3))
-    with pytest.raises(ValueError):
-        ChainHamiltonian((2.0,), loss=-1.0)
+        ChainHamiltonian(())
 
 
 def test_field_map_shape_and_concentration(default_config, default_mode):
     geom = default_config.geometry()
     schedule = _schedule(default_config, default_mode, 257)
-    trajectory = propagate(schedule, AmplitudeState(START))
+    trajectory = propagate(schedule, START)
     extent = 350e-9
     z = np.linspace(-extent, extent, 161)
     intensity = field_map(trajectory, geom, default_mode, z, x_stride=4)
@@ -403,17 +406,10 @@ def test_field_map_shape_and_concentration(default_config, default_mode):
 def test_field_map_requires_z_coverage(default_config, default_mode):
     geom = default_config.geometry()
     schedule = _schedule(default_config, default_mode, 129)
-    trajectory = propagate(schedule, AmplitudeState(START))
+    trajectory = propagate(schedule, START)
     with pytest.raises(ValueError):
         field_map(trajectory, geom, default_mode,
                   np.linspace(-10e-9, 10e-9, 11))
-
-
-def test_amplitude_state_norm():
-    state = AmplitudeState(np.array([0.6, 0.8j, 0.0]))
-    assert state.norm_squared == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        AmplitudeState(np.array([1.0]))
 
 
 def test_trajectory_intensity_views():

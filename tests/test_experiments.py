@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -82,6 +82,11 @@ _TOLERANCES = dict(xtol=st.floats(-30.0, -2.0).map(lambda p: 10.0 ** p),
 
 
 @settings(max_examples=400, deadline=None)
+# f(lo) = -5e-324: the sign test must not underflow (f(lo) f(x) = -0.0)
+@example(root=0.0, below=5e-324, above=1.0, slope=1.0, cubic=0.0, sign=1.0,
+         on_threshold=None, xtol=0.01, rtol=0.000988268659592336)
+@example(root=0.0, below=5e-324, above=127.0, slope=1.0, cubic=0.0,
+         sign=1.0, on_threshold=None, xtol=1e-28, rtol=0.0009836910721373899)
 @given(root=st.floats(-1e3, 1e3), below=st.floats(0.0, 1e3),
        above=st.floats(0.0, 1e3), slope=st.floats(1e-3, 1e3),
        cubic=st.floats(0.0, 1e3), sign=st.sampled_from([1.0, -1.0]),
@@ -129,6 +134,11 @@ def test_bisect_failures_raise():
         optimize.bisect(lambda x: x, -1.0, 2.0, xtol=1e-300, rtol=1e-15)
     with pytest.raises(ExperimentError, match="converge"):
         _bisect(lambda x: x, -1.0, 2.0, -1.0, 2.0, 1e-300, 1e-15)
+    # same-signed ends whose product underflows to 0 are still rejected
+    with pytest.raises(ValueError, match="different signs"):
+        optimize.bisect(lambda x: 5e-324 if x == 0.0 else 0.1, 0.0, 1.0)
+    with pytest.raises(ExperimentError, match="same sign"):
+        _bisect(lambda x: x, 0.0, 1.0, 5e-324, 0.1, 1e-12, 1e-9)
 
 
 def test_run_device_lossless_default(default_config):
@@ -194,15 +204,14 @@ def test_three_layer_sweep_matches_direct_runs(default_config):
     assert result.metadata["layers"] == 3
 
     # cross-check one cell against a direct single-device run
-    from graphene_spp.dynamics import AmplitudeState, propagate
+    from graphene_spp.dynamics import propagate
     from graphene_spp.geometry import build_schedule
 
     mode = mode_at_wavevector(default_config, 40e6)
     geom = replace(default_config, L_um=1.1).geometry()
     schedule = build_schedule(geom, mode, default_config.n_samples,
                               default_config.k0_convention)
-    trajectory = propagate(schedule,
-                           AmplitudeState(np.array([1, 0, 0], dtype=complex)))
+    trajectory = propagate(schedule, np.array([1, 0, 0], dtype=complex))
     expected = trajectory.final_intensities[2]
     assert result.grid[1, 1] == pytest.approx(expected, rel=1e-6)
 
@@ -270,6 +279,26 @@ def test_two_layer_sweep_matches_comparator(default_config):
     assert result.grid[1, 1] == pytest.approx(direct, rel=1e-4, abs=1e-9)
     # the comparator runs the map's kernel at the map's step count
     assert result.grid[1, 1] == direct
+
+
+@pytest.mark.parametrize("layers", [2, 3])
+def test_lossy_sweep_is_lossless_sweep_times_envelope(default_config, layers):
+    # the kernels are lossless; a lossy sweep damps each cell once by
+    # exp(-2 Im q L). L = 1.5 um breaks the three-sheet arc (NaN cells).
+    wavevector = SweepAxis("wavevector_per_um", np.array([30.0, 40.0]))
+    length = SweepAxis("length_um", np.array([0.9, 1.5]))
+    spec = SweepSpec(axis1=wavevector, axis2=length, config=default_config,
+                     layers=layers)
+    lossless = run_sweep(spec).grid
+    lossy = run_sweep(replace(spec, lossy=True)).grid
+    alpha = np.array([mode_at_wavevector(default_config, q * 1e6).q.imag
+                      for q in wavevector.values])
+    envelope = np.exp(-2.0 * alpha[None, :] * length.values[:, None] * 1e-6)
+    assert np.array_equal(np.isnan(lossy), np.isnan(lossless))
+    assert np.isnan(lossy).any() == (layers == 3)
+    np.testing.assert_allclose(lossy, lossless * envelope, rtol=1e-14,
+                               atol=0.0)
+    assert np.nanmax(lossy / lossless) < 1.0
 
 
 def test_figure_map_specs(default_config):
