@@ -166,11 +166,16 @@ def _run_coupling_sweep(config: RunConfig, out: str) -> list[str]:
 
 
 def _run_schedule(config: RunConfig, out: str) -> list[str]:
+    """The schedule alone: the mode is solved, nothing is propagated."""
+    schedule = build_schedule(config.geometry(), config.solve_mode(),
+                              config.n_samples, config.k0_convention)
+    return _emit_schedule(config, out, schedule)
+
+
+def _emit_schedule(config: RunConfig, out: str, schedule) -> list[str]:
     chash = config_hash(config)
     formats = _formats(config)
     geom = config.geometry()
-    schedule = build_schedule(geom, config.solve_mode(), config.n_samples,
-                              config.k0_convention)
     report = adiabaticity_report(schedule)
     d1, d2 = sheet_separations(geom, schedule.x_grid)
     rows = [[x * 1e9, a * 1e9, b * 1e9, o1 * 1e-6, o2 * 1e-6, theta, margin]
@@ -197,10 +202,14 @@ def _run_schedule(config: RunConfig, out: str) -> list[str]:
 
 def _run_device_cmd(config: RunConfig, out: str,
                     with_field_map: bool) -> list[str]:
+    return _emit_device(config, out, run_device(config), with_field_map)
+
+
+def _emit_device(config: RunConfig, out: str, device,
+                 with_field_map: bool) -> list[str]:
     chash = config_hash(config)
     formats = _formats(config)
     written = []
-    device = run_device(config)
     runs = {"lossless": device.trajectory,
             "lossy": device.trajectory.damped(device.alpha)}
     for label, trajectory in runs.items():
@@ -266,8 +275,10 @@ def _run_robustness(config: RunConfig, out: str, figure: str,
     if figure == "1b":
         return _run_coupling_sweep(config, out)
     if figure == "3":
-        written = _run_schedule(config, out)
-        written.extend(_run_device_cmd(config, out, with_field_map=True))
+        # one mode solve, one schedule build, one propagation
+        device = run_device(config)
+        written = _emit_schedule(config, out, device.schedule)
+        written.extend(_emit_device(config, out, device, with_field_map=True))
         return written
 
     chash = config_hash(config)

@@ -20,7 +20,7 @@ from .coupling import coupling_at_separations, coupling_coefficient
 from .dispersion import ConvergenceError, NoBoundModeError, SppMode
 from .dynamics import (Trajectory, propagate, propagate_batch_three,
                        propagate_batch_two)
-from .geometry import CouplingSchedule, DeviceGeometry, build_schedule
+from .geometry import CouplingSchedule, _omega1_table, build_schedule
 from .materials import CONSTANTS, MaterialDomainError
 
 AXIS_NAMES = ("wavevector_per_um", "length_um", "radius_nm", "offset_nm")
@@ -321,34 +321,35 @@ def _cell_parameters(spec: SweepSpec):
     return params, modes, mode_index, inversion
 
 
-def _three_sheet_finals(geometries, modes, config: RunConfig,
+def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
                         knots: int) -> np.ndarray:
     """Lossless output-sheet intensities of a batch of three-sheet devices.
 
-    Each device starts in the input sheet; geometries[i] is run with
-    modes[i] on `knots` knots. One schedule of 2 knots - 1 samples holds
+    cells holds per-device SI arrays "length", "radius" and "offset"; device
+    i carries modes[mode_index[i]] at the configured minimum gap and starts
+    in the input sheet. Its row of one schedule table of 2 knots - 1
+    samples (geometry._omega1_table, built per mode, not per device) holds
     the knots at even and the exact interval midpoints at odd indices.
     """
-    batch = len(geometries)
-    omega1 = np.empty((batch, 2 * knots - 1))
-    omega2 = np.empty((batch, 2 * knots - 1))
-    for row, (geom, mode) in enumerate(zip(geometries, modes)):
-        schedule = build_schedule(geom, mode, 2 * knots - 1,
-                                  config.k0_convention)
-        omega1[row] = schedule.omega1
-        omega2[row] = schedule.omega2
-    h = np.array([geom.length for geom in geometries]) / (knots - 1)
-    a_init = np.zeros((batch, 3), dtype=complex)
+    length = cells["length"]
+    omega1 = _omega1_table(length, cells["radius"], cells["offset"],
+                           config.d_min_nm * 1e-9, modes, mode_index,
+                           2 * knots - 1, config.k0_convention)
+    omega2 = omega1[:, ::-1]
+    h = length / (knots - 1)
+    a_init = np.zeros((length.size, 3), dtype=complex)
     a_init[:, 0] = 1.0
     amps = propagate_batch_three(h, omega1[:, ::2], omega2[:, ::2],
                                  omega1[:, 1::2], omega2[:, 1::2], a_init)
     return np.abs(amps[:, 2]) ** 2
 
 
-def _sweep_knots(geometries, modes, config: RunConfig) -> tuple[int, float]:
+def _sweep_knots(cells: dict, modes, mode_index,
+                 config: RunConfig) -> tuple[int, float]:
     """Knot count for a three-sheet sweep, by step doubling on probe devices.
 
-    Starting from _FIRST_KNOTS, the knot count doubles (k -> 2k - 1) until
+    The probes are given as _three_sheet_finals takes its batch. Starting
+    from _FIRST_KNOTS, the knot count doubles (k -> 2k - 1) until
     the Richardson estimate max |I_fine - I_coarse| / 15 of the 4th-order
     kernel's output-intensity error is at most _KNOT_TOLERANCE, or until the
     next count would exceed config.n_samples. The first pair is always
@@ -358,10 +359,10 @@ def _sweep_knots(geometries, modes, config: RunConfig) -> tuple[int, float]:
     exp(-2 alpha L) <= 1. Returns (knots, estimate of the error at knots).
     """
     knots = _FIRST_KNOTS
-    coarse = _three_sheet_finals(geometries, modes, config, knots)
+    coarse = _three_sheet_finals(cells, modes, mode_index, config, knots)
     while True:
         knots = 2 * knots - 1
-        fine = _three_sheet_finals(geometries, modes, config, knots)
+        fine = _three_sheet_finals(cells, modes, mode_index, config, knots)
         estimate = float(np.max(np.abs(fine - coarse))) / 15.0
         if estimate <= _KNOT_TOLERANCE or 2 * knots - 1 > config.n_samples:
             return knots, estimate
@@ -407,10 +408,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                                   "constraint L/2 + offset/2 <= R")
 
         def devices(cells):
-            return ([DeviceGeometry(radius=radius[cell], offset=offset[cell],
-                                    min_gap=min_gap, length=length[cell])
-                     for cell in cells],
-                    [modes[mode_index[cell]] for cell in cells])
+            return ({key: values[cells] for key, values in params.items()},
+                    modes, mode_index[cells])
 
         # validity is monotone in L, offset and R along increasing axes, so
         # some corner is valid whenever any cell is
@@ -487,16 +486,14 @@ class StretchSearchResult:
 def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
                        mode: SppMode) -> np.ndarray:
     """Lossless output intensities for uniformly stretched (L, R, offset)."""
-    geometries = [DeviceGeometry(radius=config.R_nm * 1e-9 * s,
-                                 offset=config.delta_nm * 1e-9 * s,
-                                 min_gap=config.d_min_nm * 1e-9,
-                                 length=config.L_um * 1e-6 * s)
-                  for s in stretches]
-    ends = sorted({0, stretches.size - 1})
-    knots, _ = _sweep_knots([geometries[i] for i in ends],
-                            [mode] * len(ends), config)
-    return _three_sheet_finals(geometries, [mode] * stretches.size, config,
-                               knots)
+    cells = {"length": config.L_um * 1e-6 * stretches,
+             "radius": config.R_nm * 1e-9 * stretches,
+             "offset": config.delta_nm * 1e-9 * stretches}
+    mode_index = np.zeros(stretches.size, dtype=int)
+    ends = np.array(sorted({0, stretches.size - 1}))
+    knots, _ = _sweep_knots({key: values[ends] for key, values in
+                             cells.items()}, [mode], mode_index[ends], config)
+    return _three_sheet_finals(cells, [mode], mode_index, config, knots)
 
 
 def stirap_stretch_search(config: RunConfig, target: float = 0.95,

@@ -8,13 +8,18 @@ propagation axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import coupling_at_separations
 from .dispersion import SppMode
+
+
+# Separations per coupling_at_separations call of _omega1_table: each call
+# holds a few complex temporaries of this size, so one mode shared by a
+# whole chunk (the 4c map) must not become one call over every row.
+_COUPLING_BLOCK = 8192
 
 
 class GeometryError(ValueError):
@@ -31,20 +36,37 @@ class DeviceGeometry:
     length: float
 
     def __post_init__(self) -> None:
-        for name in ("radius", "offset", "min_gap", "length"):
-            if not math.isfinite(getattr(self, name)):
-                raise GeometryError(f"{name} must be finite")
-        if not self.radius > 0:
-            raise GeometryError("radius must be > 0")
-        if not self.offset >= 0:
-            raise GeometryError("offset must be >= 0")
-        if not self.min_gap > 0:
-            raise GeometryError("min_gap must be > 0")
-        if not self.length > 0:
-            raise GeometryError("length must be > 0")
-        if not self.length / 2.0 + self.offset / 2.0 <= self.radius:
-            raise GeometryError(
-                "arcs do not span the device: require L/2 + offset/2 <= radius")
+        _check_layout(self.radius, self.offset, self.min_gap, self.length)
+
+
+def _check_layout(radius, offset, min_gap, length) -> None:
+    """Raise GeometryError unless every arc layout is valid.
+
+    Each argument is a scalar or an array of per-device values; one failing
+    device fails the whole call with DeviceGeometry's message.
+    """
+    fields = {"radius": radius, "offset": offset, "min_gap": min_gap,
+              "length": length}
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise GeometryError(f"{name} must be finite")
+    if not np.all(radius > 0):
+        raise GeometryError("radius must be > 0")
+    if not np.all(offset >= 0):
+        raise GeometryError("offset must be >= 0")
+    if not np.all(min_gap > 0):
+        raise GeometryError("min_gap must be > 0")
+    if not np.all(length > 0):
+        raise GeometryError("length must be > 0")
+    if not np.all(length / 2.0 + offset / 2.0 <= radius):
+        raise GeometryError(
+            "arcs do not span the device: require L/2 + offset/2 <= radius")
+
+
+def _arc_gap(u, radius, min_gap):
+    """Gap min_gap + R - sqrt(R^2 - u^2) between the flat sheet and an arc,
+    at distance u along the axis from the arc's waist."""
+    return (min_gap + radius) - np.sqrt(np.square(radius) - np.square(u))
 
 
 def sheet_separations(geom: DeviceGeometry, x):
@@ -54,9 +76,8 @@ def sheet_separations(geom: DeviceGeometry, x):
     u2 = x + geom.offset / 2.0
     if np.any(np.abs(u1) > geom.radius) or np.any(np.abs(u2) > geom.radius):
         raise GeometryError("position outside the arc domain")
-    base = geom.min_gap + geom.radius
-    d1 = base - np.sqrt(geom.radius**2 - u1**2)
-    d2 = base - np.sqrt(geom.radius**2 - u2**2)
+    d1 = _arc_gap(u1, geom.radius, geom.min_gap)
+    d2 = _arc_gap(u2, geom.radius, geom.min_gap)
     if d1.ndim == 0:
         return float(d1), float(d2)
     return d1, d2
@@ -98,20 +119,61 @@ def build_schedule(geom: DeviceGeometry, mode: SppMode, n_samples: int = 4096,
                    k0_convention: str = "vacuum") -> CouplingSchedule:
     """Sample Omega_i(x) = |Re C(d_i(x))| on a uniform grid over [-L/2, L/2].
 
-    This is the one place a device becomes couplings. The arcs are mirror
-    images, d2(x) = d1(-x), so on a grid made exactly antisymmetric
-    (x[::-1] == -x bit for bit) omega2 is omega1 reversed: the coupling is
-    evaluated on d1 alone, and the result equals evaluating it on d2.
+    The one-device view of the schedule table that every three-sheet run
+    is built from (_omega1_table): the same grid, separations and
+    couplings, bit for bit, as that device's row in a sweep's table. The
+    arcs are mirror images, d2(x) = d1(-x), so on the exactly
+    antisymmetric grid omega2 is omega1 reversed.
+    """
+    length = np.array([geom.length])
+    omega1 = _omega1_table(length, np.array([geom.radius]),
+                           np.array([geom.offset]), geom.min_gap, [mode],
+                           np.zeros(1, dtype=int), n_samples,
+                           k0_convention)[0]
+    return CouplingSchedule(x_grid=_antisymmetric_grid(length, n_samples)[0],
+                            omega1=omega1, omega2=omega1[::-1].copy())
+
+
+def _antisymmetric_grid(length: np.ndarray, n_samples: int) -> np.ndarray:
+    """(B, n) uniform grids over [-L/2, L/2], made exactly antisymmetric
+    (x[:, ::-1] == -x bit for bit)."""
+    x = np.linspace(-length / 2.0, length / 2.0, n_samples, axis=1)
+    return 0.5 * (x - x[:, ::-1])
+
+
+def _omega1_table(length, radius, offset, min_gap: float, modes, mode_index,
+                  n_samples: int, k0_convention: str) -> np.ndarray:
+    """(B, n) table of omega1 = |Re C(d1(x))| for a batch of devices.
+
+    Row i is device (length[i], radius[i], offset[i]) at the shared min_gap,
+    carrying modes[mode_index[i]], sampled on its antisymmetric grid; its
+    omega2 is the row reversed. The layouts and the table are validated
+    once per call. Separations are computed once per distinct layout, and
+    the coupling once per mode over that mode's rows, in calls of at most
+    _COUPLING_BLOCK samples.
     """
     if n_samples < 64:
         raise ValueError("n_samples must be at least 64")
-    x = np.linspace(-geom.length / 2.0, geom.length / 2.0, n_samples)
-    x = 0.5 * (x - x[::-1])
-    d1, _ = sheet_separations(geom, x)
-    c1, _ = coupling_at_separations(mode, d1, k0_convention)
-    omega1 = np.abs(c1.real)
-    return CouplingSchedule(x_grid=x, omega1=omega1,
-                            omega2=omega1[::-1].copy())
+    length, radius, offset = (np.asarray(v, dtype=float)
+                              for v in (length, radius, offset))
+    _check_layout(radius, offset, min_gap, length)
+    layouts, row = np.unique(np.stack([length, radius, offset], axis=1),
+                             axis=0, return_inverse=True)
+    length, radius, offset = (layouts[:, [i]] for i in range(3))
+    d1 = _arc_gap(_antisymmetric_grid(length[:, 0], n_samples)
+                  - offset / 2.0, radius, min_gap)
+    omega1 = np.full((row.size, n_samples), np.nan)
+    step = max(1, _COUPLING_BLOCK // n_samples)
+    for m, mode in enumerate(modes):
+        cells = np.flatnonzero(mode_index == m)
+        for start in range(0, cells.size, step):
+            block = cells[start:start + step]
+            c, _ = coupling_at_separations(mode, d1[row[block]],
+                                           k0_convention)
+            omega1[block] = np.abs(c.real)
+    if not np.all(np.isfinite(omega1)):
+        raise ValueError("couplings must be finite")
+    return omega1
 
 
 @dataclass(frozen=True)

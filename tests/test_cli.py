@@ -281,6 +281,36 @@ def test_each_device_is_propagated_once(tmp_path, monkeypatch, argv,
     assert len(calls) == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["schedule"],
+    ["device-run", "--field-map"],
+    ["robustness-sweep", "--figure", "3"],
+])
+def test_each_command_solves_and_builds_one_schedule(tmp_path, monkeypatch,
+                                                     argv):
+    # figure 3 writes the schedule of the device it propagates
+    import graphene_spp.cli as cli
+    import graphene_spp.experiments as experiments
+    from graphene_spp.config import RunConfig
+
+    calls = []
+    for module in (cli, experiments):
+        def counted(*args, _build=module.build_schedule, **kwargs):
+            calls.append("schedule")
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(module, "build_schedule", counted)
+    solve = RunConfig.solve_mode
+
+    def counted_solve(self, omega=None):
+        calls.append("mode")
+        return solve(self, omega)
+
+    monkeypatch.setattr(RunConfig, "solve_mode", counted_solve)
+    assert main(["--config", _cfg(tmp_path), "--out", str(tmp_path / "out")]
+                + argv) == 0
+    assert sorted(calls) == ["mode", "schedule"]
+
+
 def test_formats_gate_emission(tmp_path):
     out = tmp_path / "out"
     cfg = _cfg(tmp_path, "formats = csv\n")

@@ -12,6 +12,7 @@ from scipy import optimize
 from graphene_spp.config import RunConfig
 from graphene_spp.experiments import (_KNOT_TOLERANCE, ExperimentError,
                                       SweepAxis, SweepSpec, _bisect,
+                                      _three_sheet_finals,
                                       figure_coupling_axes, figure_map_spec,
                                       mode_at_wavevector, parallel_comparator,
                                       robustness_metric, run_device,
@@ -214,6 +215,32 @@ def test_three_layer_sweep_matches_direct_runs(default_config):
     trajectory = propagate(schedule, np.array([1, 0, 0], dtype=complex))
     expected = trajectory.final_intensities[2]
     assert result.grid[1, 1] == pytest.approx(expected, rel=1e-6)
+
+
+def test_three_sheet_finals_follow_their_cells_bitwise(default_config):
+    # rows grouped by mode and by layout must land back on their own cells:
+    # shuffling a batch of interleaved modes permutes the outputs exactly,
+    # and each output equals its device run alone
+    modes = [mode_at_wavevector(default_config, q) for q in (30e6, 40e6)]
+    lengths = np.array([0.9e-6, 1.0e-6, 1.1e-6])
+    cells = {"length": np.tile(lengths, 4),
+             "radius": np.repeat([800e-9, 900e-9], 6),
+             "offset": np.tile(np.repeat([200e-9, 150e-9], 3), 2)}
+    mode_index = np.tile([0, 1], 6)
+    finals = _three_sheet_finals(cells, modes, mode_index, default_config,
+                                 65)
+    order = np.random.default_rng(3).permutation(mode_index.size)
+    shuffled = _three_sheet_finals(
+        {key: values[order] for key, values in cells.items()}, modes,
+        mode_index[order], default_config, 65)
+    assert np.array_equal(shuffled, finals[order])
+    for i in range(mode_index.size):
+        alone = _three_sheet_finals(
+            {key: values[[i]] for key, values in cells.items()},
+            [modes[mode_index[i]]], np.zeros(1, dtype=int), default_config,
+            65)
+        assert alone[0] == finals[i]
+    assert len(set(finals.tolist())) == finals.size
 
 
 def test_invalid_geometry_cells_are_nan(default_config):

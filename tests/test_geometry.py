@@ -1,12 +1,15 @@
 """Arc geometry, separation profiles, coupling schedules, adiabaticity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from graphene_spp import geometry
 from graphene_spp.coupling import coupling_at_separations
 from graphene_spp.geometry import (DeviceGeometry, GeometryError,
-                                   adiabaticity_report, build_schedule,
-                                   sheet_separations)
+                                   _omega1_table, adiabaticity_report,
+                                   build_schedule, sheet_separations)
 
 
 def _geom(radius=800e-9, offset=200e-9, min_gap=20e-9, length=1e-6):
@@ -120,3 +123,90 @@ def test_mixing_angle_monotone_section(default_mode):
     report = adiabaticity_report(schedule)
     assert report.mixing_angle[0] < 0.2
     assert report.mixing_angle[-1] > np.pi / 2 - 0.2
+
+
+def _layouts():
+    """Per-device SI arrays of five valid layouts, two of them shared."""
+    return {"length": np.array([1.0e-6, 0.8e-6, 1.2e-6, 1.0e-6, 0.9e-6]),
+            "radius": np.array([800e-9, 700e-9, 1.1e-6, 800e-9, 650e-9]),
+            "offset": np.array([200e-9, 150e-9, 130e-9, 200e-9, 0.0])}
+
+
+@pytest.mark.parametrize("field, row, value, message", [
+    ("radius", 1, np.nan, "radius must be finite"),
+    ("offset", 2, np.inf, "offset must be finite"),
+    ("length", 4, -np.inf, "length must be finite"),
+    ("radius", 0, -5e-9, "radius must be > 0"),
+    ("offset", 3, -1e-9, "offset must be >= 0"),
+    ("length", 1, 0.0, "length must be > 0"),
+    ("radius", 2, 500e-9, "arcs do not span the device"),
+])
+def test_table_rejects_any_bad_row_like_device_geometry(default_mode, field,
+                                                        row, value, message):
+    cells = _layouts()
+    cells[field][row] = value
+    fields = {"radius": cells["radius"][row], "offset": cells["offset"][row],
+              "min_gap": 20e-9, "length": cells["length"][row]}
+    with pytest.raises(GeometryError, match=message):
+        DeviceGeometry(**fields)
+    with pytest.raises(GeometryError, match=message):
+        _omega1_table(cells["length"], cells["radius"], cells["offset"],
+                      20e-9, [default_mode], np.zeros(5, dtype=int), 129,
+                      "vacuum")
+
+
+@pytest.mark.parametrize("min_gap, message", [
+    (np.nan, "min_gap must be finite"), (0.0, "min_gap must be > 0")])
+def test_table_rejects_bad_min_gap(default_mode, min_gap, message):
+    cells = _layouts()
+    with pytest.raises(GeometryError, match=message):
+        _omega1_table(cells["length"], cells["radius"], cells["offset"],
+                      min_gap, [default_mode], np.zeros(5, dtype=int), 129,
+                      "vacuum")
+
+
+def test_table_rejects_short_grids(default_mode):
+    cells = _layouts()
+    with pytest.raises(ValueError, match="at least 64"):
+        _omega1_table(cells["length"], cells["radius"], cells["offset"],
+                      20e-9, [default_mode], np.zeros(5, dtype=int), 63,
+                      "vacuum")
+
+
+@pytest.mark.parametrize("n_samples", [129, 4097])
+def test_table_rows_are_bitwise_per_device_schedules(default_config,
+                                                     monkeypatch, n_samples):
+    # a shuffled batch: three interleaved modes on layouts that repeat
+    # across modes, so separations are shared and couplings are grouped;
+    # at 4097 samples each mode's rows take several capped calls
+    sizes = []
+
+    def recorded(mode, d, k0_convention):
+        sizes.append(np.size(d))
+        return coupling_at_separations(mode, d, k0_convention)
+
+    monkeypatch.setattr(geometry, "coupling_at_separations", recorded)
+    modes = [replace(default_config, E_F_eV=fermi).solve_mode()
+             for fermi in (0.1, 0.15, 0.2)]
+    cells = {key: np.tile(values, 3) for key, values in _layouts().items()}
+    mode_index = np.repeat(np.arange(3), 5)
+    order = np.random.default_rng(7).permutation(mode_index.size)
+    cells = {key: values[order] for key, values in cells.items()}
+    mode_index = mode_index[order]
+    for convention in ("vacuum", "film"):
+        sizes.clear()
+        table = _omega1_table(cells["length"], cells["radius"],
+                              cells["offset"], 20e-9, modes, mode_index,
+                              n_samples, convention)
+        assert sum(sizes) == table.size
+        assert max(sizes) <= geometry._COUPLING_BLOCK
+        for i in range(mode_index.size):
+            geom = _geom(radius=cells["radius"][i], offset=cells["offset"][i],
+                         length=cells["length"][i])
+            mode = modes[mode_index[i]]
+            schedule = build_schedule(geom, mode, n_samples, convention)
+            assert np.array_equal(table[i], schedule.omega1)
+            # and the per-device separations path, bit for bit
+            d1, _ = sheet_separations(geom, schedule.x_grid)
+            c1, _ = coupling_at_separations(mode, d1, convention)
+            assert np.array_equal(table[i], np.abs(c1.real))
