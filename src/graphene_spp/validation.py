@@ -44,6 +44,12 @@ REFERENCE_VALUES = {
 REFERENCE_WAVEVECTOR_PER_UM = 35.0
 LOSSY_PAPER_BAND = (0.6, 0.9)
 LOSSY_ACCEPTANCE_BAND = (0.4, 1.0)
+# Each oracle's pass flag is f"{name}_pass"; its reported error is named here.
+ORACLE_METRICS = (("overlap", "overlap_vs_quadrature_max_relative"),
+                  ("dispersion", "dispersion_residual_max"),
+                  ("two_level", "two_level_vs_analytic_max"),
+                  ("expm", "expm_vs_analytic_max"),
+                  ("staircase", "staircase_vs_integrator_max"))
 
 
 def _comparison(name: str, computed: float, reference: float, unit: str,
@@ -211,18 +217,24 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
         np.random.default_rng(child)
         for child in np.random.SeedSequence(seed).spawn(3))
 
+    # Tight enough that the quadrature's own error estimate stays below
+    # 1e-12 relative on every case (notes/decisions.md, "Oracles as stacks").
     tight = oracles.QuadratureSpec(absolute_tolerance=1e-300,
-                                   relative_tolerance=1e-11,
+                                   relative_tolerance=5e-14,
                                    max_subdivisions=65536)
     overlap_max = 0.0
+    overlap_estimate_max = 0.0
     for _ in range(100):
         k = complex(overlap_rng.uniform(0.2, 3.0) * 1e8,
                     overlap_rng.uniform(-0.3, 0.3) * 1e8)
         d = overlap_rng.uniform(1.0, 100.0) * 1e-9
         closed = complex(overlap_integral(k, d))
-        reference = oracles.overlap_quadrature(k, k, d, tight)
+        reference, details = oracles.overlap_quadrature(
+            k, k, d, tight, return_details=True)
         overlap_max = max(overlap_max,
                           abs(closed - reference) / abs(reference))
+        overlap_estimate_max = max(
+            overlap_estimate_max, details["error_estimate"] / abs(reference))
 
     residual_max = 0.0
     for _ in range(60):
@@ -272,6 +284,7 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
     return {
         "seed": seed,
         "overlap_vs_quadrature_max_relative": overlap_max,
+        "overlap_error_estimate_max": overlap_estimate_max,
         "overlap_pass": bool(overlap_max < 1e-8),
         "dispersion_residual_max": residual_max,
         "dispersion_pass": bool(residual_max < 1e-10),
@@ -346,13 +359,13 @@ def render_validation_text(report: dict) -> str:
         suite = report["oracle_suite"]
         lines.append("")
         lines.append(f"oracle suite (seed {suite['seed']}):")
-        for key in ("overlap", "dispersion", "two_level", "expm",
-                    "staircase"):
-            passed = suite[f"{key}_pass"]
-            metric = [k for k in suite if k.startswith(key) and
-                      not k.endswith("_pass")][0]
-            status = "pass" if passed else "FAIL"
+        for key, metric in ORACLE_METRICS:
+            status = "pass" if suite[f"{key}_pass"] else "FAIL"
             lines.append(f"  [{status}] {key}: max error "
-                         f"{suite[metric]:.3e}")
+                         f"{suite[metric]:.3e} ({metric})")
+            if key == "overlap":
+                lines.append("         quadrature error estimate "
+                             f"{suite['overlap_error_estimate_max']:.3e} "
+                             "(overlap_error_estimate_max)")
     lines.append("")
     return "\n".join(lines)

@@ -13,6 +13,7 @@ import pytest
 import graphene_spp
 from graphene_spp.cli import main
 from graphene_spp.io import read_csv
+from graphene_spp.validation import ORACLE_METRICS
 
 
 def _cfg(tmp_path, extra=""):
@@ -179,8 +180,15 @@ def test_verify_writes_validation_reports(tmp_path, capsys):
     report = json.loads((out / "validation.json").read_text())
     assert "comparisons" in report
     assert report["oracle_suite"]["seed"] == 3
+    assert report["oracle_suite"]["overlap_error_estimate_max"] <= 1e-12
     text = (out / "validation.txt").read_text()
     assert "oracle suite" in text
+    lines = text.splitlines()
+    for name, metric in ORACLE_METRICS:
+        line, = [entry for entry in lines if f"] {name}: " in entry]
+        assert line.endswith(f"({metric})")
+        assert metric in report["oracle_suite"]
+    assert any("(overlap_error_estimate_max)" in entry for entry in lines)
     captured = capsys.readouterr()
     assert "validation.json" in captured.out
 

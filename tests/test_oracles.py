@@ -1,10 +1,14 @@
 """Independent reference implementations: quadrature, residuals, expm."""
 
+import ast
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
+import graphene_spp
 from graphene_spp.coupling import overlap_integral
 from graphene_spp.dynamics import (ChainHamiltonian, propagate,
                                    two_level_analytic)
@@ -13,6 +17,7 @@ from graphene_spp.materials import drude_conductivity
 from graphene_spp.oracles import (OracleFailure, QuadratureSpec,
                                   dispersion_residual, expm_reference,
                                   overlap_quadrature, staircase_evolution)
+from tests.conftest import as_complex
 
 TIGHT = QuadratureSpec(absolute_tolerance=1e-300, relative_tolerance=1e-11,
                        max_subdivisions=65536)
@@ -42,6 +47,7 @@ def test_overlap_quadrature_known_integral():
 
 @pytest.mark.parametrize("k, d", [
     (1e8, float("nan")),
+    (1e8, float("inf")),
     (float("nan"), 20e-9),
     (complex(1e8, float("nan")), 20e-9),
 ])
@@ -50,6 +56,55 @@ def test_overlap_quadrature_rejects_nan_up_front(k, d):
     # constant must not spend the subdivision budget before failing
     with pytest.raises(ValueError):
         overlap_quadrature(k, k, d, TIGHT)
+
+
+def test_overlap_quadrature_matches_simpson_goldens_and_closed_form(goldens):
+    # the goldens hold the values of the adaptive Simpson rule this
+    # Gauss-Kronrod rule replaced (about 1e-11 from the closed form)
+    for case in goldens["overlap_cases"]:
+        k = as_complex(case["k"])
+        value = overlap_quadrature(k, k, case["d_m"], TIGHT)
+        simpson = as_complex(case["quadrature"])
+        closed = as_complex(case["closed_form"])
+        assert abs(value - simpson) <= 1e-10 * abs(simpson)
+        assert abs(value - closed) <= 1e-12 * abs(closed)
+
+
+@pytest.mark.parametrize("relative", [1e-11, 1e-13])
+def test_overlap_error_estimate_bounds_true_error(relative):
+    spec = QuadratureSpec(absolute_tolerance=1e-300,
+                          relative_tolerance=relative, max_subdivisions=65536)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        k = complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8))
+        d = rng.uniform(1e-9, 100e-9)
+        value, details = overlap_quadrature(k, k, d, spec,
+                                            return_details=True)
+        assert details["error_estimate"] >= abs(value - overlap_integral(k, d))
+        assert details["tail_bound"] < 1e-12 * abs(value)
+
+
+def test_overlap_quadrature_panel_budget_runs_out():
+    spec = QuadratureSpec(absolute_tolerance=1e-300, relative_tolerance=1e-15,
+                          max_subdivisions=16)
+    with pytest.raises(OracleFailure):
+        overlap_quadrature(2.0e8, 2.0e8, 25e-9, spec)
+
+
+def test_oracles_import_only_stdlib_and_numpy():
+    # agreement with an oracle is evidence only while the oracle shares no
+    # code with the paths it checks
+    path = pathlib.Path(graphene_spp.__file__).with_name("oracles.py")
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in oracles"
+            roots.add(node.module.split(".")[0])
+    assert "numpy" in roots
+    assert roots - {"numpy"} <= set(sys.stdlib_module_names)
+    assert not roots & {"graphene_spp", "scipy"}
 
 
 def test_quadrature_spec_validation():
@@ -104,6 +159,16 @@ def test_expm_damps_with_loss():
     assert norm == pytest.approx(math.exp(-2 * 2.0e5 * 1.0e-6), rel=1e-10)
 
 
+@pytest.mark.parametrize("matrix, span", [
+    ([[0.0, float("nan")], [1.0, 0.0]], 1.0),
+    ([[0.0, 1.0], [1.0, float("inf")]], 1.0),
+    ([[0.0, 1.0], [1.0, 0.0]], float("nan")),
+])
+def test_expm_rejects_non_finite_input(matrix, span):
+    with pytest.raises(ValueError):
+        expm_reference(matrix, [1.0, 0.0], span)
+
+
 def test_expm_rejects_large_chains():
     with pytest.raises((OracleFailure, ValueError)):
         expm_reference(ChainHamiltonian(tuple([1.0] * 9)), [1.0] + [0.0] * 9,
@@ -142,3 +207,46 @@ def test_staircase_with_uniform_loss(default_config, default_mode):
     span = schedule.x_grid[-1] - schedule.x_grid[0]
     predicted = lossless * math.exp(-alpha * span)
     assert np.abs(lossy - predicted).max() < 1e-10
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+def test_staircase_stack_matches_stepwise_expm(default_config, default_mode,
+                                               lossy):
+    schedule = build_schedule(default_config.geometry(), default_mode, 257,
+                              default_config.k0_convention)
+    alpha = default_mode.q.imag if lossy else 0.0
+    start = np.array([1.0, 0.0, 0.0], dtype=complex)
+    x, o1, o2 = schedule.x_grid, schedule.omega1, schedule.omega2
+    # reference: one expm_reference call per interval, knot-average couplings
+    expected = start
+    for j in range(len(x) - 1):
+        w1 = 0.5 * (o1[j] + o1[j + 1])
+        w2 = 0.5 * (o2[j] + o2[j + 1])
+        m = np.array([[0.0, w1, 0.0], [w1, 0.0, w2], [0.0, w2, 0.0]],
+                     dtype=complex) - 1j * alpha * np.eye(3)
+        expected = expm_reference(m, expected, x[j + 1] - x[j])
+    stacked = staircase_evolution(x, o1, o2, start, loss=alpha)
+    assert np.abs(stacked - expected).max() < 1e-13
+
+
+_GRID = np.linspace(0.0, 1e-6, 5)
+_RAMP = np.linspace(1e6, 2e6, 5)
+
+
+@pytest.mark.parametrize("x, o1, o2, loss", [
+    (np.r_[_GRID[:-1], np.nan], _RAMP, _RAMP, 0.0),
+    (_GRID, np.r_[_RAMP[:-1], np.inf], _RAMP, 0.0),
+    (_GRID, _RAMP, np.r_[np.nan, _RAMP[1:]], 0.0),
+    (_GRID, _RAMP[:-1], _RAMP, 0.0),
+    (_GRID, _RAMP, _RAMP[1:], 0.0),
+    (_GRID[::-1], _RAMP, _RAMP, 0.0),
+    (np.r_[_GRID[:2], _GRID[1:-1]], _RAMP, _RAMP, 0.0),
+    (_GRID[:1], _RAMP[:1], _RAMP[:1], 0.0),
+    (_GRID, _RAMP, _RAMP, float("nan")),
+    (_GRID, _RAMP, _RAMP, [0.0, float("inf"), 0.0]),
+], ids=["nan-grid", "inf-omega1", "nan-omega2", "short-omega1",
+        "short-omega2", "decreasing", "repeated-knot", "one-knot",
+        "nan-loss", "inf-loss"])
+def test_staircase_rejects_bad_input(x, o1, o2, loss):
+    with pytest.raises(ValueError):
+        staircase_evolution(x, o1, o2, [1.0, 0.0, 0.0], loss=loss)
