@@ -29,14 +29,18 @@ from .geometry import (GeometryError, adiabaticity_report, build_schedule,
                        sheet_separations)
 from .io import emit_csv, emit_json, ensure_directory
 from .materials import MaterialDomainError
-from .oracles import OracleFailure
 from .svg import emit_svg_heatmap, emit_svg_lines
 from .validation import (VERSION, build_validation_report,
                          render_validation_text)
 
+
+class VerificationError(RuntimeError):
+    """verify stopped: an oracle could not produce a trustworthy reference."""
+
+
 _USER_ERRORS = (ConfigError, ExperimentError, GeometryError,
                 CouplingDomainError, MaterialDomainError, NoBoundModeError,
-                ConvergenceError, PropagationError, OracleFailure, OSError)
+                ConvergenceError, PropagationError, VerificationError, OSError)
 
 
 def _shared_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -324,8 +328,15 @@ def _run_robustness(config: RunConfig, out: str, figure: str,
 
 
 def _run_verify(config: RunConfig, out: str, seed: int) -> list[str]:
+    # Only verify runs an oracle, so only it imports the module.
+    from .oracles import OracleFailure
+
     chash = config_hash(config)
-    report = build_validation_report(config, include_oracles=True, seed=seed)
+    try:
+        report = build_validation_report(config, include_oracles=True,
+                                         seed=seed)
+    except OracleFailure as exc:
+        raise VerificationError(f"oracle failure: {exc}") from exc
     text = render_validation_text(report)
     json_path = os.path.join(out, "validation.json")
     emit_json(json_path, report, chash, VERSION)

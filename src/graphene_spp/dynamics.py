@@ -1,12 +1,13 @@
 """Propagation of the lossless coupled-amplitude equations i da/dx = H(x) a.
 
-Both device integrators are classic fixed-step RK4. `propagate` interpolates
-the schedule's couplings linearly inside each interval (substeps split an
-interval exactly), which limits its order against the continuous device to 2.
-The batch kernel takes the exact coupling at every interval midpoint as well
-as at the knots, so its stages see the continuous device and it is 4th order.
-For a constant Hamiltonian one step is a fixed matrix, so a chain is a power
-of it, built by repeated squaring.
+Both device integrators are classic fixed-step RK4 whose stages take the
+exact couplings at every knot and interval midpoint, so they see the
+continuous device and are 4th order. `propagate` records one device at every
+knot: in the basis (a0, i a1, a2) the chain is real, so each interval's step
+is a real 3x3 matrix, and the trajectory is a blocked scan of their products.
+The batch kernel steps many devices at once and keeps only their final
+amplitudes. For a constant Hamiltonian one step is a fixed matrix, so a chain
+is a power of it, built by repeated squaring.
 
 Uniform damping commutes with H, so a(x) = exp(-alpha (x - x0)) a_lossless(x)
 exactly. No integrator here carries loss: `Trajectory.damped` applies that
@@ -27,6 +28,10 @@ from .geometry import CouplingSchedule, DeviceGeometry, sheet_separations
 
 # Knots per block of tabulated coupling factors in propagate_batch_three.
 _KNOT_BLOCK = 32
+# Intervals per block of step matrices in propagate, and steps per group of
+# its scan's running products.
+_STEP_BLOCK = 512
+_SCAN_GROUP = 32
 
 
 class PropagationError(RuntimeError):
@@ -98,67 +103,105 @@ def _substeps_for(spacing: float, step: float | None) -> int:
     return max(1, math.ceil(spacing / step - 1e-12))
 
 
+def _chain_generators(omega1, omega2):
+    """(..., 3, 3) real generators G of ds/dx = G s, where s = (a0, i a1,
+    a2): the lossless chain da/dx = -i H a in a basis where it is real."""
+    g = np.zeros(omega1.shape + (3, 3))
+    g[..., 1, 0] = omega1
+    g[..., 0, 1] = -omega1
+    g[..., 1, 2] = omega2
+    g[..., 2, 1] = -omega2
+    return g
+
+
+def _rk4_interval_matrices(h, g_start, g_mid, g_end):
+    """(n, 3, 3) RK4 step matrices of ds/dx = G(x) s over n intervals of
+    widths h, from the generators at each interval's start, midpoint and
+    end: the classic stages applied to a matrix instead of a vector."""
+    eye = np.eye(3)
+    h = h[:, None, None]
+    k1 = g_start
+    k2 = g_mid @ (eye + 0.5 * h * k1)
+    k3 = g_mid @ (eye + 0.5 * h * k2)
+    k4 = g_end @ (eye + h * k3)
+    return eye + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _scan(steps, s0):
+    """The states P_0 s0, P_1 P_0 s0, ... of a (n, 3, 3) stack of real step
+    matrices P_j, with complex states held as real (3, 2) pairs of columns.
+
+    The steps are split into groups of _SCAN_GROUP; the running products
+    within every group are formed together, one matmul per position, and
+    one carried state per group then gives every state by one broadcast
+    product. Returns (n, 3, 2).
+    """
+    n = len(steps)
+    groups = -(-n // _SCAN_GROUP)
+    padded = np.empty((groups * _SCAN_GROUP, 3, 3))
+    padded[:n] = steps
+    padded[n:] = np.eye(3)
+    padded = padded.reshape(groups, _SCAN_GROUP, 3, 3)
+    products = np.empty_like(padded)
+    products[:, 0] = padded[:, 0]
+    for k in range(1, _SCAN_GROUP):
+        np.matmul(padded[:, k], products[:, k - 1], out=products[:, k])
+    carries = np.empty((groups, 3, 2))
+    carries[0] = s0
+    for g in range(1, groups):
+        carries[g] = products[g - 1, -1] @ carries[g - 1]
+    return (products @ carries[:, None]).reshape(-1, 3, 2)[:n]
+
+
 def propagate(schedule: CouplingSchedule, initial,
               step: float | None = None) -> Trajectory:
     """Integrate the lossless three-channel system along the schedule.
 
-    initial is the unit-norm vector of the three channel amplitudes. step,
-    when given, must not exceed the schedule spacing and is rounded to an
-    exact subdivision of it. Loss is `Trajectory.damped` on the result.
+    initial is the unit-norm vector of the three channel amplitudes. Each
+    interval is one RK4 step whose stages take the schedule's couplings at
+    the interval's start, exact midpoint and end, so the run is 4th order
+    against the continuous device. step, when given, must not exceed the
+    schedule spacing and is rounded to m = ceil(spacing / step) exact
+    substeps; their couplings come from the quadratic through the start,
+    midpoint and end samples, as in `propagate_batch_three`. Loss is
+    `Trajectory.damped` on the result.
+
+    In the basis s = (a0, i a1, a2) the chain is real, so every step is a
+    real 3x3 matrix. They are built and scanned in blocks of _STEP_BLOCK
+    intervals, and the trajectory is recorded at every knot.
     """
     a = np.asarray(initial, dtype=complex)
     if a.shape != (3,):
         raise ValueError("schedule propagation drives a three-channel system")
-    if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > 1e-6:
+    if not abs(float(np.sum(np.abs(a) ** 2)) - 1.0) <= 1e-6:
         raise ValueError("initial state must have unit norm for intensity "
                          "semantics")
     x = schedule.x_grid
-    o1 = schedule.omega1
-    o2 = schedule.omega2
     m = _substeps_for(schedule.spacing, step)
-
+    basis = np.array([1.0, 1j, 1.0])
+    # couplings at every substep's start, midpoint and end fraction
+    w_start, w_mid, w_end = _quadratic_weights(np.arange(2 * m + 1) / (2 * m))
     out = np.empty((len(x), 3), dtype=complex)
-    a0, a1, a2 = complex(a[0]), complex(a[1]), complex(a[2])
-    out[0] = (a0, a1, a2)
-    for j in range(len(x) - 1):
-        h = (x[j + 1] - x[j]) / m
-        w1a, w1d = o1[j], o1[j + 1] - o1[j]
-        w2a, w2d = o2[j], o2[j + 1] - o2[j]
-        for s in range(m):
-            t0 = s / m
-            tm = (s + 0.5) / m
-            t1 = (s + 1.0) / m
-            u1_0, u2_0 = w1a + w1d * t0, w2a + w2d * t0
-            u1_m, u2_m = w1a + w1d * tm, w2a + w2d * tm
-            u1_1, u2_1 = w1a + w1d * t1, w2a + w2d * t1
-
-            k0 = -1j * u1_0 * a1
-            k1 = -1j * (u1_0 * a0 + u2_0 * a2)
-            k2 = -1j * u2_0 * a1
-
-            b0, b1, b2 = a0 + 0.5 * h * k0, a1 + 0.5 * h * k1, a2 + 0.5 * h * k2
-            l0 = -1j * u1_m * b1
-            l1 = -1j * (u1_m * b0 + u2_m * b2)
-            l2 = -1j * u2_m * b1
-
-            b0, b1, b2 = a0 + 0.5 * h * l0, a1 + 0.5 * h * l1, a2 + 0.5 * h * l2
-            m0 = -1j * u1_m * b1
-            m1 = -1j * (u1_m * b0 + u2_m * b2)
-            m2 = -1j * u2_m * b1
-
-            b0, b1, b2 = a0 + h * m0, a1 + h * m1, a2 + h * m2
-            n0 = -1j * u1_1 * b1
-            n1 = -1j * (u1_1 * b0 + u2_1 * b2)
-            n2 = -1j * u2_1 * b1
-
-            a0 += h / 6.0 * (k0 + 2.0 * (l0 + m0) + n0)
-            a1 += h / 6.0 * (k1 + 2.0 * (l1 + m1) + n1)
-            a2 += h / 6.0 * (k2 + 2.0 * (l2 + m2) + n2)
-        if not (math.isfinite(a0.real) and math.isfinite(a0.imag)
-                and math.isfinite(a1.real) and math.isfinite(a1.imag)
-                and math.isfinite(a2.real) and math.isfinite(a2.imag)):
-            raise PropagationError("non-finite amplitude", float(x[j + 1]))
-        out[j + 1] = (a0, a1, a2)
+    out[0] = basis * a
+    pairs = out.view(float).reshape(len(x), 3, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, len(x) - 1, _STEP_BLOCK):
+            j1 = min(j0 + _STEP_BLOCK, len(x) - 1)
+            generators = _chain_generators(*(
+                w_start * knots[j0:j1] + w_mid * mid[j0:j1]
+                + w_end * knots[j0 + 1:j1 + 1]
+                for knots, mid in ((schedule.omega1, schedule.omega1_mid),
+                                   (schedule.omega2, schedule.omega2_mid))))
+            h = (x[j0 + 1:j1 + 1] - x[j0:j1]) / m
+            steps = _rk4_interval_matrices(h, *generators[0:3])
+            for i in range(2, 2 * m, 2):
+                steps = _rk4_interval_matrices(
+                    h, *generators[i:i + 3]) @ steps
+            pairs[j0 + 1:j1 + 1] = _scan(steps, pairs[j0])
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise PropagationError("non-finite amplitude", float(x[bad[0]]))
+    out /= basis
     return Trajectory(x_grid=x.copy(), amplitudes=out)
 
 

@@ -221,8 +221,8 @@ class DeviceRun:
 
 
 def run_device(config: RunConfig) -> DeviceRun:
-    """Solve the mode, build the coupling schedule, and propagate (1, 0, 0)
-    once, without loss."""
+    """Solve the mode, build the coupling schedule (knots and exact
+    midpoints), and propagate (1, 0, 0) once, without loss, at 4th order."""
     mode = config.solve_mode()
     schedule = build_schedule(config.geometry(), mode, config.n_samples,
                               config.k0_convention)

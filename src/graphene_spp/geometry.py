@@ -8,7 +8,7 @@ propagation axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,28 +87,39 @@ def sheet_separations(geom: DeviceGeometry, x):
 class CouplingSchedule:
     """Sampled coupling strengths along the device.
 
-    omega1 couples input and middle sheets, omega2 couples middle and output.
+    omega1 couples input and middle sheets, omega2 couples middle and output;
+    both are sampled at the knots x_grid. omega1_mid and omega2_mid are the
+    exact couplings at the n - 1 interval midpoints, which the RK4 stages
+    need to see the continuous device.
     """
 
     x_grid: np.ndarray
     omega1: np.ndarray
     omega2: np.ndarray
+    omega1_mid: np.ndarray
+    omega2_mid: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x_grid, dtype=float)
-        o1 = np.asarray(self.omega1, dtype=float)
-        o2 = np.asarray(self.omega2, dtype=float)
+        # Contiguous copies of strided views: numpy's vectorized arctan2 and
+        # friends can round strided input differently in the last bit.
+        names = [field.name for field in fields(self)]
+        x, o1, o2, mid1, mid2 = values = [
+            np.ascontiguousarray(getattr(self, name), dtype=float)
+            for name in names]
         if not (len(x) == len(o1) == len(o2)) or len(x) < 2:
             raise ValueError("schedule arrays must share a length >= 2")
+        if not len(mid1) == len(mid2) == len(x) - 1:
+            raise ValueError("midpoint couplings must have one sample per "
+                             "interval")
         if np.any(np.diff(x) <= 0):
             raise ValueError("x_grid must be strictly increasing")
-        if not (np.all(np.isfinite(o1)) and np.all(np.isfinite(o2))):
+        couplings = values[1:]
+        if not all(np.all(np.isfinite(o)) for o in couplings):
             raise ValueError("couplings must be finite")
-        if np.any(o1 < 0) or np.any(o2 < 0):
+        if any(np.any(o < 0) for o in couplings):
             raise ValueError("couplings must be non-negative")
-        object.__setattr__(self, "x_grid", x)
-        object.__setattr__(self, "omega1", o1)
-        object.__setattr__(self, "omega2", o2)
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     @property
     def spacing(self) -> float:
@@ -120,18 +131,27 @@ def build_schedule(geom: DeviceGeometry, mode: SppMode, n_samples: int = 4096,
     """Sample Omega_i(x) = |Re C(d_i(x))| on a uniform grid over [-L/2, L/2].
 
     The one-device view of the schedule table that every three-sheet run
-    is built from (_omega1_table): the same grid, separations and
-    couplings, bit for bit, as that device's row in a sweep's table. The
-    arcs are mirror images, d2(x) = d1(-x), so on the exactly
-    antisymmetric grid omega2 is omega1 reversed.
+    is built from (_omega1_table): one row of 2 n_samples - 1 samples,
+    whose even samples are the knots and whose odd samples are the exact
+    interval midpoints. The linspace step L/(2n - 2) is exactly half of
+    L/(n - 1), so the knots are, bit for bit, the grid, separations and
+    couplings of an n_samples table row. The arcs are mirror images,
+    d2(x) = d1(-x), so on the exactly antisymmetric grid omega2 is omega1
+    reversed.
     """
+    if n_samples < 64:
+        raise ValueError("n_samples must be at least 64")
     length = np.array([geom.length])
+    samples = 2 * n_samples - 1
     omega1 = _omega1_table(length, np.array([geom.radius]),
                            np.array([geom.offset]), geom.min_gap, [mode],
-                           np.zeros(1, dtype=int), n_samples,
+                           np.zeros(1, dtype=int), samples,
                            k0_convention)[0]
-    return CouplingSchedule(x_grid=_antisymmetric_grid(length, n_samples)[0],
-                            omega1=omega1, omega2=omega1[::-1].copy())
+    omega2 = omega1[::-1]
+    x = _antisymmetric_grid(length, samples)[0]
+    return CouplingSchedule(x_grid=x[::2], omega1=omega1[::2],
+                            omega2=omega2[::2], omega1_mid=omega1[1::2],
+                            omega2_mid=omega2[1::2])
 
 
 def _antisymmetric_grid(length: np.ndarray, n_samples: int) -> np.ndarray:

@@ -203,21 +203,26 @@ _STAIRCASE_BLOCK = 128
 def staircase_evolution(x_grid, omega1, omega2, a0, loss=0.0) -> np.ndarray:
     """Piecewise-constant reference propagation of the three-channel system.
 
-    Interval j carries the knot averages of the couplings, so this is the
-    reference for the linearly interpolated system, with -i loss on the
-    diagonal inside each interval's exponential. Second-order accurate in
-    the grid spacing. The interval propagators come from batched
-    eigendecompositions of (n, 3, 3) stacks of consecutive intervals; a
-    completely separate code path from the production integrator.
+    omega1 and omega2 hold one coupling per interval (len(x_grid) - 1
+    values), constant across it, with -i loss on the diagonal inside each
+    interval's exponential. Fed the couplings at the interval midpoints,
+    this is the midpoint rule for the continuous device; fed the knot
+    averages, it is the reference for the linearly interpolated system.
+    Either way it is second-order accurate in the grid spacing. The
+    interval propagators come from batched eigendecompositions of
+    (n, 3, 3) stacks of consecutive intervals; a completely separate code
+    path from the production integrator.
     """
     x = np.asarray(x_grid, dtype=float)
-    o1 = np.asarray(omega1, dtype=float)
-    o2 = np.asarray(omega2, dtype=float)
-    if x.ndim != 1 or x.size < 2 or o1.shape != x.shape or o2.shape != x.shape:
-        raise ValueError("x_grid, omega1 and omega2 must be 1-D arrays of "
-                         "one length, at least 2")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(o1))
-            and np.all(np.isfinite(o2))):
+    w1 = np.asarray(omega1, dtype=float)
+    w2 = np.asarray(omega2, dtype=float)
+    if (x.ndim != 1 or x.size < 2 or w1.shape != (x.size - 1,)
+            or w2.shape != w1.shape):
+        raise ValueError("x_grid must be a 1-D array of at least 2 knots, "
+                         "and omega1 and omega2 must hold one coupling per "
+                         "interval")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w1))
+            and np.all(np.isfinite(w2))):
         raise ValueError("x_grid, omega1 and omega2 must be finite")
     h = np.diff(x)
     if not np.all(h > 0):
@@ -225,8 +230,6 @@ def staircase_evolution(x_grid, omega1, omega2, a0, loss=0.0) -> np.ndarray:
     alpha = np.broadcast_to(np.asarray(loss, dtype=float), (3,))
     if not np.all(np.isfinite(alpha)):
         raise ValueError("loss must be finite")
-    w1 = 0.5 * (o1[:-1] + o1[1:])
-    w2 = 0.5 * (o2[:-1] + o2[1:])
     a = np.asarray(a0, dtype=complex)
     # Blocks of intervals bound the stacks' memory (about 1 kB per interval).
     for start in range(0, h.size, _STAIRCASE_BLOCK):

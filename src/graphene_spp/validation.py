@@ -17,7 +17,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import oracles
 from .config import RunConfig, config_hash
 from .coupling import coupling_coefficient, overlap_integral
 from .dispersion import (INFINITE_PROPAGATION, confinement_length,
@@ -213,6 +212,9 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
     and chain checks draw from independent child streams of the seed, so
     changing what one check draws leaves the others' inputs unchanged.
     """
+    # Only verify runs an oracle, so only it loads the module.
+    from . import oracles
+
     overlap_rng, residual_rng, chain_rng = (
         np.random.default_rng(child)
         for child in np.random.SeedSequence(seed).spawn(3))
@@ -275,10 +277,12 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
                                   config.k0_convention)
         integrated = propagate(schedule, start_vec).amplitudes[-1]
         staircase = oracles.staircase_evolution(
-            schedule.x_grid, schedule.omega1, schedule.omega2, start_vec)
+            schedule.x_grid, schedule.omega1_mid, schedule.omega2_mid,
+            start_vec)
         staircase_errors.append(float(np.abs(integrated - staircase).max()))
     staircase_max = staircase_errors[0]
-    # Second-order reference: doubling the grid must cut the gap about 4x.
+    # The midpoint staircase is second order and the integrator fourth:
+    # doubling the grid must cut the gap about 4x.
     staircase_order_ok = staircase_errors[1] < 0.5 * staircase_errors[0]
 
     return {

@@ -245,6 +245,24 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oracle_failure_in_verify_exits_2(tmp_path, monkeypatch, capsys):
+    # an oracle that cannot produce a reference is a named failure of
+    # verify, reported like any other, never a traceback or a pass
+    import graphene_spp.validation as validation
+    from graphene_spp.oracles import OracleFailure
+
+    def failing(config, seed=0):
+        raise OracleFailure("panel budget exhausted")
+
+    monkeypatch.setattr(validation, "run_oracle_suite", failing)
+    out = tmp_path / "out"
+    assert main(["--config", _cfg(tmp_path), "--out", str(out), "verify",
+                 "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle failure: panel budget exhausted")
+    assert not (out / "validation.json").exists()
+
+
 def test_internal_value_error_escapes_main(tmp_path, monkeypatch):
     # only the named user-input errors exit 2; a bare ValueError is a bug
     import graphene_spp.cli as cli
@@ -376,3 +394,27 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["codes"] == [0, 0]
     assert result["loaded"] == {"import": [], "runs": []}
+
+
+_ORACLES_PROBE = """
+import json, sys
+import graphene_spp.cli as cli
+loaded = {"import": "graphene_spp.oracles" in sys.modules}
+code = cli.main(["--out", sys.argv[1], "robustness-sweep", "--figure", "4b",
+                 "--grid", "3x3"])
+loaded["fig4b"] = "graphene_spp.oracles" in sys.modules
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def test_only_verify_loads_the_oracles(tmp_path):
+    # the oracles serve verify alone; every other command would pay for
+    # importing (and, without bytecode caches, compiling) them
+    src = pathlib.Path(graphene_spp.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _ORACLES_PROBE,
+                           str(tmp_path / "out")], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result == {"code": 0, "loaded": {"import": False, "fig4b": False}}

@@ -12,7 +12,7 @@ from graphene_spp.dynamics import (ChainHamiltonian, PropagationError,
                                    propagate, propagate_batch_three,
                                    propagate_batch_two, propagate_constant,
                                    two_level_analytic)
-from graphene_spp.geometry import build_schedule
+from graphene_spp.geometry import CouplingSchedule, build_schedule
 from graphene_spp.oracles import expm_reference
 from tests.conftest import as_complex, continuous_device_finals
 
@@ -79,21 +79,33 @@ def test_dark_state_undefined_at_zero_coupling():
         dark_state(0.0, 0.0)
 
 
+def _quadratic(start, mid, end, t):
+    """The quadratic through an interval's start, midpoint and end samples,
+    at fraction t of the interval."""
+    return ((2.0 * t - 1.0) * (t - 1.0) * start
+            + 4.0 * t * (1.0 - t) * mid + t * (2.0 * t - 1.0) * end)
+
+
 def _propagate_stepwise(schedule, initial, loss, step=None):
-    """propagate with the per-channel loss rates inside every RK4 stage."""
+    """propagate with the per-channel loss rates inside every RK4 stage,
+    one interval and one stage at a time; substep s of m takes its
+    couplings from the quadratic through the interval's start, exact
+    midpoint and end samples at fractions s/m, (s + 1/2)/m, (s + 1)/m."""
     al0, al1, al2 = loss
-    x, o1, o2 = schedule.x_grid, schedule.omega1, schedule.omega2
+    x = schedule.x_grid
     m = 1 if step is None else max(1, math.ceil(schedule.spacing / step
                                                 - 1e-12))
     a0, a1, a2 = (complex(v) for v in initial)
     out = [(a0, a1, a2)]
     for j in range(len(x) - 1):
         h = (x[j + 1] - x[j]) / m
-        w1a, w1d = o1[j], o1[j + 1] - o1[j]
-        w2a, w2d = o2[j], o2[j + 1] - o2[j]
+        samples1 = (schedule.omega1[j], schedule.omega1_mid[j],
+                    schedule.omega1[j + 1])
+        samples2 = (schedule.omega2[j], schedule.omega2_mid[j],
+                    schedule.omega2[j + 1])
 
         def rate(t, b0, b1, b2):
-            u1, u2 = w1a + w1d * t, w2a + w2d * t
+            u1, u2 = _quadratic(*samples1, t), _quadratic(*samples2, t)
             return (-1j * u1 * b1 - al0 * b0,
                     -1j * (u1 * b0 + u2 * b2) - al1 * b1,
                     -1j * u2 * b1 - al2 * b2)
@@ -160,6 +172,9 @@ def test_propagate_rejects_bad_initial_states(default_config, default_mode):
         propagate(schedule, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="unit norm"):
         propagate(schedule, np.array([2.0, 0.0, 0.0], dtype=complex))
+    # a NaN state has no norm; it is bad input, not a numerical blow-up
+    with pytest.raises(ValueError, match="unit norm"):
+        propagate(schedule, np.array([math.nan, 0.0, 0.0]))
 
 
 def test_propagate_step_subdivides(default_config, default_mode):
@@ -173,44 +188,82 @@ def test_propagate_step_subdivides(default_config, default_mode):
         propagate(schedule, START, step=schedule.spacing * 2)
 
 
-def _linear_midpoints(omega):
-    return 0.5 * (omega[:-1] + omega[1:])
+def test_propagate_complex_initial_state_matches_stepwise_loop(
+        default_config, default_mode):
+    # the kernel runs in the real basis (a0, i a1, a2); any complex state
+    # must come back in the channel basis
+    schedule = _schedule(default_config, default_mode, 1025)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        initial = rng.normal(size=3) + 1j * rng.normal(size=3)
+        initial /= np.linalg.norm(initial)
+        got = propagate(schedule, initial).amplitudes
+        expected = _propagate_stepwise(schedule, initial, (0.0,) * 3)
+        assert _relative_gap(got, expected) < 1e-12
+
+
+def test_propagate_reports_blow_up_at_first_nonfinite_knot():
+    # stable couplings, then h * omega = 1e100 from knot 700 of 1025 (past
+    # the first block of step matrices, inside a scan group): the state is
+    # finite at knot 700 and overflows at knot 701
+    x = np.linspace(-0.5e-6, 0.5e-6, 1025)
+    h = x[1] - x[0]
+    omega = np.full(x.size, 1e6)
+    omega[700:] = 1e100 / h
+    mid = 0.5 * (omega[:-1] + omega[1:])
+    schedule = CouplingSchedule(x, omega, 0.5 * omega, mid, 0.5 * mid)
+    with pytest.raises(PropagationError) as caught:
+        propagate(schedule, START)
+    with np.errstate(all="ignore"):
+        reference = _propagate_stepwise(schedule, START, (0.0,) * 3)
+    first = np.flatnonzero(~np.isfinite(reference).all(axis=1))[0]
+    assert first == 701
+    assert caught.value.position == x[first]
+
+
+def test_propagate_is_fourth_order(default_config, default_mode):
+    # the stages take the exact midpoint couplings, so the recorded device
+    # run sees the continuous device: about 16x per halving of h
+    exact = continuous_device_finals(default_config.geometry(), default_mode,
+                                     default_config.k0_convention)
+    errors = [np.abs(propagate(_schedule(default_config, default_mode,
+                                         knots), START).amplitudes[-1]
+                     - exact).max()
+              for knots in (65, 129, 257)]
+    assert errors[0] >= 12.0 * errors[1]
+    assert errors[1] >= 12.0 * errors[2]
+
+
+def _batch_three_of(schedule, substeps):
+    """propagate_batch_three on the schedule's knots and exact midpoints."""
+    return propagate_batch_three(
+        np.array([schedule.spacing]), schedule.omega1[None, :],
+        schedule.omega2[None, :], schedule.omega1_mid[None, :],
+        schedule.omega2_mid[None, :], START[None, :], substeps=substeps)[0]
 
 
 def test_batch_three_matches_scalar_integrator(default_config, default_mode):
-    # fed the midpoints of linear interpolation, the batch kernel integrates
-    # the scalar integrator's interpolated system
+    # fed the same exact midpoints, the batch kernel and the recorded run
+    # integrate one system, substeps included
     schedule = _schedule(default_config, default_mode, 257)
-    h = np.array([schedule.spacing])
     # substeps > 1 is the batch kernel's counterpart of propagate's step
     for substeps in (1, 2):
         step = None if substeps == 1 else schedule.spacing / substeps
         scalar = propagate(schedule, START,
                            step=step).amplitudes[-1]
-        batch = propagate_batch_three(
-            h, schedule.omega1[None, :], schedule.omega2[None, :],
-            _linear_midpoints(schedule.omega1)[None, :],
-            _linear_midpoints(schedule.omega2)[None, :],
-            START[None, :], substeps=substeps)
-        assert np.abs(batch[0] - scalar).max() < 1e-10
+        batch = _batch_three_of(schedule, substeps)
+        assert np.abs(batch - scalar).max() < 1e-12
 
 
 def test_batch_three_is_fourth_order(default_config, default_mode):
     # exact midpoint couplings make the stages sample the continuous device:
     # the error falls about 16x per halving of h (linear interpolation
     # between knots gave 4x)
-    geom = default_config.geometry()
-    exact = continuous_device_finals(geom, default_mode,
+    exact = continuous_device_finals(default_config.geometry(), default_mode,
                                      default_config.k0_convention)
-    errors = []
-    for knots in (65, 129, 257):
-        schedule = _schedule(default_config, default_mode, 2 * knots - 1)
-        finals = propagate_batch_three(
-            np.array([geom.length / (knots - 1)]),
-            schedule.omega1[None, ::2], schedule.omega2[None, ::2],
-            schedule.omega1[None, 1::2], schedule.omega2[None, 1::2],
-            START[None, :])
-        errors.append(np.abs(finals[0] - exact).max())
+    errors = [np.abs(_batch_three_of(_schedule(default_config, default_mode,
+                                               knots), 1) - exact).max()
+              for knots in (65, 129, 257)]
     assert errors[0] >= 12.0 * errors[1]
     assert errors[1] >= 12.0 * errors[2]
 
@@ -228,15 +281,11 @@ def _batch_three_channelwise(h, omega1, omega2, omega1_mid, omega2_mid,
                 -1j * (u1 * b0 + u2 * b2),
                 -1j * u2 * b1)
 
-    def quadratic(start, mid, end, t):
-        return ((2.0 * t - 1.0) * (t - 1.0) * start
-                + 4.0 * t * (1.0 - t) * mid + t * (2.0 * t - 1.0) * end)
-
     for j in range(knots - 1):
         samples1 = omega1[:, j], omega1_mid[:, j], omega1[:, j + 1]
         samples2 = omega2[:, j], omega2_mid[:, j], omega2[:, j + 1]
         for s in range(substeps):
-            u0, um, u1 = ((quadratic(*samples1, t), quadratic(*samples2, t))
+            u0, um, u1 = ((_quadratic(*samples1, t), _quadratic(*samples2, t))
                           for t in (s / substeps, (s + 0.5) / substeps,
                                     (s + 1.0) / substeps))
             k = rate(*u0, *a)

@@ -7,7 +7,8 @@ import pytest
 
 from graphene_spp import geometry
 from graphene_spp.coupling import coupling_at_separations
-from graphene_spp.geometry import (DeviceGeometry, GeometryError,
+from graphene_spp.geometry import (CouplingSchedule, DeviceGeometry,
+                                   GeometryError,
                                    _omega1_table, adiabaticity_report,
                                    build_schedule, sheet_separations)
 
@@ -84,6 +85,49 @@ def test_schedule_mirror_is_bitwise(default_mode):
             _, d2 = sheet_separations(geom, x)
             c2, _ = coupling_at_separations(default_mode, d2)
             assert np.array_equal(schedule.omega2, np.abs(c2.real))
+
+
+def test_schedule_knots_are_even_samples_of_the_midpoint_table(
+        default_config):
+    # one table row of 2n - 1 samples: even samples are the knots, bit for
+    # bit the n-sample row a sweep builds, and odd samples the midpoints
+    config = replace(default_config, E_F_eV=0.12, R_nm=950.0, delta_nm=170.0,
+                     d_min_nm=24.0, L_um=1.1, k0_convention="film")
+    geom = config.geometry()
+    mode = config.solve_mode()
+
+    def row(n):
+        return _omega1_table(np.array([geom.length]), np.array([geom.radius]),
+                             np.array([geom.offset]), geom.min_gap, [mode],
+                             np.zeros(1, dtype=int), n,
+                             config.k0_convention)[0]
+
+    for n in (64, 129, 500, 1025, 4096):
+        schedule = build_schedule(geom, mode, n, config.k0_convention)
+        table = row(2 * n - 1)
+        assert np.array_equal(schedule.omega1, table[::2])
+        assert np.array_equal(schedule.omega1_mid, table[1::2])
+        assert np.array_equal(schedule.omega2, table[::-1][::2])
+        assert np.array_equal(schedule.omega2_mid, table[::-1][1::2])
+        assert np.array_equal(schedule.omega1, row(n))
+        assert np.array_equal(
+            schedule.x_grid,
+            geometry._antisymmetric_grid(np.array([geom.length]), n)[0])
+
+
+def test_schedule_rejects_bad_midpoints(default_mode):
+    schedule = build_schedule(_geom(), default_mode, 65)
+    fields = {name: getattr(schedule, name)
+              for name in ("x_grid", "omega1", "omega2", "omega1_mid",
+                           "omega2_mid")}
+    for name, bad, message in (
+            ("omega1_mid", schedule.omega1, "one sample per interval"),
+            ("omega2_mid", schedule.omega2_mid[:-1],
+             "one sample per interval"),
+            ("omega1_mid", np.r_[np.nan, schedule.omega1_mid[1:]], "finite"),
+            ("omega2_mid", -schedule.omega2_mid, "non-negative")):
+        with pytest.raises(ValueError, match=message):
+            CouplingSchedule(**{**fields, name: bad})
 
 
 def test_schedule_peaks_at_waists(default_mode):

@@ -175,6 +175,10 @@ def test_expm_rejects_large_chains():
                        1.0)
 
 
+def _knot_averages(omega):
+    return 0.5 * (omega[:-1] + omega[1:])
+
+
 def test_staircase_converges_to_integrator(default_config, default_mode):
     schedule_for = lambda n: build_schedule(default_config.geometry(),
                                             default_mode, n,
@@ -184,12 +188,13 @@ def test_staircase_converges_to_integrator(default_config, default_mode):
     for knots in (513, 1025, 2049):
         schedule = schedule_for(knots)
         integrated = propagate(schedule, start)
-        reference = staircase_evolution(schedule.x_grid, schedule.omega1,
-                                        schedule.omega2, start)
+        reference = staircase_evolution(schedule.x_grid, schedule.omega1_mid,
+                                        schedule.omega2_mid, start)
         errors.append(float(np.abs(integrated.amplitudes[-1]
                                    - reference).max()))
-    # the staircase is the second-order side of the comparison: quartering
-    # per grid doubling, with headroom for the fourth-order integrator's bias
+    # the midpoint staircase is the second-order side of the comparison:
+    # quartering per grid doubling, with headroom for the fourth-order
+    # integrator's own error
     assert errors[1] < 0.30 * errors[0]
     assert errors[2] < 0.30 * errors[1]
     assert errors[2] < 5e-6
@@ -200,10 +205,10 @@ def test_staircase_with_uniform_loss(default_config, default_mode):
                               default_config.k0_convention)
     start = np.array([1.0, 0.0, 0.0], dtype=complex)
     alpha = default_mode.q.imag
-    lossless = staircase_evolution(schedule.x_grid, schedule.omega1,
-                                   schedule.omega2, start)
-    lossy = staircase_evolution(schedule.x_grid, schedule.omega1,
-                                schedule.omega2, start, loss=alpha)
+    lossless = staircase_evolution(schedule.x_grid, schedule.omega1_mid,
+                                   schedule.omega2_mid, start)
+    lossy = staircase_evolution(schedule.x_grid, schedule.omega1_mid,
+                                schedule.omega2_mid, start, loss=alpha)
     span = schedule.x_grid[-1] - schedule.x_grid[0]
     predicted = lossless * math.exp(-alpha * span)
     assert np.abs(lossy - predicted).max() < 1e-10
@@ -216,21 +221,23 @@ def test_staircase_stack_matches_stepwise_expm(default_config, default_mode,
                               default_config.k0_convention)
     alpha = default_mode.q.imag if lossy else 0.0
     start = np.array([1.0, 0.0, 0.0], dtype=complex)
-    x, o1, o2 = schedule.x_grid, schedule.omega1, schedule.omega2
-    # reference: one expm_reference call per interval, knot-average couplings
+    x = schedule.x_grid
+    # the linearly interpolated reference: one knot-average coupling and
+    # one expm_reference call per interval
+    w1 = _knot_averages(schedule.omega1)
+    w2 = _knot_averages(schedule.omega2)
     expected = start
     for j in range(len(x) - 1):
-        w1 = 0.5 * (o1[j] + o1[j + 1])
-        w2 = 0.5 * (o2[j] + o2[j + 1])
-        m = np.array([[0.0, w1, 0.0], [w1, 0.0, w2], [0.0, w2, 0.0]],
+        m = np.array([[0.0, w1[j], 0.0], [w1[j], 0.0, w2[j]],
+                      [0.0, w2[j], 0.0]],
                      dtype=complex) - 1j * alpha * np.eye(3)
         expected = expm_reference(m, expected, x[j + 1] - x[j])
-    stacked = staircase_evolution(x, o1, o2, start, loss=alpha)
+    stacked = staircase_evolution(x, w1, w2, start, loss=alpha)
     assert np.abs(stacked - expected).max() < 1e-13
 
 
 _GRID = np.linspace(0.0, 1e-6, 5)
-_RAMP = np.linspace(1e6, 2e6, 5)
+_RAMP = np.linspace(1e6, 2e6, 4)  # one coupling per interval of _GRID
 
 
 @pytest.mark.parametrize("x, o1, o2, loss", [
@@ -241,12 +248,13 @@ _RAMP = np.linspace(1e6, 2e6, 5)
     (_GRID, _RAMP, _RAMP[1:], 0.0),
     (_GRID[::-1], _RAMP, _RAMP, 0.0),
     (np.r_[_GRID[:2], _GRID[1:-1]], _RAMP, _RAMP, 0.0),
-    (_GRID[:1], _RAMP[:1], _RAMP[:1], 0.0),
+    (_GRID[:1], _RAMP[:0], _RAMP[:0], 0.0),
     (_GRID, _RAMP, _RAMP, float("nan")),
     (_GRID, _RAMP, _RAMP, [0.0, float("inf"), 0.0]),
+    (_GRID, np.r_[_RAMP, 2e6], np.r_[_RAMP, 2e6], 0.0),
 ], ids=["nan-grid", "inf-omega1", "nan-omega2", "short-omega1",
         "short-omega2", "decreasing", "repeated-knot", "one-knot",
-        "nan-loss", "inf-loss"])
+        "nan-loss", "inf-loss", "knot-couplings"])
 def test_staircase_rejects_bad_input(x, o1, o2, loss):
     with pytest.raises(ValueError):
         staircase_evolution(x, o1, o2, [1.0, 0.0, 0.0], loss=loss)

@@ -4,7 +4,16 @@ Every [frozen] number in the test suite that is not a hand-checkable constant
 comes from this script, so a regression in the production code cannot silently
 regenerate its own expectations. Run from the repository root:
 
-    python3 tools/generate_goldens.py
+    python3 tools/generate_goldens.py [OUT]
+
+OUT defaults to tests/data/goldens.json. The stored overlap quadrature values
+come from the adaptive Simpson rule that preceded today's Gauss-Kronrod rule,
+and `tests/test_oracles.py` checks the Gauss-Kronrod rule against them; so
+when OUT already holds the drawn cases (same k and d_m), their quadrature
+values and the rule named for them are kept. A stored file with other cases
+is refused rather than mixed; without one, the values come from
+`oracles.overlap_quadrature`. `generated_by` names the rule behind each
+section.
 """
 
 from __future__ import annotations
@@ -30,12 +39,21 @@ def _complex(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def overlap_cases(rng: np.random.Generator, count: int = 8) -> list:
-    """Closed-form-independent overlap values from adaptive quadrature.
+GAUSS_KRONROD = "oracles.overlap_quadrature (adaptive G7-K15)"
 
-    Each case must agree with the closed form to 1e-8 relative before it is
-    written, the bound the overlap tests hold it to.
+
+def overlap_cases(rng: np.random.Generator, stored: dict,
+                  count: int = 8) -> tuple[list, str]:
+    """Closed-form-independent overlap values from adaptive quadrature, and
+    the rule that produced them.
+
+    stored is the goldens file being replaced ({} if there is none); its
+    quadrature values and their rule are kept. Each case must agree with
+    the closed form to 1e-8 relative before it is written, the bound the
+    overlap tests hold it to.
     """
+    kept = {(tuple(case["k"]), case["d_m"]): case["quadrature"]
+            for case in stored.get("overlap_cases", [])}
     spec = oracles.QuadratureSpec(absolute_tolerance=1e-300,
                                   relative_tolerance=1e-11,
                                   max_subdivisions=65536)
@@ -43,7 +61,12 @@ def overlap_cases(rng: np.random.Generator, count: int = 8) -> list:
     for _ in range(count):
         k = complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8))
         d = rng.uniform(1e-9, 100e-9)
-        value = oracles.overlap_quadrature(k, k, d, spec)
+        key = (tuple(_complex(k)), d)
+        if kept and key not in kept:
+            raise SystemExit("the stored overlap cases differ from the "
+                             "drawn ones; write to a new path instead")
+        value = (complex(*kept[key]) if kept
+                 else oracles.overlap_quadrature(k, k, d, spec))
         closed = overlap_integral(k, d)
         error = abs(closed - value) / abs(value)
         if not error <= 1e-8:
@@ -52,7 +75,9 @@ def overlap_cases(rng: np.random.Generator, count: int = 8) -> list:
         cases.append({"k": _complex(k), "d_m": d,
                       "quadrature": _complex(value),
                       "closed_form": _complex(closed)})
-    return cases
+    if kept:
+        return cases, stored["generated_by"]["overlap_cases.quadrature"]
+    return cases, GAUSS_KRONROD
 
 
 def dispersion_pins(config: RunConfig) -> list:
@@ -80,16 +105,18 @@ def dispersion_pins(config: RunConfig) -> list:
 
 
 def staircase_pins(config: RunConfig) -> dict:
-    """Default-schedule endpoint amplitudes from the expm staircase."""
+    """Default-schedule endpoint amplitudes from the expm staircase, with
+    the knot averages of the couplings on each interval."""
     mode = config.solve_mode()
     schedule = build_schedule(config.geometry(), mode, STAIRCASE_KNOTS,
                               config.k0_convention)
     a0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    lossless = oracles.staircase_evolution(schedule.x_grid, schedule.omega1,
-                                           schedule.omega2, a0)
+    w1, w2 = (0.5 * (omega[:-1] + omega[1:])
+              for omega in (schedule.omega1, schedule.omega2))
+    lossless = oracles.staircase_evolution(schedule.x_grid, w1, w2, a0)
     alpha = float(np.imag(mode.q))
-    lossy = oracles.staircase_evolution(schedule.x_grid, schedule.omega1,
-                                        schedule.omega2, a0, loss=alpha)
+    lossy = oracles.staircase_evolution(schedule.x_grid, w1, w2, a0,
+                                        loss=alpha)
     return {"knots": STAIRCASE_KNOTS,
             "alpha_per_m": alpha,
             "lossless_final": [_complex(z) for z in lossless],
@@ -112,24 +139,36 @@ def expm_pins() -> list:
     return pins
 
 
-def main() -> None:
+def main(argv: list[str]) -> None:
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = (pathlib.Path(argv[0]) if argv
+            else root / "tests" / "data" / "goldens.json")
+    stored = json.loads(path.read_text()) if path.exists() else {}
     config = RunConfig()
     rng = np.random.default_rng(123)
+    cases, quadrature_rule = overlap_cases(rng, stored)
     payload = {
-        "generated_by": f"tools/generate_goldens.py (version {__version__})",
+        "generated_by": {
+            "tool": f"tools/generate_goldens.py (version {__version__})",
+            "overlap_cases.quadrature": quadrature_rule,
+            "overlap_cases.closed_form": "coupling.overlap_integral",
+            "dispersion_pins": "RunConfig.solve_mode, certified by "
+                               "oracles.dispersion_residual < 1e-10",
+            "staircase": "oracles.staircase_evolution on knot-average "
+                         "couplings (the linearly interpolated system)",
+            "expm_pins": "oracles.expm_reference",
+        },
         "config_hash": config_hash(config),
         "rng_seed": 123,
-        "overlap_cases": overlap_cases(rng),
+        "overlap_cases": cases,
         "dispersion_pins": dispersion_pins(config),
         "staircase": staircase_pins(config),
         "expm_pins": expm_pins(),
     }
-    out = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "goldens.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(path)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
