@@ -55,12 +55,12 @@ lf = lossy.final_intensities
 print(f"with alpha = Im q = {device.alpha * 1e-6:.4f} 1/um: "
       f"output {lf[2]:.5f}, total {lf.sum():.5f}")
 
-rows = np.column_stack([x * 1e9,
-                        device.trajectory.intensities,
-                        lossy.intensities])
+table = np.column_stack([x * 1e9,
+                         device.trajectory.intensities,
+                         lossy.intensities])
 gio.emit_csv(os.path.join(OUT, "device_transfer.csv"),
              ["x_nm", "I1", "I2", "I3", "I1_lossy", "I2_lossy", "I3_lossy"],
-             rows.tolist())
+             table)
 print(f"wrote {os.path.join(OUT, 'device_transfer.csv')}")
 
 # At the default excitation the self-consistent couplings are too weak for

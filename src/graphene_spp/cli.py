@@ -9,7 +9,6 @@ same configuration produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -18,9 +17,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, config_hash, load_config
 from .coupling import CouplingDomainError
-from .dispersion import (INFINITE_PROPAGATION, ConvergenceError,
-                         NoBoundModeError, confinement_length,
-                         propagation_length)
+from .dispersion import (ConvergenceError, NoBoundModeError,
+                         confinement_length, propagation_length)
 from .dynamics import PropagationError, field_map
 from .experiments import (ExperimentError, figure_coupling_axes,
                           figure_map_spec, parallel_comparator, run_device,
@@ -126,20 +124,20 @@ def _run_dispersion(config: RunConfig, out: str) -> list[str]:
     chash = config_hash(config)
     lambdas = np.union1d(np.linspace(5.0, 15.0, 101),
                          np.array([config.lambda0_um]))
-    rows = []
-    for lam in lambdas:
-        mode = replace(config, lambda0_um=float(lam)).solve_mode()
-        lx = propagation_length(mode)
-        rows.append([
-            float(lam), config.E_F_eV, config.gamma(),
-            mode.q.real * 1e-6, mode.q.imag * 1e-6, mode.k.real * 1e-6,
-            math.inf if lx == INFINITE_PROPAGATION else lx * 1e6,
-            confinement_length(mode) * 1e9,
-        ])
+    modes = [replace(config, lambda0_um=float(lam)).solve_mode()
+             for lam in lambdas]
+    q = np.array([mode.q for mode in modes])
+    # INFINITE_PROPAGATION is inf, and stays inf when scaled
+    table = np.column_stack([
+        lambdas, np.full(lambdas.shape, config.E_F_eV),
+        np.full(lambdas.shape, config.gamma()), q.real * 1e-6,
+        q.imag * 1e-6, np.array([mode.k.real for mode in modes]) * 1e-6,
+        np.array([propagation_length(mode) for mode in modes]) * 1e6,
+        np.array([confinement_length(mode) for mode in modes]) * 1e9])
     path = os.path.join(out, "dispersion.csv")
     emit_csv(path, ["lambda0_um", "E_F_eV", "gamma_per_s", "Re_q_per_um",
                     "Im_q_per_um", "Re_k_per_um", "L_x_um",
-                    "confinement_nm"], rows, chash)
+                    "confinement_nm"], table, chash)
     return [path]
 
 
@@ -147,20 +145,21 @@ def _run_coupling_sweep(config: RunConfig, out: str) -> list[str]:
     chash = config_hash(config)
     formats = _formats(config)
     d_nm, curves = figure_coupling_axes(config)
-    rows = []
-    for fermi, c12 in curves:
-        for d, c in zip(d_nm, np.atleast_1d(c12)):
-            rows.append([float(d), fermi, abs(c) * 1e-6, c.real * 1e-6,
-                         c.imag * 1e-6])
+    # Python's abs per value: np.abs differs from it in the last bit
+    table = np.vstack([
+        np.column_stack([d_nm, np.full(d_nm.shape, fermi),
+                         np.array([abs(c) for c in c12]) * 1e-6,
+                         c12.real * 1e-6, c12.imag * 1e-6])
+        for fermi, c12 in curves])
     written = []
     if "csv" in formats:
         path = os.path.join(out, "coupling_sweep.csv")
         emit_csv(path, ["d_nm", "E_F_eV", "abs_C_per_um", "Re_C_per_um",
-                        "Im_C_per_um"], rows, chash)
+                        "Im_C_per_um"], table, chash)
         written.append(path)
     if "svg" in formats:
         path = os.path.join(out, "coupling_sweep.svg")
-        series = [(f"E_F = {fermi:g} eV", np.abs(np.atleast_1d(c12)) * 1e-6)
+        series = [(f"E_F = {fermi:g} eV", np.abs(c12) * 1e-6)
                   for fermi, c12 in curves]
         emit_svg_lines(path, d_nm, series, "separation d (nm)",
                        "|C| (1/um)", "coupling vs separation", chash,
@@ -182,15 +181,15 @@ def _emit_schedule(config: RunConfig, out: str, schedule) -> list[str]:
     geom = config.geometry()
     report = adiabaticity_report(schedule)
     d1, d2 = sheet_separations(geom, schedule.x_grid)
-    rows = [[x * 1e9, a * 1e9, b * 1e9, o1 * 1e-6, o2 * 1e-6, theta, margin]
-            for x, a, b, o1, o2, theta, margin
-            in zip(schedule.x_grid, d1, d2, schedule.omega1, schedule.omega2,
-                   report.mixing_angle, report.margin)]
+    table = np.column_stack([schedule.x_grid * 1e9, d1 * 1e9, d2 * 1e9,
+                             schedule.omega1 * 1e-6, schedule.omega2 * 1e-6,
+                             report.mixing_angle, report.margin])
     written = []
     if "csv" in formats:
         path = os.path.join(out, "schedule.csv")
         emit_csv(path, ["x_nm", "d1_nm", "d2_nm", "omega1_per_um",
-                        "omega2_per_um", "theta_rad", "margin"], rows, chash)
+                        "omega2_per_um", "theta_rad", "margin"], table,
+                 chash)
         written.append(path)
     if "svg" in formats:
         path = os.path.join(out, "schedule.svg")
@@ -219,11 +218,10 @@ def _emit_device(config: RunConfig, out: str, device,
     for label, trajectory in runs.items():
         if "csv" not in formats:
             continue
-        rows = [[x * 1e9, i0, i1, i2]
-                for x, (i0, i1, i2)
-                in zip(trajectory.x_grid, trajectory.intensities)]
+        table = np.column_stack([trajectory.x_grid * 1e9,
+                                 trajectory.intensities])
         path = os.path.join(out, f"device_run_{label}.csv")
-        emit_csv(path, ["x_nm", "I_input", "I_middle", "I_output"], rows,
+        emit_csv(path, ["x_nm", "I_input", "I_middle", "I_output"], table,
                  chash)
         written.append(path)
     if "svg" in formats:
@@ -261,9 +259,7 @@ def _emit_field_map(config: RunConfig, device, out: str, chash: str,
     if "csv" in formats:
         path = os.path.join(out, "field_map.csv")
         header = ["z_nm_over_x_nm"] + [f"{v:.6g}" for v in x_nm]
-        rows = [[float(z_nm[i])] + [float(v) for v in matrix[i]]
-                for i in range(len(z_nm))]
-        emit_csv(path, header, rows, chash)
+        emit_csv(path, header, np.column_stack([z_nm, matrix]), chash)
         written.append(path)
     if "svg" in formats:
         path = os.path.join(out, "field_map.svg")
@@ -297,9 +293,8 @@ def _run_robustness(config: RunConfig, out: str, figure: str,
         path = os.path.join(out, f"fig_{figure}.csv")
         header = ([f"{axis2.name}_over_{axis1.name}"]
                   + [f"{v:.10g}" for v in axis1.values])
-        rows = [[float(axis2.values[i])] + [float(v) for v in result.grid[i]]
-                for i in range(axis2.values.size)]
-        emit_csv(path, header, rows, chash)
+        emit_csv(path, header, np.column_stack([axis2.values, result.grid]),
+                 chash)
         written.append(path)
     if "json" in formats:
         path = os.path.join(out, f"fig_{figure}.json")

@@ -7,38 +7,31 @@ the exact float64; every artifact embeds the config hash it was produced from.
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import numpy as np
 
 
 def format_number(value) -> str:
-    """17-significant-digit decimal rendering; round-trips float64 exactly."""
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
+    """17-significant-digit decimal rendering; round-trips float64 exactly.
+
+    `nan`, `inf`, `-inf` and `-0` come out of the format itself."""
+    return format(float(value), ".17g")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    return format_number(value)
+def emit_csv(path, header, table, config_hash: str | None = None) -> None:
+    """Write a 2-D float table: optional hash comment, header row, data rows.
 
-
-def emit_csv(path, header, rows, config_hash: str | None = None) -> None:
-    """Write a CSV table: optional hash comment, header row, data rows."""
+    Raises ValueError for a table that is not 2-D or not real-numeric."""
+    table = np.asarray(table)
+    if table.ndim != 2 or table.dtype.kind not in "iuf":
+        raise ValueError(f"emit_csv needs a 2-D real table, got shape "
+                         f"{table.shape} of dtype {table.dtype}")
     lines = []
     if config_hash is not None:
         lines.append(f"# config_hash={config_hash}")
     lines.append(",".join(str(name) for name in header))
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
+    lines.extend(",".join(map(format_number, row)) for row in table.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -18,19 +18,29 @@ _ANCHORS = [
     (33, 144, 141), (39, 173, 129), (92, 200, 99), (170, 220, 50),
     (253, 231, 37),
 ]
+_ANCHOR_RGB = np.array(_ANCHORS, dtype=float)
+# Two-digit hex of each channel value: a lookup is 7x faster than formatting.
+_HEX = [f"{v:02x}" for v in range(256)]
 _INVALID_FILL = "#b4b4b4"
 _LINE_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                 "#8c564b"]
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    pos = t * (len(_ANCHORS) - 1)
-    i = min(int(pos), len(_ANCHORS) - 2)
-    frac = pos - i
-    r, g, b = (round(a + (b_ - a) * frac)
-               for a, b_ in zip(_ANCHORS[i], _ANCHORS[i + 1]))
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _colors(t) -> list[str]:
+    """Fill colors of scale positions t (clipped to [0, 1]; NaN is invalid).
+
+    np.rint rounds half to even, as Python's round does."""
+    t = np.asarray(t, dtype=float).ravel()
+    fills = [_INVALID_FILL] * t.size
+    valid = np.flatnonzero(~np.isnan(t))
+    pos = np.clip(t[valid], 0.0, 1.0) * (len(_ANCHORS) - 1)
+    i = np.minimum(pos.astype(int), len(_ANCHORS) - 2)
+    frac = (pos - i)[:, None]
+    a, b = _ANCHOR_RGB[i], _ANCHOR_RGB[i + 1]
+    rgb = np.rint(a + (b - a) * frac).astype(int)
+    for k, (r, g, b_) in zip(valid.tolist(), rgb.tolist()):
+        fills[k] = f"#{_HEX[r]}{_HEX[g]}{_HEX[b_]}"
+    return fills
 
 
 def _fmt(x: float) -> str:
@@ -67,19 +77,13 @@ def emit_svg_heatmap(path, matrix, x_values, y_values, x_label: str,
     parts.append(f'<text x="{_fmt(left + width / 2)}" y="22" '
                  f'text-anchor="middle" font-size="15" '
                  f'font-family="sans-serif">{title}</text>')
-    for iy in range(ny):
-        for ix in range(nx):
-            value = matrix[iy, ix]
-            if math.isnan(value):
-                fill = _INVALID_FILL
-            else:
-                fill = _color((value - vmin) / (vmax - vmin))
-            # y axis points up: last row at the top of the plot area.
-            x0 = left + ix * cw
-            y0 = top + (ny - 1 - iy) * ch
-            parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                         f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" '
-                         f'fill="{fill}"/>')
+    fills = _colors((matrix - vmin) / (vmax - vmin))
+    xs = [_fmt(left + ix * cw) for ix in range(nx)]
+    # y axis points up: last row at the top of the plot area.
+    ys = [_fmt(top + (ny - 1 - iy) * ch) for iy in range(ny)]
+    size = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
+    parts.extend(f'<rect x="{xs[k % nx]}" y="{ys[k // nx]}" {size} '
+                 f'fill="{fill}"/>' for k, fill in enumerate(fills))
     parts.append(f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(width)}"'
                  f' height="{_fmt(height)}" fill="none" stroke="#000000"/>')
     x_span = float(x_values[-1]) - float(x_values[0]) or 1.0
@@ -107,13 +111,13 @@ def emit_svg_heatmap(path, matrix, x_values, y_values, x_label: str,
     # Linear color bar with end labels.
     bar_x, bar_w = left + width + 24.0, 18.0
     steps = 32
-    for i in range(steps):
-        t0 = i / steps
+    bar_fills = _colors(np.arange(steps) / steps + 0.5 / steps)
+    for i, fill in enumerate(bar_fills):
         y0 = top + height * (1.0 - (i + 1) / steps)
         parts.append(f'<rect x="{_fmt(bar_x)}" y="{_fmt(y0)}" '
                      f'width="{_fmt(bar_w)}" '
                      f'height="{_fmt(height / steps + 0.5)}" '
-                     f'fill="{_color(t0 + 0.5 / steps)}"/>')
+                     f'fill="{fill}"/>')
     parts.append(f'<rect x="{_fmt(bar_x)}" y="{_fmt(top)}" '
                  f'width="{_fmt(bar_w)}" height="{_fmt(height)}" fill="none" '
                  f'stroke="#000000"/>')
@@ -154,14 +158,11 @@ def emit_svg_lines(path, x_values, series, x_label: str, y_label: str,
         stacked = stacked[stacked > 0]
         if stacked.size == 0:
             raise ValueError("log scale requires positive data")
-        vmin, vmax = float(stacked.min()), float(stacked.max())
-        transform = lambda v: math.log10(v) if v > 0 else math.nan
-        lo, hi = math.log10(vmin), math.log10(vmax)
+        lo = math.log10(float(stacked.min()))
+        hi = math.log10(float(stacked.max()))
     else:
-        vmin = float(stacked.min()) if stacked.size else 0.0
-        vmax = float(stacked.max()) if stacked.size else 1.0
-        transform = float
-        lo, hi = vmin, vmax
+        lo = float(stacked.min()) if stacked.size else 0.0
+        hi = float(stacked.max()) if stacked.size else 1.0
     if hi <= lo:
         hi = lo + 1.0
 
@@ -183,19 +184,19 @@ def emit_svg_lines(path, x_values, series, x_label: str, y_label: str,
     def sx(value: float) -> float:
         return left + (value - x[0]) / x_span * width
 
-    def sy(value: float) -> float:
-        t = (transform(value) - lo) / (hi - lo)
-        return top + height * (1.0 - t)
-
     for idx, (label, y) in enumerate(ys):
         color = _LINE_COLORS[idx % len(_LINE_COLORS)]
-        points = []
-        for xv, yv in zip(x, y):
-            if not math.isfinite(yv) or (log_y and yv <= 0):
-                continue
-            points.append(f"{_fmt(sx(xv))},{_fmt(sy(yv))}")
+        keep = np.isfinite(y) & (y > 0) if log_y else np.isfinite(y)
+        shown = y[keep]
+        if log_y:
+            # math.log10 per value: np.log10 differs from it in the last bit
+            shown = np.array([math.log10(v) for v in shown.tolist()])
+        px = sx(x[keep])
+        py = top + height * (1.0 - (shown - lo) / (hi - lo))
+        points = " ".join(map("{:.2f},{:.2f}".format, px.tolist(),
+                              py.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="1.5" points="{" ".join(points)}"/>')
+                     f'stroke-width="1.5" points="{points}"/>')
         ly = top + 16 + 16 * idx
         parts.append(f'<line x1="{_fmt(left + width - 120)}" '
                      f'y1="{_fmt(ly - 4)}" x2="{_fmt(left + width - 100)}" '

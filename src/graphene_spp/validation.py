@@ -29,7 +29,8 @@ from .geometry import build_schedule
 from .materials import (CONSTANTS, default_relaxation_rate,
                         drude_conductivity)
 
-# The package version (graphene_spp.__version__); pyproject.toml repeats it.
+# The package version (graphene_spp.__version__); pyproject.toml reads it
+# from here through `attr`.
 VERSION = "0.1.0"
 
 # Published reference values the implementation is compared against.

@@ -20,7 +20,8 @@ def _digests():
 def test_two_runs_print_the_same_digests():
     first = _digests()
     assert first == _digests()
-    for name in ("schedule/schedule.csv", "device-run/field_map.csv",
+    for name in ("dispersion/dispersion.csv", "schedule/schedule.csv",
+                 "device-run/field_map.csv",
                  "fig1b/coupling_sweep.csv", "fig3/schedule.csv",
                  "fig3/device_run_lossy.csv", "fig4a/fig_4a.csv",
                  "fig4b/fig_4b.json", "fig4c/fig_4c.svg",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from graphene_spp.config import (ConfigError, RunConfig, config_hash,
                                  load_config, parse_config)
 from graphene_spp.io import (emit_csv, emit_json, format_number, read_csv)
-from graphene_spp.svg import emit_svg_heatmap, emit_svg_lines
+from graphene_spp.svg import (_ANCHORS, _INVALID_FILL, _colors,
+                              emit_svg_heatmap, emit_svg_lines)
 
 
 def test_empty_file_gives_full_defaults(tmp_path):
@@ -120,19 +122,35 @@ def test_format_number_round_trips():
 
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "table.csv"
-    rows = [[1.0, math.pi], [2.0, -1.5e-12]]
-    emit_csv(path, ["x_um", "value"], rows, config_hash="f00d")
+    table = np.array([[1.0, math.pi], [2.0, -1.5e-12],
+                      [math.nan, math.inf], [-math.inf, -0.0]])
+    emit_csv(path, ["x_um", "value"], table, config_hash="f00d")
     header, data = read_csv(path)
     assert header == ["x_um", "value"]
-    assert np.asarray(data) == pytest.approx(np.asarray(rows), rel=1e-12)
-    first = path.read_text().splitlines()[0]
-    assert "config_hash=f00d" in first
+    data = np.asarray(data)
+    assert data.dtype == float
+    np.testing.assert_array_equal(data, table)
+    assert math.copysign(1.0, data[3, 1]) == -1.0
+    lines = path.read_text().splitlines()
+    assert "config_hash=f00d" in lines[0]
+    assert lines[4:] == ["nan,inf", "-inf,-0"]
 
 
 def test_csv_newline_terminated(tmp_path):
     path = tmp_path / "table.csv"
-    emit_csv(path, ["a"], [[1.0]])
+    emit_csv(path, ["a"], np.array([[1.0]]))
     assert path.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("table", [
+    np.array([1.0, 2.0]), np.zeros((2, 2, 2)), [["a", "b"]],
+    np.array([[1.0 + 2.0j]]), [[1.0, 2.0], [3.0]], [[1.0, None]],
+], ids=["1-D", "3-D", "text", "complex", "ragged", "object"])
+def test_emit_csv_rejects_tables_that_are_not_2d_real(tmp_path, table):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        emit_csv(path, ["a", "b"], table)
+    assert not path.exists()
 
 
 def test_emit_json_embeds_hash_and_version(tmp_path):
@@ -173,6 +191,57 @@ def test_svg_heatmap_marks_invalid_cells(tmp_path):
     assert "invalid" in text
 
 
+def _scalar_color(t: float) -> str:
+    # The scalar color scale that _colors replaced, kept as its reference.
+    t = min(max(t, 0.0), 1.0)
+    pos = t * (len(_ANCHORS) - 1)
+    i = min(int(pos), len(_ANCHORS) - 2)
+    frac = pos - i
+    r, g, b = (round(a + (b_ - a) * frac)
+               for a, b_ in zip(_ANCHORS[i], _ANCHORS[i + 1]))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def _exact_half_positions():
+    """Scale positions where some channel lands exactly on k + 0.5, so the
+    rounding rule (half to even) decides the color."""
+    found = []
+    for i in range(len(_ANCHORS) - 1):
+        for a, b in zip(_ANCHORS[i], _ANCHORS[i + 1]):
+            span = abs(b - a)
+            for j in range(span):
+                t = (i + (j + 0.5) / span) / (len(_ANCHORS) - 1)
+                pos = t * (len(_ANCHORS) - 1)
+                value = a + (b - a) * (pos - min(int(pos),
+                                                 len(_ANCHORS) - 2))
+                if value - math.floor(value) == 0.5:
+                    found.append(t)
+    return found
+
+
+def test_colors_match_the_scalar_scale():
+    halves = _exact_half_positions()
+    assert len(halves) > 50
+    t = np.concatenate([np.linspace(-0.5, 1.5, 20001), halves,
+                        [0.0, 1.0, -math.inf, math.inf, -1e300, 1e300]])
+    assert _colors(t) == [_scalar_color(v) for v in t.tolist()]
+
+
+def test_colors_mark_nan_invalid():
+    assert _colors(np.array([0.0, math.nan, 1.0])) == [
+        _scalar_color(0.0), _INVALID_FILL, _scalar_color(1.0)]
+
+
+def test_svg_heatmap_with_invalid_cells_emits_no_warning(tmp_path):
+    matrix = np.array([[math.nan, 0.2, math.inf],
+                       [0.5, math.nan, -math.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emit_svg_heatmap(tmp_path / "nan.svg", matrix, np.arange(3.0),
+                         np.arange(2.0), "x", "y", "map", "cafe")
+    assert (tmp_path / "nan.svg").read_text().count(_INVALID_FILL) >= 2
+
+
 def test_svg_lines_smoke(tmp_path):
     path = tmp_path / "lines.svg"
     x = np.linspace(1.0, 10.0, 20)
@@ -184,9 +253,9 @@ def test_svg_lines_smoke(tmp_path):
 
 def test_emission_is_deterministic(tmp_path, default_config):
     digest = config_hash(default_config)
-    rows = [[1.0, 2.0], [3.0, 4.0]]
+    table = np.array([[1.0, 2.0], [3.0, 4.0]])
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    emit_csv(a, ["p", "q"], rows, config_hash=digest)
-    emit_csv(b, ["p", "q"], rows, config_hash=digest)
+    emit_csv(a, ["p", "q"], table, config_hash=digest)
+    emit_csv(b, ["p", "q"], table, config_hash=digest)
     assert a.read_bytes() == b.read_bytes()

@@ -1,10 +1,11 @@
 """Print the SHA-256 of every artifact of the standard command set as JSON.
 
-The commands are `schedule`, `device-run --field-map`, the figures 1b, 3,
-4a, 4b and 4c (the maps at `--grid`) and `verify --seed 0`. Each runs in
-process into its own subdirectory of a temporary directory, which is removed
-afterwards; the output is one JSON object mapping "<command>/<file>" to the
-hex digest. Byte-identity between two revisions is then one diff:
+The commands are `dispersion`, `schedule`, `device-run --field-map`, the
+figures 1b, 3, 4a, 4b and 4c (the maps at `--grid`) and `verify --seed 0`.
+Each runs in process into its own subdirectory of a temporary directory,
+which is removed afterwards; the output is one JSON object mapping
+"<command>/<file>" to the hex digest. Byte-identity between two revisions
+is then one diff:
 
     python3 tools/artifact_digest.py > new.json
     python3 tools/artifact_digest.py --src ../other-checkout/src > old.json
@@ -29,7 +30,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def commands(grid: str) -> dict[str, list[str]]:
     """Subdirectory name -> CLI arguments after --out."""
-    table = {"schedule": ["schedule"],
+    table = {"dispersion": ["dispersion"], "schedule": ["schedule"],
              "device-run": ["device-run", "--field-map"]}
     for figure in ("1b", "3", "4a", "4b", "4c"):
         table[f"fig{figure}"] = ["robustness-sweep", "--figure", figure,
