@@ -2,10 +2,10 @@
 
 Sweeps are deterministic: cells are evaluated in a fixed order with a fixed
 chunk size, so repeated runs of the same configuration produce bit-identical
-grids. A "wavevector" axis is realized by numerically inverting the dispersion
-relation (bisection on the excitation frequency) so that couplings and loss
-stay self-consistent with the material model; the wavevector is never treated
-as a free parameter.
+grids. A "wavevector" axis is realized by inverting the dispersion relation
+in closed form for the excitation frequency, so that couplings and loss stay
+self-consistent with the material model; the wavevector is never treated as a
+free parameter.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .dispersion import ConvergenceError, NoBoundModeError, SppMode
 from .dynamics import (Trajectory, propagate, propagate_batch_three,
                        propagate_batch_two)
 from .geometry import CouplingSchedule, _omega1_table, build_schedule
-from .materials import CONSTANTS, MaterialDomainError
+from .materials import CONSTANTS, MaterialDomainError, ev_to_joule
 
 AXIS_NAMES = ("wavevector_per_um", "length_um", "radius_nm", "offset_nm")
 
@@ -112,92 +112,51 @@ class SweepResult:
     metadata: dict
 
 
-def wavevector_to_omega(config: RunConfig, target_q: float,
-                        relative_tolerance: float = 1e-6) -> float:
+def wavevector_to_omega(config: RunConfig, target_q: float) -> float:
     """Angular frequency whose bound mode has Re q equal to target_q (1/m).
 
-    Bisection on omega; the seed exploits the roughly quadratic growth of the
-    propagation constant with frequency. relative_tolerance bounds the
-    delivered Re q, so the omega interval is tightened by the q ~ omega^2
-    slope. Raises with the attainable range when the target cannot be
-    bracketed.
+    The exact inverse of the forward model. The Drude sheet
+    sigma = D/(gamma - i omega), D = 4 sigma0 E_F/(pi hbar), puts the
+    closed-form root on k = b (omega^2 + i gamma omega), b = 2 eps eps0/D,
+    and q^2 = k^2 + omega^2 eps/c^2 then has Re q = t exactly where
+    s = omega^2 solves
+        (b^4 gamma^2/t^2) s^3 + b^2 s^2 + (eps/c^2 - b^2 gamma^2) s - t^2 = 0.
+    The signs (+, +, +-, -) give one positive root; the others have negative
+    real part. In v = t/(b s) the cubic is monic with coefficients of order
+    one, v^3 + (g - a) v^2 - v - g = 0 with g = b gamma^2/t and
+    a = eps/(c^2 b t). Its roots are the reciprocals, so its root of largest
+    real part is the one. The mode is then solved once at omega = sqrt(s).
+    Raises ExperimentError for a target that is not finite and > 0, when
+    that mode is unsolvable (e.g. below the light line), or when it misses
+    the target by more than 1e-12 relative.
     """
-    if target_q <= 0:
-        raise ExperimentError("target wavevector must be > 0")
-    reference = config.solve_mode()
-    omega_ref = reference.excitation.angular_frequency
-
-    def attained(omega: float) -> float:
-        return config.solve_mode(omega=omega).q.real
-
-    seed = omega_ref * math.sqrt(target_q / reference.q.real)
+    if not (math.isfinite(target_q) and target_q > 0):
+        raise ExperimentError("target wavevector must be finite and > 0")
+    eps = config.medium().permittivity
+    fermi = ev_to_joule(config.sheet().fermi_level_ev)
+    drude = CONSTANTS.sigma0 * 4.0 * fermi / (math.pi * CONSTANTS.hbar)
+    b = 2.0 * eps * CONSTANTS.eps0 / drude
+    gamma = config.gamma()
+    g = b * gamma * gamma / target_q
+    a = eps / (CONSTANTS.c**2 * b) / target_q
+    cubic = [1.0, g - a, -1.0, -g]
+    v = float(np.roots(cubic).real.max()) if math.isfinite(g - a) else math.nan
+    # the cubic is -a < 0 at v = 1, so v > 1 unless the coefficients are
+    # beyond what np.roots resolves
+    omega = math.sqrt(target_q / (b * v)) if v > 1 else math.nan
+    where = f"wavevector {target_q * 1e-6:.4g} 1/um"
+    if not 0 < omega < math.inf:
+        raise ExperimentError(f"{where} has no representable frequency for "
+                              "this material")
     try:
-        f_seed = attained(seed) - target_q
-    except _UNSOLVABLE:
-        seed = omega_ref
-        f_seed = reference.q.real - target_q
-    lo = hi = seed
-    f_lo = f_hi = f_seed
-    for _ in range(80):
-        if f_lo <= 0:
-            break
-        lo *= 0.5
-        try:
-            f_lo = attained(lo) - target_q
-        except _UNSOLVABLE:
-            lo *= 2.0  # restore the last solvable frequency
-            break
-    for _ in range(80):
-        if f_hi >= 0:
-            break
-        hi *= 2.0
-        try:
-            f_hi = attained(hi) - target_q
-        except _UNSOLVABLE:
-            hi *= 0.5
-            break
-    if f_lo > 0 or f_hi < 0:
-        raise ExperimentError(
-            f"wavevector {target_q * 1e-6:.4g} 1/um is outside the attainable "
-            f"range [{(f_lo + target_q) * 1e-6:.4g}, "
-            f"{(f_hi + target_q) * 1e-6:.4g}] 1/um for this material")
-    if lo == hi:
-        return lo
-    return float(_bisect(lambda w: attained(w) - target_q, lo, hi, f_lo, f_hi,
-                         xtol=1e-30, rtol=relative_tolerance / 4.0))
-
-
-def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float,
-            rtol: float) -> float:
-    """Root of f in [a, b] by bisection, given fa = f(a) and fb = f(b).
-
-    The iteration of scipy.optimize.bisect, so the same bracket and
-    tolerances give the same float: halve the step from a, move a to the
-    midpoint while f there has the sign of f(a), and stop once the step is
-    below xtol + rtol |midpoint|, giving up after 100 halvings. Unlike
-    scipy, the bracket ends are not evaluated again.
-    """
-    if math.isnan(fa) or math.isnan(fb):
-        raise ExperimentError("bisection bracket has a NaN end value")
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    # signs, not products: fa * fb underflows to 0 for tiny values
-    if (fa < 0) == (fb < 0):
-        raise ExperimentError("bisection bracket ends have the same sign")
-    step = b - a
-    for _ in range(100):
-        step *= 0.5
-        xm = a + step
-        fm = f(xm)
-        if math.isnan(fm):
-            raise ExperimentError(f"bisection met NaN at {xm!r}")
-        if (fm < 0) == (fa < 0):
-            a = xm
-        if fm == 0 or abs(step) < xtol + rtol * abs(xm):
-            return xm
-    raise ExperimentError("bisection did not converge in 100 halvings")
+        attained = config.solve_mode(omega=omega).q.real
+    except _UNSOLVABLE as exc:
+        raise ExperimentError(f"{where} has no bound mode for this material: "
+                              f"{exc}") from exc
+    if not abs(attained - target_q) <= 1e-12 * target_q:
+        raise ExperimentError(f"inversion missed {where}: attained "
+                              f"{attained * 1e-6:.17g} 1/um")
+    return omega
 
 
 def mode_at_wavevector(config: RunConfig, target_q: float) -> SppMode:
@@ -242,8 +201,10 @@ def parallel_comparator(wavevector: float, length: float, separation: float,
     result matches sin^2(C L) to the integrator tolerance, and lossy
     multiplies it by exp(-2 Im q L), as the map does.
     """
-    if wavevector <= 0 or length <= 0 or separation <= 0:
-        raise ExperimentError("wavevector, length, and separation must be > 0")
+    if not all(math.isfinite(v) and v > 0
+               for v in (wavevector, length, separation)):
+        raise ExperimentError("wavevector, length, and separation must be "
+                              "finite and > 0")
     if config is None:
         config = RunConfig()
     mode = mode_at_wavevector(config, wavevector)
@@ -510,8 +471,11 @@ def stirap_stretch_search(config: RunConfig, target: float = 0.95,
     """
     if not 0 < target <= 1:
         raise ExperimentError("target must lie in (0, 1]")
-    if max_stretch < 1.0:
-        raise ExperimentError("max_stretch must be >= 1")
+    if not (math.isfinite(max_stretch) and max_stretch >= 1.0):
+        raise ExperimentError("max_stretch must be finite and >= 1")
+    if not all(math.isfinite(v) and v > 0 for v in (coarse_step, refine_step)):
+        raise ExperimentError("coarse_step and refine_step must be finite "
+                              "and > 0")
     if mode is None:
         mode = config.solve_mode()
     steps = int(round((max_stretch - 1.0) / coarse_step))

@@ -37,11 +37,13 @@ def emit_csv(path, header, table, config_hash: str | None = None) -> None:
 
 
 def read_csv(path):
-    """Parse a CSV written by emit_csv: returns (header, rows-of-floats-or-str)."""
+    """Parse a CSV written by emit_csv: returns (header, rows of floats).
+
+    Raises ValueError naming the line of a data cell that is not a number."""
     header = None
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -49,13 +51,10 @@ def read_csv(path):
             if header is None:
                 header = cells
                 continue
-            parsed = []
-            for cell in cells:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(cell)
-            rows.append(parsed)
+            try:
+                rows.append([float(cell) for cell in cells])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
     return header, rows
 
 

@@ -116,6 +116,9 @@ def test_robustness_sweep_matrix_and_sidecar(tmp_path):
     assert meta["lossy"] is False
     assert meta["config_hash"]
     assert len(meta["wavevector_inversion"]) == 6
+    for record in meta["wavevector_inversion"]:
+        assert record["attained_Re_q_per_um"] == pytest.approx(
+            record["target_per_um"], rel=1e-12)
     assert (out / "fig_4b.svg").exists()
 
 

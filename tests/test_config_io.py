@@ -136,6 +136,13 @@ def test_csv_round_trip(tmp_path):
     assert lines[4:] == ["nan,inf", "-inf,-0"]
 
 
+def test_read_csv_rejects_a_non_numeric_cell(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("# config_hash=f00d\nx_um,value\n1,2\n3,oops\n")
+    with pytest.raises(ValueError, match="line 4.*oops"):
+        read_csv(path)
+
+
 def test_csv_newline_terminated(tmp_path):
     path = tmp_path / "table.csv"
     emit_csv(path, ["a"], np.array([[1.0]]))

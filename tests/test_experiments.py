@@ -5,13 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize
 
 from graphene_spp.config import RunConfig
 from graphene_spp.experiments import (_KNOT_TOLERANCE, ExperimentError,
-                                      SweepAxis, SweepSpec, _bisect,
+                                      SweepAxis, SweepSpec,
                                       _three_sheet_finals,
                                       figure_coupling_axes, figure_map_spec,
                                       mode_at_wavevector, parallel_comparator,
@@ -24,122 +23,69 @@ from tests.conftest import continuous_device_finals
 def test_wavevector_inversion_hits_target(default_config):
     omega = wavevector_to_omega(default_config, 35e6)
     mode = default_config.solve_mode(omega=omega)
-    assert mode.q.real == pytest.approx(35e6, rel=1e-6)
+    assert mode.q.real == pytest.approx(35e6, rel=1e-12)
 
 
 def test_wavevector_inversion_matches_mode_helper(default_config):
     mode = mode_at_wavevector(default_config, 50e6)
-    assert mode.q.real == pytest.approx(50e6, rel=1e-6)
+    assert mode.q.real == pytest.approx(50e6, rel=1e-12)
 
 
 def test_wavevector_inversion_rejects_absurd_target(default_config):
-    with pytest.raises(ExperimentError):
-        wavevector_to_omega(default_config, 1e-3)
+    # below the light line; a frequency below or above double range; a
+    # relaxation rate whose square overflows
+    for config, target in ((default_config, 1e-3), (default_config, 1e-300),
+                           (default_config, 1e300),
+                           (replace(default_config, gamma_per_s=1e300),
+                            35e6)):
+        with pytest.raises(ExperimentError):
+            wavevector_to_omega(config, target)
 
 
-@pytest.mark.parametrize("target, failing_trial", [
-    (35e6, 1),    # the seed trial
-    (35e6, 2),    # the seed overshoots, so the bracket widens downward
-    (300e6, 2),   # the seed undershoots, so the bracket widens upward
-])
-def test_wavevector_inversion_propagates_programming_errors(
-        default_config, monkeypatch, target, failing_trial):
-    # only an unsolvable trial frequency may be skipped; a bug must surface
-    solve = RunConfig.solve_mode
-    trials = []
-
-    def broken(self, omega=None):
-        if omega is not None:
-            trials.append(omega)
-            if len(trials) == failing_trial:
-                raise TypeError("broken solver")
-        return solve(self, omega)
-
-    monkeypatch.setattr(RunConfig, "solve_mode", broken)
-    with pytest.raises(TypeError, match="broken solver"):
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.0,
+                                    -35e6])
+def test_wavevector_inversion_rejects_bad_targets(default_config, target):
+    with pytest.raises(ExperimentError, match="finite and > 0"):
         wavevector_to_omega(default_config, target)
 
 
-def _cubic(root, slope, cubic, sign):
-    """Monotone f with its only root at root; increasing when sign > 0."""
-    return lambda x: sign * (slope * (x - root) + cubic * (x - root) ** 3)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(fermi=0.15, eps_h=3.9, gamma=0.0, target=35e6)
+@example(fermi=0.15, eps_h=3.9, gamma="auto", target=35e6)
+@example(fermi=0.15, eps_h=3.9, gamma=2e12, target=35e6)
+@given(fermi=st.floats(0.02, 0.6), eps_h=st.floats(1.0, 12.0),
+       gamma=st.just(0.0) | st.just("auto") | st.floats(0.0, 1e13),
+       target=st.floats(1e6, 5e8))
+def test_wavevector_inversion_round_trips(fermi, eps_h, gamma, target):
+    config = RunConfig(E_F_eV=fermi, eps_h=eps_h, gamma_per_s=gamma)
+    omega = wavevector_to_omega(config, target)
+    attained = config.solve_mode(omega=omega).q.real
+    assert abs(attained - target) <= 1e-12 * target
 
 
-def _xtol_on_threshold(f, lo, hi, rtol, steps):
-    """xtol for which the bisection's stopping test after `steps` halvings
-    compares two equal numbers, or None when no such xtol exists."""
-    a, fa, step = lo, f(lo), hi - lo
-    for _ in range(steps):
-        step *= 0.5
-        xm = a + step
-        if f(xm) * fa >= 0:
-            a = xm
-    xtol = step - rtol * abs(xm)
-    return xtol if 0 < xtol and xtol + rtol * abs(xm) == step else None
+def test_wavevector_inversion_solves_the_mode_once(default_config,
+                                                   monkeypatch):
+    solve = RunConfig.solve_mode
+    calls = []
+
+    def counted(self, omega=None):
+        calls.append(omega)
+        return solve(self, omega)
+
+    monkeypatch.setattr(RunConfig, "solve_mode", counted)
+    omega = wavevector_to_omega(default_config, 35e6)
+    assert calls == [omega]
 
 
-_TOLERANCES = dict(xtol=st.floats(-30.0, -2.0).map(lambda p: 10.0 ** p),
-                   rtol=st.floats(4.0 * np.finfo(float).eps, 1e-3))
+def test_wavevector_inversion_propagates_programming_errors(
+        default_config, monkeypatch):
+    # only an unsolvable mode becomes an ExperimentError; a bug must surface
+    def broken(self, omega=None):
+        raise TypeError("broken solver")
 
-
-@settings(max_examples=400, deadline=None)
-# f(lo) = -5e-324: the sign test must not underflow (f(lo) f(x) = -0.0)
-@example(root=0.0, below=5e-324, above=1.0, slope=1.0, cubic=0.0, sign=1.0,
-         on_threshold=None, xtol=0.01, rtol=0.000988268659592336)
-@example(root=0.0, below=5e-324, above=127.0, slope=1.0, cubic=0.0,
-         sign=1.0, on_threshold=None, xtol=1e-28, rtol=0.0009836910721373899)
-@given(root=st.floats(-1e3, 1e3), below=st.floats(0.0, 1e3),
-       above=st.floats(0.0, 1e3), slope=st.floats(1e-3, 1e3),
-       cubic=st.floats(0.0, 1e3), sign=st.sampled_from([1.0, -1.0]),
-       on_threshold=st.none() | st.integers(1, 50), **_TOLERANCES)
-def test_bisect_matches_scipy_bitwise(root, below, above, slope, cubic, sign,
-                                      on_threshold, xtol, rtol):
-    f = _cubic(root, slope, cubic, sign)
-    lo, hi = root - below, root + above
-    if on_threshold is not None:
-        # the comparison that ends the loop is decided by its strictness
-        xtol = _xtol_on_threshold(f, lo, hi, rtol, on_threshold)
-        assume(xtol is not None)
-    try:
-        expected = optimize.bisect(f, lo, hi, xtol=xtol, rtol=rtol)
-    except RuntimeError:
-        with pytest.raises(ExperimentError, match="converge"):
-            _bisect(f, lo, hi, f(lo), f(hi), xtol, rtol)
-        return
-    assert _bisect(f, lo, hi, f(lo), f(hi), xtol, rtol).hex() \
-        == float(expected).hex()
-
-
-@settings(max_examples=100, deadline=None)
-@given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3),
-       gap=st.floats(1e-3, 1e3), slope=st.floats(1e-3, 1e3),
-       sign=st.sampled_from([1.0, -1.0]), **_TOLERANCES)
-def test_bisect_rejects_same_sign_bracket(lo, width, gap, slope, sign, xtol,
-                                          rtol):
-    f = _cubic(lo - gap, slope, 0.0, sign)
-    hi = lo + width
-    with pytest.raises(ValueError):
-        optimize.bisect(f, lo, hi, xtol=xtol, rtol=rtol)
-    with pytest.raises(ExperimentError, match="same sign"):
-        _bisect(f, lo, hi, f(lo), f(hi), xtol, rtol)
-
-
-def test_bisect_failures_raise():
-    with pytest.raises(ExperimentError, match="NaN"):
-        _bisect(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-12, 1e-9)
-    with pytest.raises(ExperimentError, match="NaN"):
-        _bisect(lambda x: x, 0.0, 1.0, math.nan, 1.0, 1e-12, 1e-9)
-    # no midpoint of [-1, 2] is 0, and the step never drops below
-    # 1e-300 + 1e-15 |midpoint|: scipy gives up after 100 steps as well
-    with pytest.raises(RuntimeError):
-        optimize.bisect(lambda x: x, -1.0, 2.0, xtol=1e-300, rtol=1e-15)
-    with pytest.raises(ExperimentError, match="converge"):
-        _bisect(lambda x: x, -1.0, 2.0, -1.0, 2.0, 1e-300, 1e-15)
-    # same-signed ends whose product underflows to 0 are still rejected
-    with pytest.raises(ValueError, match="different signs"):
-        optimize.bisect(lambda x: 5e-324 if x == 0.0 else 0.1, 0.0, 1.0)
-    with pytest.raises(ExperimentError, match="same sign"):
-        _bisect(lambda x: x, 0.0, 1.0, 5e-324, 0.1, 1e-12, 1e-9)
+    monkeypatch.setattr(RunConfig, "solve_mode", broken)
+    with pytest.raises(TypeError, match="broken solver"):
+        wavevector_to_omega(default_config, 35e6)
 
 
 def test_run_device_lossless_default(default_config):
@@ -175,6 +121,18 @@ def test_parallel_comparator_follows_rabi_formula(default_config):
                                      config=default_config)
         assert output == pytest.approx(math.sin(strength * length) ** 2,
                                        abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("argument", [0, 1, 2])
+def test_parallel_comparator_rejects_nonfinite_input(default_config, bad,
+                                                     argument):
+    # (wavevector, length, separation); a NaN length used to come back as a
+    # NaN intensity, a NaN separation as a CouplingDomainError
+    args = [35e6, 0.5e-6, 20e-9]
+    args[argument] = bad
+    with pytest.raises(ExperimentError, match="finite and > 0"):
+        parallel_comparator(*args, config=default_config)
 
 
 def test_sweep_axis_validation():
@@ -372,6 +330,17 @@ def test_stretch_search_reports_scan(default_config):
     assert result.output is None
 
 
+@pytest.mark.parametrize("scan", [
+    dict(max_stretch=math.nan), dict(max_stretch=math.inf),
+    dict(max_stretch=0.5), dict(coarse_step=0.0), dict(coarse_step=-0.1),
+    dict(coarse_step=math.nan), dict(refine_step=0.0),
+    dict(refine_step=-0.01), dict(refine_step=math.inf),
+])
+def test_stretch_search_rejects_bad_scan_parameters(default_config, scan):
+    with pytest.raises(ExperimentError, match="max_stretch|_step"):
+        stirap_stretch_search(default_config, **scan)
+
+
 def test_stretch_search_succeeds_at_reference_scale(default_config):
     mode = mode_at_wavevector(default_config, 35e6)
     result = stirap_stretch_search(default_config, mode=mode)
@@ -400,4 +369,4 @@ def test_sweep_metadata_records_inversion(default_config):
     assert len(inversions) == 2
     for record in inversions:
         assert record["attained_Re_q_per_um"] == pytest.approx(
-            record["target_per_um"], rel=1e-6)
+            record["target_per_um"], rel=1e-12)
