@@ -328,8 +328,7 @@ def _run_verify(config: RunConfig, out: str, seed: int) -> list[str]:
 
     chash = config_hash(config)
     try:
-        report = build_validation_report(config, include_oracles=True,
-                                         seed=seed)
+        report = build_validation_report(config, seed=seed)
     except OracleFailure as exc:
         raise VerificationError(f"oracle failure: {exc}") from exc
     text = render_validation_text(report)

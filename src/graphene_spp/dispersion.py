@@ -87,9 +87,10 @@ def solve_dispersion(excitation: Excitation, medium: Medium,
                      sigma_g: complex, thickness: float = 0.33e-9) -> SppMode:
     """Bound mode of a sheet with conductivity sigma_g in a host medium.
 
-    The root is taken in closed form. It must then satisfy
+    The root is taken in closed form. It must then decay on both sides
+    (Re k > 0), satisfy
     |2 eps/k + i sigma/(eps0 omega)| < 1e-10 * |sigma/(eps0 omega)| (a NaN
-    residual fails too), decay on both sides (Re k > 0) and be bound
+    residual fails too) and be bound
     (Re q above the light line of the medium); otherwise a ConvergenceError
     carrying the residual is raised.
     """
@@ -107,13 +108,14 @@ def solve_dispersion(excitation: Excitation, medium: Medium,
         q = q.conjugate()
 
     k = _transverse_constant(q, omega, eps)
+    # before the residual: far below the light line k can cancel to 0
+    if k.real <= 0:
+        raise ConvergenceError("no sign-correct evanescent branch found")
     rel_residual = abs(2.0 * eps / k + drive) / abs(drive)
     if not rel_residual < 1e-10:
         raise ConvergenceError(
             f"root residual {rel_residual:.3e} violates the 1e-10 contract",
             residual=rel_residual)
-    if k.real <= 0:
-        raise ConvergenceError("no sign-correct evanescent branch found")
     if q.real <= (omega / CONSTANTS.c) * math.sqrt(eps):
         raise ConvergenceError("root is not bound (faster than light in the "
                                "host medium)")

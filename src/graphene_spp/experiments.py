@@ -23,13 +23,24 @@ from .dynamics import (Trajectory, propagate, propagate_batch_three,
 from .geometry import CouplingSchedule, _omega1_table, build_schedule
 from .materials import CONSTANTS, MaterialDomainError, ev_to_joule
 
-AXIS_NAMES = ("wavevector_per_um", "length_um", "radius_nm", "offset_nm")
+# Sweep axis -> (cell parameter it sets, factor from the axis unit to SI);
+# the wavevector axis selects each cell's mode instead of a device parameter.
+_AXES = {"wavevector_per_um": ("wavevector", 1e6),
+         "length_um": ("length", 1e-6),
+         "radius_nm": ("radius", 1e-9),
+         "offset_nm": ("offset", 1e-9)}
+AXIS_NAMES = tuple(_AXES)
 
 _CHUNK = 512
-# Step-doubling knot choice of three-sheet sweeps (_sweep_knots): the first
-# knot count probed and the output-intensity error estimate to reach.
+# Step-doubling knot choice of three-sheet batches (_three_sheet_outputs):
+# the first knot count probed and the output-intensity error estimate to
+# reach.
 _FIRST_KNOTS = 65
 _KNOT_TOLERANCE = 2e-7
+# Uniform-stretch scan (stirap_stretch_search): the output intensity to
+# reach, and the fine step below the first coarse factor reaching it.
+_STRETCH_TARGET = 0.95
+_REFINE_STEP = 0.01
 # Errors by which a trial frequency has no solvable bound mode.
 _UNSOLVABLE = (NoBoundModeError, ConvergenceError, MaterialDomainError)
 
@@ -192,27 +203,22 @@ def run_device(config: RunConfig) -> DeviceRun:
 
 
 def parallel_comparator(wavevector: float, length: float, separation: float,
-                        config: RunConfig | None = None,
-                        lossy: bool = False) -> float:
+                        config: RunConfig, lossy: bool = False) -> float:
     """Output intensity of two parallel sheets after length L (meters).
 
-    The two-channel system is integrated with the kernel and step count of
-    the figure 4a map (n_samples - 1 steps); for the lossless case the
-    result matches sin^2(C L) to the integrator tolerance, and lossy
-    multiplies it by exp(-2 Im q L), as the map does.
+    The two-channel system is integrated as one cell of the figure 4a map
+    (_two_sheet_outputs); for the lossless case the result matches
+    sin^2(C L) to the integrator tolerance, and lossy multiplies it by
+    exp(-2 Im q L), as the map does.
     """
     if not all(math.isfinite(v) and v > 0
                for v in (wavevector, length, separation)):
         raise ExperimentError("wavevector, length, and separation must be "
                               "finite and > 0")
-    if config is None:
-        config = RunConfig()
     mode = mode_at_wavevector(config, wavevector)
-    pair = coupling_coefficient(mode, separation, config.k0_convention)
-    amps = propagate_batch_two(np.array([abs(pair.c12.real)]),
-                               np.array([length]),
-                               max(config.n_samples - 1, 1))
-    intensity = float(np.abs(amps[0, 1]) ** 2)
+    intensity = float(_two_sheet_outputs([mode], np.zeros(1, dtype=int),
+                                         np.array([length]), separation,
+                                         config)[0])
     return _damped(intensity, mode.q.imag, length) if lossy else intensity
 
 
@@ -220,13 +226,6 @@ def _damped(intensity, alpha, length):
     """Lossless output intensities damped at the uniform amplitude rate
     alpha over length: the exact envelope exp(-2 alpha L)."""
     return intensity * np.exp(-2.0 * alpha * length)
-
-
-def _axis_parameter(name: str, values: np.ndarray) -> np.ndarray:
-    """Axis values converted to SI."""
-    scale = {"wavevector_per_um": 1e6, "length_um": 1e-6,
-             "radius_nm": 1e-9, "offset_nm": 1e-9}[name]
-    return values * scale
 
 
 def _inverted_mode(config: RunConfig, target: float, inversion: list):
@@ -243,43 +242,49 @@ def _inverted_mode(config: RunConfig, target: float, inversion: list):
 
 
 def _cell_parameters(spec: SweepSpec):
-    """Per-cell SI parameter grids (flattened, axis2-major order) plus the
-    mode table and the inversion record."""
+    """Per-cell SI arrays "length", "radius" and "offset" (flattened,
+    axis2-major order) plus the mode table, each cell's index into it and
+    the inversion record."""
     cfg = spec.config
     n1 = spec.axis1.values.size
     n2 = spec.axis2.values.size
-    params = {
-        "length": np.full(n1 * n2, cfg.L_um * 1e-6),
-        "radius": np.full(n1 * n2, cfg.R_nm * 1e-9),
-        "offset": np.full(n1 * n2, cfg.delta_nm * 1e-9),
-    }
+    cells = {"length": np.full(n1 * n2, cfg.L_um * 1e-6),
+             "radius": np.full(n1 * n2, cfg.R_nm * 1e-9),
+             "offset": np.full(n1 * n2, cfg.delta_nm * 1e-9)}
     mode_index = np.zeros(n1 * n2, dtype=int)
+    targets = ([spec.fixed_wavevector_per_um * 1e6]
+               if spec.fixed_wavevector_per_um is not None else [])
+    for axis, index in ((spec.axis1, np.tile(np.arange(n1), n2)),
+                        (spec.axis2, np.repeat(np.arange(n2), n1))):
+        key, scale = _AXES[axis.name]
+        if key == "wavevector":
+            targets, mode_index = axis.values * scale, index
+        else:
+            cells[key] = (axis.values * scale)[index]
     inversion = []
+    modes = [_inverted_mode(cfg, target, inversion) for target in targets]
+    return cells, modes or [cfg.solve_mode()], mode_index, inversion
 
-    wavevector_axis = None
-    for axis, along_rows in ((spec.axis1, False), (spec.axis2, True)):
-        si = _axis_parameter(axis.name, axis.values)
-        if axis.name == "wavevector_per_um":
-            wavevector_axis = (axis, along_rows)
-            continue
-        key = {"length_um": "length", "radius_nm": "radius",
-               "offset_nm": "offset"}[axis.name]
-        block = np.tile(si, n2) if not along_rows else np.repeat(si, n1)
-        params[key] = block
 
-    if wavevector_axis is not None:
-        axis, along_rows = wavevector_axis
-        modes = [_inverted_mode(cfg, target, inversion)
-                 for target in _axis_parameter(axis.name, axis.values)]
-        index = np.arange(axis.values.size)
-        mode_index = (np.repeat(index, n1) if along_rows
-                      else np.tile(index, n2))
-    elif spec.fixed_wavevector_per_um is not None:
-        modes = [_inverted_mode(cfg, spec.fixed_wavevector_per_um * 1e6,
-                                inversion)]
-    else:
-        modes = [cfg.solve_mode()]
-    return params, modes, mode_index, inversion
+def _two_sheet_outputs(modes, mode_index, length: np.ndarray,
+                       separation: float, config: RunConfig) -> np.ndarray:
+    """Lossless output-sheet intensities of a batch of parallel sheet pairs.
+
+    Pair i carries modes[mode_index[i]] at the given separation (meters)
+    over length[i] and starts in the input sheet; every pair is integrated
+    in n_samples - 1 steps, in _CHUNK slices.
+    """
+    couplings = np.array([
+        abs(coupling_coefficient(mode, separation,
+                                 config.k0_convention).c12.real)
+        for mode in modes])[mode_index]
+    n_steps = max(config.n_samples - 1, 1)
+    outputs = np.empty(length.size)
+    for start in range(0, length.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        amps = propagate_batch_two(couplings[part], length[part], n_steps)
+        outputs[part] = np.abs(amps[:, 1]) ** 2
+    return outputs
 
 
 def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
@@ -305,29 +310,41 @@ def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
     return np.abs(amps[:, 2]) ** 2
 
 
-def _sweep_knots(cells: dict, modes, mode_index,
-                 config: RunConfig) -> tuple[int, float]:
-    """Knot count for a three-sheet sweep, by step doubling on probe devices.
+def _three_sheet_outputs(cells: dict, modes, mode_index, config: RunConfig,
+                         probes: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Lossless output intensities of a batch of three-sheet devices at a
+    knot count chosen by step doubling on its probe rows.
 
-    The probes are given as _three_sheet_finals takes its batch. Starting
-    from _FIRST_KNOTS, the knot count doubles (k -> 2k - 1) until
-    the Richardson estimate max |I_fine - I_coarse| / 15 of the 4th-order
-    kernel's output-intensity error is at most _KNOT_TOLERANCE, or until the
-    next count would exceed config.n_samples. The first pair is always
-    run, so a sweep uses at least 2 _FIRST_KNOTS - 1 knots and always has
-    an estimate; a NaN estimate keeps doubling. The probes are lossless:
-    the loss envelope scales every intensity, and so its error, by
-    exp(-2 alpha L) <= 1. Returns (knots, estimate of the error at knots).
+    The batch is given as _three_sheet_finals takes it; probes indexes the
+    rows that choose the knot count. Starting from _FIRST_KNOTS, the count
+    doubles (k -> 2k - 1) until the Richardson estimate
+    max |I_fine - I_coarse| / 15 of the 4th-order kernel's output-intensity
+    error on the probes is at most _KNOT_TOLERANCE, or until the next count
+    would exceed config.n_samples. The first pair is always run, so a batch
+    uses at least 2 _FIRST_KNOTS - 1 knots and always has an estimate; a
+    NaN estimate keeps doubling. The probes are lossless: the loss envelope
+    scales every intensity, and so its error, by exp(-2 alpha L) <= 1.
+    The whole batch then runs at that count in _CHUNK slices. Returns
+    (outputs, knots, estimate of the error at knots).
     """
+    def finals(rows, knots):
+        return _three_sheet_finals(
+            {key: values[rows] for key, values in cells.items()}, modes,
+            mode_index[rows], config, knots)
+
     knots = _FIRST_KNOTS
-    coarse = _three_sheet_finals(cells, modes, mode_index, config, knots)
+    coarse = finals(probes, knots)
     while True:
         knots = 2 * knots - 1
-        fine = _three_sheet_finals(cells, modes, mode_index, config, knots)
+        fine = finals(probes, knots)
         estimate = float(np.max(np.abs(fine - coarse))) / 15.0
         if estimate <= _KNOT_TOLERANCE or 2 * knots - 1 > config.n_samples:
-            return knots, estimate
+            break
         coarse = fine
+    outputs = np.concatenate([
+        finals(slice(start, start + _CHUNK), knots)
+        for start in range(0, mode_index.size, _CHUNK)])
+    return outputs, knots, estimate
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -339,54 +356,37 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     cell by the exact envelope exp(-2 Im q L) of its mode and length.
     """
     cfg = spec.config
-    params, modes, mode_index, inversion = _cell_parameters(spec)
+    cells, modes, mode_index, inversion = _cell_parameters(spec)
     n1 = spec.axis1.values.size
-    n2 = spec.axis2.values.size
-    total = n1 * n2
-    length = params["length"]
-    radius = params["radius"]
-    offset = params["offset"]
-    min_gap = cfg.d_min_nm * 1e-9
+    total = mode_index.size
+    length = cells["length"]
 
-    flat = np.full(total, np.nan)
     if spec.layers == 2:
-        couplings = np.empty(total)
-        for i, mode in enumerate(modes):
-            pair = coupling_coefficient(mode, min_gap, cfg.k0_convention)
-            couplings[mode_index == i] = abs(pair.c12.real)
-        n_steps = max(cfg.n_samples - 1, 1)
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            amps = propagate_batch_two(couplings[start:stop],
-                                       length[start:stop], n_steps)
-            flat[start:stop] = np.abs(amps[:, 1]) ** 2
+        flat = _two_sheet_outputs(modes, mode_index, length,
+                                  cfg.d_min_nm * 1e-9, cfg)
         invalid = 0
     else:
-        valid = length / 2.0 + offset / 2.0 <= radius
-        invalid = int(np.count_nonzero(~valid))
+        valid = length / 2.0 + cells["offset"] / 2.0 <= cells["radius"]
+        idx = np.flatnonzero(valid)
+        invalid = total - idx.size
         if invalid == total:
             raise ExperimentError("every grid cell violates the arc validity "
                                   "constraint L/2 + offset/2 <= R")
-
-        def devices(cells):
-            return ({key: values[cells] for key, values in params.items()},
-                    modes, mode_index[cells])
-
         # validity is monotone in L, offset and R along increasing axes, so
         # some corner is valid whenever any cell is
         corners = np.array(sorted({0, n1 - 1, total - n1, total - 1}))
-        knots, estimate = _sweep_knots(*devices(corners[valid[corners]]),
-                                       cfg)
-        idx = np.flatnonzero(valid)
-        for start in range(0, idx.size, _CHUNK):
-            cells = idx[start:start + _CHUNK]
-            flat[cells] = _three_sheet_finals(*devices(cells), cfg, knots)
-        nonfinite = int(np.count_nonzero(~np.isfinite(flat[idx])))
+        probes = np.searchsorted(idx, corners[valid[corners]])
+        outputs, knots, estimate = _three_sheet_outputs(
+            {key: values[idx] for key, values in cells.items()}, modes,
+            mode_index[idx], cfg, probes)
+        flat = np.full(total, np.nan)
+        flat[idx] = outputs
+        nonfinite = int(np.count_nonzero(~np.isfinite(outputs)))
     if spec.lossy:
         alpha = np.array([mode.q.imag for mode in modes])[mode_index]
         flat = _damped(flat, alpha, length)
 
-    grid = flat.reshape(n2, n1)
+    grid = flat.reshape(-1, n1)
     metadata = {
         "config_hash": config_hash(cfg),
         "layers": spec.layers,
@@ -409,19 +409,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, grid=grid, metadata=metadata)
 
 
-def robustness_metric(result: SweepResult,
-                      band: tuple | None = None) -> tuple[float, float, float]:
-    """(min, mean, stddev) of the output intensity over a band, skipping NaN
-    cells.
-
-    band is a pair of slices (rows, cols); None means the whole grid.
-    """
-    grid = result.grid if band is None else result.grid[band]
-    if grid.size == 0:
-        raise ExperimentError("empty band")
-    finite = grid[np.isfinite(grid)]
+def robustness_metric(result: SweepResult) -> tuple[float, float, float]:
+    """(min, mean, stddev) of the output intensity over the grid, skipping
+    NaN cells."""
+    finite = result.grid[np.isfinite(result.grid)]
     if finite.size == 0:
-        raise ExperimentError("band contains only invalid cells")
+        raise ExperimentError("grid contains only invalid cells")
     return float(finite.min()), float(finite.mean()), float(finite.std())
 
 
@@ -446,52 +439,41 @@ class StretchSearchResult:
 
 def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
                        mode: SppMode) -> np.ndarray:
-    """Lossless output intensities for uniformly stretched (L, R, offset)."""
+    """Lossless output intensities for uniformly stretched (L, R, offset),
+    at the knot count the two end stretches choose."""
     cells = {"length": config.L_um * 1e-6 * stretches,
              "radius": config.R_nm * 1e-9 * stretches,
              "offset": config.delta_nm * 1e-9 * stretches}
-    mode_index = np.zeros(stretches.size, dtype=int)
     ends = np.array(sorted({0, stretches.size - 1}))
-    knots, _ = _sweep_knots({key: values[ends] for key, values in
-                             cells.items()}, [mode], mode_index[ends], config)
-    return _three_sheet_finals(cells, [mode], mode_index, config, knots)
+    outputs, _, _ = _three_sheet_outputs(
+        cells, [mode], np.zeros(stretches.size, dtype=int), config, ends)
+    return outputs
 
 
-def stirap_stretch_search(config: RunConfig, target: float = 0.95,
-                          max_stretch: float = 4.0, coarse_step: float = 0.1,
-                          refine_step: float = 0.01,
+def stirap_stretch_search(config: RunConfig,
                           mode: SppMode | None = None) -> StretchSearchResult:
     """Scan uniform stretches s of (L, R, offset), d_min held fixed.
 
     The arc validity constraint is invariant under the stretch, so every
-    scanned geometry is admissible. A coarse pass locates the first factor
-    reaching the target; a fine pass then tightens it to refine_step. A mode
-    other than the configured one may be supplied to run the same scan at a
-    different excitation.
+    scanned geometry is admissible. A coarse pass over s = 1 to 4 in steps
+    of 0.1 locates the first factor whose output reaches 0.95; a fine pass
+    then tightens it to 0.01. A mode other than the configured one may be
+    supplied to run the same scan at a different excitation.
     """
-    if not 0 < target <= 1:
-        raise ExperimentError("target must lie in (0, 1]")
-    if not (math.isfinite(max_stretch) and max_stretch >= 1.0):
-        raise ExperimentError("max_stretch must be finite and >= 1")
-    if not all(math.isfinite(v) and v > 0 for v in (coarse_step, refine_step)):
-        raise ExperimentError("coarse_step and refine_step must be finite "
-                              "and > 0")
     if mode is None:
         mode = config.solve_mode()
-    steps = int(round((max_stretch - 1.0) / coarse_step))
-    coarse = 1.0 + coarse_step * np.arange(steps + 1)
+    coarse = 1.0 + 0.1 * np.arange(31)
     outputs = _stretched_outputs(config, coarse, mode)
 
-    hits = np.flatnonzero(outputs >= target)
+    hits = np.flatnonzero(outputs >= _STRETCH_TARGET)
     stretch = output = None
     if hits.size:
         upper = coarse[hits[0]]
-        lower = coarse[hits[0] - 1] if hits[0] > 0 else upper - coarse_step
-        lower = max(lower, 1.0)
-        fine_steps = int(round((upper - lower) / refine_step))
-        fine = lower + refine_step * np.arange(fine_steps + 1)
+        lower = coarse[max(hits[0] - 1, 0)]
+        fine_steps = int(round((upper - lower) / _REFINE_STEP))
+        fine = lower + _REFINE_STEP * np.arange(fine_steps + 1)
         fine_outputs = _stretched_outputs(config, fine, mode)
-        fine_hits = np.flatnonzero(fine_outputs >= target)
+        fine_hits = np.flatnonzero(fine_outputs >= _STRETCH_TARGET)
         if fine_hits.size:
             stretch = float(fine[fine_hits[0]])
             output = float(fine_outputs[fine_hits[0]])
@@ -499,29 +481,27 @@ def stirap_stretch_search(config: RunConfig, target: float = 0.95,
             stretch, output = float(upper), float(outputs[hits[0]])
 
     best = int(np.argmax(outputs))
-    return StretchSearchResult(target=target, stretch=stretch, output=output,
+    return StretchSearchResult(target=_STRETCH_TARGET, stretch=stretch,
+                               output=output,
                                best_stretch=float(coarse[best]),
                                best_output=float(outputs[best]),
                                scanned_stretches=coarse,
                                scanned_outputs=outputs)
 
 
-def figure_coupling_axes(config: RunConfig,
-                         fermi_levels=(0.05, 0.10, 0.15, 0.20),
-                         d_max_nm: float = 100.0,
-                         n_points: int = 96):
-    """Coupling-vs-separation curves at several Fermi levels.
+def figure_coupling_axes(config: RunConfig):
+    """Coupling-vs-separation curves of figure 1b.
 
-    Returns (d_nm grid, list of (E_F_eV, c12 array)); separations run from
-    2 nm up to d_max_nm.
+    Returns (d_nm grid, list of (E_F_eV, c12 array)): 96 separations from
+    2 to 100 nm at Fermi levels 0.05, 0.10, 0.15 and 0.20 eV.
     """
-    d_nm = np.linspace(2.0, d_max_nm, n_points)
+    d_nm = np.linspace(2.0, 100.0, 96)
     curves = []
-    for fermi in fermi_levels:
-        mode = replace(config, E_F_eV=float(fermi)).solve_mode()
+    for fermi in (0.05, 0.10, 0.15, 0.20):
+        mode = replace(config, E_F_eV=fermi).solve_mode()
         c12, _ = coupling_at_separations(mode, d_nm * 1e-9,
                                          config.k0_convention)
-        curves.append((float(fermi), c12))
+        curves.append((fermi, c12))
     return d_nm, curves
 
 

@@ -7,6 +7,7 @@ the exact float64; every artifact embeds the config hash it was produced from.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -59,25 +60,35 @@ def read_csv(path):
 
 
 def emit_json(path, payload: dict, config_hash: str, version: str) -> None:
-    """Write metadata JSON with the config hash and tool version embedded."""
+    """Write metadata JSON with the config hash and tool version embedded.
+
+    The file is strict JSON: a non-finite float is written as the string
+    the CSV writes for it ("inf", "-inf" or "nan")."""
     document = {"config_hash": config_hash, "version": version}
     document.update(payload)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True,
-                  default=_json_default)
+        json.dump(_json_ready(document), handle, indent=2, sort_keys=True,
+                  allow_nan=False)
         handle.write("\n")
 
 
-def _json_default(value):
+def _json_ready(value):
+    """value with numpy scalars and arrays as Python numbers and lists,
+    complex numbers as {"re", "im"} and non-finite floats as strings."""
+    if isinstance(value, dict):
+        return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item) for item in value]
+    if isinstance(value, complex):
+        return {"re": _json_ready(value.real), "im": _json_ready(value.imag)}
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else format_number(value)
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    raise TypeError(f"not JSON serializable: {value!r}")
+    return value
 
 
 def ensure_directory(path) -> str:

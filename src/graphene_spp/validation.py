@@ -66,10 +66,9 @@ def _comparison(name: str, computed: float, reference: float, unit: str,
     }
 
 
-def build_validation_report(config: RunConfig,
-                            include_oracles: bool = False,
-                            seed: int = 0) -> dict:
-    """Assemble the full comparison/discrepancy report as a JSON-ready dict."""
+def build_validation_report(config: RunConfig, seed: int = 0) -> dict:
+    """Assemble the full comparison/discrepancy report as a JSON-ready dict,
+    with the oracle suite run at seed."""
     sheet = config.sheet()
     mode = config.solve_mode()
     gamma_no_two_pi = default_relaxation_rate(sheet, "no_two_pi")
@@ -133,7 +132,7 @@ def build_validation_report(config: RunConfig,
     lossy_output = float(lossy_final[2])
     paper_device = run_device(replace(config, lambda0_um=paper_lambda0_um))
     paper_lossy = paper_device.trajectory.damped(paper_device.alpha)
-    report = {
+    return {
         "config_hash": config_hash(config),
         "version": VERSION,
         "comparisons": comparisons,
@@ -199,10 +198,8 @@ def build_validation_report(config: RunConfig,
                 "propagation_length_um": paper_lx * 1e6,
             },
         },
+        "oracle_suite": run_oracle_suite(config, seed=seed),
     }
-    if include_oracles:
-        report["oracle_suite"] = run_oracle_suite(config, seed=seed)
-    return report
 
 
 def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
@@ -360,17 +357,16 @@ def render_validation_text(report: dict) -> str:
         f"(propagation length {lo_ref['propagation_length_um']:.4g} um; "
         f"the band presumes "
         f"{REFERENCE_VALUES['propagation_length_um']:g} um)")
-    if "oracle_suite" in report:
-        suite = report["oracle_suite"]
-        lines.append("")
-        lines.append(f"oracle suite (seed {suite['seed']}):")
-        for key, metric in ORACLE_METRICS:
-            status = "pass" if suite[f"{key}_pass"] else "FAIL"
-            lines.append(f"  [{status}] {key}: max error "
-                         f"{suite[metric]:.3e} ({metric})")
-            if key == "overlap":
-                lines.append("         quadrature error estimate "
-                             f"{suite['overlap_error_estimate_max']:.3e} "
-                             "(overlap_error_estimate_max)")
+    suite = report["oracle_suite"]
+    lines.append("")
+    lines.append(f"oracle suite (seed {suite['seed']}):")
+    for key, metric in ORACLE_METRICS:
+        status = "pass" if suite[f"{key}_pass"] else "FAIL"
+        lines.append(f"  [{status}] {key}: max error "
+                     f"{suite[metric]:.3e} ({metric})")
+        if key == "overlap":
+            lines.append("         quadrature error estimate "
+                         f"{suite['overlap_error_estimate_max']:.3e} "
+                         "(overlap_error_estimate_max)")
     lines.append("")
     return "\n".join(lines)

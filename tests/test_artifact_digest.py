@@ -1,18 +1,18 @@
 """tools/artifact_digest.py: the byte-identity check between revisions."""
 
+import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "artifact_digest.py"
 
 
 def _digests():
-    done = subprocess.run([sys.executable, str(ROOT / "tools" /
-                                               "artifact_digest.py"),
-                           "--grid", "4x3"], capture_output=True, text=True,
-                          timeout=300)
+    done = subprocess.run([sys.executable, str(TOOL), "--grid", "4x3"],
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
@@ -25,9 +25,35 @@ def test_two_runs_print_the_same_digests():
                  "fig1b/coupling_sweep.csv", "fig3/schedule.csv",
                  "fig3/device_run_lossy.csv", "fig4a/fig_4a.csv",
                  "fig4b/fig_4b.json", "fig4c/fig_4c.svg",
-                 "verify/validation.json", "verify/validation.txt"):
+                 "verify/validation.json", "verify/validation.txt",
+                 "verify-lossless/validation.json"):
         assert len(first[name]) == 64
     # figure 3 writes the same schedule and device run as the commands
     assert first["fig3/schedule.csv"] == first["schedule/schedule.csv"]
     assert (first["fig3/field_map.csv"]
             == first["device-run/field_map.csv"])
+    assert (first["verify-lossless/validation.json"]
+            != first["verify/validation.json"])
+
+
+def test_every_json_artifact_is_strict_json(tmp_path):
+    # NaN and Infinity are not JSON; the lossless verify report holds
+    # infinite propagation lengths, which must arrive as "inf" strings
+    spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    artifacts = tool.run_commands("4x3", tmp_path)
+    documents = {name: json.loads(path.read_text(), parse_constant=reject)
+                 for name, path in artifacts.items()
+                 if name.endswith(".json")}
+    assert {"fig4a/fig_4a.json", "fig4b/fig_4b.json", "fig4c/fig_4c.json",
+            "verify/validation.json",
+            "verify-lossless/validation.json"} <= set(documents)
+    lossless = documents["verify-lossless/validation.json"]
+    lengths = {entry["name"]: entry["computed"]
+               for entry in lossless["comparisons"]}
+    assert lengths["propagation_length"] == "inf"

@@ -266,3 +266,21 @@ def test_emission_is_deterministic(tmp_path, default_config):
     emit_csv(a, ["p", "q"], table, config_hash=digest)
     emit_csv(b, ["p", "q"], table, config_hash=digest)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_emit_json_writes_nonfinite_floats_as_csv_tokens(tmp_path):
+    path = tmp_path / "meta.json"
+    emit_json(path, {"inf": math.inf, "ninf": np.float64(-math.inf),
+                     "arr": np.array([1.0, math.nan]),
+                     "c": complex(math.inf, 0.5)},
+              config_hash="c0de", version="0")
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(path.read_text(), parse_constant=reject)
+    assert payload["inf"] == "inf" and payload["ninf"] == "-inf"
+    assert payload["arr"] == [1.0, "nan"]
+    assert payload["c"] == {"re": "inf", "im": 0.5}
+    assert [float(payload[key]) for key in ("inf", "ninf")] == [
+        math.inf, -math.inf]

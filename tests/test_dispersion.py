@@ -99,3 +99,11 @@ def test_nan_conductivity_fails_the_residual_contract(default_config, sigma):
         solve_dispersion(default_config.excitation(),
                          Medium(permittivity=3.9), sigma)
     assert math.isnan(caught.value.residual)
+
+
+@pytest.mark.parametrize("omega", [1e3, 1e-10])
+def test_lossless_mode_far_below_light_line_fails_named(omega):
+    # the recomputed transverse constant cancels to 0 here; the residual
+    # 2 eps/k used to raise a bare ZeroDivisionError
+    with pytest.raises(ConvergenceError, match="evanescent"):
+        RunConfig(gamma_per_s=0.0).solve_mode(omega=omega)
