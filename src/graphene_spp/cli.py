@@ -348,6 +348,10 @@ def main(argv=None) -> int:
         print("error: --seed-free conflicts with verify, whose oracle suite "
               "draws random numbers (from --seed)", file=sys.stderr)
         return 2
+    if args.command == "verify" and args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}",
+              file=sys.stderr)
+        return 2
     try:
         config = (load_config(args.config) if args.config is not None
                   else RunConfig())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .coupling import K0_CONVENTIONS
 from .dispersion import Excitation, SppMode, solve_dispersion
@@ -21,6 +21,47 @@ from .materials import (CONSTANTS, GAMMA_CONVENTIONS, GrapheneSheet, Medium,
 
 class ConfigError(ValueError):
     """A config key is unknown, malformed, or violates an invariant."""
+
+
+_FORMATS = ("csv", "json", "svg")
+
+
+def _unknown_formats(formats: str) -> list[str]:
+    return [part for part in (formats.split(",") if formats else [])
+            if part not in _FORMATS]
+
+
+def _requires_positive(what: str) -> tuple:
+    return lambda value: value > 0, f"requires {what} > 0"
+
+
+# Field -> (predicate, message). A value must first be of its field's kind,
+# the type of its default, and a float finite; then the predicate holds or
+# the message is raised.
+_DOMAINS = {
+    "lambda0_um": _requires_positive("wavelength"),
+    "E_F_eV": _requires_positive("Fermi level"),
+    "mobility_cm2_per_V_s": _requires_positive("mobility"),
+    "v_F_m_per_s": _requires_positive("Fermi velocity"),
+    "thickness_nm": _requires_positive("sheet thickness"),
+    "gamma_per_s": (lambda value: value >= 0, "relaxation rate must be >= 0"),
+    "gamma_convention": (GAMMA_CONVENTIONS.__contains__,
+                         f"must be one of {GAMMA_CONVENTIONS}"),
+    "k0_convention": (K0_CONVENTIONS.__contains__,
+                      f"must be one of {K0_CONVENTIONS}"),
+    "eps_h": (lambda value: value >= 1, "host permittivity must be >= 1"),
+    "R_nm": _requires_positive("radius"),
+    "delta_nm": (lambda value: value >= 0, "offset must be >= 0"),
+    "d_min_nm": _requires_positive("minimum gap"),
+    "L_um": _requires_positive("device length"),
+    "n_samples": (lambda value: value >= 64, "must be at least 64"),
+    "out_dir": (lambda value: True, ""),
+    "formats": (lambda value: not _unknown_formats(value),
+                lambda value: f"unknown format(s) {_unknown_formats(value)}"),
+}
+
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+          str: (str, "a string")}
 
 
 @dataclass(frozen=True)
@@ -43,6 +84,35 @@ class RunConfig:
     n_samples: int = 4096
     out_dir: str = "out"
     formats: str = "csv,json,svg"
+
+    def __post_init__(self) -> None:
+        """Raise ConfigError for the first field, in field order, outside
+        its domain, then for any object the fields feed that rejects them."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "gamma_per_s" and value == "auto":
+                continue  # resolved from the mobility by gamma()
+            kind = type(field.default)
+            types, noun = _KINDS[kind]
+            valid, message = _DOMAINS[field.name]
+            if not isinstance(value, types):
+                fault = f"expected {noun}, got {value!r}"
+            elif kind is float and not math.isfinite(value):
+                fault = f"expected a finite number, got {value!r}"
+            elif not valid(value):
+                fault = message(value) if callable(message) else message
+            else:
+                continue
+            raise ConfigError(f"{field.name}: {fault}")
+        # The arc rule L/2 + delta/2 <= R lives in DeviceGeometry, and a
+        # unit conversion can underflow a tiny length to 0.
+        try:
+            self.geometry()
+            self.sheet()
+            self.medium()
+            self.excitation()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def excitation(self) -> Excitation:
         return Excitation(vacuum_wavelength=self.lambda0_um * 1e-6)
@@ -79,48 +149,14 @@ class RunConfig:
                                 thickness=self.thickness_nm * 1e-9)
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
-    return value
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-    return value
-
-
-def _positive(key: str, value: float, what: str) -> float:
-    if value <= 0:
-        raise ConfigError(f"{key}: requires {what} > 0")
-    return value
-
-
-_FLOAT_KEYS = {
-    "lambda0_um": "wavelength",
-    "E_F_eV": "Fermi level",
-    "mobility_cm2_per_V_s": "mobility",
-    "v_F_m_per_s": "Fermi velocity",
-    "thickness_nm": "sheet thickness",
-    "eps_h": "host permittivity",
-    "R_nm": "radius",
-    "delta_nm": "offset",
-    "d_min_nm": "minimum gap",
-    "L_um": "device length",
-}
-
-
 def parse_config(text: str) -> RunConfig:
-    """Parse key = value lines; '#' starts a comment; unknown keys are errors."""
-    config = RunConfig()
-    seen: dict[str, str] = {}
+    """Parse key = value lines; '#' starts a comment; unknown keys are errors.
+
+    Each value is only converted to its field's type here; RunConfig checks
+    it. A value that does not convert stays text, which RunConfig rejects
+    as the wrong kind for its field.
+    """
+    raw_values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         content = line.split("#", 1)[0].strip()
         if not content:
@@ -129,66 +165,24 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got "
                               f"{content!r}")
         key, raw = (part.strip() for part in content.split("=", 1))
-        if key in seen:
+        if key in raw_values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen[key] = raw
+        raw_values[key] = raw
+    return RunConfig(**{key: _convert(key, raw)
+                        for key, raw in raw_values.items()})
 
-    for key, raw in seen.items():
-        if key in _FLOAT_KEYS:
-            value = _parse_float(key, raw)
-            if key == "delta_nm":
-                if value < 0:
-                    raise ConfigError("delta_nm: offset must be >= 0")
-            elif key == "eps_h":
-                if value < 1:
-                    raise ConfigError("eps_h: host permittivity must be >= 1")
-            else:
-                _positive(key, value, _FLOAT_KEYS[key])
-            config = replace(config, **{key: value})
-        elif key == "gamma_per_s":
-            if raw == "auto":
-                config = replace(config, gamma_per_s="auto")
-            else:
-                value = _parse_float(key, raw)
-                if value < 0:
-                    raise ConfigError("gamma_per_s: relaxation rate must be >= 0")
-                config = replace(config, gamma_per_s=value)
-        elif key == "gamma_convention":
-            if raw not in GAMMA_CONVENTIONS:
-                raise ConfigError(f"gamma_convention: must be one of "
-                                  f"{GAMMA_CONVENTIONS}")
-            config = replace(config, gamma_convention=raw)
-        elif key == "k0_convention":
-            if raw not in K0_CONVENTIONS:
-                raise ConfigError(f"k0_convention: must be one of "
-                                  f"{K0_CONVENTIONS}")
-            config = replace(config, k0_convention=raw)
-        elif key == "n_samples":
-            value = _parse_int(key, raw)
-            if value < 64:
-                raise ConfigError("n_samples: must be at least 64")
-            config = replace(config, n_samples=value)
-        elif key == "out_dir":
-            config = replace(config, out_dir=raw)
-        elif key == "formats":
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            unknown = [p for p in parts if p not in ("csv", "json", "svg")]
-            if unknown:
-                raise ConfigError(f"formats: unknown format(s) {unknown}")
-            config = replace(config, formats=",".join(parts))
-        else:
-            raise ConfigError(f"unknown key {key!r}")
 
-    # Cross-field invariants are enforced by the constructors they feed;
-    # surface them as load errors so callers see a single failure type.
+def _convert(key: str, raw: str):
+    if key not in _DOMAINS:
+        raise ConfigError(f"unknown key {key!r}")
+    if key == "formats":
+        return ",".join(p.strip() for p in raw.split(",") if p.strip())
+    if key == "gamma_per_s" and raw == "auto":
+        return raw
     try:
-        config.geometry()
-        config.sheet()
-        config.medium()
-        config.excitation()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+        return type(RunConfig.__dataclass_fields__[key].default)(raw)
+    except ValueError:
+        return raw
 
 
 def load_config(path) -> RunConfig:

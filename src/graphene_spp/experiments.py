@@ -137,16 +137,22 @@ def wavevector_to_omega(config: RunConfig, target_q: float) -> float:
     one, v^3 + (g - a) v^2 - v - g = 0 with g = b gamma^2/t and
     a = eps/(c^2 b t). Its roots are the reciprocals, so its root of largest
     real part is the one. The mode is then solved once at omega = sqrt(s).
-    Raises ExperimentError for a target that is not finite and > 0, when
-    that mode is unsolvable (e.g. below the light line), or when it misses
-    the target by more than 1e-12 relative.
+    Raises ExperimentError for a target that is not finite and > 0, when b
+    (at a Fermi level far outside the model) or the frequency is not
+    representable, when that mode is unsolvable (e.g. below the light
+    line), or when it misses the target by more than 1e-12 relative.
     """
     if not (math.isfinite(target_q) and target_q > 0):
         raise ExperimentError("target wavevector must be finite and > 0")
+    where = f"wavevector {target_q * 1e-6:.4g} 1/um"
+    unrepresentable = (f"{where} has no representable frequency for this "
+                       "material")
     eps = config.medium().permittivity
     fermi = ev_to_joule(config.sheet().fermi_level_ev)
     drude = CONSTANTS.sigma0 * 4.0 * fermi / (math.pi * CONSTANTS.hbar)
-    b = 2.0 * eps * CONSTANTS.eps0 / drude
+    b = 2.0 * eps * CONSTANTS.eps0 / drude if drude > 0 else math.inf
+    if not 0 < b < math.inf:
+        raise ExperimentError(unrepresentable)
     gamma = config.gamma()
     g = b * gamma * gamma / target_q
     a = eps / (CONSTANTS.c**2 * b) / target_q
@@ -155,10 +161,8 @@ def wavevector_to_omega(config: RunConfig, target_q: float) -> float:
     # the cubic is -a < 0 at v = 1, so v > 1 unless the coefficients are
     # beyond what np.roots resolves
     omega = math.sqrt(target_q / (b * v)) if v > 1 else math.nan
-    where = f"wavevector {target_q * 1e-6:.4g} 1/um"
     if not 0 < omega < math.inf:
-        raise ExperimentError(f"{where} has no representable frequency for "
-                              "this material")
+        raise ExperimentError(unrepresentable)
     try:
         attained = config.solve_mode(omega=omega).q.real
     except _UNSOLVABLE as exc:

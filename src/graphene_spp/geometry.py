@@ -170,7 +170,7 @@ def _omega1_table(length, radius, offset, min_gap: float, modes, mode_index,
     omega2 is the row reversed. The layouts and the table are validated
     once per call. Separations are computed once per distinct layout, and
     the coupling once per mode over that mode's rows, in calls of at most
-    _COUPLING_BLOCK samples.
+    _COUPLING_BLOCK samples: whole rows, or column blocks of a longer row.
     """
     if n_samples < 64:
         raise ValueError("n_samples must be at least 64")
@@ -183,14 +183,17 @@ def _omega1_table(length, radius, offset, min_gap: float, modes, mode_index,
     d1 = _arc_gap(_antisymmetric_grid(length[:, 0], n_samples)
                   - offset / 2.0, radius, min_gap)
     omega1 = np.full((row.size, n_samples), np.nan)
-    step = max(1, _COUPLING_BLOCK // n_samples)
+    rows = max(1, _COUPLING_BLOCK // n_samples)
+    width = min(n_samples, _COUPLING_BLOCK)
     for m, mode in enumerate(modes):
         cells = np.flatnonzero(mode_index == m)
-        for start in range(0, cells.size, step):
-            block = cells[start:start + step]
-            c, _ = coupling_at_separations(mode, d1[row[block]],
-                                           k0_convention)
-            omega1[block] = np.abs(c.real)
+        for start in range(0, cells.size, rows):
+            block = cells[start:start + rows]
+            for col in range(0, n_samples, width):
+                cols = slice(col, col + width)
+                c, _ = coupling_at_separations(mode, d1[row[block], cols],
+                                               k0_convention)
+                omega1[block, cols] = np.abs(c.real)
     if not np.all(np.isfinite(omega1)):
         raise ValueError("couplings must be finite")
     return omega1

@@ -92,14 +92,21 @@ def default_relaxation_rate(sheet: GrapheneSheet,
     "literal_two_pi" multiplies that by 2*pi. The former is the default; it is
     the one consistent with the reference relaxation-rate value for a
     0.15 eV sheet (about 1.11e12 1/s) recorded in the validation report.
+    Raises MaterialDomainError unless the rate is finite and > 0.
     """
     if convention not in GAMMA_CONVENTIONS:
         raise ValueError(f"unknown relaxation-rate convention {convention!r}")
     mobility_si = sheet.mobility_cm2 * 1e-4  # cm^2/(V s) -> m^2/(V s)
-    rate = CONSTANTS.e * sheet.fermi_velocity**2 / (
-        mobility_si * ev_to_joule(sheet.fermi_level_ev))
+    try:
+        rate = CONSTANTS.e * sheet.fermi_velocity**2 / (
+            mobility_si * ev_to_joule(sheet.fermi_level_ev))
+    except (OverflowError, ZeroDivisionError):
+        rate = math.nan
     if convention == "literal_two_pi":
         rate *= 2.0 * math.pi
+    if not (math.isfinite(rate) and rate > 0):
+        raise MaterialDomainError("relaxation rate from the mobility must be "
+                                  "finite and > 0")
     return rate
 
 

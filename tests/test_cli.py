@@ -216,6 +216,22 @@ def test_seed_free_verify_exits_2(tmp_path, capsys, where):
     assert not (out / "validation.json").exists()
 
 
+def test_negative_seed_exits_2_before_any_work(tmp_path, capsys,
+                                              monkeypatch):
+    import graphene_spp.cli as cli
+
+    def unreachable(config, seed=0):
+        raise AssertionError("the report was built")
+
+    monkeypatch.setattr(cli, "build_validation_report", unreachable)
+    out = tmp_path / "out"
+    assert main(["--config", _cfg(tmp_path), "--out", str(out), "verify",
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed" in err
+    assert not out.exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("R_nm = -5\n")
@@ -239,6 +255,29 @@ def test_nonfinite_config_value_exits_2(tmp_path, capsys, command, line):
     key = line.split("=")[0].strip()
     assert f"error: {key}: expected a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SWEEP = ["robustness-sweep", "--grid", "2x2", "--figure"]
+
+
+@pytest.mark.parametrize("lines, argv, message", [
+    ("mobility_cm2_per_V_s = 1e-300\ngamma_per_s = auto", ["dispersion"],
+     "relaxation rate"),
+    ("mobility_cm2_per_V_s = 1e-300", ["verify"], "relaxation rate"),
+    ("v_F_m_per_s = 1e300\ngamma_per_s = auto", ["schedule"],
+     "relaxation rate"),
+    ("E_F_eV = 1e300", _SWEEP + ["4a"], "no representable frequency"),
+    ("E_F_eV = 1e300", _SWEEP + ["4b"], "no representable frequency"),
+    ("E_F_eV = 1e300", _SWEEP + ["4c"], "no representable frequency"),
+], ids=["auto-rate-overflows", "verify-rate-overflows",
+        "velocity-squared-overflows", "4a", "4b", "4c"])
+def test_extreme_material_value_exits_2(tmp_path, capsys, lines, argv,
+                                        message):
+    code = main(["--config", _cfg(tmp_path, lines + "\n"), "--out",
+                 str(tmp_path / "out"), *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

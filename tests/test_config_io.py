@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,60 @@ def test_parsed_config_is_finite_or_config_error(lines):
         value = getattr(config, name)
         if isinstance(value, (int, float)):
             assert math.isfinite(value), (name, value)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"n_samples": 10}, "n_samples: must be at least 64"),
+    ({"n_samples": 100.5}, "n_samples: expected an integer, got 100.5"),
+    ({"formats": "pdf"}, r"formats: unknown format\(s\) \['pdf'\]"),
+    ({"k0_convention": "Vacuum"}, "k0_convention: must be one of"),
+    ({"L_um": math.nan}, "L_um: expected a finite number, got nan"),
+    ({"R_nm": 400.0}, "arcs do not span the device"),
+], ids=["short-grid", "fractional-grid", "format", "convention", "nan",
+        "arc-rule"])
+def test_run_config_built_in_code_is_checked(values, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**values)
+    with pytest.raises(ConfigError, match=message):
+        replace(RunConfig(), **values)
+
+
+def _near(default):
+    return st.one_of(st.floats(), st.floats(0.4 * default, 2.5 * default),
+                     st.text(max_size=3))
+
+
+_FIELD_VALUES = {
+    "lambda0_um": _near(10.0), "E_F_eV": _near(0.15),
+    "mobility_cm2_per_V_s": _near(6e4), "v_F_m_per_s": _near(1e6),
+    "thickness_nm": _near(0.33),
+    "gamma_per_s": st.one_of(_near(2e12), st.just("auto")),
+    "gamma_convention": st.sampled_from(["no_two_pi", "literal_two_pi",
+                                         "auto", ""]),
+    "k0_convention": st.sampled_from(["vacuum", "film", "Vacuum"]),
+    "eps_h": _near(3.9), "R_nm": _near(800.0), "delta_nm": _near(200.0),
+    "d_min_nm": _near(20.0), "L_um": _near(1.0),
+    "n_samples": st.one_of(st.integers(0, 8192), st.floats(0, 8192)),
+    "out_dir": st.text(alphabet="abc_-./0123456789", max_size=8),
+    "formats": st.lists(st.sampled_from(["csv", "json", "svg", "pdf"]),
+                        max_size=3).map(",".join),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_FIELD_VALUES))
+def test_run_config_is_valid_or_config_error(values):
+    try:
+        config = RunConfig(**values)
+    except ConfigError:
+        return
+    config.geometry()
+    config.sheet()
+    config.medium()
+    config.excitation()
+    text = "\n".join(f"{field.name} = {getattr(config, field.name)}"
+                     for field in fields(config))
+    assert config_hash(parse_config(text)) == config_hash(config)
 
 
 def test_config_hash_is_stable_and_sensitive(default_config):

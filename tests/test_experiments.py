@@ -35,13 +35,16 @@ def test_wavevector_inversion_matches_mode_helper(default_config):
 def test_wavevector_inversion_rejects_absurd_target(default_config):
     # below the light line; a frequency below or above double range; a
     # relaxation rate whose square overflows; a lossless mode whose
-    # transverse constant cancels to 0
+    # transverse constant cancels to 0; Fermi levels whose b = 2 eps eps0/D
+    # underflows to 0 or overflows
     for config, target in ((default_config, 1e-3), (default_config, 1e-300),
                            (default_config, 1e300),
                            (replace(default_config, gamma_per_s=1e300),
                             35e6),
                            (replace(default_config, gamma_per_s=0.0),
-                            2.3e-16)):
+                            2.3e-16),
+                           (replace(default_config, E_F_eV=1e300), 35e6),
+                           (replace(default_config, E_F_eV=1e-310), 35e6)):
         with pytest.raises(ExperimentError):
             wavevector_to_omega(config, target)
 

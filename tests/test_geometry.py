@@ -254,3 +254,29 @@ def test_table_rows_are_bitwise_per_device_schedules(default_config,
             d1, _ = sheet_separations(geom, schedule.x_grid)
             c1, _ = coupling_at_separations(mode, d1, convention)
             assert np.array_equal(table[i], np.abs(c1.real))
+
+
+@pytest.mark.parametrize("block", [8192, 4096, 1000, 777])
+def test_long_rows_go_out_in_column_blocks(default_mode, monkeypatch, block):
+    # a device at 8192 knots samples one row of 16,383 separations, longer
+    # than the block; it must be split, and equal one unsplit call
+    sizes = []
+
+    def recorded(mode, d, k0_convention):
+        sizes.append(np.size(d))
+        return coupling_at_separations(mode, d, k0_convention)
+
+    monkeypatch.setattr(geometry, "coupling_at_separations", recorded)
+    monkeypatch.setattr(geometry, "_COUPLING_BLOCK", block)
+    geom = _geom()
+    schedule = build_schedule(geom, default_mode, 8192)
+    samples = 2 * 8192 - 1
+    assert sum(sizes) == samples
+    assert max(sizes) <= block
+    x = geometry._antisymmetric_grid(np.array([geom.length]), samples)[0]
+    d1, _ = sheet_separations(geom, x)
+    c1, _ = coupling_at_separations(default_mode, d1, "vacuum")
+    omega1 = np.abs(c1.real)
+    assert np.array_equal(schedule.omega1, omega1[::2])
+    assert np.array_equal(schedule.omega1_mid, omega1[1::2])
+    assert np.array_equal(schedule.omega2, omega1[::-1][::2])

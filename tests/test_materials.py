@@ -42,6 +42,17 @@ def test_relaxation_rate_rejects_unknown_convention():
         default_relaxation_rate(GrapheneSheet(), "half_pi")
 
 
+@pytest.mark.parametrize("sheet", [
+    GrapheneSheet(mobility_cm2=1e-300), GrapheneSheet(fermi_velocity=1e300),
+    GrapheneSheet(fermi_velocity=1e-200)],
+    ids=["rate-overflows", "velocity-squared-overflows", "rate-underflows"])
+@pytest.mark.parametrize("convention", ["no_two_pi", "literal_two_pi"])
+def test_relaxation_rate_outside_double_range_is_a_domain_error(sheet,
+                                                               convention):
+    with pytest.raises(MaterialDomainError, match="finite and > 0"):
+        default_relaxation_rate(sheet, convention)
+
+
 def test_drude_conductivity_matches_formula():
     omega = 2.0 * math.pi * const.c / 10e-6
     sheet = GrapheneSheet()
