@@ -87,7 +87,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Raise ConfigError for the first field, in field order, outside
-        its domain, then for any object the fields feed that rejects them."""
+        its domain, then for any object the fields feed that rejects them.
+
+        A float field holds a Python float afterwards, whether it was given
+        an int, a float or a numpy scalar, so that one device has one
+        `config_hash`."""
         for field in fields(self):
             value = getattr(self, field.name)
             if field.name == "gamma_per_s" and value == "auto":
@@ -95,6 +99,14 @@ class RunConfig:
             kind = type(field.default)
             types, noun = _KINDS[kind]
             valid, message = _DOMAINS[field.name]
+            if kind is float and isinstance(value, types):
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigError(f"{field.name}: expected a finite "
+                                      "number, got an int beyond the float "
+                                      "range") from None
+                object.__setattr__(self, field.name, value)
             if not isinstance(value, types):
                 fault = f"expected {noun}, got {value!r}"
             elif kind is float and not math.isfinite(value):

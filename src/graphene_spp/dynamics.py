@@ -1,13 +1,20 @@
 """Propagation of the lossless coupled-amplitude equations i da/dx = H(x) a.
 
-Both device integrators are classic fixed-step RK4 whose stages take the
-exact couplings at every knot and interval midpoint, so they see the
-continuous device and are 4th order. `propagate` records one device at every
-knot: in the basis (a0, i a1, a2) the chain is real, so each interval's step
-is a real 3x3 matrix, and the trajectory is a blocked scan of their products.
-The batch kernel steps many devices at once and keeps only their final
-amplitudes. For a constant Hamiltonian one step is a fixed matrix, so a chain
-is a power of it, built by repeated squaring.
+In the basis s = (a0, i a1, a2) the three-sheet chain is real: ds/dx =
+[v]x s, the cross product with v = (-omega2, 0, omega1), a vector along the
+dark state. Its flow is a rotation, so both device integrators step with
+rotations. Each interval takes one 4th-order Magnus step from the couplings
+at its start, exact midpoint and end (Blanes, Casas, Oteo & Ros, Phys. Rep.
+470, 151 (2009)): Omega = h/6 (v0 + 4 vm + v1) - h^2/12 vm x (v1 - v0), the
+rotation by |Omega| about Omega. The run is 4th order against the continuous
+device and keeps the norm to rounding. `propagate` records one device at
+every knot through a blocked scan of the steps' rotation matrices; the batch
+kernel multiplies the steps' unit quaternions pairwise and keeps only the
+final amplitudes of many devices. A step that turns by more than
+_MAX_STEP_ANGLE is an under-resolved run, where the Magnus series stops
+converging: `propagate` raises PropagationError, the batch kernel returns NaN
+for that device. For a constant Hamiltonian one RK4 step is a fixed matrix,
+so a chain is a power of it, built by repeated squaring.
 
 Uniform damping commutes with H, so a(x) = exp(-alpha (x - x0)) a_lossless(x)
 exactly. No integrator here carries loss: `Trajectory.damped` applies that
@@ -26,16 +33,21 @@ from .dispersion import SppMode
 from .geometry import CouplingSchedule, DeviceGeometry, sheet_separations
 
 
-# Knots per block of tabulated coupling factors in propagate_batch_three.
-_KNOT_BLOCK = 32
+# Intervals per column block of propagate_batch_three's quaternion tree.
+_TREE_BLOCK = 64
 # Intervals per block of step matrices in propagate, and steps per group of
 # its scan's running products.
 _STEP_BLOCK = 512
 _SCAN_GROUP = 32
+# Largest rotation angle (rad) of one Magnus step. The Magnus series
+# converges while the step's integral of ||A|| stays below pi; the device
+# maps turn by at most about 0.2 rad per step at 129 knots.
+_MAX_STEP_ANGLE = 1.0
 
 
 class PropagationError(RuntimeError):
-    """Numerical blow-up during propagation; carries the position."""
+    """Numerical failure during propagation (a blow-up, or a step over the
+    resolution limit); carries the position."""
 
     def __init__(self, message: str, position: float):
         super().__init__(f"{message} at x = {position:.6e} m")
@@ -103,28 +115,106 @@ def _substeps_for(spacing: float, step: float | None) -> int:
     return max(1, math.ceil(spacing / step - 1e-12))
 
 
-def _chain_generators(omega1, omega2):
-    """(..., 3, 3) real generators G of ds/dx = G s, where s = (a0, i a1,
-    a2): the lossless chain da/dx = -i H a in a basis where it is real."""
-    g = np.zeros(omega1.shape + (3, 3))
-    g[..., 1, 0] = omega1
-    g[..., 0, 1] = -omega1
-    g[..., 1, 2] = omega2
-    g[..., 2, 1] = -omega2
-    return g
+def _quadratic_weights(fractions):
+    """Lagrange weights at fractions t of the quadratic through an
+    interval's start (t = 0), midpoint (t = 1/2) and end (t = 1), as a
+    (3, len(t)) array."""
+    t = np.asarray(fractions, dtype=float)
+    return np.stack([(2.0 * t - 1.0) * (t - 1.0), 4.0 * t * (1.0 - t),
+                     t * (2.0 * t - 1.0)])
 
 
-def _rk4_interval_matrices(h, g_start, g_mid, g_end):
-    """(n, 3, 3) RK4 step matrices of ds/dx = G(x) s over n intervals of
-    widths h, from the generators at each interval's start, midpoint and
-    end: the classic stages applied to a matrix instead of a vector."""
-    eye = np.eye(3)
-    h = h[:, None, None]
-    k1 = g_start
-    k2 = g_mid @ (eye + 0.5 * h * k1)
-    k3 = g_mid @ (eye + 0.5 * h * k2)
-    k4 = g_end @ (eye + h * k3)
-    return eye + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+def _substep_couplings(knots, mid, substeps):
+    """Couplings at the start, midpoint and end of every substep when each
+    of the n intervals is split into substeps equal parts, as three
+    (..., n * substeps) arrays, from knots (..., n + 1) and exact interval
+    midpoints (..., n). A substep's samples lie on the quadratic through
+    its interval's start, midpoint and end."""
+    start, end = knots[..., :-1], knots[..., 1:]
+    if substeps == 1:
+        return start, mid, end
+    w_start, w_mid, w_end = _quadratic_weights(
+        np.arange(2 * substeps + 1) / (2 * substeps))
+    u = (w_start * start[..., None] + w_mid * mid[..., None]
+         + w_end * end[..., None])
+    shape = mid.shape[:-1] + (-1,)
+    return (u[..., 0:-1:2].reshape(shape), u[..., 1::2].reshape(shape),
+            u[..., 2::2].reshape(shape))
+
+
+def _magnus_quaternions(h, start1, mid1, end1, start2, mid2, end2):
+    """Unit quaternions (4, ...) of 4th-order Magnus steps, and their
+    rotation angles (...).
+
+    Each step spans width h with the couplings omega1 and omega2 at its
+    start, exact midpoint and end. The generator is [v]x with v = (-omega2,
+    0, omega1), and [[a]x, [b]x] = [a x b]x, so the exponent
+    h/6 (A0 + 4 Am + A1) - h^2/12 [Am, A1 - A0] is the vector
+    Omega = (-S2, twist, S1): S_i = h/6 (omega_i start + 4 mid + end) and
+    twist = h^2/12 (omega1 mid d omega2 - omega2 mid d omega1) over the
+    step. The step is the rotation by |Omega| about Omega, the quaternion
+    (cos |Omega|/2, sin(|Omega|/2) Omega/|Omega|).
+    """
+    sixth = h / 6.0
+    s1 = sixth * (start1 + 4.0 * mid1 + end1)
+    s2 = sixth * (start2 + 4.0 * mid2 + end2)
+    twist = (h * h / 12.0) * (mid1 * (end2 - start2) - mid2 * (end1 - start1))
+    angle = np.sqrt(s1 * s1 + s2 * s2 + twist * twist)
+    half = 0.5 * angle
+    # a step of angle 0 has Omega = 0, whatever the scale
+    scale = np.sin(half) / np.maximum(angle, np.finfo(float).tiny)
+    # written in place: a stack of the four parts costs a third more here
+    q = np.empty((4,) + angle.shape)
+    np.cos(half, out=q[0])
+    np.multiply(-scale, s2, out=q[1])
+    np.multiply(scale, twist, out=q[2])
+    np.multiply(scale, s1, out=q[3])
+    return q, angle
+
+
+def _quaternion_product(p, q):
+    """p q of two (4, ...) quaternion stacks: the rotation q, then p."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    out = np.empty((4,) + np.broadcast_shapes(pw.shape, qw.shape))
+    w, x, y, z = out
+    np.multiply(pw, qw, out=w)
+    w -= px * qx
+    w -= py * qy
+    w -= pz * qz
+    np.multiply(pw, qx, out=x)
+    x += px * qw
+    x += py * qz
+    x -= pz * qy
+    np.multiply(pw, qy, out=y)
+    y -= px * qz
+    y += py * qw
+    y += pz * qx
+    np.multiply(pw, qz, out=z)
+    z += px * qy
+    z -= py * qx
+    z += pz * qw
+    return out
+
+
+def _rotation_matrices(q):
+    """(..., 3, 3) rotation matrices of a (4, ...) quaternion stack, each
+    divided by its quaternion's squared norm so that it stays orthogonal
+    to rounding however far a product has drifted from unit norm. For the
+    step quaternion it is Rodrigues' I + sin t K + (1 - cos t) K^2."""
+    w, x, y, z = q
+    f = 2.0 / (w * w + x * x + y * y + z * z)
+    r = np.empty(w.shape + (3, 3))
+    r[..., 0, 0] = 1.0 - f * (y * y + z * z)
+    r[..., 0, 1] = f * (x * y - w * z)
+    r[..., 0, 2] = f * (x * z + w * y)
+    r[..., 1, 0] = f * (x * y + w * z)
+    r[..., 1, 1] = 1.0 - f * (x * x + z * z)
+    r[..., 1, 2] = f * (y * z - w * x)
+    r[..., 2, 0] = f * (x * z - w * y)
+    r[..., 2, 1] = f * (y * z + w * x)
+    r[..., 2, 2] = 1.0 - f * (x * x + y * y)
+    return r
 
 
 def _scan(steps, s0):
@@ -158,17 +248,19 @@ def propagate(schedule: CouplingSchedule, initial,
     """Integrate the lossless three-channel system along the schedule.
 
     initial is the unit-norm vector of the three channel amplitudes. Each
-    interval is one RK4 step whose stages take the schedule's couplings at
+    interval is one 4th-order Magnus step from the schedule's couplings at
     the interval's start, exact midpoint and end, so the run is 4th order
     against the continuous device. step, when given, must not exceed the
     schedule spacing and is rounded to m = ceil(spacing / step) exact
     substeps; their couplings come from the quadratic through the start,
     midpoint and end samples, as in `propagate_batch_three`. Loss is
-    `Trajectory.damped` on the result.
+    `Trajectory.damped` on the result. Raises PropagationError at the end
+    of the first interval holding a step that turns by more than
+    _MAX_STEP_ANGLE, or by a non-finite angle.
 
-    In the basis s = (a0, i a1, a2) the chain is real, so every step is a
-    real 3x3 matrix. They are built and scanned in blocks of _STEP_BLOCK
-    intervals, and the trajectory is recorded at every knot.
+    In the basis s = (a0, i a1, a2) every step is a real rotation matrix.
+    They are built and scanned in blocks of _STEP_BLOCK intervals, and the
+    trajectory is recorded at every knot.
     """
     a = np.asarray(initial, dtype=complex)
     if a.shape != (3,):
@@ -179,28 +271,28 @@ def propagate(schedule: CouplingSchedule, initial,
     x = schedule.x_grid
     m = _substeps_for(schedule.spacing, step)
     basis = np.array([1.0, 1j, 1.0])
-    # couplings at every substep's start, midpoint and end fraction
-    w_start, w_mid, w_end = _quadratic_weights(np.arange(2 * m + 1) / (2 * m))
     out = np.empty((len(x), 3), dtype=complex)
     out[0] = basis * a
     pairs = out.view(float).reshape(len(x), 3, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j0 in range(0, len(x) - 1, _STEP_BLOCK):
-            j1 = min(j0 + _STEP_BLOCK, len(x) - 1)
-            generators = _chain_generators(*(
-                w_start * knots[j0:j1] + w_mid * mid[j0:j1]
-                + w_end * knots[j0 + 1:j1 + 1]
-                for knots, mid in ((schedule.omega1, schedule.omega1_mid),
-                                   (schedule.omega2, schedule.omega2_mid))))
-            h = (x[j0 + 1:j1 + 1] - x[j0:j1]) / m
-            steps = _rk4_interval_matrices(h, *generators[0:3])
-            for i in range(2, 2 * m, 2):
-                steps = _rk4_interval_matrices(
-                    h, *generators[i:i + 3]) @ steps
-            pairs[j0 + 1:j1 + 1] = _scan(steps, pairs[j0])
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if bad.size:
-        raise PropagationError("non-finite amplitude", float(x[bad[0]]))
+    for j0 in range(0, len(x) - 1, _STEP_BLOCK):
+        j1 = min(j0 + _STEP_BLOCK, len(x) - 1)
+        h = np.repeat((x[j0 + 1:j1 + 1] - x[j0:j1]) / m, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, angle = _magnus_quaternions(h, *_substep_couplings(
+                schedule.omega1[j0:j1 + 1], schedule.omega1_mid[j0:j1], m),
+                *_substep_couplings(schedule.omega2[j0:j1 + 1],
+                                    schedule.omega2_mid[j0:j1], m))
+        over = np.flatnonzero(~(angle <= _MAX_STEP_ANGLE))
+        if over.size:
+            raise PropagationError(
+                f"Magnus step angle {angle[over[0]]:.3g} rad over the "
+                f"resolution limit {_MAX_STEP_ANGLE} rad",
+                float(x[j0 + over[0] // m + 1]))
+        q = q.reshape(4, -1, m)
+        steps = q[..., 0]
+        for i in range(1, m):
+            steps = _quaternion_product(q[..., i], steps)
+        pairs[j0 + 1:j1 + 1] = _scan(_rotation_matrices(steps), pairs[j0])
     out /= basis
     return Trajectory(x_grid=x.copy(), amplitudes=out)
 
@@ -286,78 +378,53 @@ def field_map(trajectory: Trajectory, geom: DeviceGeometry, mode: SppMode,
     return np.abs(psi) ** 2
 
 
-def _quadratic_weights(fractions):
-    """Lagrange weights at fractions t of the quadratic through an
-    interval's start (t = 0), midpoint (t = 1/2) and end (t = 1), as a
-    (3, len(t), 1) array."""
-    t = np.asarray(fractions, dtype=float)[:, None]
-    return np.stack([(2.0 * t - 1.0) * (t - 1.0), 4.0 * t * (1.0 - t),
-                     t * (2.0 * t - 1.0)])
-
-
 def propagate_batch_three(h, omega1, omega2, omega1_mid, omega2_mid, a_init,
                           substeps: int = 1):
-    """Vectorized lossless three-channel integrator over a batch of devices.
+    """Lossless three-channel propagation of a batch of devices.
 
     h: (B,) interval widths (uniform per device); omega1, omega2: (B, N)
     couplings at the knots; omega1_mid, omega2_mid: (B, N - 1) couplings at
     the interval midpoints; a_init: (B, 3). Returns the final (B, 3)
-    amplitudes.
+    amplitudes; a device with a step over _MAX_STEP_ANGLE, or a non-finite
+    one, gets a row of NaN.
 
-    With exact midpoint couplings the RK4 stages sample the continuous
-    device, so the error falls 16x per halving of h. Substeps split an
-    interval exactly and take their couplings from the quadratic through
-    its start, midpoint and end samples.
+    Each interval is one 4th-order Magnus step, as in `propagate`, so the
+    error falls 16x per halving of h. Substeps split an interval exactly
+    and take their couplings from the quadratic through its start,
+    midpoint and end samples.
 
-    The channels sit in rows 1-3 of a zero-padded (5, B) array, so the chain
-    product -1j H a is two elementwise products with shifted views. The
-    -1j*omega factors are tabulated for a block of knots at a time.
+    The steps' unit quaternions are formed _TREE_BLOCK intervals at a time
+    and multiplied pairwise, in log2 levels, into one quaternion per device
+    and block; a running product per device carries the blocks. The final
+    rotation then acts on the initial states in the basis (a0, i a1, a2).
     """
     omega1, omega2, omega1_mid, omega2_mid = (
         np.asarray(omega, dtype=float)
         for omega in (omega1, omega2, omega1_mid, omega2_mid))
     batch, knots = omega1.shape
-    h = np.asarray(h, dtype=float) / substeps
-    half = 0.5 * h
-    sixth = h / 6.0
-    a = np.zeros((5, batch), dtype=complex)
-    a[1:4] = np.asarray(a_init, dtype=complex).T
-    b = np.zeros((5, batch), dtype=complex)
-    a_mid, b_mid = a[1:4], b[1:4]
-    # weights of every substep's start, midpoint and end
-    w_start, w_mid, w_end = _quadratic_weights(
-        np.arange(2 * substeps + 1) / (2 * substeps))
-
-    def rate(lower, upper, p):
-        return lower * p[0:3] + upper * p[2:5]
-
-    for j0 in range(0, knots - 1, _KNOT_BLOCK):
-        j1 = min(j0 + _KNOT_BLOCK, knots - 1)
-        # factors[j, f] holds (0, -1j*omega1, -1j*omega2, 0) at fraction f
-        # of interval j0 + j: rows 0-2 multiply a[0:3], rows 1-3 a[2:5]
-        factors = np.zeros((j1 - j0, 2 * substeps + 1, 4, batch),
-                           dtype=complex)
-        for row, omega, mid in ((1, omega1, omega1_mid),
-                                (2, omega2, omega2_mid)):
-            factors[:, :, row] = -1j * (
-                w_start * omega[:, j0:j1].T[:, None]
-                + w_mid * mid[:, j0:j1].T[:, None]
-                + w_end * omega[:, j0 + 1:j1 + 1].T[:, None])
-        lower_all = factors[:, :, 0:3]
-        upper_all = factors[:, :, 1:4]
-        for j in range(j1 - j0):
-            lower = lower_all[j]
-            upper = upper_all[j]
-            for i in range(0, 2 * substeps, 2):
-                k = rate(lower[i], upper[i], a)
-                np.add(a_mid, half * k, out=b_mid)
-                l = rate(lower[i + 1], upper[i + 1], b)
-                np.add(a_mid, half * l, out=b_mid)
-                m = rate(lower[i + 1], upper[i + 1], b)
-                np.add(a_mid, h * m, out=b_mid)
-                n = rate(lower[i + 2], upper[i + 2], b)
-                a_mid += sixth * (k + 2.0 * (l + m) + n)
-    return a_mid.T
+    h = np.asarray(h, dtype=float)[:, None] / substeps
+    total = np.zeros((4, batch))
+    total[0] = 1.0
+    resolved = np.ones(batch, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, knots - 1, _TREE_BLOCK):
+            j1 = min(j0 + _TREE_BLOCK, knots - 1)
+            q, angle = _magnus_quaternions(h, *_substep_couplings(
+                omega1[:, j0:j1 + 1], omega1_mid[:, j0:j1], substeps),
+                *_substep_couplings(omega2[:, j0:j1 + 1],
+                                    omega2_mid[:, j0:j1], substeps))
+            resolved &= np.all(angle <= _MAX_STEP_ANGLE, axis=1)
+            while q.shape[-1] > 1:
+                n = q.shape[-1]
+                paired = _quaternion_product(q[..., 1:n:2], q[..., 0:n - 1:2])
+                q = (np.concatenate([paired, q[..., -1:]], axis=-1)
+                     if n % 2 else paired)
+            total = _quaternion_product(q[..., 0], total)
+    basis = np.array([1.0, 1j, 1.0])
+    s = (basis * np.asarray(a_init, dtype=complex))[..., None]
+    a = (_rotation_matrices(total) @ s)[..., 0] / basis
+    a[~resolved] = np.nan
+    return a
 
 
 def propagate_batch_two(coupling, span, n_steps: int):

@@ -36,7 +36,7 @@ _CHUNK = 512
 # the first knot count probed and the output-intensity error estimate to
 # reach.
 _FIRST_KNOTS = 65
-_KNOT_TOLERANCE = 2e-7
+_KNOT_TOLERANCE = 5e-8
 # Uniform-stretch scan (stirap_stretch_search): the output intensity to
 # reach, and the fine step below the first coarse factor reaching it.
 _STRETCH_TARGET = 0.95

@@ -8,6 +8,7 @@ propagation axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,22 +44,25 @@ def _check_layout(radius, offset, min_gap, length) -> None:
     """Raise GeometryError unless every arc layout is valid.
 
     Each argument is a scalar or an array of per-device values; one failing
-    device fails the whole call with DeviceGeometry's message.
+    device fails the whole call with DeviceGeometry's message. A layout of
+    four floats is checked with plain comparisons, arrays with numpy.
     """
     fields = {"radius": radius, "offset": offset, "min_gap": min_gap,
               "length": length}
+    scalar = all(isinstance(value, float) for value in fields.values())
+    holds, finite = (bool, math.isfinite) if scalar else (np.all, np.isfinite)
     for name, value in fields.items():
-        if not np.all(np.isfinite(value)):
+        if not holds(finite(value)):
             raise GeometryError(f"{name} must be finite")
-    if not np.all(radius > 0):
+    if not holds(radius > 0):
         raise GeometryError("radius must be > 0")
-    if not np.all(offset >= 0):
+    if not holds(offset >= 0):
         raise GeometryError("offset must be >= 0")
-    if not np.all(min_gap > 0):
+    if not holds(min_gap > 0):
         raise GeometryError("min_gap must be > 0")
-    if not np.all(length > 0):
+    if not holds(length > 0):
         raise GeometryError("length must be > 0")
-    if not np.all(length / 2.0 + offset / 2.0 <= radius):
+    if not holds(length / 2.0 + offset / 2.0 <= radius):
         raise GeometryError(
             "arcs do not span the device: require L/2 + offset/2 <= radius")
 
@@ -89,7 +93,7 @@ class CouplingSchedule:
 
     omega1 couples input and middle sheets, omega2 couples middle and output;
     both are sampled at the knots x_grid. omega1_mid and omega2_mid are the
-    exact couplings at the n - 1 interval midpoints, which the RK4 stages
+    exact couplings at the n - 1 interval midpoints, which the Magnus steps
     need to see the continuous device.
     """
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -15,6 +16,13 @@ def _digests():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_two_runs_print_the_same_digests():
@@ -39,9 +47,7 @@ def test_two_runs_print_the_same_digests():
 def test_every_json_artifact_is_strict_json(tmp_path):
     # NaN and Infinity are not JSON; the lossless verify report holds
     # infinite propagation lengths, which must arrive as "inf" strings
-    spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool()
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -57,3 +63,25 @@ def test_every_json_artifact_is_strict_json(tmp_path):
     lengths = {entry["name"]: entry["computed"]
                for entry in lossless["comparisons"]}
     assert lengths["propagation_length"] == "inf"
+
+
+def test_numeric_move_aligns_numbers_only():
+    move = _tool().numeric_move
+    # hex colours, hashes and version strings are text, not numbers
+    old = ('# config_hash=304ce6be v0.1.0\nx,1.5,nan,inf\n'
+           '<rect fill="#3b4cc0"/>')
+    assert move(old, old.replace("1.5", "1.25")) == {
+        "largest_move": 0.25, "largest_relative_move": 0.25 / 1.5,
+        "values_moved": 1}
+    assert move("1,nan,-inf", "1,nan,-inf")["values_moved"] == 0
+    assert move("1,nan", "1,2")["largest_move"] == math.inf
+    assert move(old, old.replace("#3b4cc0", "#3b4cc1")) == {"lines_differ": 1}
+
+
+def test_comparing_a_tree_with_itself_moves_nothing():
+    src = str(ROOT / "src")
+    done = subprocess.run([sys.executable, str(TOOL), "--grid", "4x3",
+                           "--src", src, "--src", src],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {}

@@ -12,6 +12,7 @@ import pytest
 
 import graphene_spp
 from graphene_spp.cli import main
+from graphene_spp.experiments import _KNOT_TOLERANCE
 from graphene_spp.io import read_csv
 from graphene_spp.validation import ORACLE_METRICS
 
@@ -136,7 +137,8 @@ def test_robustness_sweep_records_knot_choice(tmp_path):
                      "--figure", "4b", "--grid", "3x3"]) == 0
         metas[label] = json.loads((out / "fig_4b.json").read_text())
     default, capped = metas["default"], metas["capped"]
-    assert default["knot_tolerance"] == capped["knot_tolerance"] == 2e-7
+    assert (default["knot_tolerance"] == capped["knot_tolerance"]
+            == _KNOT_TOLERANCE)
     assert 0.0 <= default["knot_error_estimate"] <= default["knot_tolerance"]
     assert default["knots"] <= default["n_samples"]
     assert capped["knots"] == 129

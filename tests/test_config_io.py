@@ -111,8 +111,10 @@ def test_parsed_config_is_finite_or_config_error(lines):
     ({"k0_convention": "Vacuum"}, "k0_convention: must be one of"),
     ({"L_um": math.nan}, "L_um: expected a finite number, got nan"),
     ({"R_nm": 400.0}, "arcs do not span the device"),
+    ({"R_nm": 10**400}, "R_nm: expected a finite number, got an int beyond "
+                        "the float range"),
 ], ids=["short-grid", "fractional-grid", "format", "convention", "nan",
-        "arc-rule"])
+        "arc-rule", "int-overflow"])
 def test_run_config_built_in_code_is_checked(values, message):
     with pytest.raises(ConfigError, match=message):
         RunConfig(**values)
@@ -121,8 +123,10 @@ def test_run_config_built_in_code_is_checked(values, message):
 
 
 def _near(default):
-    return st.one_of(st.floats(), st.floats(0.4 * default, 2.5 * default),
-                     st.text(max_size=3))
+    # ints and numpy scalars too: a float field stores a Python float
+    near = st.floats(0.4 * default, 2.5 * default)
+    return st.one_of(st.floats(), near, near.map(np.float64),
+                     st.integers(), st.text(max_size=3))
 
 
 _FIELD_VALUES = {
@@ -162,6 +166,19 @@ def test_config_hash_is_stable_and_sensitive(default_config):
     assert config_hash(default_config) == config_hash(RunConfig())
     other = parse_config("E_F_eV = 0.2\n")
     assert config_hash(other) != config_hash(default_config)
+
+
+def test_one_device_has_one_hash():
+    # a float field given an int or a numpy scalar holds the float a file
+    # parses to, so the hash does not depend on how the value was spelled
+    forms = [RunConfig(R_nm=900), RunConfig(R_nm=900.0),
+             RunConfig(R_nm=np.float64(900.0)), parse_config("R_nm = 900"),
+             replace(RunConfig(), R_nm=900)]
+    hashes = {config_hash(config) for config in forms}
+    assert all(type(config.R_nm) is float for config in forms)
+    # the hash a file gave before float fields were converted
+    assert hashes == {"a01f419fc145f33cb843ac67d588e6e2"
+                      "5701d40c59c68423f7b6286f3df26bfb"}
 
 
 def test_goldens_were_generated_from_the_default_config(goldens):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphene_spp.dynamics import (ChainHamiltonian, PropagationError,
-                                   Trajectory, dark_state, field_map,
-                                   propagate, propagate_batch_three,
-                                   propagate_batch_two, propagate_constant,
-                                   two_level_analytic)
+from graphene_spp.dynamics import (_MAX_STEP_ANGLE, ChainHamiltonian,
+                                   PropagationError, Trajectory, dark_state,
+                                   field_map, propagate,
+                                   propagate_batch_three, propagate_batch_two,
+                                   propagate_constant, two_level_analytic)
 from graphene_spp.geometry import CouplingSchedule, build_schedule
 from graphene_spp.oracles import expm_reference
 from tests.conftest import as_complex, continuous_device_finals
@@ -86,54 +86,79 @@ def _quadratic(start, mid, end, t):
             + 4.0 * t * (1.0 - t) * mid + t * (2.0 * t - 1.0) * end)
 
 
+def _generator(u1, u2):
+    """Real generator G of ds/dx = G s for the couplings (u1, u2), in the
+    basis s = (a0, i a1, a2)."""
+    return np.array([[0.0, -u1, 0.0], [u1, 0.0, u2], [0.0, -u2, 0.0]])
+
+
+def _magnus_exponent(h, u_start, u_mid, u_end):
+    """The 4th-order Magnus exponent h/6 (G0 + 4 Gm + G1)
+    - h^2/12 [Gm, G1 - G0] of a step of width h, from the coupling pairs
+    at its start, midpoint and end, as a 3x3 matrix."""
+    g0, gm, g1 = (_generator(*u) for u in (u_start, u_mid, u_end))
+    dg = g1 - g0
+    return h / 6.0 * (g0 + 4.0 * gm + g1) - h * h / 12.0 * (gm @ dg - dg @ gm)
+
+
+def _angle(omega):
+    """Rotation angle of an antisymmetric 3x3 exponent."""
+    return math.sqrt(0.5 * float(np.sum(omega * omega)))
+
+
+def _magnus_rotation(h, u_start, u_mid, u_end, loss=0.0):
+    """exp(Omega - loss h I): one Magnus step of ds/dx = (G - loss I) s,
+    its rotation by Rodrigues' formula."""
+    omega = _magnus_exponent(h, u_start, u_mid, u_end)
+    theta = _angle(omega)
+    k = omega / theta
+    return math.exp(-loss * h) * (np.eye(3) + math.sin(theta) * k
+                                  + (1.0 - math.cos(theta)) * (k @ k))
+
+
+def _substep_samples(samples1, samples2, s, m):
+    """Coupling pairs at the start, midpoint and end of substep s of m,
+    from the quadratic through an interval's start, midpoint and end."""
+    return [(_quadratic(*samples1, t), _quadratic(*samples2, t))
+            for t in (s / m, (s + 0.5) / m, (s + 1.0) / m)]
+
+
 def _propagate_stepwise(schedule, initial, loss, step=None):
-    """propagate with the per-channel loss rates inside every RK4 stage,
-    one interval and one stage at a time; substep s of m takes its
-    couplings from the quadratic through the interval's start, exact
-    midpoint and end samples at fractions s/m, (s + 1/2)/m, (s + 1)/m."""
-    al0, al1, al2 = loss
+    """propagate with the uniform loss rate inside every Magnus step, one
+    rotation per interval (per substep when step is given) applied in a
+    Python loop; substep s of m takes its couplings from the quadratic
+    through the interval's start, exact midpoint and end samples at
+    fractions s/m, (s + 1/2)/m, (s + 1)/m."""
     x = schedule.x_grid
     m = 1 if step is None else max(1, math.ceil(schedule.spacing / step
                                                 - 1e-12))
-    a0, a1, a2 = (complex(v) for v in initial)
-    out = [(a0, a1, a2)]
+    basis = np.array([1.0, 1j, 1.0])
+    state = basis * np.asarray(initial, dtype=complex)
+    out = [state / basis]
     for j in range(len(x) - 1):
         h = (x[j + 1] - x[j]) / m
         samples1 = (schedule.omega1[j], schedule.omega1_mid[j],
                     schedule.omega1[j + 1])
         samples2 = (schedule.omega2[j], schedule.omega2_mid[j],
                     schedule.omega2[j + 1])
-
-        def rate(t, b0, b1, b2):
-            u1, u2 = _quadratic(*samples1, t), _quadratic(*samples2, t)
-            return (-1j * u1 * b1 - al0 * b0,
-                    -1j * (u1 * b0 + u2 * b2) - al1 * b1,
-                    -1j * u2 * b1 - al2 * b2)
-
         for s in range(m):
-            a = (a0, a1, a2)
-            k1 = rate(s / m, *a)
-            k2 = rate((s + 0.5) / m, *(v + 0.5 * h * d for v, d in zip(a, k1)))
-            k3 = rate((s + 0.5) / m, *(v + 0.5 * h * d for v, d in zip(a, k2)))
-            k4 = rate((s + 1.0) / m, *(v + h * d for v, d in zip(a, k3)))
-            a0, a1, a2 = (v + h / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
-                          for v, d1, d2, d3, d4 in zip(a, k1, k2, k3, k4))
-        out.append((a0, a1, a2))
+            state = _magnus_rotation(
+                h, *_substep_samples(samples1, samples2, s, m), loss) @ state
+        out.append(state / basis)
     return np.array(out)
 
 
 def test_propagate_matches_stepwise_loss_loop(default_config, default_mode):
     # the loss envelope outside the kernel must agree with damping inside
-    # every RK4 stage, over whole trajectories; the two differ by RK4's
-    # truncation of the damping term, about 1.5e-10 at 1025 knots and
-    # 6e-13 at the default 4096
+    # every Magnus step, over whole trajectories: uniform loss commutes
+    # with the chain, so the two differ by rounding only
     schedule = _schedule(default_config, default_mode, 4096)
     alpha = default_mode.q.imag
     for step in (None, schedule.spacing / 2, schedule.spacing / 3):
         for loss in (0.0, alpha):
             got = propagate(schedule, START,
                             step=step).damped(loss).amplitudes
-            expected = _propagate_stepwise(schedule, START, (loss,) * 3, step)
+            expected = _propagate_stepwise(schedule, START, loss, step)
             assert got.shape == expected.shape
             assert _relative_gap(got, expected) < 1e-12
 
@@ -142,7 +167,7 @@ def test_uniform_loss_factorizes(default_config, default_mode):
     schedule = _schedule(default_config, default_mode, 1025)
     alpha = default_mode.q.imag
     lossless = propagate(schedule, START)
-    lossy = _propagate_stepwise(schedule, START, (alpha,) * 3)
+    lossy = _propagate_stepwise(schedule, START, alpha)
     factor = np.exp(-alpha * (schedule.x_grid - schedule.x_grid[0]))
     predicted = lossless.amplitudes * factor[:, None]
     assert np.abs(lossy - predicted).max() < 1e-8
@@ -198,27 +223,66 @@ def test_propagate_complex_initial_state_matches_stepwise_loop(
         initial = rng.normal(size=3) + 1j * rng.normal(size=3)
         initial /= np.linalg.norm(initial)
         got = propagate(schedule, initial).amplitudes
-        expected = _propagate_stepwise(schedule, initial, (0.0,) * 3)
+        expected = _propagate_stepwise(schedule, initial, 0.0)
         assert _relative_gap(got, expected) < 1e-12
 
 
-def test_propagate_reports_blow_up_at_first_nonfinite_knot():
-    # stable couplings, then h * omega = 1e100 from knot 700 of 1025 (past
-    # the first block of step matrices, inside a scan group): the state is
-    # finite at knot 700 and overflows at knot 701
+def test_resolution_guard_stops_at_first_interval_over_limit():
+    # stable couplings, then h * omega = 3 from knot 700 of 1025 (past the
+    # first block of step matrices): a rotation never overflows, so the
+    # guard, not a blow-up, must stop the run where a step turns by more
+    # than the limit. propagate raises at the end of that interval, and
+    # the batch kernel returns NaN for the device and only for it.
     x = np.linspace(-0.5e-6, 0.5e-6, 1025)
     h = x[1] - x[0]
     omega = np.full(x.size, 1e6)
-    omega[700:] = 1e100 / h
+    omega[700:] = 3.0 / h
     mid = 0.5 * (omega[:-1] + omega[1:])
     schedule = CouplingSchedule(x, omega, 0.5 * omega, mid, 0.5 * mid)
-    with pytest.raises(PropagationError) as caught:
+    angles = [_angle(_magnus_exponent(
+        h, (omega[j], 0.5 * omega[j]), (mid[j], 0.5 * mid[j]),
+        (omega[j + 1], 0.5 * omega[j + 1]))) for j in range(x.size - 1)]
+    first = np.flatnonzero(np.array(angles) > _MAX_STEP_ANGLE)[0]
+    assert first == 699
+    with pytest.raises(PropagationError, match="resolution limit") as caught:
         propagate(schedule, START)
-    with np.errstate(all="ignore"):
-        reference = _propagate_stepwise(schedule, START, (0.0,) * 3)
-    first = np.flatnonzero(~np.isfinite(reference).all(axis=1))[0]
-    assert first == 701
-    assert caught.value.position == x[first]
+    assert caught.value.position == x[first + 1]
+
+    stable = np.full(x.size, 1e6)
+    rows = np.stack([omega, stable])
+    mids = np.stack([mid, stable[1:]])
+    finals = propagate_batch_three(np.full(2, h), rows, 0.5 * rows, mids,
+                                   0.5 * mids, np.stack([START, START]))
+    assert np.isnan(finals[0]).all()
+    assert np.isfinite(finals[1]).all()
+    # a non-finite coupling is over any limit
+    rows[1, 3] = math.nan
+    finals = propagate_batch_three(np.full(2, h), rows, 0.5 * rows, mids,
+                                   0.5 * mids, np.stack([START, START]))
+    assert np.isnan(finals).all()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), knots=st.integers(2, 300),
+       turn=st.floats(0.0, 0.5), substeps=st.integers(1, 3))
+def test_kernels_conserve_the_norm(seed, knots, turn, substeps):
+    # every step is a rotation, so the lossless norm holds to rounding for
+    # any couplings with h * omega <= turn, which keeps every step well
+    # inside the angle limit, substeps and their quadratic included
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-0.5e-6, 0.5e-6, knots)
+    h = x[1] - x[0]
+    omega = rng.uniform(0.0, turn / h, (3, 4, knots))
+    initial = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    initial /= np.linalg.norm(initial, axis=1, keepdims=True)
+    schedule = CouplingSchedule(x, omega[0, 0], omega[0, 1],
+                                omega[0, 2, 1:], omega[0, 3, 1:])
+    trajectory = propagate(schedule, initial[0], step=h / substeps)
+    assert np.abs(trajectory.intensities.sum(axis=1) - 1.0).max() < 1e-13
+    finals = propagate_batch_three(np.full(3, h), omega[:, 0], omega[:, 1],
+                                   omega[:, 2, 1:], omega[:, 3, 1:], initial,
+                                   substeps=substeps)
+    assert np.abs(np.sum(np.abs(finals) ** 2, axis=1) - 1.0).max() < 1e-13
 
 
 def test_propagate_is_fourth_order(default_config, default_mode):
@@ -268,52 +332,48 @@ def test_batch_three_is_fourth_order(default_config, default_mode):
     assert errors[1] >= 12.0 * errors[2]
 
 
-def _batch_three_channelwise(h, omega1, omega2, omega1_mid, omega2_mid,
-                             a_init, substeps):
-    """The lossless batch kernel written channel by channel, one knot at a
-    time, with the quadratic through start, midpoint and end samples."""
-    knots = omega1.shape[1]
-    h = h / substeps
-    a = tuple(a_init[:, i].astype(complex) for i in range(3))
-
-    def rate(u1, u2, b0, b1, b2):
-        return (-1j * u1 * b1,
-                -1j * (u1 * b0 + u2 * b2),
-                -1j * u2 * b1)
-
-    for j in range(knots - 1):
-        samples1 = omega1[:, j], omega1_mid[:, j], omega1[:, j + 1]
-        samples2 = omega2[:, j], omega2_mid[:, j], omega2[:, j + 1]
-        for s in range(substeps):
-            u0, um, u1 = ((_quadratic(*samples1, t), _quadratic(*samples2, t))
-                          for t in (s / substeps, (s + 0.5) / substeps,
-                                    (s + 1.0) / substeps))
-            k = rate(*u0, *a)
-            l = rate(*um, *(x + 0.5 * h * d for x, d in zip(a, k)))
-            m = rate(*um, *(x + 0.5 * h * d for x, d in zip(a, l)))
-            n = rate(*u1, *(x + h * d for x, d in zip(a, m)))
-            a = tuple(x + h / 6.0 * (dk + 2.0 * (dl + dm) + dn)
-                      for x, dk, dl, dm, dn in zip(a, k, l, m, n))
-    return np.stack(a, axis=1)
+def _batch_three_stepwise(h, omega1, omega2, omega1_mid, omega2_mid,
+                          a_init, substeps):
+    """The batch kernel written as one rotation per substep, device by
+    device, in a Python loop, with the quadratic through each interval's
+    start, midpoint and end samples."""
+    basis = np.array([1.0, 1j, 1.0])
+    out = []
+    for b in range(len(h)):
+        state = basis * a_init[b]
+        for j in range(omega1.shape[1] - 1):
+            samples1 = omega1[b, j], omega1_mid[b, j], omega1[b, j + 1]
+            samples2 = omega2[b, j], omega2_mid[b, j], omega2[b, j + 1]
+            for s in range(substeps):
+                state = _magnus_rotation(
+                    h[b] / substeps,
+                    *_substep_samples(samples1, samples2, s, substeps)) @ state
+        out.append(state / basis)
+    return np.array(out)
 
 
-def test_batch_three_bitwise_matches_channelwise_loop():
-    # block tabulation and the padded chain product must not change a bit;
-    # 75 knots span two full blocks and a partial one
+def test_batch_three_matches_stepwise_rotation_loop():
+    # the quaternion tree and its column blocks must give the product of
+    # the per-interval rotations up to rounding; 150 knots span two full
+    # blocks and a partial one of odd length. Each device's row does not
+    # depend on the rest of the batch, bit for bit.
     rng = np.random.default_rng(5)
-    batch, knots = 7, 75
+    batch, knots = 7, 150
     omega1 = rng.uniform(0.0, 3e7, (batch, knots))
     omega2 = rng.uniform(0.0, 3e7, (batch, knots))
     omega1_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
     omega2_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
     h = rng.uniform(5e-10, 2e-9, batch)
     a_init = rng.normal(size=(batch, 3)) + 1j * rng.normal(size=(batch, 3))
+    tables = (omega1, omega2, omega1_mid, omega2_mid, a_init)
     for substeps in (1, 2):
-        expected = _batch_three_channelwise(h, omega1, omega2, omega1_mid,
-                                            omega2_mid, a_init, substeps)
-        got = propagate_batch_three(h, omega1, omega2, omega1_mid,
-                                    omega2_mid, a_init, substeps=substeps)
-        assert np.array_equal(got, expected)
+        expected = _batch_three_stepwise(h, *tables, substeps)
+        got = propagate_batch_three(h, *tables, substeps=substeps)
+        assert _relative_gap(got, expected) < 1e-13
+        for b in (0, batch - 1):
+            alone = propagate_batch_three(h[[b]], *(t[[b]] for t in tables),
+                                          substeps=substeps)
+            assert np.array_equal(alone[0], got[b])
 
 
 def test_batch_two_matches_analytic():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graphene_spp.config import RunConfig
 from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
                                       ExperimentError, SweepAxis, SweepSpec,
-                                      _three_sheet_finals,
+                                      _cell_parameters, _three_sheet_finals,
                                       _three_sheet_outputs,
                                       figure_coupling_axes, figure_map_spec,
                                       mode_at_wavevector, parallel_comparator,
@@ -225,6 +225,29 @@ def test_three_sheet_outputs_are_chunk_independent(default_config):
     whole = _three_sheet_finals(cells, modes, mode_index, default_config,
                                 knots)
     assert np.array_equal(outputs, whole)
+
+
+# Largest error of the lossless 12x12 map against the same map at four
+# times the knot intervals, measured with the RK4 kernel that preceded the
+# Magnus kernel: 4b at 257 knots, 4c at 513. The Magnus kernel measured
+# 7.38e-9 and 5.06e-9, both at 257 knots.
+_RK4_MAP_ERROR = {"4b": 1.49822e-7, "4c": 2.95955e-8}
+
+
+@pytest.mark.parametrize("figure", ["4b", "4c"])
+def test_map_error_is_at_most_the_rk4_kernels(default_config, figure):
+    spec = figure_map_spec(figure, default_config, (12, 12), lossy=False)
+    result = run_sweep(spec)
+    cells, modes, mode_index, _ = _cell_parameters(spec)
+    valid = np.isfinite(result.grid.ravel())
+    assert np.count_nonzero(valid) + result.metadata["invalid_cells"] == 144
+    knots = result.metadata["knots"]
+    reference = _three_sheet_finals(
+        {key: values[valid] for key, values in cells.items()}, modes,
+        mode_index[valid], default_config, 4 * (knots - 1) + 1)
+    error = np.abs(result.grid.ravel()[valid] - reference).max()
+    assert knots == 257
+    assert error <= _RK4_MAP_ERROR[figure]
 
 
 def test_invalid_geometry_cells_are_nan(default_config):
