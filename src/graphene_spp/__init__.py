@@ -13,9 +13,8 @@ from .coupling import (CouplingDomainError, PairCoupling,
 from .dispersion import (INFINITE_PROPAGATION, ConvergenceError, Excitation,
                          NoBoundModeError, SppMode, confinement_length,
                          propagation_length, solve_dispersion)
-from .dynamics import (ChainHamiltonian, PropagationError, Trajectory,
-                       dark_state, field_map, propagate, propagate_constant,
-                       two_level_analytic)
+from .dynamics import (PropagationError, Trajectory, dark_state, field_map,
+                       propagate, propagate_constant, two_level_analytic)
 from .experiments import (DeviceRun, ExperimentError, StretchSearchResult,
                           SweepAxis, SweepResult, SweepSpec,
                           mode_at_wavevector, parallel_comparator,
@@ -31,8 +30,8 @@ from .validation import VERSION as __version__
 from .validation import build_validation_report, render_validation_text, run_oracle_suite
 
 __all__ = [
-    "AdiabaticityReport", "CONSTANTS", "ChainHamiltonian",
-    "ConfigError", "ConvergenceError", "CouplingDomainError",
+    "AdiabaticityReport", "CONSTANTS", "ConfigError", "ConvergenceError",
+    "CouplingDomainError",
     "CouplingSchedule", "DeviceGeometry", "DeviceRun", "Excitation",
     "ExperimentError", "GeometryError", "GrapheneSheet",
     "INFINITE_PROPAGATION", "MaterialDomainError", "Medium",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .coupling import K0_CONVENTIONS
@@ -60,8 +61,8 @@ _DOMAINS = {
                 lambda value: f"unknown format(s) {_unknown_formats(value)}"),
 }
 
-_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
-          str: (str, "a string")}
+_KINDS = {float: ((numbers.Integral, float), "a number"),
+          int: (numbers.Integral, "an integer"), str: (str, "a string")}
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,9 @@ class RunConfig:
         """Raise ConfigError for the first field, in field order, outside
         its domain, then for any object the fields feed that rejects them.
 
-        A float field holds a Python float afterwards, whether it was given
-        an int, a float or a numpy scalar, so that one device has one
-        `config_hash`."""
+        A numeric field holds a Python float or int afterwards, whether it
+        was given a Python or a numpy scalar (a float field an int, too), so
+        that one device has one `config_hash`."""
         for field in fields(self):
             value = getattr(self, field.name)
             if field.name == "gamma_per_s" and value == "auto":
@@ -99,9 +100,11 @@ class RunConfig:
             kind = type(field.default)
             types, noun = _KINDS[kind]
             valid, message = _DOMAINS[field.name]
-            if kind is float and isinstance(value, types):
+            if isinstance(value, bool):
+                types = ()  # a bool is neither a number nor a string here
+            elif kind is not str and isinstance(value, types):
                 try:
-                    value = float(value)
+                    value = kind(value)
                 except OverflowError:
                     raise ConfigError(f"{field.name}: expected a finite "
                                       "number, got an int beyond the float "

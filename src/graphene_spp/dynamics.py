@@ -55,31 +55,6 @@ class PropagationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChainHamiltonian:
-    """Lossless nearest-neighbor chain: symmetric off-diagonal couplings."""
-
-    couplings: tuple
-
-    def __post_init__(self) -> None:
-        couplings = tuple(float(c) for c in np.atleast_1d(self.couplings))
-        if len(couplings) < 1:
-            raise ValueError("need at least one coupling (two channels)")
-        object.__setattr__(self, "couplings", couplings)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.couplings) + 1
-
-    def matrix(self) -> np.ndarray:
-        n = self.dimension
-        h = np.zeros((n, n), dtype=float)
-        for i, c in enumerate(self.couplings):
-            h[i, i + 1] = c
-            h[i + 1, i] = c
-        return h
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Amplitudes recorded at every schedule knot."""
 
@@ -297,42 +272,47 @@ def propagate(schedule: CouplingSchedule, initial,
     return Trajectory(x_grid=x.copy(), amplitudes=out)
 
 
-def _rk4_step_matrix(generator, h):
-    """One RK4 step of da/dx = A a for constant A: the matrix
-    I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, batched over leading axes."""
-    z = np.asarray(h)[..., None, None] * generator
-    eye = np.eye(z.shape[-1])
-    p = eye
-    for order in (4.0, 3.0, 2.0, 1.0):
-        p = eye + z @ p / order
-    return p
+def propagate_constant(couplings, span, n_steps: int = 4096):
+    """Final amplitudes of lossless constant nearest-neighbour chains.
 
-
-def propagate_constant(hamiltonian: ChainHamiltonian, initial,
-                       span: float, n_steps: int = 4096) -> Trajectory:
-    """Constant-Hamiltonian propagation for any chain dimension."""
-    if span < 0:
-        raise ValueError("span must be >= 0")
+    couplings: (..., n - 1) symmetric couplings of n-channel chains; span:
+    lengths that broadcast to (...). Every chain starts in channel 1 and
+    takes n_steps RK4 steps; its fixed step matrix is raised to that power
+    by binary exponentiation. Returns the (..., n) final amplitudes.
+    Raises PropagationError at the span of the first chain whose final
+    amplitudes are not finite.
+    """
+    c = np.asarray(couplings, dtype=float)
+    span = np.asarray(span, dtype=float)
+    if c.ndim == 0 or c.shape[-1] < 1:
+        raise ValueError("need at least one coupling (two channels)")
+    if not np.all(np.isfinite(span) & (span >= 0)):
+        raise ValueError("span must be finite and >= 0")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    a = np.asarray(initial, dtype=complex)
-    m = hamiltonian.matrix()
-    if a.shape != (m.shape[0],):
-        raise ValueError("initial state dimension does not match the chain")
-    x = np.linspace(0.0, span, n_steps + 1)
-    out = np.empty((n_steps + 1, a.size), dtype=complex)
-    out[0] = a
-    # out[k:2k] = out[:k] (P^k)^T fills the knots in log2(n_steps) products
-    k = 1
+    n = c.shape[-1] + 1
+    # z = h A for the generator A = -i C of da/dx = A a
+    z = np.zeros(c.shape[:-1] + (n, n), dtype=complex)
+    bond = np.arange(n - 1)
+    z[..., bond, bond + 1] = z[..., bond + 1, bond] = -1j * c
+    z = np.asarray(span / n_steps)[..., None, None] * z
+    eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        power = _rk4_step_matrix(-1j * m, span / n_steps).T
-        while k <= n_steps:
-            out[k:2 * k] = out[:min(k, n_steps + 1 - k)] @ power
-            power, k = power @ power, 2 * k
-    bad = np.flatnonzero(~np.isfinite(out[1:]).all(axis=1))
-    if bad.size:
-        raise PropagationError("non-finite amplitude", float(x[bad[0] + 1]))
-    return Trajectory(x_grid=x, amplitudes=out)
+        # the RK4 step I + z + z^2/2 + z^3/6 + z^4/24, in Horner form
+        power = eye
+        for order in (4.0, 3.0, 2.0, 1.0):
+            power = eye + z @ power / order
+        a = np.eye(n, 1)  # n_steps >= 1 applies power at least once
+        while n_steps:
+            if n_steps & 1:
+                a = power @ a
+            power, n_steps = power @ power, n_steps >> 1
+    a = a[..., 0]
+    bad = ~np.isfinite(a).all(axis=-1)
+    if bad.any():
+        position = np.broadcast_to(span, bad.shape)[bad][0]
+        raise PropagationError("non-finite amplitude", float(position))
+    return a
 
 
 def two_level_analytic(coupling: float, span: float) -> tuple[float, float]:
@@ -428,17 +408,6 @@ def propagate_batch_three(h, omega1, omega2, omega1_mid, omega2_mid, a_init,
 
 
 def propagate_batch_two(coupling, span, n_steps: int):
-    """Vectorized lossless constant-coupling two-channel integrator.
-
-    coupling, span: (B,) arrays; starts in channel 1, returns (B, 2), the
-    n_steps-th power of each cell's RK4 step matrix applied to (1, 0).
-    """
-    c = np.asarray(coupling, dtype=float)[..., None, None]
-    generator = -1j * c * np.array([[0.0, 1.0], [1.0, 0.0]])
-    power = _rk4_step_matrix(generator, np.divide(span, n_steps))
-    a = np.array([[1.0], [0.0]])  # n_steps >= 1 applies power at least once
-    while n_steps:
-        if n_steps & 1:
-            a = power @ a
-        power, n_steps = power @ power, n_steps >> 1
-    return a[..., 0]
+    """Two-channel `propagate_constant`: coupling and span (B,) give the
+    (B, 2) final amplitudes."""
+    return propagate_constant(np.asarray(coupling)[..., None], span, n_steps)

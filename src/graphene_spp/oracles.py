@@ -179,14 +179,11 @@ def _propagators(stack: np.ndarray, spans: np.ndarray) -> np.ndarray:
 def expm_reference(hamiltonian, a0, span: float) -> np.ndarray:
     """Evolve a0 under a constant effective Hamiltonian via eigendecomposition.
 
-    Accepts either a plain complex matrix M (a lossy one is H - i alpha I)
-    or an object exposing matrix(); computes exp(-i M span) a0 and verifies
-    the eigendecomposition actually reconstructs M.
+    hamiltonian is a square complex matrix M (a lossy one is H - i alpha I);
+    computes exp(-i M span) a0 and verifies the eigendecomposition actually
+    reconstructs M.
     """
-    if hasattr(hamiltonian, "matrix"):
-        m = np.asarray(hamiltonian.matrix(), dtype=complex)
-    else:
-        m = np.asarray(hamiltonian, dtype=complex)
+    m = np.asarray(hamiltonian, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("hamiltonian must be a square matrix")
     if m.shape[0] > 8:

@@ -14,6 +14,12 @@ def as_complex(pair):
     return complex(pair[0], pair[1])
 
 
+def chain_matrix(couplings):
+    """The symmetric tridiagonal matrix of a nearest-neighbour chain."""
+    c = np.asarray(couplings, dtype=float)
+    return np.diag(c, 1) + np.diag(c, -1)
+
+
 @pytest.fixture(scope="session")
 def default_config() -> RunConfig:
     return RunConfig()

@@ -179,6 +179,16 @@ def test_one_device_has_one_hash():
     # the hash a file gave before float fields were converted
     assert hashes == {"a01f419fc145f33cb843ac67d588e6e2"
                       "5701d40c59c68423f7b6286f3df26bfb"}
+    # the int field alike: a numpy integer holds the int a file parses to
+    counts = [RunConfig(n_samples=np.int64(4096)), RunConfig(n_samples=4096),
+              parse_config("n_samples = 4096")]
+    assert all(type(config.n_samples) is int for config in counts)
+    assert {config_hash(config) for config in counts} == {
+        config_hash(RunConfig())}
+    for flag in (True, np.True_):
+        with pytest.raises(ConfigError, match="n_samples: expected an "
+                                              "integer"):
+            RunConfig(n_samples=flag)
 
 
 def test_goldens_were_generated_from_the_default_config(goldens):

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphene_spp.dynamics import (_MAX_STEP_ANGLE, ChainHamiltonian,
-                                   PropagationError, Trajectory, dark_state,
-                                   field_map, propagate,
-                                   propagate_batch_three, propagate_batch_two,
-                                   propagate_constant, two_level_analytic)
+from graphene_spp.dynamics import (_MAX_STEP_ANGLE, PropagationError,
+                                   Trajectory, dark_state, field_map,
+                                   propagate, propagate_batch_three,
+                                   propagate_batch_two, propagate_constant,
+                                   two_level_analytic)
 from graphene_spp.geometry import CouplingSchedule, build_schedule
 from graphene_spp.oracles import expm_reference
-from tests.conftest import as_complex, continuous_device_finals
+from tests.conftest import (as_complex, chain_matrix,
+                            continuous_device_finals)
 
 START = np.array([1.0, 0.0, 0.0], dtype=complex)
 
@@ -28,9 +29,7 @@ def test_two_level_matches_analytic_up_to_large_pulse_area():
     for area in np.linspace(0.05, 20.0 * math.pi, 37):
         coupling = 3.0e6
         span = area / coupling
-        trajectory = propagate_constant(ChainHamiltonian((coupling,)),
-                                        [1.0, 0.0], span)
-        i0, i1 = trajectory.final_intensities
+        i0, i1 = np.abs(propagate_constant([coupling], span)) ** 2
         exact0, exact1 = two_level_analytic(coupling, span)
         worst = max(worst, abs(i0 - exact0), abs(i1 - exact1))
     assert worst < 1e-6
@@ -38,10 +37,9 @@ def test_two_level_matches_analytic_up_to_large_pulse_area():
 
 def test_two_level_matches_expm_goldens(goldens):
     for pin in goldens["expm_pins"]:
-        ham = ChainHamiltonian((pin["coupling_per_m"],))
-        trajectory = propagate_constant(ham, [1.0, 0.0], pin["span_m"])
+        final = propagate_constant([pin["coupling_per_m"]], pin["span_m"])
         reference = np.array([as_complex(z) for z in pin["final"]])
-        assert np.abs(trajectory.amplitudes[-1] - reference).max() < 1e-6
+        assert np.abs(final - reference).max() < 1e-6
 
 
 def test_lossless_norm_conserved(default_config, default_mode):
@@ -67,7 +65,7 @@ def test_default_device_endpoint_matches_staircase_golden(
 def test_dark_state_annihilated_everywhere(default_config, default_mode):
     schedule = _schedule(default_config, default_mode, 513)
     for o1, o2 in zip(schedule.omega1[::16], schedule.omega2[::16]):
-        h = ChainHamiltonian((o1, o2)).matrix()
+        h = chain_matrix((o1, o2))
         dark = dark_state(o1, o2)
         h_norm = np.linalg.norm(h, 2)
         assert np.linalg.norm(h @ dark) < 1e-12 * h_norm
@@ -386,11 +384,11 @@ def test_batch_two_matches_analytic():
         assert abs(row[1]) ** 2 == pytest.approx(exact1, abs=1e-8)
 
 
-def _constant_stepwise(hamiltonian, initial, span, n_steps):
-    """propagate_constant written as one RK4 step per knot."""
-    m = hamiltonian.matrix()
+def _constant_stepwise(couplings, span, n_steps):
+    """propagate_constant written as one RK4 step per knot, from channel 1."""
+    m = chain_matrix(couplings)
     h = span / n_steps
-    a = np.asarray(initial, dtype=complex)
+    a = np.eye(len(m))[0].astype(complex)
     out = [a]
     for _ in range(n_steps):
         k1 = -1j * (m @ a)
@@ -432,20 +430,18 @@ STEP_COUNTS = (1, 2, 3, 17, 4095, 4096)
 
 def test_constant_step_matrix_matches_stepwise_loop():
     rng = np.random.default_rng(11)
+    batch = 3
     for n_steps in STEP_COUNTS:
         for dim in (2, 3, 4):
-            couplings = rng.uniform(0.5, 40.0, dim - 1) * 1e6
-            ham = ChainHamiltonian(tuple(couplings))
-            area = rng.uniform(0.1, min(20.0 * math.pi, float(n_steps)))
-            span = area / couplings.max()
-            initial = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            initial /= np.linalg.norm(initial)
-            got = propagate_constant(ham, initial, span, n_steps)
-            expected = _constant_stepwise(ham, initial, span, n_steps)
-            assert got.amplitudes.shape == expected.shape
-            assert _relative_gap(got.amplitudes, expected) < 1e-12
-            assert np.array_equal(got.x_grid,
-                                  np.linspace(0.0, span, n_steps + 1))
+            couplings = rng.uniform(0.5, 40.0, (batch, dim - 1)) * 1e6
+            area = rng.uniform(0.1, min(20.0 * math.pi, float(n_steps)),
+                               batch)
+            span = area / couplings.max(axis=1)
+            got = propagate_constant(couplings, span, n_steps)
+            assert got.shape == (batch, dim)
+            for b in range(batch):
+                expected = _constant_stepwise(couplings[b], span[b], n_steps)
+                assert _relative_gap(got[b], expected[-1]) < 1e-12
 
 
 def test_batch_two_step_matrix_matches_stepwise_loop():
@@ -470,32 +466,38 @@ def test_batch_two_envelope_matches_lossy_expm(coupling, area, alpha):
     span = area / coupling
     lossless = propagate_batch_two(np.array([coupling]), np.array([span]),
                                    4096)[0]
-    lossy = ChainHamiltonian((coupling,)).matrix() - 1j * alpha * np.eye(2)
+    lossy = chain_matrix([coupling]) - 1j * alpha * np.eye(2)
     reference = expm_reference(lossy, [1.0, 0.0], span)
     assert np.abs(lossless * math.exp(-alpha * span) - reference).max() < 1e-6
 
 
 def test_constant_propagation_reports_blow_up():
     # one step that overflows, and an unstable step (hC = 10) repeated
-    for ham, span, n_steps in ((ChainHamiltonian((1e80,)), 1.0, 1),
-                               (ChainHamiltonian((1e7,)), 1e-3, 1000)):
+    for coupling, span, n_steps in ((1e80, 1.0, 1), (1e7, 1e-3, 1000)):
         with pytest.raises(PropagationError) as caught:
-            propagate_constant(ham, [1.0, 0.0], span, n_steps)
+            propagate_constant([coupling], span, n_steps)
         assert 0.0 < caught.value.position <= span
+    # in a batch, the error names the span of the first chain that blew up
+    with pytest.raises(PropagationError) as caught:
+        propagate_batch_two(np.array([1e6, 1e7, 1e80]),
+                            np.array([1e-6, 1e-3, 1.0]), 1000)
+    assert caught.value.position == 1e-3
 
 
-def test_chain_hamiltonian_shapes_and_loss():
-    # the chain is lossless: uniform loss is an envelope outside every
-    # kernel, so the Hamiltonian has no loss to carry
-    ham = ChainHamiltonian((2.0, 3.0))
-    assert ham.dimension == 3
-    m = ham.matrix()
-    assert m[0, 1] == 2.0 and m[1, 2] == 3.0
-    assert np.array_equal(m, m.T) and not np.diag(m).any()
-    with pytest.raises(TypeError):
-        ChainHamiltonian((2.0,), loss=0.5)
+@pytest.mark.parametrize("span, n_steps", [
+    (1e-6, 0), (-1e-6, 16), (math.nan, 16), (math.inf, 16)],
+    ids=["no-steps", "negative-span", "nan-span", "infinite-span"])
+def test_constant_chains_reject_bad_input(span, n_steps):
     with pytest.raises(ValueError):
-        ChainHamiltonian(())
+        propagate_constant([1e6], span, n_steps)
+    with pytest.raises(ValueError):
+        propagate_batch_two(np.full(4, 1e6), np.full(4, span), n_steps)
+
+
+def test_constant_chains_need_a_coupling():
+    for couplings in (1e6, np.empty((3, 0))):
+        with pytest.raises(ValueError):
+            propagate_constant(couplings, 1e-6)
 
 
 def test_field_map_shape_and_concentration(default_config, default_mode):

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 import graphene_spp
+from graphene_spp import oracles, validation
 from graphene_spp.coupling import overlap_integral
-from graphene_spp.dynamics import (ChainHamiltonian, propagate,
-                                   two_level_analytic)
+from graphene_spp.dynamics import propagate, two_level_analytic
 from graphene_spp.geometry import build_schedule
 from graphene_spp.materials import drude_conductivity
 from graphene_spp.oracles import (OracleFailure, QuadratureSpec,
                                   dispersion_residual, expm_reference,
                                   overlap_quadrature, staircase_evolution)
-from tests.conftest import as_complex
+from tests.conftest import as_complex, chain_matrix
 
 TIGHT = QuadratureSpec(absolute_tolerance=1e-300, relative_tolerance=1e-11,
                        max_subdivisions=65536)
@@ -132,8 +132,7 @@ def test_dispersion_residual_detects_perturbation(default_config,
 
 
 def test_expm_identity_at_zero_coupling():
-    ham = ChainHamiltonian((0.0,))
-    final = expm_reference(ham, [0.6, 0.8], 1.0)
+    final = expm_reference(chain_matrix([0.0]), [0.6, 0.8], 1.0)
     assert final == pytest.approx([0.6, 0.8], abs=1e-14)
 
 
@@ -142,8 +141,7 @@ def test_expm_matches_two_level_analytic():
     for area in np.linspace(0.1, 20 * math.pi, 23):
         coupling = 1.0e6
         span = area / coupling
-        final = expm_reference(ChainHamiltonian((coupling,)), [1.0, 0.0],
-                               span)
+        final = expm_reference(chain_matrix([coupling]), [1.0, 0.0], span)
         exact = np.array([math.cos(area), -1j * math.sin(area)])
         worst = max(worst, float(np.abs(final - exact).max()))
         i0, i1 = two_level_analytic(coupling, span)
@@ -153,7 +151,7 @@ def test_expm_matches_two_level_analytic():
 
 
 def test_expm_damps_with_loss():
-    lossy = ChainHamiltonian((1.0e6,)).matrix() - 1j * 2.0e5 * np.eye(2)
+    lossy = chain_matrix([1.0e6]) - 1j * 2.0e5 * np.eye(2)
     final = expm_reference(lossy, [1.0, 0.0], 1.0e-6)
     norm = float(np.sum(np.abs(final) ** 2))
     assert norm == pytest.approx(math.exp(-2 * 2.0e5 * 1.0e-6), rel=1e-10)
@@ -171,8 +169,7 @@ def test_expm_rejects_non_finite_input(matrix, span):
 
 def test_expm_rejects_large_chains():
     with pytest.raises((OracleFailure, ValueError)):
-        expm_reference(ChainHamiltonian(tuple([1.0] * 9)), [1.0] + [0.0] * 9,
-                       1.0)
+        expm_reference(chain_matrix([1.0] * 9), [1.0] + [0.0] * 9, 1.0)
 
 
 def _knot_averages(omega):
@@ -258,3 +255,29 @@ _RAMP = np.linspace(1e6, 2e6, 4)  # one coupling per interval of _GRID
 def test_staircase_rejects_bad_input(x, o1, o2, loss):
     with pytest.raises(ValueError):
         staircase_evolution(x, o1, o2, [1.0, 0.0, 0.0], loss=loss)
+
+
+def _nan_overlap(*args, **kwargs):
+    return math.nan, {"error_estimate": math.nan}
+
+
+def _nan_chains(coupling, span, n_steps):
+    return np.full((len(coupling), 2), math.nan)
+
+
+@pytest.mark.parametrize("module, name, fake, check", [
+    (oracles, "overlap_quadrature", _nan_overlap, "overlap"),
+    (oracles, "dispersion_residual", lambda *args: math.nan, "dispersion"),
+    (validation, "propagate_batch_two", _nan_chains, "two_level"),
+    (oracles, "expm_reference", lambda *args: np.full(2, math.nan), "expm"),
+], ids=["overlap", "dispersion", "two-level", "expm"])
+def test_oracle_suite_fails_a_nan_error(default_config, monkeypatch, module,
+                                        name, fake, check):
+    # a NaN error is not a small error: the check that met it fails, and
+    # only that one
+    monkeypatch.setattr(module, name, fake)
+    suite = validation.run_oracle_suite(default_config, seed=0)
+    flags = {key: value for key, value in suite.items()
+             if key.endswith("_pass")}
+    assert flags.pop(f"{check}_pass") is False
+    assert all(flags.values())

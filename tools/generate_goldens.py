@@ -125,13 +125,11 @@ def staircase_pins(config: RunConfig) -> dict:
 
 def expm_pins() -> list:
     """Two-level rotations at exact pulse areas, eigen-decomposition path."""
-    from graphene_spp.dynamics import ChainHamiltonian
-
     pins = []
     for area in (0.25 * np.pi, 2.0 * np.pi, 20.0 * np.pi):
         coupling = 2.0e6
         span = area / coupling
-        final = oracles.expm_reference(ChainHamiltonian((coupling,)),
+        final = oracles.expm_reference([[0.0, coupling], [coupling, 0.0]],
                                        [1.0, 0.0], span)
         pins.append({"pulse_area_rad": area, "coupling_per_m": coupling,
                      "span_m": span,
