@@ -10,11 +10,13 @@ rotation by |Omega| about Omega. The run is 4th order against the continuous
 device and keeps the norm to rounding. `propagate` records one device at
 every knot through a blocked scan of the steps' rotation matrices; the batch
 kernel multiplies the steps' unit quaternions pairwise and keeps only the
-final amplitudes of many devices. A step that turns by more than
-_MAX_STEP_ANGLE is an under-resolved run, where the Magnus series stops
-converging: `propagate` raises PropagationError, the batch kernel returns NaN
-for that device. For a constant Hamiltonian one RK4 step is a fixed matrix,
-so a chain is a power of it, built by repeated squaring.
+final amplitudes of many devices. Its devices are mirror-symmetric, omega2
+being omega1 reversed, so it integrates the right half of each and gets the
+left half from that rotation by a fixed conjugation. A step that turns by
+more than _MAX_STEP_ANGLE is an under-resolved run, where the Magnus series
+stops converging: `propagate` raises PropagationError, the batch kernel
+returns NaN for that device. For a constant Hamiltonian one RK4 step is a
+fixed matrix, so a chain is a power of it, built by repeated squaring.
 
 Uniform damping commutes with H, so a(x) = exp(-alpha (x - x0)) a_lossless(x)
 exactly. No integrator here carries loss: `Trajectory.damped` applies that
@@ -33,8 +35,12 @@ from .dispersion import SppMode
 from .geometry import CouplingSchedule, DeviceGeometry, sheet_separations
 
 
-# Intervals per column block of propagate_batch_three's quaternion tree.
-_TREE_BLOCK = 64
+# Quaternions per column block of propagate_batch_three's tree (_tree_block):
+# 64 intervals of a 512-device chunk.
+_TREE_QUATERNIONS = 32768
+# The rotation by pi about (1, 0, 1)/sqrt(2) that maps a mirror-symmetric
+# device's right half onto its left, as a quaternion (w, x, y, z).
+_MIRROR = np.array([0.0, math.sqrt(0.5), 0.0, math.sqrt(0.5)])
 # Intervals per block of step matrices in propagate, and steps per group of
 # its scan's running products.
 _STEP_BLOCK = 512
@@ -358,48 +364,92 @@ def field_map(trajectory: Trajectory, geom: DeviceGeometry, mode: SppMode,
     return np.abs(psi) ** 2
 
 
-def propagate_batch_three(h, omega1, omega2, omega1_mid, omega2_mid, a_init,
-                          substeps: int = 1):
-    """Lossless three-channel propagation of a batch of devices.
+def _tree_block(batch: int) -> int:
+    """Intervals per column block of propagate_batch_three's quaternion
+    tree: the largest power of two >= 64 whose block of the batch holds at
+    most _TREE_QUATERNIONS quaternions, so that a small batch is not
+    bound by per-block overhead."""
+    block = 64
+    while 2 * block * batch <= _TREE_QUATERNIONS:
+        block *= 2
+    return block
 
-    h: (B,) interval widths (uniform per device); omega1, omega2: (B, N)
-    couplings at the knots; omega1_mid, omega2_mid: (B, N - 1) couplings at
-    the interval midpoints; a_init: (B, 3). Returns the final (B, 3)
-    amplitudes; a device with a step over _MAX_STEP_ANGLE, or a non-finite
-    one, gets a row of NaN.
+
+def _pairwise_product(q):
+    """The product ... q2 q1 q0 of a (4, B, n) quaternion stack along its
+    last axis, multiplied pairwise in log2 levels; an odd last element is
+    carried to the next level. The association depends only on n, so a
+    stack of power-of-two block products reduces exactly as one block."""
+    while q.shape[-1] > 1:
+        n = q.shape[-1]
+        paired = _quaternion_product(q[..., 1:n:2], q[..., 0:n - 1:2])
+        q = np.concatenate([paired, q[..., -1:]], axis=-1) if n % 2 else paired
+    return q[..., 0]
+
+
+def propagate_batch_three(h, omega1, omega1_mid, a_init, substeps: int = 1):
+    """Lossless three-channel propagation of a batch of mirror-symmetric
+    devices.
+
+    h: (B,) interval widths (uniform per device); omega1: (B, N) couplings
+    at the knots, N odd and >= 3 so that x = 0 is a knot; omega1_mid:
+    (B, N - 1) couplings at the interval midpoints; a_init: (B, 3). The
+    arcs are mirror images, so omega2 is omega1 reversed and is not passed.
+    Returns the final (B, 3) amplitudes; a device with a step over
+    _MAX_STEP_ANGLE, or a non-finite one, gets a row of NaN. Any other N
+    raises ValueError.
 
     Each interval is one 4th-order Magnus step, as in `propagate`, so the
     error falls 16x per halving of h. Substeps split an interval exactly
     and take their couplings from the quadratic through its start,
     midpoint and end samples.
 
-    The steps' unit quaternions are formed _TREE_BLOCK intervals at a time
-    and multiplied pairwise, in log2 levels, into one quaternion per device
-    and block; a running product per device carries the blocks. The final
+    Only the right half [0, L/2] is integrated. A left interval and its
+    mirror image swap omega1 and omega2 at their start, midpoint and end,
+    so their Magnus vectors obey Omega_L = -M Omega_R, with M the rotation
+    by pi about (1, 0, 1)/sqrt(2); the left half is then M U_R^T M and the
+    device U_R M U_R^T M, the quaternion r m r* m, exactly for the discrete
+    steps. |Omega_L| = |Omega_R|, so the angle guard sees every step.
+
+    The right half's unit quaternions are formed _tree_block(B) intervals
+    at a time and multiplied pairwise, in log2 levels, into one quaternion
+    per device and block; the block products are reduced the same way, so
+    a device's result does not depend on the batch it is run in. The final
     rotation then acts on the initial states in the basis (a0, i a1, a2).
     """
-    omega1, omega2, omega1_mid, omega2_mid = (
-        np.asarray(omega, dtype=float)
-        for omega in (omega1, omega2, omega1_mid, omega2_mid))
+    omega1, omega1_mid = (np.asarray(omega, dtype=float)
+                          for omega in (omega1, omega1_mid))
     batch, knots = omega1.shape
+    if knots % 2 == 0 or knots < 3:
+        raise ValueError("the knot count must be odd and >= 3, so that "
+                         "x = 0 is a knot")
+    centre = knots // 2
+    # the right half's knots and midpoints; omega2 there is omega1's left
+    # half reversed
+    right1, right1_mid = omega1[:, centre:], omega1_mid[:, centre:]
+    right2, right2_mid = omega1[:, centre::-1], omega1_mid[:, centre - 1::-1]
     h = np.asarray(h, dtype=float)[:, None] / substeps
-    total = np.zeros((4, batch))
-    total[0] = 1.0
+    block = _tree_block(batch)
+    products = []
     resolved = np.ones(batch, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j0 in range(0, knots - 1, _TREE_BLOCK):
-            j1 = min(j0 + _TREE_BLOCK, knots - 1)
+        for j0 in range(0, centre, block):
+            j1 = min(j0 + block, centre)
             q, angle = _magnus_quaternions(h, *_substep_couplings(
-                omega1[:, j0:j1 + 1], omega1_mid[:, j0:j1], substeps),
-                *_substep_couplings(omega2[:, j0:j1 + 1],
-                                    omega2_mid[:, j0:j1], substeps))
+                right1[:, j0:j1 + 1], right1_mid[:, j0:j1], substeps),
+                *_substep_couplings(right2[:, j0:j1 + 1],
+                                    right2_mid[:, j0:j1], substeps))
             resolved &= np.all(angle <= _MAX_STEP_ANGLE, axis=1)
-            while q.shape[-1] > 1:
-                n = q.shape[-1]
-                paired = _quaternion_product(q[..., 1:n:2], q[..., 0:n - 1:2])
-                q = (np.concatenate([paired, q[..., -1:]], axis=-1)
-                     if n % 2 else paired)
-            total = _quaternion_product(q[..., 0], total)
+            products.append(_pairwise_product(q))
+            # the block's steps go before the next block's are formed,
+            # which holds peak memory to one block
+            del q, angle
+    r = _pairwise_product(np.stack(products, axis=-1))
+    conjugate = r * np.array([1.0, -1.0, -1.0, -1.0])[:, None]
+    mirror = _MIRROR[:, None]
+    total = _quaternion_product(
+        _quaternion_product(_quaternion_product(r, mirror), conjugate),
+        mirror)
     basis = np.array([1.0, 1j, 1.0])
     s = (basis * np.asarray(a_init, dtype=complex))[..., None]
     a = (_rotation_matrices(total) @ s)[..., 0] / basis

@@ -305,12 +305,10 @@ def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
     omega1 = _omega1_table(length, cells["radius"], cells["offset"],
                            config.d_min_nm * 1e-9, modes, mode_index,
                            2 * knots - 1, config.k0_convention)
-    omega2 = omega1[:, ::-1]
     h = length / (knots - 1)
     a_init = np.zeros((length.size, 3), dtype=complex)
     a_init[:, 0] = 1.0
-    amps = propagate_batch_three(h, omega1[:, ::2], omega2[:, ::2],
-                                 omega1[:, 1::2], omega2[:, 1::2], a_init)
+    amps = propagate_batch_three(h, omega1[:, ::2], omega1[:, 1::2], a_init)
     return np.abs(amps[:, 2]) ** 2
 
 

@@ -13,6 +13,7 @@ writes it next to the oracle-suite results.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -206,15 +207,17 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
 
     Returns per-check maximum errors and pass flags; raises OracleFailure if
     an oracle cannot produce a trustworthy reference. The overlap, residual
-    and chain checks draw from independent child streams of the seed, so
-    changing what one check draws leaves the others' inputs unchanged.
+    and chain checks each draw from their own stdlib generator, seeded by
+    the check's name and the seed, so changing what one check draws leaves
+    the others' inputs unchanged.
     """
     # Only verify runs an oracle, so only it loads the module.
     from . import oracles
 
+    # random is loaded with the CLI already; numpy.random is not
     overlap_rng, residual_rng, chain_rng = (
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(seed).spawn(3))
+        random.Random(f"{check}:{seed}")
+        for check in ("overlap", "residual", "chain"))
 
     # Tight enough that the quadrature's own error estimate stays below
     # 1e-12 relative on every case (notes/decisions.md, "Oracles as stacks").

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphene_spp.coupling import (CouplingDomainError, PairCoupling,
                                    coupling_at_separations,
@@ -28,6 +30,24 @@ def test_overlap_rejects_negative_separation():
         overlap_integral(1e8, -1e-9)
     # touching sheets are still integrable; only d < 0 is meaningless
     assert overlap_integral(1e8, 0.0).real > 0
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(real=st.floats(1e6, 1e9), imag=st.floats(-1.0, 1.0),
+       depths=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=20))
+def test_overlap_matches_its_complex_exp_form(real, imag, depths):
+    # the real-argument evaluation stays within 4 eps of the closed form
+    # written with numpy's complex exp, over couplers' k and separations
+    # up to 40 decay lengths, scalar or array
+    k = complex(real, imag * real)
+    d = np.array(depths) / real
+    reference = (d + 1.0 / k) * np.exp(-k * d)
+    bound = 4.0 * np.finfo(float).eps * np.abs(reference)
+    assert np.all(np.abs(overlap_integral(k, d) - reference) <= bound)
+    scalar = overlap_integral(k, float(d[0]))
+    assert type(scalar) is complex
+    assert type(overlap_integral(k, d[0])) is complex
+    assert abs(scalar - reference[0]) <= bound[0]
 
 
 @pytest.mark.parametrize("k, d", [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphene_spp import dynamics
 from graphene_spp.dynamics import (_MAX_STEP_ANGLE, PropagationError,
                                    Trajectory, dark_state, field_map,
                                    propagate, propagate_batch_three,
@@ -246,27 +247,56 @@ def test_resolution_guard_stops_at_first_interval_over_limit():
         propagate(schedule, START)
     assert caught.value.position == x[first + 1]
 
+    # the batch kernel takes mirrored tables (omega2 is omega1 reversed)
+    # and integrates their right half, where the over-limit steps are
     stable = np.full(x.size, 1e6)
     rows = np.stack([omega, stable])
     mids = np.stack([mid, stable[1:]])
-    finals = propagate_batch_three(np.full(2, h), rows, 0.5 * rows, mids,
-                                   0.5 * mids, np.stack([START, START]))
+    finals = propagate_batch_three(np.full(2, h), rows, mids,
+                                   np.stack([START, START]))
     assert np.isnan(finals[0]).all()
     assert np.isfinite(finals[1]).all()
-    # a non-finite coupling is over any limit
+    # a non-finite coupling is over any limit, in the left half as well
     rows[1, 3] = math.nan
-    finals = propagate_batch_three(np.full(2, h), rows, 0.5 * rows, mids,
-                                   0.5 * mids, np.stack([START, START]))
+    finals = propagate_batch_three(np.full(2, h), rows, mids,
+                                   np.stack([START, START]))
     assert np.isnan(finals).all()
 
 
+def test_batch_three_guard_sees_the_left_half():
+    # over-limit steps only in omega1's left half: the kernel meets them
+    # as omega2 on the right half it integrates, and the device gets NaN
+    x = np.linspace(-0.5e-6, 0.5e-6, 1025)
+    h = x[1] - x[0]
+    omega = np.full(x.size, 1e6)
+    omega[:300] = 3.0 / h
+    stable = np.full(x.size, 1e6)
+    rows = np.stack([omega, stable])
+    mids = 0.5 * (rows[:, :-1] + rows[:, 1:])
+    finals = propagate_batch_three(np.full(2, h), rows, mids,
+                                   np.stack([START, START]))
+    assert np.isnan(finals[0]).all()
+    assert np.isfinite(finals[1]).all()
+
+
+@pytest.mark.parametrize("knots", [2, 1, 256])
+def test_batch_three_needs_an_odd_knot_count(knots):
+    # x = 0 must be a knot, where the two mirrored halves meet
+    with pytest.raises(ValueError, match="odd"):
+        propagate_batch_three(np.full(1, 1e-9), np.full((1, knots), 1e6),
+                              np.full((1, max(knots - 1, 0)), 1e6),
+                              START[None, :])
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), knots=st.integers(2, 300),
+@given(seed=st.integers(0, 2**32 - 1), half=st.integers(1, 150),
        turn=st.floats(0.0, 0.5), substeps=st.integers(1, 3))
-def test_kernels_conserve_the_norm(seed, knots, turn, substeps):
+def test_kernels_conserve_the_norm(seed, half, turn, substeps):
     # every step is a rotation, so the lossless norm holds to rounding for
     # any couplings with h * omega <= turn, which keeps every step well
-    # inside the angle limit, substeps and their quadratic included
+    # inside the angle limit, substeps and their quadratic included. The
+    # batch kernel takes odd knot counts only.
+    knots = 2 * half + 1
     rng = np.random.default_rng(seed)
     x = np.linspace(-0.5e-6, 0.5e-6, knots)
     h = x[1] - x[0]
@@ -277,8 +307,8 @@ def test_kernels_conserve_the_norm(seed, knots, turn, substeps):
                                 omega[0, 2, 1:], omega[0, 3, 1:])
     trajectory = propagate(schedule, initial[0], step=h / substeps)
     assert np.abs(trajectory.intensities.sum(axis=1) - 1.0).max() < 1e-13
-    finals = propagate_batch_three(np.full(3, h), omega[:, 0], omega[:, 1],
-                                   omega[:, 2, 1:], omega[:, 3, 1:], initial,
+    finals = propagate_batch_three(np.full(3, h), omega[:, 0],
+                                   omega[:, 2, 1:], initial,
                                    substeps=substeps)
     assert np.abs(np.sum(np.abs(finals) ** 2, axis=1) - 1.0).max() < 1e-13
 
@@ -297,11 +327,11 @@ def test_propagate_is_fourth_order(default_config, default_mode):
 
 
 def _batch_three_of(schedule, substeps):
-    """propagate_batch_three on the schedule's knots and exact midpoints."""
+    """propagate_batch_three on the schedule's knots and exact midpoints;
+    the schedule's omega2 is its omega1 reversed."""
     return propagate_batch_three(
         np.array([schedule.spacing]), schedule.omega1[None, :],
-        schedule.omega2[None, :], schedule.omega1_mid[None, :],
-        schedule.omega2_mid[None, :], START[None, :], substeps=substeps)[0]
+        schedule.omega1_mid[None, :], START[None, :], substeps=substeps)[0]
 
 
 def test_batch_three_matches_scalar_integrator(default_config, default_mode):
@@ -350,22 +380,25 @@ def _batch_three_stepwise(h, omega1, omega2, omega1_mid, omega2_mid,
     return np.array(out)
 
 
-def test_batch_three_matches_stepwise_rotation_loop():
-    # the quaternion tree and its column blocks must give the product of
-    # the per-interval rotations up to rounding; 150 knots span two full
-    # blocks and a partial one of odd length. Each device's row does not
-    # depend on the rest of the batch, bit for bit.
+def test_batch_three_matches_stepwise_rotation_loop(monkeypatch):
+    # the mirrored right half and its quaternion tree must give the product
+    # of the per-interval rotations over the whole device up to rounding.
+    # At 64-interval blocks, the 201 intervals of a 403-knot half span
+    # three full blocks and a partial one of odd length. Each device's row
+    # does not depend on the rest of the batch, bit for bit, although a
+    # lone device runs in one block.
     rng = np.random.default_rng(5)
-    batch, knots = 7, 150
+    batch, knots = 7, 403
+    monkeypatch.setattr(dynamics, "_TREE_QUATERNIONS", 64 * batch)
     omega1 = rng.uniform(0.0, 3e7, (batch, knots))
-    omega2 = rng.uniform(0.0, 3e7, (batch, knots))
     omega1_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
-    omega2_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
     h = rng.uniform(5e-10, 2e-9, batch)
     a_init = rng.normal(size=(batch, 3)) + 1j * rng.normal(size=(batch, 3))
-    tables = (omega1, omega2, omega1_mid, omega2_mid, a_init)
+    tables = (omega1, omega1_mid, a_init)
     for substeps in (1, 2):
-        expected = _batch_three_stepwise(h, *tables, substeps)
+        expected = _batch_three_stepwise(h, omega1, omega1[:, ::-1],
+                                         omega1_mid, omega1_mid[:, ::-1],
+                                         a_init, substeps)
         got = propagate_batch_three(h, *tables, substeps=substeps)
         assert _relative_gap(got, expected) < 1e-13
         for b in (0, batch - 1):

@@ -80,6 +80,16 @@ def test_rerun_keeps_stored_simpson_values(tmp_path, goldens):
     assert rerun["generated_by"] == goldens["generated_by"]
 
 
+def test_rerun_reproduces_the_stored_file_byte_for_byte(tmp_path):
+    # the stored goldens are what the tool writes today: a rerun over them
+    # changes no byte, so a refresh shows only what the code moved
+    path = tmp_path / "goldens.json"
+    shutil.copy(DATA_DIR / "goldens.json", path)
+    done = _run_tool(path)
+    assert done.returncode == 0, done.stderr
+    assert path.read_bytes() == (DATA_DIR / "goldens.json").read_bytes()
+
+
 def test_rerun_refuses_a_file_with_other_overlap_cases(tmp_path, goldens):
     # mixing kept Simpson values with new Gauss-Kronrod ones would leave a
     # section that no single rule produced

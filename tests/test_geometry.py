@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphene_spp import geometry
 from graphene_spp.coupling import coupling_at_separations
 from graphene_spp.geometry import (CouplingSchedule, DeviceGeometry,
-                                   GeometryError,
+                                   GeometryError, _antisymmetric_grid,
                                    _omega1_table, adiabaticity_report,
                                    build_schedule, sheet_separations)
 
@@ -85,6 +87,42 @@ def test_schedule_mirror_is_bitwise(default_mode):
             _, d2 = sheet_separations(geom, x)
             c2, _ = coupling_at_separations(default_mode, d2)
             assert np.array_equal(schedule.omega2, np.abs(c2.real))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(radius_nm=st.floats(300.0, 5000.0), offset=st.floats(0.0, 1.0),
+       length=st.floats(0.05, 0.999), d_min_nm=st.floats(5.0, 60.0),
+       samples=st.integers(64, 700),
+       convention=st.sampled_from(["vacuum", "film"]))
+def test_arcs_mirror_bit_for_bit(default_mode, radius_nm, offset, length,
+                                 d_min_nm, samples, convention):
+    # the batch kernel integrates half of each device and takes omega2 as
+    # omega1 reversed: on the antisymmetric grid, the coupling at the
+    # second arc's separation d2(x) must be that reversal, bit for bit, in
+    # build_schedule's rows and in a table row
+    radius = radius_nm * 1e-9
+    offset *= radius
+    length *= 2.0 * radius - offset
+    geom = _geom(radius=radius, offset=offset, min_gap=d_min_nm * 1e-9,
+                 length=length)
+
+    def omega2_on(n):
+        x = _antisymmetric_grid(np.array([length]), n)[0]
+        d1, d2 = sheet_separations(geom, x)
+        assert np.array_equal(d2, d1[::-1])
+        c2, _ = coupling_at_separations(default_mode, d2, convention)
+        return np.abs(c2.real)
+
+    schedule = build_schedule(geom, default_mode, samples, convention)
+    omega2 = omega2_on(2 * samples - 1)
+    assert np.array_equal(schedule.omega2, omega2[::2])
+    assert np.array_equal(schedule.omega2_mid, omega2[1::2])
+    assert np.array_equal(schedule.omega2, schedule.omega1[::-1])
+    table = _omega1_table(np.full(2, length), np.full(2, radius),
+                          np.full(2, offset), geom.min_gap,
+                          [default_mode], np.zeros(2, dtype=int), samples,
+                          convention)
+    assert np.array_equal(table[1][::-1], omega2_on(samples))
 
 
 def test_schedule_knots_are_even_samples_of_the_midpoint_table(
