@@ -171,8 +171,8 @@ def _omega1_table(length, radius, offset, min_gap: float, modes, mode_index,
 
     Row i is device (length[i], radius[i], offset[i]) at the shared min_gap,
     carrying modes[mode_index[i]], sampled on its antisymmetric grid; its
-    omega2 is the row reversed. The layouts and the table are validated
-    once per call. Separations are computed once per distinct layout, and
+    omega2 is the row reversed. The layouts, mode_index (one index into
+    modes per device) and the table are validated once per call. Separations are computed once per distinct layout, and
     the coupling once per mode over that mode's rows, in calls of at most
     _COUPLING_BLOCK samples: whole rows, or column blocks of a longer row.
     """
@@ -181,12 +181,20 @@ def _omega1_table(length, radius, offset, min_gap: float, modes, mode_index,
     length, radius, offset = (np.asarray(v, dtype=float)
                               for v in (length, radius, offset))
     _check_layout(radius, offset, min_gap, length)
+    mode_index = np.asarray(mode_index)
+    if (mode_index.shape != (length.size,)
+            or not np.issubdtype(mode_index.dtype, np.integer)
+            or not np.all((0 <= mode_index) & (mode_index < len(modes)))):
+        raise ValueError("mode_index must hold one index into modes per "
+                         "device")
     layouts, row = np.unique(np.stack([length, radius, offset], axis=1),
                              axis=0, return_inverse=True)
     length, radius, offset = (layouts[:, [i]] for i in range(3))
     d1 = _arc_gap(_antisymmetric_grid(length[:, 0], n_samples)
                   - offset / 2.0, radius, min_gap)
-    omega1 = np.full((row.size, n_samples), np.nan)
+    # Every cell is written below: each device's row is in exactly one
+    # mode's cells, and the column blocks cover the row.
+    omega1 = np.empty((row.size, n_samples))
     rows = max(1, _COUPLING_BLOCK // n_samples)
     width = min(n_samples, _COUPLING_BLOCK)
     for m, mode in enumerate(modes):

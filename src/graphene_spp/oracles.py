@@ -71,71 +71,105 @@ _KRONROD = _HALF_KRONROD + _HALF_KRONROD[-2::-1]
 _GAUSS = _HALF_GAUSS + _HALF_GAUSS[-2::-1]
 
 
-def overlap_quadrature(k_a: complex, k_b: complex, d: float,
-                       spec: QuadratureSpec = QuadratureSpec(),
+def overlap_quadrature(k_a, k_b, d, spec: QuadratureSpec = QuadratureSpec(),
                        return_details: bool = False):
     """Numerically integrate exp(-k_a|z - d/2|) exp(-k_b|z + d/2|) over z.
 
-    Adaptive G7-K15 on arrays: the panels start split at the profile kinks,
-    every active panel's 15 nodes are evaluated in one call, and a panel is
-    accepted when |K15 - G7| <= tol * width / span, else bisected. More than
-    spec.max_subdivisions panels in all raises OracleFailure. The improper
-    integral is truncated at 40 decay lengths beyond each profile centre; the
-    details hold the analytic bound on the discarded tails, so the truncation
-    is checkable, and the sum of the accepted |K15 - G7|.
+    k_a, k_b and d broadcast into a batch of cases. Adaptive G7-K15 on
+    arrays: each case's panels start split at its profile kinks, the active
+    panels of every case share one array with a case index, and each pass
+    evaluates their 15 nodes in one call. A panel is accepted when
+    |K15 - G7| <= tol * width / span with its own case's tol and span, else
+    bisected. A case's accepted K15 values and |K15 - G7| are summed in the
+    order its panels were made, so its value, estimate and panel count do
+    not depend on the batch around it. More than spec.max_subdivisions
+    panels for any one case raises OracleFailure. The improper integral is
+    truncated at 40 decay lengths beyond each profile centre; the details
+    hold the analytic bound on the discarded tails, so the truncation is
+    checkable, and the sum of the accepted |K15 - G7|. Scalar input returns
+    a complex and scalar details, array input arrays of the batch's shape.
     """
-    k_a = complex(k_a)
-    k_b = complex(k_b)
+    k_a, k_b = (np.asarray(k, dtype=complex) for k in (k_a, k_b))
+    d = np.asarray(d, dtype=float)
+    shape = np.broadcast_shapes(k_a.shape, k_b.shape, d.shape)
+    k_a, k_b, d = (np.broadcast_to(v, shape).ravel() for v in (k_a, k_b, d))
     ra, rb = k_a.real, k_b.real
-    if not (ra > 0 and rb > 0
-            and cmath.isfinite(k_a) and cmath.isfinite(k_b)):
+    if not np.all((ra > 0) & (rb > 0)
+                  & np.isfinite(k_a) & np.isfinite(k_b)):
         raise ValueError("decay constants must be finite with Re k > 0")
-    if not 0 <= d < math.inf:
+    if not np.all((0 <= d) & (d < math.inf)):
         raise ValueError("separation must be finite and non-negative")
 
     half_d = 0.5 * d
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return np.exp(-k_a * np.abs(z - half_d) - k_b * np.abs(z + half_d))
+    def integrand(z: np.ndarray, case: np.ndarray) -> np.ndarray:
+        h = half_d[case]
+        return np.exp(-k_a[case] * np.abs(z - h) - k_b[case] * np.abs(z + h))
 
     z_lo = -half_d - 40.0 / rb
     z_hi = half_d + 40.0 / ra
     # Exact exponential bounds on the two discarded tails.
-    tail = (math.exp(-ra * (z_hi - half_d) - rb * (z_hi + half_d))
-            + math.exp(-ra * (half_d - z_lo) - rb * (-half_d - z_lo))
+    tail = (np.exp(-ra * (z_hi - half_d) - rb * (z_hi + half_d))
+            + np.exp(-ra * (half_d - z_lo) - rb * (-half_d - z_lo))
             ) / (ra + rb)
-
-    # Split at the profile kinks so every panel is analytic inside.
-    breaks = np.array(sorted({z_lo, -half_d, half_d, z_hi}))
-    scale = max(float(np.abs(integrand(np.array([-half_d, half_d]))).max()),
-                1e-300)
+    cases = np.arange(d.size)
+    scale = np.maximum(np.abs(integrand(np.stack([-half_d, half_d]),
+                                        cases)).max(axis=0), 1e-300)
     span = z_hi - z_lo
-    tol = max(spec.absolute_tolerance, spec.relative_tolerance * scale * span)
-    lo, hi = breaks[:-1], breaks[1:]
-    nodes, kronrod_weights, gauss_weights = (
-        np.array(table) for table in (_NODES, _KRONROD, _GAUSS))
-    used = 0
-    total = 0.0 + 0.0j
-    estimate = 0.0
+    tol = np.maximum(spec.absolute_tolerance,
+                     spec.relative_tolerance * scale * span)
+
+    # Split at the profile kinks so every panel is analytic inside; the
+    # middle panel is empty at d = 0.
+    lo = np.concatenate([z_lo, -half_d, half_d])
+    hi = np.concatenate([-half_d, half_d, z_hi])
+    case = np.tile(cases, 3)
+    keep = lo < hi
+    lo, hi, case = lo[keep], hi[keep], case[keep]
+    nodes = np.array(_NODES)[:, None]
+    kronrod_weights = np.array(_KRONROD)[:, None]
+    gauss_weights = np.array(_GAUSS[1::2])[:, None]
+    used = np.zeros(d.size, dtype=int)
+    total_re, total_im, estimate = np.zeros((3, d.size))
     while lo.size:
-        used += lo.size
-        if used > spec.max_subdivisions:
+        used += np.bincount(case, minlength=d.size)
+        if np.any(used > spec.max_subdivisions):
             raise OracleFailure("adaptive quadrature exhausted its panel "
                                 "budget")
         centre = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        values = integrand(centre[:, None] + half[:, None] * nodes)
-        kronrod = half * (values @ kronrod_weights)
-        error = np.abs(kronrod - half * (values @ gauss_weights))
+        values = integrand(centre + half * nodes, case)
+        # Node by node, so that every panel's sums round alike in any batch.
+        kronrod = half * _node_sum(values * kronrod_weights)
+        error = np.abs(kronrod - half * _node_sum(values[1::2]
+                                                  * gauss_weights))
         if not np.all(np.isfinite(error)):
             raise OracleFailure("overlap integrand is not finite")
-        done = error <= tol * (hi - lo) / span
-        total += complex(kronrod[done].sum())
-        estimate += float(error[done].sum())
-        lo, hi = (np.concatenate([lo[~done], centre[~done]]),
-                  np.concatenate([centre[~done], hi[~done]]))
+        done = error <= tol[case] * (hi - lo) / span[case]
+        finished = case[done]
+        total_re += np.bincount(finished, kronrod.real[done], d.size)
+        total_im += np.bincount(finished, kronrod.imag[done], d.size)
+        estimate += np.bincount(finished, error[done], d.size)
+        lo, hi, case = (np.concatenate([lo[~done], centre[~done]]),
+                        np.concatenate([centre[~done], hi[~done]]),
+                        np.tile(case[~done], 2))
+    total = np.empty(shape, dtype=complex)
+    total.real, total.imag = total_re.reshape(shape), total_im.reshape(shape)
+    details = {"tail_bound": tail.reshape(shape),
+               "subdivisions_used": used.reshape(shape),
+               "error_estimate": estimate.reshape(shape)}
+    if not shape:
+        total = complex(total)
+        details = {key: value.item() for key, value in details.items()}
     if return_details:
-        return total, {"tail_bound": tail, "subdivisions_used": used,
-                       "error_estimate": estimate}
+        return total, details
+    return total
+
+
+def _node_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum a (nodes, panels) array over its nodes, in node order."""
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
     return total
 
 
@@ -157,7 +191,8 @@ def dispersion_residual(mode, sigma_g: complex) -> float:
 
 
 def _propagators(stack: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """exp(-i M_j h_j) for a (n, m, m) stack of complex matrices M_j.
+    """exp(-i M_j h_j) for a (..., m, m) stack of complex matrices M_j and
+    spans h_j of the stack's leading shape.
 
     One batched eigendecomposition; every M_j must be reconstructed from its
     eigenpairs to 1e-12 relative, so a defective matrix fails loudly.
@@ -167,31 +202,47 @@ def _propagators(stack: np.ndarray, spans: np.ndarray) -> np.ndarray:
         inverse = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise OracleFailure("eigendecomposition failed") from exc
-    misfit = np.linalg.norm((vecs * vals[:, None, :]) @ inverse - stack,
-                            axis=(1, 2))
-    if not np.all(misfit <= 1e-12 * np.linalg.norm(stack, axis=(1, 2))):
+    misfit = np.linalg.norm((vecs * vals[..., None, :]) @ inverse - stack,
+                            axis=(-2, -1))
+    if not np.all(misfit <= 1e-12 * np.linalg.norm(stack, axis=(-2, -1))):
         raise OracleFailure("matrix is defective beyond tolerance; "
                             "eigendecomposition does not reconstruct it")
-    phases = np.exp(-1j * vals * spans[:, None])
-    return (vecs * phases[:, None, :]) @ inverse
+    phases = np.exp(-1j * vals * spans[..., None])
+    return (vecs * phases[..., None, :]) @ inverse
 
 
-def expm_reference(hamiltonian, a0, span: float) -> np.ndarray:
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """U_n ... U_1 of a (n, m, m) stack U_1, ..., U_n, multiplied pairwise:
+    each level multiplies neighbours in one call, an odd last one waits."""
+    while len(steps) > 1:
+        paired = steps[1::2] @ steps[:-1:2]
+        steps = (np.concatenate([paired, steps[-1:]]) if len(steps) % 2
+                 else paired)
+    return steps[0]
+
+
+def expm_reference(hamiltonian, a0, span) -> np.ndarray:
     """Evolve a0 under a constant effective Hamiltonian via eigendecomposition.
 
-    hamiltonian is a square complex matrix M (a lossy one is H - i alpha I);
-    computes exp(-i M span) a0 and verifies the eigendecomposition actually
-    reconstructs M.
+    hamiltonian is a square complex matrix M (a lossy one is H - i alpha I)
+    or a (..., m, m) stack of them, and span a length or an array that
+    broadcasts against the stack's leading shape; computes exp(-i M span) a0
+    for every matrix and span in one batch, (..., m), and verifies that the
+    eigendecomposition actually reconstructs each M.
     """
     m = np.asarray(hamiltonian, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("hamiltonian must be a square matrix")
-    if m.shape[0] > 8:
+    spans = np.asarray(span, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("hamiltonian must be a square matrix or a stack "
+                         "of them")
+    if m.shape[-1] > 8:
         raise ValueError("reference evolution is limited to dimension 8")
-    if not (np.all(np.isfinite(m)) and math.isfinite(span)):
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(spans))):
         raise ValueError("hamiltonian and span must be finite")
-    step = _propagators(m[None], np.array([float(span)]))[0]
-    return step @ np.asarray(a0, dtype=complex)
+    shape = np.broadcast_shapes(m.shape[:-2], spans.shape)
+    steps = _propagators(np.broadcast_to(m, shape + m.shape[-2:]),
+                         np.broadcast_to(spans, shape))
+    return steps @ np.asarray(a0, dtype=complex)
 
 
 _STAIRCASE_BLOCK = 128
@@ -207,8 +258,9 @@ def staircase_evolution(x_grid, omega1, omega2, a0, loss=0.0) -> np.ndarray:
     averages, it is the reference for the linearly interpolated system.
     Either way it is second-order accurate in the grid spacing. The
     interval propagators come from batched eigendecompositions of
-    (n, 3, 3) stacks of consecutive intervals; a completely separate code
-    path from the production integrator.
+    (n, 3, 3) stacks of consecutive intervals, each stack is reduced to its
+    ordered product by a pairwise tree, and the products are applied in
+    order; a completely separate code path from the production integrator.
     """
     x = np.asarray(x_grid, dtype=float)
     w1 = np.asarray(omega1, dtype=float)
@@ -235,6 +287,5 @@ def staircase_evolution(x_grid, omega1, omega2, a0, loss=0.0) -> np.ndarray:
         stack[:, 0, 1] = stack[:, 1, 0] = w1[part]
         stack[:, 1, 2] = stack[:, 2, 1] = w2[part]
         stack[:, range(3), range(3)] = -1j * alpha
-        for step in _propagators(stack, h[part]):
-            a = step @ a
+        a = _ordered_product(_propagators(stack, h[part])) @ a
     return a

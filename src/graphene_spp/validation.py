@@ -225,17 +225,17 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
                                    relative_tolerance=5e-14,
                                    max_subdivisions=65536)
     # Errors are folded with numpy, so that a NaN error fails its check.
-    overlap_errors = np.empty((100, 2))
-    for row in overlap_errors:
-        k = complex(overlap_rng.uniform(0.2, 3.0) * 1e8,
-                    overlap_rng.uniform(-0.3, 0.3) * 1e8)
-        d = overlap_rng.uniform(1.0, 100.0) * 1e-9
-        closed = complex(overlap_integral(k, d))
-        reference, details = oracles.overlap_quadrature(
-            k, k, d, tight, return_details=True)
-        row[:] = (abs(closed - reference) / abs(reference),
-                  details["error_estimate"] / abs(reference))
-    overlap_max, overlap_estimate_max = overlap_errors.max(axis=0).tolist()
+    cases = [(complex(overlap_rng.uniform(0.2, 3.0) * 1e8,
+                      overlap_rng.uniform(-0.3, 0.3) * 1e8),
+              overlap_rng.uniform(1.0, 100.0) * 1e-9) for _ in range(100)]
+    closed = np.array([complex(overlap_integral(k, d)) for k, d in cases])
+    k, d = (np.array(column) for column in zip(*cases))
+    reference, details = oracles.overlap_quadrature(k, k, d, tight,
+                                                    return_details=True)
+    overlap_max = float(np.max(np.abs(closed - reference)
+                               / np.abs(reference)))
+    overlap_estimate_max = float(np.max(details["error_estimate"]
+                                        / np.abs(reference)))
 
     residuals = np.empty(60)
     for i in range(residuals.size):
@@ -258,12 +258,12 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
     two_level_max = float(np.abs(np.abs(finals) ** 2 - exact).max())
     # The eigen-decomposition oracle is held to the closed form, which is
     # far tighter than the integrator's own truncation error.
-    expm_errors = np.empty(25)
-    for i, (c, x) in enumerate(chains):
-        reference = oracles.expm_reference([[0.0, c], [c, 0.0]], [1.0, 0.0], x)
-        analytic = np.array([math.cos(c * x), -1j * math.sin(c * x)])
-        expm_errors[i] = np.abs(reference - analytic).max()
-    expm_max = float(expm_errors.max())
+    stack = np.zeros((25, 2, 2))
+    stack[:, 0, 1] = stack[:, 1, 0] = chains[:, 0]
+    reference = oracles.expm_reference(stack, [1.0, 0.0], chains[:, 1])
+    analytic = np.array([(math.cos(c * x), -1j * math.sin(c * x))
+                         for c, x in chains])
+    expm_max = float(np.abs(reference - analytic).max())
 
     mode = config.solve_mode()
     start_vec = np.array([1.0, 0.0, 0.0], dtype=complex)

@@ -255,6 +255,20 @@ def test_table_rejects_short_grids(default_mode):
                       "vacuum")
 
 
+@pytest.mark.parametrize("mode_index", [
+    np.zeros(4, dtype=int), np.zeros(6, dtype=int), np.array([0, 0, -1, 0, 0]),
+    np.array([0, 1, 0, 2, 0]), np.zeros(5)],
+    ids=["short", "long", "negative", "out-of-range", "float"])
+def test_table_rejects_a_mode_index_that_misses_a_row(default_mode,
+                                                      mode_index):
+    # the table is allocated unfilled: every row must name one of the modes
+    cells = _layouts()
+    with pytest.raises(ValueError, match="mode_index"):
+        _omega1_table(cells["length"], cells["radius"], cells["offset"],
+                      20e-9, [default_mode, default_mode], mode_index, 129,
+                      "vacuum")
+
+
 @pytest.mark.parametrize("n_samples", [129, 4097])
 def test_table_rows_are_bitwise_per_device_schedules(default_config,
                                                      monkeypatch, n_samples):

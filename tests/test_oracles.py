@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import random
 import sys
 
 import numpy as np
@@ -91,6 +92,84 @@ def test_overlap_quadrature_panel_budget_runs_out():
         overlap_quadrature(2.0e8, 2.0e8, 25e-9, spec)
 
 
+def _suite_overlap_cases(seed):
+    # the overlap check's draws in validation.run_oracle_suite
+    rng = random.Random(f"overlap:{seed}")
+    cases = [(complex(rng.uniform(0.2, 3.0) * 1e8,
+                      rng.uniform(-0.3, 0.3) * 1e8),
+              rng.uniform(1.0, 100.0) * 1e-9) for _ in range(100)]
+    return tuple(np.array(column) for column in zip(*cases))
+
+
+SUITE_SPEC = QuadratureSpec(absolute_tolerance=1e-300,
+                            relative_tolerance=5e-14, max_subdivisions=65536)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_overlap_batch_matches_scalar_calls(seed):
+    k, d = _suite_overlap_cases(seed)
+    values, details = overlap_quadrature(k, k, d, SUITE_SPEC,
+                                         return_details=True)
+    assert values.shape == d.shape
+    assert all(details[key].shape == d.shape for key in details)
+    for i in range(d.size):
+        value, alone = overlap_quadrature(complex(k[i]), complex(k[i]),
+                                          float(d[i]), SUITE_SPEC,
+                                          return_details=True)
+        assert isinstance(value, complex)
+        assert alone["subdivisions_used"] == details["subdivisions_used"][i]
+        assert abs(value - values[i]) <= 1e-15 * abs(value)
+        assert (abs(alone["error_estimate"] - details["error_estimate"][i])
+                <= 1e-15 * alone["error_estimate"])
+
+
+def test_overlap_case_is_bitwise_independent_of_its_batch():
+    # a case's panels keep their order within any batch, and its sums are
+    # taken in that order, so its bits do not depend on its neighbours
+    k, d = _suite_overlap_cases(0)
+    forward = overlap_quadrature(k, k, d, SUITE_SPEC, return_details=True)
+    backward = overlap_quadrature(k[::-1], k[::-1], d[::-1], SUITE_SPEC,
+                                  return_details=True)
+    for i in (0, 17, 58, 99):
+        alone = overlap_quadrature(k[i:i + 1], k[i:i + 1], d[i:i + 1],
+                                   SUITE_SPEC, return_details=True)
+        for batch, j in ((forward, i), (backward, d.size - 1 - i)):
+            assert batch[0][j] == alone[0][0]
+            for key in alone[1]:
+                assert batch[1][key][j] == alone[1][key][0]
+
+
+def test_overlap_panel_budget_is_per_case():
+    spec = QuadratureSpec(absolute_tolerance=1e-300, relative_tolerance=1e-6,
+                          max_subdivisions=16)
+    easy = np.full(8, 2.0e8 + 0j)
+    d = np.full(9, 25e-9)
+    # eight cases of 15 panels each fit a budget of 16 per case
+    _, details = overlap_quadrature(easy, easy, d[:8], spec,
+                                    return_details=True)
+    assert np.all(details["subdivisions_used"] <= 16)
+    # one case that needs more fails the whole call
+    mixed = np.r_[easy[:4], 1.0e8 + 3.0e8j, easy[4:]]
+    with pytest.raises(OracleFailure):
+        overlap_quadrature(mixed, mixed, d, spec)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", complex(float("nan"), 0.0)), ("k", complex(1e8, float("inf"))),
+    ("k", -1e8), ("d", float("nan")), ("d", float("inf")), ("d", -1e-9)])
+def test_overlap_batch_rejects_any_bad_entry_before_work(monkeypatch, field,
+                                                         value):
+    def no_work(*args):
+        raise AssertionError("panels evaluated before the input check")
+
+    monkeypatch.setattr(oracles, "_node_sum", no_work)
+    k, d = _suite_overlap_cases(0)
+    k, d = k[:10].copy(), d[:10].copy()
+    {"k": k, "d": d}[field][6] = value
+    with pytest.raises(ValueError):
+        overlap_quadrature(k, k, d, SUITE_SPEC)
+
+
 def test_oracles_import_only_stdlib_and_numpy():
     # agreement with an oracle is evidence only while the oracle shares no
     # code with the paths it checks
@@ -161,10 +240,25 @@ def test_expm_damps_with_loss():
     ([[0.0, float("nan")], [1.0, 0.0]], 1.0),
     ([[0.0, 1.0], [1.0, float("inf")]], 1.0),
     ([[0.0, 1.0], [1.0, 0.0]], float("nan")),
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, float("inf")]),
 ])
 def test_expm_rejects_non_finite_input(matrix, span):
     with pytest.raises(ValueError):
         expm_reference(matrix, [1.0, 0.0], span)
+
+
+def test_expm_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(4)
+    stack = (rng.normal(size=(2, 5, 3, 3))
+             + 1j * rng.normal(size=(2, 5, 3, 3))) * 1e6
+    spans = rng.uniform(0.1, 2.0, 5) * 1e-6  # broadcast over the first axis
+    start = [1.0, 0.0, 0.0]
+    stacked = expm_reference(stack, start, spans)
+    assert stacked.shape == (2, 5, 3)
+    for i in range(2):
+        for j in range(5):
+            assert np.array_equal(
+                stacked[i, j], expm_reference(stack[i, j], start, spans[j]))
 
 
 def test_expm_rejects_large_chains():
@@ -257,8 +351,9 @@ def test_staircase_rejects_bad_input(x, o1, o2, loss):
         staircase_evolution(x, o1, o2, [1.0, 0.0, 0.0], loss=loss)
 
 
-def _nan_overlap(*args, **kwargs):
-    return math.nan, {"error_estimate": math.nan}
+def _nan_overlap(k_a, k_b, d, *args, **kwargs):
+    nan = np.full(np.shape(d), math.nan)
+    return nan + 0j, {"error_estimate": nan}
 
 
 def _nan_chains(coupling, span, n_steps):

@@ -45,7 +45,8 @@ GAUSS_KRONROD = "oracles.overlap_quadrature (adaptive G7-K15)"
 def overlap_cases(rng: np.random.Generator, stored: dict,
                   count: int = 8) -> tuple[list, str]:
     """Closed-form-independent overlap values from adaptive quadrature, and
-    the rule that produced them.
+    the rule that produced them. Fresh values come from one batched
+    quadrature call over every drawn case.
 
     stored is the goldens file being replaced ({} if there is none); its
     quadrature values and their rule are kept. Each case must agree with
@@ -57,16 +58,17 @@ def overlap_cases(rng: np.random.Generator, stored: dict,
     spec = oracles.QuadratureSpec(absolute_tolerance=1e-300,
                                   relative_tolerance=1e-11,
                                   max_subdivisions=65536)
+    drawn = [(complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8)),
+              rng.uniform(1e-9, 100e-9)) for _ in range(count)]
+    keys = [(tuple(_complex(k)), d) for k, d in drawn]
+    if kept and not all(key in kept for key in keys):
+        raise SystemExit("the stored overlap cases differ from the "
+                         "drawn ones; write to a new path instead")
+    k, d = (np.array(column) for column in zip(*drawn))
+    values = ([complex(*kept[key]) for key in keys] if kept
+              else oracles.overlap_quadrature(k, k, d, spec).tolist())
     cases = []
-    for _ in range(count):
-        k = complex(rng.uniform(0.2e8, 3.0e8), rng.uniform(-0.3e8, 0.3e8))
-        d = rng.uniform(1e-9, 100e-9)
-        key = (tuple(_complex(k)), d)
-        if kept and key not in kept:
-            raise SystemExit("the stored overlap cases differ from the "
-                             "drawn ones; write to a new path instead")
-        value = (complex(*kept[key]) if kept
-                 else oracles.overlap_quadrature(k, k, d, spec))
+    for (k, d), value in zip(drawn, values):
         closed = overlap_integral(k, d)
         error = abs(closed - value) / abs(value)
         if not error <= 1e-8:
