@@ -1,5 +1,8 @@
 """Command line surface: figure reproduction and verification drivers.
 
+Each command returns its artifacts in write order as (file name, writer)
+pairs; a writer takes the path and the config hash and does the work only
+its own file needs. `_write_artifacts` alone gates, places and stamps them.
 Every artifact embeds the configuration hash (CSV comment line, JSON field,
 SVG comment) so a figure can always be traced back to the exact run
 parameters. Emission order and formatting are fixed; repeated runs of the
@@ -116,12 +119,26 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return n1, n2
 
 
-def _formats(config: RunConfig) -> set:
-    return {f.strip() for f in config.formats.split(",") if f.strip()}
+_CHANNELS = ("I_input", "I_middle", "I_output")
 
 
-def _run_dispersion(config: RunConfig, out: str) -> list[str]:
+def _write_artifacts(config: RunConfig, out: str, artifacts) -> list[str]:
+    """Write a command's artifacts under out, skipping each whose kind
+    `formats` leaves out (validation.txt, the report verify prints, has no
+    kind to gate); the paths written, in order."""
+    kinds = config.formats.split(",")
     chash = config_hash(config)
+    written = []
+    for name, writer in artifacts:
+        kind = name.rsplit(".", 1)[1]
+        if kind == "txt" or kind in kinds:
+            path = os.path.join(out, name)
+            writer(path, chash)
+            written.append(path)
+    return written
+
+
+def _dispersion(config: RunConfig) -> list:
     lambdas = np.union1d(np.linspace(5.0, 15.0, 101),
                          np.array([config.lambda0_um]))
     modes = [replace(config, lambda0_um=float(lam)).solve_mode()
@@ -134,16 +151,13 @@ def _run_dispersion(config: RunConfig, out: str) -> list[str]:
         q.imag * 1e-6, np.array([mode.k.real for mode in modes]) * 1e-6,
         np.array([propagation_length(mode) for mode in modes]) * 1e6,
         np.array([confinement_length(mode) for mode in modes]) * 1e9])
-    path = os.path.join(out, "dispersion.csv")
-    emit_csv(path, ["lambda0_um", "E_F_eV", "gamma_per_s", "Re_q_per_um",
-                    "Im_q_per_um", "Re_k_per_um", "L_x_um",
-                    "confinement_nm"], table, chash)
-    return [path]
+    return [("dispersion.csv", lambda path, chash: emit_csv(
+        path, ["lambda0_um", "E_F_eV", "gamma_per_s", "Re_q_per_um",
+               "Im_q_per_um", "Re_k_per_um", "L_x_um", "confinement_nm"],
+        table, chash))]
 
 
-def _run_coupling_sweep(config: RunConfig, out: str) -> list[str]:
-    chash = config_hash(config)
-    formats = _formats(config)
+def _coupling_sweep(config: RunConfig) -> list:
     d_nm, curves = figure_coupling_axes(config)
     # Python's abs per value: np.abs differs from it in the last bit
     table = np.vstack([
@@ -151,155 +165,92 @@ def _run_coupling_sweep(config: RunConfig, out: str) -> list[str]:
                          np.array([abs(c) for c in c12]) * 1e-6,
                          c12.real * 1e-6, c12.imag * 1e-6])
         for fermi, c12 in curves])
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out, "coupling_sweep.csv")
-        emit_csv(path, ["d_nm", "E_F_eV", "abs_C_per_um", "Re_C_per_um",
-                        "Im_C_per_um"], table, chash)
-        written.append(path)
-    if "svg" in formats:
-        path = os.path.join(out, "coupling_sweep.svg")
-        series = [(f"E_F = {fermi:g} eV", np.abs(c12) * 1e-6)
-                  for fermi, c12 in curves]
-        emit_svg_lines(path, d_nm, series, "separation d (nm)",
-                       "|C| (1/um)", "coupling vs separation", chash,
-                       log_y=True)
-        written.append(path)
-    return written
+    return [("coupling_sweep.csv", lambda path, chash: emit_csv(
+        path, ["d_nm", "E_F_eV", "abs_C_per_um", "Re_C_per_um",
+               "Im_C_per_um"], table, chash)),
+            ("coupling_sweep.svg", lambda path, chash: emit_svg_lines(
+                path, d_nm, [(f"E_F = {fermi:g} eV", np.abs(c12) * 1e-6)
+                             for fermi, c12 in curves],
+                "separation d (nm)", "|C| (1/um)", "coupling vs separation",
+                chash, log_y=True))]
 
 
-def _run_schedule(config: RunConfig, out: str) -> list[str]:
-    """The schedule alone: the mode is solved, nothing is propagated."""
-    schedule = build_schedule(config.geometry(), config.solve_mode(),
-                              config.n_samples, config.k0_convention)
-    return _emit_schedule(config, out, schedule)
-
-
-def _emit_schedule(config: RunConfig, out: str, schedule) -> list[str]:
-    chash = config_hash(config)
-    formats = _formats(config)
-    geom = config.geometry()
-    report = adiabaticity_report(schedule)
-    d1, d2 = sheet_separations(geom, schedule.x_grid)
-    table = np.column_stack([schedule.x_grid * 1e9, d1 * 1e9, d2 * 1e9,
-                             schedule.omega1 * 1e-6, schedule.omega2 * 1e-6,
-                             report.mixing_angle, report.margin])
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out, "schedule.csv")
+def _schedule(config: RunConfig, schedule) -> list:
+    def write_csv(path, chash):
+        report = adiabaticity_report(schedule)
+        d1, d2 = sheet_separations(config.geometry(), schedule.x_grid)
+        table = np.column_stack([schedule.x_grid * 1e9, d1 * 1e9, d2 * 1e9,
+                                 schedule.omega1 * 1e-6,
+                                 schedule.omega2 * 1e-6,
+                                 report.mixing_angle, report.margin])
         emit_csv(path, ["x_nm", "d1_nm", "d2_nm", "omega1_per_um",
                         "omega2_per_um", "theta_rad", "margin"], table,
                  chash)
-        written.append(path)
-    if "svg" in formats:
-        path = os.path.join(out, "schedule.svg")
-        x_nm = schedule.x_grid * 1e9
-        emit_svg_lines(path, x_nm,
-                       [("omega1", schedule.omega1 * 1e-6),
-                        ("omega2", schedule.omega2 * 1e-6)],
-                       "x (nm)", "coupling (1/um)",
-                       "coupling schedule", chash)
-        written.append(path)
-    return written
+
+    return [("schedule.csv", write_csv),
+            ("schedule.svg", lambda path, chash: emit_svg_lines(
+                path, schedule.x_grid * 1e9,
+                [("omega1", schedule.omega1 * 1e-6),
+                 ("omega2", schedule.omega2 * 1e-6)],
+                "x (nm)", "coupling (1/um)", "coupling schedule", chash))]
 
 
-def _run_device_cmd(config: RunConfig, out: str,
-                    with_field_map: bool) -> list[str]:
-    return _emit_device(config, out, run_device(config), with_field_map)
-
-
-def _emit_device(config: RunConfig, out: str, device,
-                 with_field_map: bool) -> list[str]:
-    chash = config_hash(config)
-    formats = _formats(config)
-    written = []
-    runs = {"lossless": device.trajectory,
-            "lossy": device.trajectory.damped(device.alpha)}
-    for label, trajectory in runs.items():
-        if "csv" not in formats:
-            continue
-        table = np.column_stack([trajectory.x_grid * 1e9,
-                                 trajectory.intensities])
-        path = os.path.join(out, f"device_run_{label}.csv")
-        emit_csv(path, ["x_nm", "I_input", "I_middle", "I_output"], table,
-                 chash)
-        written.append(path)
-    if "svg" in formats:
-        path = os.path.join(out, "device_run.svg")
-        x_nm = device.trajectory.x_grid * 1e9
-        series = []
-        for label, trajectory in runs.items():
-            intensities = trajectory.intensities
-            for channel, name in enumerate(("I_input", "I_middle",
-                                            "I_output")):
-                series.append((f"{name} ({label})",
-                               intensities[:, channel]))
-        emit_svg_lines(path, x_nm, series, "x (nm)", "intensity",
-                       "three-sheet transfer", chash)
-        written.append(path)
+def _device(config: RunConfig, device, with_field_map: bool) -> list:
+    x_nm = device.trajectory.x_grid * 1e9
+    runs = {"lossless": device.trajectory.intensities,
+            "lossy": device.trajectory.damped(device.alpha).intensities}
+    # a default argument: a closure would read the loop's last run
+    artifacts = [(f"device_run_{label}.csv",
+                  lambda path, chash, intensities=intensities: emit_csv(
+                      path, ["x_nm", *_CHANNELS],
+                      np.column_stack([x_nm, intensities]), chash))
+                 for label, intensities in runs.items()]
+    artifacts.append(("device_run.svg", lambda path, chash: emit_svg_lines(
+        path, x_nm, [(f"{name} ({label})", intensities[:, channel])
+                     for label, intensities in runs.items()
+                     for channel, name in enumerate(_CHANNELS)],
+        "x (nm)", "intensity", "three-sheet transfer", chash)))
     if with_field_map:
-        written.extend(_emit_field_map(config, device, out, chash, formats))
-    return written
+        artifacts += _field_map(config, device)
+    return artifacts
 
 
-def _emit_field_map(config: RunConfig, device, out: str, chash: str,
-                    formats: set) -> list[str]:
+def _field_map(config: RunConfig, device) -> list:
     geom = config.geometry()
     d1, d2 = sheet_separations(geom, device.schedule.x_grid)
     extent = max(float(np.max(d1)), float(np.max(d2)))
     pad = 3.0 * confinement_length(device.mode)
     z = np.linspace(-(extent + pad), extent + pad, 181)
     stride = max(1, len(device.schedule.x_grid) // 256)
-    intensity = field_map(device.trajectory, geom, device.mode, z,
-                          x_stride=stride)
+    # rows indexed by z for the heatmap convention
+    matrix = field_map(device.trajectory, geom, device.mode, z,
+                       x_stride=stride).T
     x_nm = device.schedule.x_grid[::stride] * 1e9
     z_nm = z * 1e9
-    matrix = intensity.T  # rows indexed by z for the heatmap convention
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out, "field_map.csv")
-        header = ["z_nm_over_x_nm"] + [f"{v:.6g}" for v in x_nm]
-        emit_csv(path, header, np.column_stack([z_nm, matrix]), chash)
-        written.append(path)
-    if "svg" in formats:
-        path = os.path.join(out, "field_map.svg")
-        emit_svg_heatmap(path, matrix, x_nm, z_nm, "x (nm)", "z (nm)",
-                         "field intensity map", chash,
-                         value_label="|field|^2")
-        written.append(path)
-    return written
+    return [("field_map.csv", lambda path, chash: emit_csv(
+                path, ["z_nm_over_x_nm"] + [f"{v:.6g}" for v in x_nm],
+                np.column_stack([z_nm, matrix]), chash)),
+            ("field_map.svg", lambda path, chash: emit_svg_heatmap(
+                path, matrix, x_nm, z_nm, "x (nm)", "z (nm)",
+                "field intensity map", chash, value_label="|field|^2"))]
 
 
-def _run_robustness(config: RunConfig, out: str, figure: str,
-                    grid: tuple[int, int], loss: str | None) -> list[str]:
+def _robustness(config: RunConfig, figure: str, grid: tuple[int, int],
+                loss: str | None) -> list:
     if figure == "1b":
-        return _run_coupling_sweep(config, out)
+        return _coupling_sweep(config)
     if figure == "3":
         # one mode solve, one schedule build, one propagation
         device = run_device(config)
-        written = _emit_schedule(config, out, device.schedule)
-        written.extend(_emit_device(config, out, device, with_field_map=True))
-        return written
-
-    chash = config_hash(config)
-    formats = _formats(config)
+        return (_schedule(config, device.schedule)
+                + _device(config, device, with_field_map=True))
     lossy = None if loss is None else (loss == "on")
     spec = figure_map_spec(figure, config, grid, lossy=lossy)
     result = run_sweep(spec)
-    axis1 = spec.axis1
-    axis2 = spec.axis2
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out, f"fig_{figure}.csv")
-        header = ([f"{axis2.name}_over_{axis1.name}"]
-                  + [f"{v:.10g}" for v in axis1.values])
-        emit_csv(path, header, np.column_stack([axis2.values, result.grid]),
-                 chash)
-        written.append(path)
-    if "json" in formats:
-        path = os.path.join(out, f"fig_{figure}.json")
-        metadata = dict(result.metadata)
-        metadata["figure"] = figure
+    axis1, axis2 = spec.axis1, spec.axis2
+
+    def write_json(path, chash):
+        metadata = dict(result.metadata, figure=figure)
         if figure == "4c":
             reference = parallel_comparator(
                 spec.fixed_wavevector_per_um * 1e6, config.L_um * 1e-6,
@@ -312,33 +263,35 @@ def _run_robustness(config: RunConfig, out: str, figure: str,
                 "map damps with the modelled one at this wavevector (see "
                 "the verify report's lossy_default)")
         emit_json(path, metadata, chash, VERSION)
-        written.append(path)
-    if "svg" in formats:
-        path = os.path.join(out, f"fig_{figure}.svg")
-        emit_svg_heatmap(path, result.grid, axis1.values, axis2.values,
-                         axis1.name, axis2.name,
-                         f"figure {figure}: output_intensity", chash)
-        written.append(path)
-    return written
+
+    return [(f"fig_{figure}.csv", lambda path, chash: emit_csv(
+                path, [f"{axis2.name}_over_{axis1.name}"]
+                + [f"{v:.10g}" for v in axis1.values],
+                np.column_stack([axis2.values, result.grid]), chash)),
+            (f"fig_{figure}.json", write_json),
+            (f"fig_{figure}.svg", lambda path, chash: emit_svg_heatmap(
+                path, result.grid, axis1.values, axis2.values, axis1.name,
+                axis2.name, f"figure {figure}: output_intensity", chash))]
 
 
-def _run_verify(config: RunConfig, out: str, seed: int) -> list[str]:
+def _verify(config: RunConfig, seed: int) -> list:
     # Only verify runs an oracle, so only it imports the module.
     from .oracles import OracleFailure
 
-    chash = config_hash(config)
     try:
         report = build_validation_report(config, seed=seed)
     except OracleFailure as exc:
         raise VerificationError(f"oracle failure: {exc}") from exc
     text = render_validation_text(report)
-    json_path = os.path.join(out, "validation.json")
-    emit_json(json_path, report, chash, VERSION)
-    text_path = os.path.join(out, "validation.txt")
-    with open(text_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
     sys.stdout.write(text)
-    return [json_path, text_path]
+
+    def write_text(path, chash):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+
+    return [("validation.json",
+             lambda path, chash: emit_json(path, report, chash, VERSION)),
+            ("validation.txt", write_text)]
 
 
 def main(argv=None) -> int:
@@ -358,18 +311,22 @@ def main(argv=None) -> int:
         out = args.out if args.out is not None else config.out_dir
         ensure_directory(out)
         if args.command == "dispersion":
-            written = _run_dispersion(config, out)
+            artifacts = _dispersion(config)
         elif args.command == "coupling-sweep":
-            written = _run_coupling_sweep(config, out)
+            artifacts = _coupling_sweep(config)
         elif args.command == "schedule":
-            written = _run_schedule(config, out)
+            # the schedule alone: the mode is solved, nothing is propagated
+            artifacts = _schedule(config, build_schedule(
+                config.geometry(), config.solve_mode(), config.n_samples,
+                config.k0_convention))
         elif args.command == "device-run":
-            written = _run_device_cmd(config, out, args.field_map)
+            artifacts = _device(config, run_device(config), args.field_map)
         elif args.command == "robustness-sweep":
-            written = _run_robustness(config, out, args.figure,
-                                      _parse_grid(args.grid), args.loss)
+            artifacts = _robustness(config, args.figure,
+                                    _parse_grid(args.grid), args.loss)
         else:
-            written = _run_verify(config, out, args.seed)
+            artifacts = _verify(config, args.seed)
+        written = _write_artifacts(config, out, artifacts)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

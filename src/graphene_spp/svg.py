@@ -53,6 +53,35 @@ def _axis_ticks(values) -> list[tuple[float, str]]:
     return [(lo, f"{lo:g}"), (mid, f"{mid:g}"), (hi, f"{hi:g}")]
 
 
+def _axis_titles(left: float, top: float, width: float, height: float,
+                 x_label: str, y_label: str) -> list[str]:
+    """The x title under the plot area and the y title turned up its left."""
+    return [f'<text x="{_fmt(left + width / 2)}" '
+            f'y="{_fmt(top + height + 34)}" text-anchor="middle" '
+            f'font-size="13" font-family="sans-serif">{x_label}</text>',
+            f'<text x="16" y="{_fmt(top + height / 2)}" '
+            f'text-anchor="middle" font-size="13" '
+            f'font-family="sans-serif" transform="rotate(-90 16 '
+            f'{_fmt(top + height / 2)})">{y_label}</text>']
+
+
+def _write_document(path, title_x: float, title: str, config_hash: str,
+                    body: list[str]) -> None:
+    """Write a 620 x 430 document: the hash comment, the white background
+    and the title centred at title_x, then the body's elements, one a line
+    (the body is never empty)."""
+    head = ['<svg xmlns="http://www.w3.org/2000/svg" width="620" '
+            'height="430" viewBox="0 0 620 430">',
+            f"<!-- config_hash={config_hash} -->",
+            '<rect width="620" height="430" fill="#ffffff"/>',
+            f'<text x="{_fmt(title_x)}" y="22" text-anchor="middle" '
+            f'font-size="15" font-family="sans-serif">{title}</text>']
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(head) + "\n")
+        handle.write("\n".join(body))
+        handle.write("\n</svg>\n")
+
+
 def emit_svg_heatmap(path, matrix, x_values, y_values, x_label: str,
                      y_label: str, title: str, config_hash: str,
                      value_label: str = "intensity") -> None:
@@ -70,13 +99,6 @@ def emit_svg_heatmap(path, matrix, x_values, y_values, x_label: str,
     left, top, width, height = 70.0, 40.0, 420.0, 320.0
     cw, ch = width / nx, height / ny
     parts = []
-    parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="620" '
-                 f'height="430" viewBox="0 0 620 430">')
-    parts.append(f"<!-- config_hash={config_hash} -->")
-    parts.append('<rect width="620" height="430" fill="#ffffff"/>')
-    parts.append(f'<text x="{_fmt(left + width / 2)}" y="22" '
-                 f'text-anchor="middle" font-size="15" '
-                 f'font-family="sans-serif">{title}</text>')
     fills = _colors((matrix - vmin) / (vmax - vmin))
     xs = [_fmt(left + ix * cw) for ix in range(nx)]
     # y axis points up: last row at the top of the plot area.
@@ -100,13 +122,7 @@ def emit_svg_heatmap(path, matrix, x_values, y_values, x_label: str,
         parts.append(f'<text x="{_fmt(left - 6)}" y="{_fmt(y + 4)}" '
                      f'text-anchor="end" font-size="11" '
                      f'font-family="sans-serif">{label}</text>')
-    parts.append(f'<text x="{_fmt(left + width / 2)}" '
-                 f'y="{_fmt(top + height + 34)}" text-anchor="middle" '
-                 f'font-size="13" font-family="sans-serif">{x_label}</text>')
-    parts.append(f'<text x="16" y="{_fmt(top + height / 2)}" '
-                 f'text-anchor="middle" font-size="13" '
-                 f'font-family="sans-serif" transform="rotate(-90 16 '
-                 f'{_fmt(top + height / 2)})">{y_label}</text>')
+    parts.extend(_axis_titles(left, top, width, height, x_label, y_label))
 
     # Linear color bar with end labels.
     bar_x, bar_w = left + width + 24.0, 18.0
@@ -134,9 +150,7 @@ def emit_svg_heatmap(path, matrix, x_values, y_values, x_label: str,
                      f'fill="{_INVALID_FILL}" stroke="#000000"/>')
         parts.append(f'<text x="{_fmt(left + 18)}" y="418" font-size="11" '
                      f'font-family="sans-serif">invalid geometry cell</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(parts) + "\n")
+    _write_document(path, left + width / 2, title, config_hash, parts)
 
 
 def emit_svg_lines(path, x_values, series, x_label: str, y_label: str,
@@ -168,13 +182,6 @@ def emit_svg_lines(path, x_values, series, x_label: str, y_label: str,
 
     left, top, width, height = 70.0, 40.0, 460.0, 320.0
     parts = []
-    parts.append('<svg xmlns="http://www.w3.org/2000/svg" width="620" '
-                 'height="430" viewBox="0 0 620 430">')
-    parts.append(f"<!-- config_hash={config_hash} -->")
-    parts.append('<rect width="620" height="430" fill="#ffffff"/>')
-    parts.append(f'<text x="{_fmt(left + width / 2)}" y="22" '
-                 f'text-anchor="middle" font-size="15" '
-                 f'font-family="sans-serif">{title}</text>')
     parts.append(f'<rect x="{_fmt(left)}" y="{_fmt(top)}" '
                  f'width="{_fmt(width)}" height="{_fmt(height)}" fill="none" '
                  f'stroke="#000000"/>')
@@ -216,13 +223,5 @@ def emit_svg_lines(path, x_values, series, x_label: str, y_label: str,
                      f'y="{_fmt(top + height * (1 - frac) + 4)}" '
                      f'text-anchor="end" font-size="11" '
                      f'font-family="sans-serif">{shown:.3g}</text>')
-    parts.append(f'<text x="{_fmt(left + width / 2)}" '
-                 f'y="{_fmt(top + height + 34)}" text-anchor="middle" '
-                 f'font-size="13" font-family="sans-serif">{x_label}</text>')
-    parts.append(f'<text x="16" y="{_fmt(top + height / 2)}" '
-                 f'text-anchor="middle" font-size="13" '
-                 f'font-family="sans-serif" transform="rotate(-90 16 '
-                 f'{_fmt(top + height / 2)})">{y_label}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(parts) + "\n")
+    parts.extend(_axis_titles(left, top, width, height, x_label, y_label))
+    _write_document(path, left + width / 2, title, config_hash, parts)

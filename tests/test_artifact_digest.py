@@ -1,5 +1,6 @@
 """tools/artifact_digest.py: the byte-identity check between revisions."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -42,6 +43,19 @@ def test_two_runs_print_the_same_digests():
             == first["device-run/field_map.csv"])
     assert (first["verify-lossless/validation.json"]
             != first["verify/validation.json"])
+
+
+def test_keep_creates_a_missing_directory(tmp_path):
+    keep = tmp_path / "not" / "yet"
+    done = subprocess.run([sys.executable, str(TOOL), "--grid", "2x2",
+                           "--keep", str(keep)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    kept = json.loads(done.stdout)
+    assert "verify/validation.txt" in kept
+    for name, digest in kept.items():
+        assert hashlib.sha256((keep / name).read_bytes()).hexdigest() \
+            == digest
 
 
 def test_every_json_artifact_is_strict_json(tmp_path):

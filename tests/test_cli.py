@@ -1,5 +1,6 @@
 """End-to-end CLI runs against temp directories with a small sample count."""
 
+import builtins
 import json
 import math
 import os
@@ -381,12 +382,87 @@ def test_each_command_solves_and_builds_one_schedule(tmp_path, monkeypatch,
     assert sorted(calls) == ["mode", "schedule"]
 
 
-def test_formats_gate_emission(tmp_path):
+_DEVICE_RUN = ["device_run_lossless.csv", "device_run_lossy.csv",
+               "device_run.svg"]
+_FIELD_MAP = ["field_map.csv", "field_map.svg"]
+# command -> (arguments, every file it writes under the default formats,
+# in the order written)
+_ARTIFACTS = {
+    "dispersion": (["dispersion"], ["dispersion.csv"]),
+    "coupling-sweep": (["coupling-sweep"],
+                       ["coupling_sweep.csv", "coupling_sweep.svg"]),
+    "schedule": (["schedule"], ["schedule.csv", "schedule.svg"]),
+    "device-run": (["device-run"], _DEVICE_RUN),
+    "device-run-field-map": (["device-run", "--field-map"],
+                             _DEVICE_RUN + _FIELD_MAP),
+    "1b": (_SWEEP + ["1b"], ["coupling_sweep.csv", "coupling_sweep.svg"]),
+    "3": (_SWEEP + ["3"],
+          ["schedule.csv", "schedule.svg"] + _DEVICE_RUN + _FIELD_MAP),
+    **{figure: (_SWEEP + [figure], [f"fig_{figure}.csv", f"fig_{figure}.json",
+                                    f"fig_{figure}.svg"])
+       for figure in ("4a", "4b", "4c")},
+    "verify": (["verify", "--seed", "1"],
+               ["validation.json", "validation.txt"]),
+}
+
+
+def _of_kind(names, kind):
+    """The files of one format kind, and validation.txt, which is always
+    written."""
+    return [name for name in names if name.endswith((f".{kind}", ".txt"))]
+
+
+@pytest.mark.parametrize("kind", ["csv", "svg"])
+@pytest.mark.parametrize("command", ["dispersion", "verify", "schedule",
+                                     "4b"])
+def test_formats_gate_emission(tmp_path, command, kind):
+    argv, names = _ARTIFACTS[command]
     out = tmp_path / "out"
-    cfg = _cfg(tmp_path, "formats = csv\n")
-    assert main(["--config", cfg, "--out", str(out), "schedule"]) == 0
-    assert (out / "schedule.csv").exists()
-    assert not (out / "schedule.svg").exists()
+    assert main(["--config", _cfg(tmp_path, f"formats = {kind}\n"), "--out",
+                 str(out), *argv]) == 0
+    assert sorted(os.listdir(out)) == sorted(_of_kind(names, kind))
+
+
+@pytest.mark.parametrize("kind, calls", [("csv", 0), ("json", 1)])
+def test_fig4c_comparator_runs_only_for_its_sidecar(tmp_path, monkeypatch,
+                                                    kind, calls):
+    import graphene_spp.cli as cli
+
+    counted = []
+
+    def comparator(*args, _comparator=cli.parallel_comparator, **kwargs):
+        counted.append(1)
+        return _comparator(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parallel_comparator", comparator)
+    assert main(["--config", _cfg(tmp_path, f"formats = {kind}\n"), "--out",
+                 str(tmp_path / "out"), *_SWEEP, "4c"]) == 0
+    assert len(counted) == calls
+
+
+@pytest.mark.parametrize("formats", ["default", "csv"])
+@pytest.mark.parametrize("command", list(_ARTIFACTS))
+def test_printed_paths_are_the_files_written_in_order(
+        tmp_path, monkeypatch, capsys, command, formats):
+    argv, names = _ARTIFACTS[command]
+    if formats != "default":
+        names = _of_kind(names, formats)
+    cfg = _cfg(tmp_path, "" if formats == "default"
+               else f"formats = {formats}\n")
+    opened = []
+
+    def recording(file, mode="r", *args, _open=builtins.open, **kwargs):
+        if "w" in mode:
+            opened.append(os.fspath(file))
+        return _open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), *argv]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith(str(out))]
+    assert printed == opened == [os.path.join(out, name) for name in names]
+    assert sorted(os.listdir(out)) == sorted(names)
 
 
 def test_consecutive_sweeps_are_byte_identical(tmp_path):

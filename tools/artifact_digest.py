@@ -63,9 +63,11 @@ def commands(grid: str, lossless_config: str) -> dict[str, list[str]]:
 
 def run_commands(grid: str, root: pathlib.Path) -> dict[str, pathlib.Path]:
     """Run every command into its subdirectory of root; returns
-    "<command>/<file>" -> path of each artifact."""
+    "<command>/<file>" -> path of each artifact. root is created if it
+    does not exist."""
     from graphene_spp import cli
 
+    root.mkdir(parents=True, exist_ok=True)
     config = root / "lossless.cfg"
     config.write_text("gamma_per_s = 0\n")
     found = {}
@@ -118,7 +120,6 @@ def compare(first_src: str, second_src: str, grid: str) -> dict:
         artifacts = []
         for i, src in enumerate((first_src, second_src)):
             root = pathlib.Path(tmp) / str(i)
-            root.mkdir()
             subprocess.run([sys.executable, __file__, "--src", src, "--grid",
                             grid, "--keep", str(root)], check=True,
                            stdout=subprocess.DEVNULL)
@@ -144,7 +145,8 @@ def main(argv=None) -> int:
                         help="package source tree to run; twice to compare "
                         "two trees")
     parser.add_argument("--keep", metavar="DIR",
-                        help="write the artifacts under DIR and keep them")
+                        help="write the artifacts under DIR (created if "
+                        "missing) and keep them")
     args = parser.parse_args(argv)
     trees = args.src or [str(ROOT / "src")]
     if len(trees) > 2:
