@@ -3,20 +3,26 @@
 In the basis s = (a0, i a1, a2) the three-sheet chain is real: ds/dx =
 [v]x s, the cross product with v = (-omega2, 0, omega1), a vector along the
 dark state. Its flow is a rotation, so both device integrators step with
-rotations. Each interval takes one 4th-order Magnus step from the couplings
-at its start, exact midpoint and end (Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 151 (2009)): Omega = h/6 (v0 + 4 vm + v1) - h^2/12 vm x (v1 - v0), the
-rotation by |Omega| about Omega. The run is 4th order against the continuous
-device and keeps the norm to rounding. `propagate` records one device at
-every knot through a blocked scan of the steps' rotation matrices; the batch
-kernel multiplies the steps' unit quaternions pairwise and keeps only the
-final amplitudes of many devices. Its devices are mirror-symmetric, omega2
-being omega1 reversed, so it integrates the right half of each and gets the
-left half from that rotation by a fixed conjugation. A step that turns by
-more than _MAX_STEP_ANGLE is an under-resolved run, where the Magnus series
-stops converging: `propagate` raises PropagationError, the batch kernel
-returns NaN for that device. For a constant Hamiltonian one RK4 step is a
-fixed matrix, so a chain is a power of it, built by repeated squaring.
+Magnus rotations (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)),
+each a unit quaternion from one helper, and keep the norm to rounding.
+`propagate` records one device at every knot, so each interval takes one
+4th-order step from the couplings at its start, exact midpoint and end:
+Omega = h/6 (v0 + 4 vm + v1) - h^2/12 vm x (v1 - v0), the rotation by
+|Omega| about Omega, 4th order against the continuous device; the steps'
+rotation matrices are scanned in blocks. The batch kernel keeps only the
+final amplitudes of many devices, so each pair of intervals takes one
+6th-order step from its five samples, knot, midpoint, knot, midpoint,
+knot (Blanes, Casas & Ros, BIT 40, 434 (2000)): the error falls 64x per
+halving of h, and the knot count must be 1 (mod 4). It multiplies the
+steps' quaternions pairwise. Its devices are mirror-symmetric, omega2
+being omega1 reversed, so it integrates the right half of each and gets
+the left half from that rotation by a fixed conjugation. A step that turns
+by more than _MAX_STEP_ANGLE per interval is an under-resolved run, where
+the Magnus series stops converging: `propagate` raises PropagationError,
+the batch kernel returns NaN for a device with a pair step over
+_MAX_PAIR_ANGLE, the same limit per unit length. For a constant
+Hamiltonian one RK4 step is a fixed matrix, so a chain is a power of it,
+built by repeated squaring.
 
 Uniform damping commutes with H, so a(x) = exp(-alpha (x - x0)) a_lossless(x)
 exactly. No integrator here carries loss: `Trajectory.damped` applies that
@@ -36,7 +42,7 @@ from .geometry import CouplingSchedule, DeviceGeometry, sheet_separations
 
 
 # Quaternions per column block of propagate_batch_three's tree (_tree_block):
-# 64 intervals of a 512-device chunk.
+# 64 pair steps of a 512-device chunk.
 _TREE_QUATERNIONS = 32768
 # The rotation by pi about (1, 0, 1)/sqrt(2) that maps a mirror-symmetric
 # device's right half onto its left, as a quaternion (w, x, y, z).
@@ -45,10 +51,15 @@ _MIRROR = np.array([0.0, math.sqrt(0.5), 0.0, math.sqrt(0.5)])
 # its scan's running products.
 _STEP_BLOCK = 512
 _SCAN_GROUP = 32
-# Largest rotation angle (rad) of one Magnus step. The Magnus series
-# converges while the step's integral of ||A|| stays below pi; the device
-# maps turn by at most about 0.2 rad per step at 129 knots.
+# Largest rotation angle (rad) of one Magnus step over one interval. The
+# Magnus series converges while the step's integral of ||A|| stays below pi.
 _MAX_STEP_ANGLE = 1.0
+# The same limit per unit length for propagate_batch_three's steps over a
+# pair of intervals, still below pi. At the 65-knot probes a pair step
+# turns by at most 0.82 rad on the 4b map and 0.64 rad on 4c; the
+# stretch-4 probes of verify's two stretch searches turn by 1.96 and
+# 1.84 rad.
+_MAX_PAIR_ANGLE = 2.0 * _MAX_STEP_ANGLE
 
 
 class PropagationError(RuntimeError):
@@ -123,23 +134,14 @@ def _substep_couplings(knots, mid, substeps):
             u[..., 2::2].reshape(shape))
 
 
-def _magnus_quaternions(h, start1, mid1, end1, start2, mid2, end2):
-    """Unit quaternions (4, ...) of 4th-order Magnus steps, and their
-    rotation angles (...).
+def _rotation_quaternions(s1, s2, twist):
+    """Unit quaternions (4, ...) of the rotations by the Magnus vectors
+    Omega = (-s2, twist, s1), and their angles |Omega| (...).
 
-    Each step spans width h with the couplings omega1 and omega2 at its
-    start, exact midpoint and end. The generator is [v]x with v = (-omega2,
-    0, omega1), and [[a]x, [b]x] = [a x b]x, so the exponent
-    h/6 (A0 + 4 Am + A1) - h^2/12 [Am, A1 - A0] is the vector
-    Omega = (-S2, twist, S1): S_i = h/6 (omega_i start + 4 mid + end) and
-    twist = h^2/12 (omega1 mid d omega2 - omega2 mid d omega1) over the
-    step. The step is the rotation by |Omega| about Omega, the quaternion
+    s1 and s2 are Omega's omega1 and omega2 parts, twist its y component.
+    The rotation by |Omega| about Omega is the quaternion
     (cos |Omega|/2, sin(|Omega|/2) Omega/|Omega|).
     """
-    sixth = h / 6.0
-    s1 = sixth * (start1 + 4.0 * mid1 + end1)
-    s2 = sixth * (start2 + 4.0 * mid2 + end2)
-    twist = (h * h / 12.0) * (mid1 * (end2 - start2) - mid2 * (end1 - start1))
     angle = np.sqrt(s1 * s1 + s2 * s2 + twist * twist)
     half = 0.5 * angle
     # a step of angle 0 has Omega = 0, whatever the scale
@@ -151,6 +153,81 @@ def _magnus_quaternions(h, start1, mid1, end1, start2, mid2, end2):
     np.multiply(scale, twist, out=q[2])
     np.multiply(scale, s1, out=q[3])
     return q, angle
+
+
+def _magnus_quaternions(h, start1, mid1, end1, start2, mid2, end2):
+    """Unit quaternions (4, ...) of 4th-order Magnus steps, and their
+    rotation angles (...).
+
+    Each step spans width h with the couplings omega1 and omega2 at its
+    start, exact midpoint and end. The generator is [v]x with v = (-omega2,
+    0, omega1), and [[a]x, [b]x] = [a x b]x, so the exponent
+    h/6 (A0 + 4 Am + A1) - h^2/12 [Am, A1 - A0] is the vector
+    Omega = (-S2, twist, S1): S_i = h/6 (omega_i start + 4 mid + end) and
+    twist = h^2/12 (omega1 mid d omega2 - omega2 mid d omega1) over the
+    step.
+    """
+    sixth = h / 6.0
+    s1 = sixth * (start1 + 4.0 * mid1 + end1)
+    s2 = sixth * (start2 + 4.0 * mid2 + end2)
+    twist = (h * h / 12.0) * (mid1 * (end2 - start2) - mid2 * (end1 - start1))
+    return _rotation_quaternions(s1, s2, twist)
+
+
+def _pair_moments(width, a, b, c, d, e):
+    """One coupling's parts of a pair step's Boole integral B^(0), of
+    alpha1, alpha2 and of u = -20 alpha1 - alpha3 (see _pair_quaternions),
+    from its samples a..e at the pair's start, first midpoint, shared knot,
+    second midpoint and end. alpha1 = -3/2 B^(0) - u/8 follows from
+    alpha1 + alpha3/12 = B^(0)."""
+    outer, inner = a + e, b + d
+    b0 = (width / 90.0) * (7.0 * outer + 32.0 * inner + 12.0 * c)
+    u = (-4.0 * width) * (inner + inner + c)
+    alpha1 = -1.5 * b0 - 0.125 * u
+    alpha2 = (width / 15.0) * (7.0 * (e - a) + 16.0 * (d - b))
+    return b0, alpha1, alpha2, u
+
+
+def _pair_quaternions(width, samples1, samples2):
+    """Unit quaternions (4, ...) of 6th-order Magnus steps over pairs of
+    intervals, and their rotation angles (...).
+
+    A pair of width H holds the couplings omega1 (samples1) and omega2
+    (samples2) at tau = -1/2, -1/4, 0, 1/4, 1/2 of H about its centre: its
+    start, first midpoint, shared knot, second midpoint and end. With the
+    Boole moments B^(i) = H sum_k w_k tau_k^i A_k, w = (7, 32, 12, 32, 7)/90,
+    the step of Blanes, Casas & Ros (BIT 40, 434 (2000); Phys. Rep. 470,
+    151 (2009)) is
+        alpha1 = 9/4 B^(0) - 15 B^(2), alpha2 = 12 B^(1),
+        alpha3 = 180 B^(2) - 15 B^(0),
+        C1 = [alpha1, alpha2], C2 = -1/60 [alpha1, 2 alpha3 + C1],
+        Omega = alpha1 + alpha3/12
+                + 1/240 [-20 alpha1 - alpha3 + C1, alpha2 + C2].
+    (alpha1 is not B^(0): that silently gives a 2nd-order method.) Here
+    alpha1 + alpha3/12 = B^(0), the pair's Boole integral, and
+    u = -20 alpha1 - alpha3 = 120 B^(2) - 30 B^(0) = -4 H (2 (b + d) + c);
+    alpha3 enters the brackets only as [alpha1, alpha3] = -[alpha1, u], so
+    it is never formed.
+
+    Every generator is [v]x with v = (-omega2, 0, omega1), and a bracket is
+    the cross product. In the components (omega1 part, y, omega2 part), a
+    right-handed frame, the alphas and u are (p_i, 0, r_i) and (u1, 0, u2),
+    C1 = (0, c1, 0) with c1 = r1 p2 - p1 r2, and
+    C2 = (r1 c1, 2 (r1 u1 - p1 u2), -p1 c1)/60; the last bracket is written
+    out by components.
+    """
+    b0_1, p1, p2, u1 = _pair_moments(width, *samples1)
+    b0_2, r1, r2, u2 = _pair_moments(width, *samples2)
+    c1 = r1 * p2 - p1 * r2
+    g = c1 / 60.0
+    # W = alpha2 + C2, and [u + C1, W] / 240 completes Omega
+    w1 = p2 + r1 * g
+    wy = (r1 * u1 - p1 * u2) / 30.0
+    w2 = r2 - p1 * g
+    s1 = b0_1 + (c1 * w2 - u2 * wy) / 240.0
+    twist = (u2 * w1 - u1 * w2) / 240.0
+    s2 = b0_2 + (u1 * wy - c1 * w1) / 240.0
+    return _rotation_quaternions(s1, s2, twist)
 
 
 def _quaternion_product(p, q):
@@ -365,7 +442,7 @@ def field_map(trajectory: Trajectory, geom: DeviceGeometry, mode: SppMode,
 
 
 def _tree_block(batch: int) -> int:
-    """Intervals per column block of propagate_batch_three's quaternion
+    """Pair steps per column block of propagate_batch_three's quaternion
     tree: the largest power of two >= 64 whose block of the batch holds at
     most _TREE_QUATERNIONS quaternions, so that a small batch is not
     bound by per-block overhead."""
@@ -392,58 +469,67 @@ def propagate_batch_three(h, omega1, omega1_mid, a_init, substeps: int = 1):
     devices.
 
     h: (B,) interval widths (uniform per device); omega1: (B, N) couplings
-    at the knots, N odd and >= 3 so that x = 0 is a knot; omega1_mid:
-    (B, N - 1) couplings at the interval midpoints; a_init: (B, 3). The
-    arcs are mirror images, so omega2 is omega1 reversed and is not passed.
-    Returns the final (B, 3) amplitudes; a device with a step over
-    _MAX_STEP_ANGLE, or a non-finite one, gets a row of NaN. Any other N
-    raises ValueError.
+    at the knots, N = 4 j + 1 with j >= 1, so that x = 0 is a knot and each
+    half is whole pairs of intervals; omega1_mid: (B, N - 1) couplings at
+    the interval midpoints; a_init: (B, 3). The arcs are mirror images, so
+    omega2 is omega1 reversed and is not passed. Returns the final (B, 3)
+    amplitudes; a device with a pair step over _MAX_PAIR_ANGLE, or a
+    non-finite one, gets a row of NaN. Any other N raises ValueError.
 
-    Each interval is one 4th-order Magnus step, as in `propagate`, so the
-    error falls 16x per halving of h. Substeps split an interval exactly
-    and take their couplings from the quadratic through its start,
-    midpoint and end samples.
+    Each pair of consecutive intervals is one 6th-order Magnus step
+    (_pair_quaternions) from its five samples, knot, midpoint, knot,
+    midpoint, knot, so the error falls 64x per halving of h. Substeps split
+    every interval into exact parts whose couplings come from the quadratic
+    through its start, midpoint and end samples, and the pair steps then
+    take consecutive substeps two at a time.
 
-    Only the right half [0, L/2] is integrated. A left interval and its
-    mirror image swap omega1 and omega2 at their start, midpoint and end,
-    so their Magnus vectors obey Omega_L = -M Omega_R, with M the rotation
-    by pi about (1, 0, 1)/sqrt(2); the left half is then M U_R^T M and the
-    device U_R M U_R^T M, the quaternion r m r* m, exactly for the discrete
-    steps. |Omega_L| = |Omega_R|, so the angle guard sees every step.
+    Only the right half [0, L/2] is integrated. A left pair and its mirror
+    image swap omega1 and omega2 at every sample, and reverse tau: alpha1
+    and alpha3 are even moments and alpha2 an odd one, so their Magnus
+    vectors obey Omega_L = -M Omega_R, with M the rotation by pi about
+    (1, 0, 1)/sqrt(2); the left half is then M U_R^T M and the device
+    U_R M U_R^T M, the quaternion r m r* m, exactly for the discrete steps.
+    |Omega_L| = |Omega_R|, so the angle guard sees every pair.
 
-    The right half's unit quaternions are formed _tree_block(B) intervals
-    at a time and multiplied pairwise, in log2 levels, into one quaternion
-    per device and block; the block products are reduced the same way, so
-    a device's result does not depend on the batch it is run in. The final
-    rotation then acts on the initial states in the basis (a0, i a1, a2).
+    The right half's unit quaternions are formed 2 _tree_block(B) intervals
+    at a time, _tree_block(B) pair steps without substeps, and multiplied
+    pairwise, in log2 levels, into one quaternion per device and block;
+    the block products are reduced the same way, so a device's result does
+    not depend on the batch it is run in. The final rotation then acts on
+    the initial states in the basis (a0, i a1, a2).
     """
     omega1, omega1_mid = (np.asarray(omega, dtype=float)
                           for omega in (omega1, omega1_mid))
     batch, knots = omega1.shape
-    if knots % 2 == 0 or knots < 3:
-        raise ValueError("the knot count must be odd and >= 3, so that "
-                         "x = 0 is a knot")
+    if knots % 4 != 1 or knots < 5:
+        raise ValueError("the knot count must be 1 (mod 4) and >= 5, so "
+                         "that x = 0 is a knot and each half is whole "
+                         "pairs of intervals")
     centre = knots // 2
     # the right half's knots and midpoints; omega2 there is omega1's left
     # half reversed
     right1, right1_mid = omega1[:, centre:], omega1_mid[:, centre:]
     right2, right2_mid = omega1[:, centre::-1], omega1_mid[:, centre - 1::-1]
-    h = np.asarray(h, dtype=float)[:, None] / substeps
-    block = _tree_block(batch)
+    width = 2.0 * np.asarray(h, dtype=float)[:, None] / substeps
+    # an even number of intervals per block, so whole pairs of substeps
+    block = 2 * _tree_block(batch)
     products = []
     resolved = np.ones(batch, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(0, centre, block):
             j1 = min(j0 + block, centre)
-            q, angle = _magnus_quaternions(h, *_substep_couplings(
-                right1[:, j0:j1 + 1], right1_mid[:, j0:j1], substeps),
-                *_substep_couplings(right2[:, j0:j1 + 1],
-                                    right2_mid[:, j0:j1], substeps))
-            resolved &= np.all(angle <= _MAX_STEP_ANGLE, axis=1)
+            samples = []
+            for knot, mid in ((right1, right1_mid), (right2, right2_mid)):
+                start, middle, end = _substep_couplings(
+                    knot[:, j0:j1 + 1], mid[:, j0:j1], substeps)
+                samples.append((start[:, 0::2], middle[:, 0::2],
+                                end[:, 0::2], middle[:, 1::2], end[:, 1::2]))
+            q, angle = _pair_quaternions(width, *samples)
+            resolved &= np.all(angle <= _MAX_PAIR_ANGLE, axis=1)
             products.append(_pairwise_product(q))
             # the block's steps go before the next block's are formed,
             # which holds peak memory to one block
-            del q, angle
+            del samples, q, angle
     r = _pairwise_product(np.stack(products, axis=-1))
     conjugate = r * np.array([1.0, -1.0, -1.0, -1.0])[:, None]
     mirror = _MIRROR[:, None]

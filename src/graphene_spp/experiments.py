@@ -319,15 +319,18 @@ def _three_sheet_outputs(cells: dict, modes, mode_index, config: RunConfig,
 
     The batch is given as _three_sheet_finals takes it; probes indexes the
     rows that choose the knot count. Starting from _FIRST_KNOTS, the count
-    doubles (k -> 2k - 1) until the Richardson estimate
-    max |I_fine - I_coarse| / 15 of the 4th-order kernel's output-intensity
-    error on the probes is at most _KNOT_TOLERANCE, or until the next count
-    would exceed config.n_samples. The first pair is always run, so a batch
-    uses at least 2 _FIRST_KNOTS - 1 knots and always has an estimate; a
-    NaN estimate keeps doubling. The probes are lossless: the loss envelope
-    scales every intensity, and so its error, by exp(-2 alpha L) <= 1.
-    The whole batch then runs at that count in _CHUNK slices. Returns
-    (outputs, knots, estimate of the error at knots).
+    doubles (k -> 2k - 1, which keeps k = 1 (mod 4) for the kernel's pair
+    steps) until the Richardson estimate max |I_fine - I_coarse| / 63 of
+    the output-intensity error on the probes is at most _KNOT_TOLERANCE, or
+    until the next count would exceed config.n_samples. The divisor is
+    2^6 - 1 because the kernel is 6th order: halving h shrinks the error
+    64x, so the fine run's error is 1/63 of the difference. The first pair
+    is always run, so a batch uses at least 2 _FIRST_KNOTS - 1 knots and
+    always has an estimate; a NaN estimate keeps doubling. The probes are
+    lossless: the loss envelope scales every intensity, and so its error,
+    by exp(-2 alpha L) <= 1. The whole batch then runs at that count in
+    _CHUNK slices. Returns (outputs, knots, estimate of the error at
+    knots).
     """
     def finals(rows, knots):
         return _three_sheet_finals(
@@ -339,7 +342,7 @@ def _three_sheet_outputs(cells: dict, modes, mode_index, config: RunConfig,
     while True:
         knots = 2 * knots - 1
         fine = finals(probes, knots)
-        estimate = float(np.max(np.abs(fine - coarse))) / 15.0
+        estimate = float(np.max(np.abs(fine - coarse))) / 63.0
         if estimate <= _KNOT_TOLERANCE or 2 * knots - 1 > config.n_samples:
             break
         coarse = fine

@@ -127,12 +127,18 @@ def test_robustness_sweep_matrix_and_sidecar(tmp_path):
 def test_robustness_sweep_records_knot_choice(tmp_path):
     # the step-doubling knot choice is recorded as it came out: at the
     # default n_samples the estimate meets the tolerance, while
-    # n_samples = 256 stops the doubling at 129 knots, short of it
+    # n_samples = 256 stops the doubling at 129 knots, short of it. The
+    # capped device is twice as long, with a wider offset and gap, so that
+    # the 6th-order kernel still needs more than 129 knots on it (estimate
+    # 1.2e-7 there; uncapped it stops at 257 with 1.8e-9) while every
+    # 65-knot pair step stays inside the angle limit
     default_cfg = tmp_path / "default.cfg"
     default_cfg.write_text("")
+    long_device = ("L_um = 2.0\nR_nm = 1500.0\ndelta_nm = 400.0\n"
+                   "d_min_nm = 35.0\n")
     metas = {}
     for label, cfg in (("default", str(default_cfg)),
-                       ("capped", _cfg(tmp_path))):
+                       ("capped", _cfg(tmp_path, long_device))):
         out = tmp_path / label
         assert main(["--config", cfg, "--out", str(out), "robustness-sweep",
                      "--figure", "4b", "--grid", "3x3"]) == 0

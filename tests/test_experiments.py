@@ -228,14 +228,15 @@ def test_three_sheet_outputs_are_chunk_independent(default_config):
 
 
 # Largest error of the lossless 12x12 map against the same map at four
-# times the knot intervals, measured with the RK4 kernel that preceded the
-# Magnus kernel: 4b at 257 knots, 4c at 513. The Magnus kernel measured
-# 7.38e-9 and 5.06e-9, both at 257 knots.
-_RK4_MAP_ERROR = {"4b": 1.49822e-7, "4c": 2.95955e-8}
+# times the knot intervals, measured with the 4th-order Magnus kernel that
+# preceded the 6th-order pair steps, both maps at 257 knots. The RK4 kernel
+# before it measured 1.49822e-7 (4b, 257 knots) and 2.95955e-8 (4c, 513).
+_FOURTH_ORDER_MAP_ERROR = {"4b": 7.38e-9, "4c": 5.06e-9}
 
 
 @pytest.mark.parametrize("figure", ["4b", "4c"])
-def test_map_error_is_at_most_the_rk4_kernels(default_config, figure):
+def test_map_error_is_at_most_the_fourth_order_kernels(default_config,
+                                                       figure):
     spec = figure_map_spec(figure, default_config, (12, 12), lossy=False)
     result = run_sweep(spec)
     cells, modes, mode_index, _ = _cell_parameters(spec)
@@ -246,8 +247,8 @@ def test_map_error_is_at_most_the_rk4_kernels(default_config, figure):
         {key: values[valid] for key, values in cells.items()}, modes,
         mode_index[valid], default_config, 4 * (knots - 1) + 1)
     error = np.abs(result.grid.ravel()[valid] - reference).max()
-    assert knots == 257
-    assert error <= _RK4_MAP_ERROR[figure]
+    assert knots == 129
+    assert error <= _FOURTH_ORDER_MAP_ERROR[figure]
 
 
 def test_invalid_geometry_cells_are_nan(default_config):
