@@ -4,25 +4,26 @@ In the basis s = (a0, i a1, a2) the three-sheet chain is real: ds/dx =
 [v]x s, the cross product with v = (-omega2, 0, omega1), a vector along the
 dark state. Its flow is a rotation, so both device integrators step with
 Magnus rotations (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)),
-each a unit quaternion from one helper, and keep the norm to rounding.
-`propagate` records one device at every knot, so each interval takes one
-4th-order step from the couplings at its start, exact midpoint and end:
-Omega = h/6 (v0 + 4 vm + v1) - h^2/12 vm x (v1 - v0), the rotation by
-|Omega| about Omega, 4th order against the continuous device; the steps'
-rotation matrices are scanned in blocks. The batch kernel keeps only the
-final amplitudes of many devices, so each pair of intervals takes one
-6th-order step from its five samples, knot, midpoint, knot, midpoint,
-knot (Blanes, Casas & Ros, BIT 40, 434 (2000)): the error falls 64x per
-halving of h, and the knot count must be 1 (mod 4). It multiplies the
-steps' quaternions pairwise. Its devices are mirror-symmetric, omega2
-being omega1 reversed, so it integrates the right half of each and gets
-the left half from that rotation by a fixed conjugation. A step that turns
-by more than _MAX_STEP_ANGLE per interval is an under-resolved run, where
-the Magnus series stops converging: `propagate` raises PropagationError,
-the batch kernel returns NaN for a device with a pair step over
-_MAX_PAIR_ANGLE, the same limit per unit length. For a constant
-Hamiltonian one RK4 step is a fixed matrix, so a chain is a power of it,
-built by repeated squaring.
+each a unit quaternion from one helper, compose them as quaternions and
+keep the norm to rounding. `propagate` records one device at every knot,
+so each interval takes one 4th-order step from the couplings at its start,
+exact midpoint and end: Omega = h/6 (v0 + 4 vm + v1) - h^2/12 vm x
+(v1 - v0), the rotation by |Omega| about Omega, 4th order against the
+continuous device; a prefix scan of the steps' quaternions gives the
+rotation to every knot. The batch kernel keeps only the final amplitudes
+of many devices, each started in the input sheet, so each pair of
+intervals takes one 6th-order step from its five samples, knot, midpoint,
+knot, midpoint, knot (Blanes, Casas & Ros, BIT 40, 434 (2000)): the error
+falls 64x per halving of h, and the knot count must be 1 (mod 4). It
+multiplies the steps' quaternions pairwise. Its devices are
+mirror-symmetric, omega2 being omega1 reversed, so it integrates the right
+half of each and gets the left half from that rotation by a fixed
+conjugation. A step that turns by more than _MAX_STEP_ANGLE per interval
+is an under-resolved run, where the Magnus series stops converging:
+`propagate` raises PropagationError, the batch kernel returns NaN for a
+device with a pair step over _MAX_PAIR_ANGLE, the same limit per unit
+length. For a constant Hamiltonian one RK4 step is a fixed matrix, so a
+chain is a power of it, built by repeated squaring.
 
 Uniform damping commutes with H, so a(x) = exp(-alpha (x - x0)) a_lossless(x)
 exactly. No integrator here carries loss: `Trajectory.damped` applies that
@@ -47,10 +48,10 @@ _TREE_QUATERNIONS = 32768
 # The rotation by pi about (1, 0, 1)/sqrt(2) that maps a mirror-symmetric
 # device's right half onto its left, as a quaternion (w, x, y, z).
 _MIRROR = np.array([0.0, math.sqrt(0.5), 0.0, math.sqrt(0.5)])
-# Intervals per block of step matrices in propagate, and steps per group of
-# its scan's running products.
-_STEP_BLOCK = 512
-_SCAN_GROUP = 32
+# Intervals per block of propagate's quaternion scan. Blocks bound the
+# scan's memory on long schedules; fewer, longer blocks take fewer scan
+# levels (notes/decisions.md "One rotation algebra").
+_STEP_BLOCK = 1024
 # Largest rotation angle (rad) of one Magnus step over one interval. The
 # Magnus series converges while the step's integral of ||A|| stays below pi.
 _MAX_STEP_ANGLE = 1.0
@@ -275,30 +276,17 @@ def _rotation_matrices(q):
     return r
 
 
-def _scan(steps, s0):
-    """The states P_0 s0, P_1 P_0 s0, ... of a (n, 3, 3) stack of real step
-    matrices P_j, with complex states held as real (3, 2) pairs of columns.
-
-    The steps are split into groups of _SCAN_GROUP; the running products
-    within every group are formed together, one matmul per position, and
-    one carried state per group then gives every state by one broadcast
-    product. Returns (n, 3, 2).
-    """
-    n = len(steps)
-    groups = -(-n // _SCAN_GROUP)
-    padded = np.empty((groups * _SCAN_GROUP, 3, 3))
-    padded[:n] = steps
-    padded[n:] = np.eye(3)
-    padded = padded.reshape(groups, _SCAN_GROUP, 3, 3)
-    products = np.empty_like(padded)
-    products[:, 0] = padded[:, 0]
-    for k in range(1, _SCAN_GROUP):
-        np.matmul(padded[:, k], products[:, k - 1], out=products[:, k])
-    carries = np.empty((groups, 3, 2))
-    carries[0] = s0
-    for g in range(1, groups):
-        carries[g] = products[g - 1, -1] @ carries[g - 1]
-    return (products @ carries[:, None]).reshape(-1, 3, 2)[:n]
+def _prefix_products(q):
+    """The running products q0, q1 q0, q2 q1 q0, ... of a (4, n) quaternion
+    stack, formed in place by a Hillis-Steele scan in ceil(log2 n) levels:
+    the level of stride s = 1, 2, 4, ... multiplies element j by element
+    j - s, after which element j holds the product of up to 2s elements
+    ending at j."""
+    s = 1
+    while s < q.shape[1]:
+        q[:, s:] = _quaternion_product(q[:, s:], q[:, :-s])
+        s *= 2
+    return q
 
 
 def propagate(schedule: CouplingSchedule, initial,
@@ -316,9 +304,11 @@ def propagate(schedule: CouplingSchedule, initial,
     of the first interval holding a step that turns by more than
     _MAX_STEP_ANGLE, or by a non-finite angle.
 
-    In the basis s = (a0, i a1, a2) every step is a real rotation matrix.
-    They are built and scanned in blocks of _STEP_BLOCK intervals, and the
-    trajectory is recorded at every knot.
+    In the basis s = (a0, i a1, a2) every step is a rotation, a unit
+    quaternion. In blocks of _STEP_BLOCK intervals, a prefix scan
+    (_prefix_products) over the steps, substeps included, gives the running
+    rotation from the block's start to every knot, and its rotation matrix
+    times the block's starting state records the trajectory there.
     """
     a = np.asarray(initial, dtype=complex)
     if a.shape != (3,):
@@ -346,11 +336,8 @@ def propagate(schedule: CouplingSchedule, initial,
                 f"Magnus step angle {angle[over[0]]:.3g} rad over the "
                 f"resolution limit {_MAX_STEP_ANGLE} rad",
                 float(x[j0 + over[0] // m + 1]))
-        q = q.reshape(4, -1, m)
-        steps = q[..., 0]
-        for i in range(1, m):
-            steps = _quaternion_product(q[..., i], steps)
-        pairs[j0 + 1:j1 + 1] = _scan(_rotation_matrices(steps), pairs[j0])
+        steps = _prefix_products(q)[:, m - 1::m]
+        pairs[j0 + 1:j1 + 1] = _rotation_matrices(steps) @ pairs[j0]
     out /= basis
     return Trajectory(x_grid=x.copy(), amplitudes=out)
 
@@ -464,17 +451,18 @@ def _pairwise_product(q):
     return q[..., 0]
 
 
-def propagate_batch_three(h, omega1, omega1_mid, a_init, substeps: int = 1):
+def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1):
     """Lossless three-channel propagation of a batch of mirror-symmetric
     devices.
 
     h: (B,) interval widths (uniform per device); omega1: (B, N) couplings
     at the knots, N = 4 j + 1 with j >= 1, so that x = 0 is a knot and each
     half is whole pairs of intervals; omega1_mid: (B, N - 1) couplings at
-    the interval midpoints; a_init: (B, 3). The arcs are mirror images, so
-    omega2 is omega1 reversed and is not passed. Returns the final (B, 3)
-    amplitudes; a device with a pair step over _MAX_PAIR_ANGLE, or a
-    non-finite one, gets a row of NaN. Any other N raises ValueError.
+    the interval midpoints. The arcs are mirror images, so omega2 is omega1
+    reversed and is not passed. Every device starts in the input sheet,
+    a = (1, 0, 0). Returns the final (B, 3) amplitudes; a device with a
+    pair step over _MAX_PAIR_ANGLE, or a non-finite one, gets a row of NaN.
+    Any other N raises ValueError.
 
     Each pair of consecutive intervals is one 6th-order Magnus step
     (_pair_quaternions) from its five samples, knot, midpoint, knot,
@@ -495,8 +483,9 @@ def propagate_batch_three(h, omega1, omega1_mid, a_init, substeps: int = 1):
     at a time, _tree_block(B) pair steps without substeps, and multiplied
     pairwise, in log2 levels, into one quaternion per device and block;
     the block products are reduced the same way, so a device's result does
-    not depend on the batch it is run in. The final rotation then acts on
-    the initial states in the basis (a0, i a1, a2).
+    not depend on the batch it is run in. In the basis (a0, i a1, a2) the
+    input sheet is (1, 0, 0), so the final state is the first column of the
+    device's rotation matrix.
     """
     omega1, omega1_mid = (np.asarray(omega, dtype=float)
                           for omega in (omega1, omega1_mid))
@@ -536,9 +525,7 @@ def propagate_batch_three(h, omega1, omega1_mid, a_init, substeps: int = 1):
     total = _quaternion_product(
         _quaternion_product(_quaternion_product(r, mirror), conjugate),
         mirror)
-    basis = np.array([1.0, 1j, 1.0])
-    s = (basis * np.asarray(a_init, dtype=complex))[..., None]
-    a = (_rotation_matrices(total) @ s)[..., 0] / basis
+    a = _rotation_matrices(total)[..., 0] / np.array([1.0, 1j, 1.0])
     a[~resolved] = np.nan
     return a
 

@@ -306,9 +306,7 @@ def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
                            config.d_min_nm * 1e-9, modes, mode_index,
                            2 * knots - 1, config.k0_convention)
     h = length / (knots - 1)
-    a_init = np.zeros((length.size, 3), dtype=complex)
-    a_init[:, 0] = 1.0
-    amps = propagate_batch_three(h, omega1[:, ::2], omega1[:, 1::2], a_init)
+    amps = propagate_batch_three(h, omega1[:, ::2], omega1[:, 1::2])
     return np.abs(amps[:, 2]) ** 2
 
 

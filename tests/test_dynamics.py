@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphene_spp import dynamics
-from graphene_spp.dynamics import (_MAX_STEP_ANGLE, PropagationError,
-                                   Trajectory, dark_state, field_map,
+from graphene_spp.dynamics import (_MAX_STEP_ANGLE, _STEP_BLOCK,
+                                   PropagationError, Trajectory,
+                                   _prefix_products, _quaternion_product,
+                                   dark_state, field_map,
                                    propagate, propagate_batch_three,
                                    propagate_batch_two, propagate_constant,
                                    two_level_analytic)
@@ -153,8 +155,11 @@ def _propagate_stepwise(schedule, initial, loss, step=None):
 def test_propagate_matches_stepwise_loss_loop(default_config, default_mode):
     # the loss envelope outside the kernel must agree with damping inside
     # every Magnus step, over whole trajectories: uniform loss commutes
-    # with the chain, so the two differ by rounding only
+    # with the chain, so the two differ by rounding only. The schedule spans
+    # several blocks of the scan, so each block must start from the last
+    # state of the one before.
     schedule = _schedule(default_config, default_mode, 4096)
+    assert len(schedule.x_grid) - 1 > _STEP_BLOCK
     alpha = default_mode.q.imag
     for step in (None, schedule.spacing / 2, schedule.spacing / 3):
         for loss in (0.0, alpha):
@@ -229,23 +234,40 @@ def test_propagate_complex_initial_state_matches_stepwise_loop(
         assert _relative_gap(got, expected) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 1023, 1024, 1025])
+def test_prefix_products_match_sequential_products(n):
+    # the scan's log2 levels associate the products differently from a
+    # left-to-right loop, so the two agree to rounding, at lengths on both
+    # sides of a power of two
+    rng = np.random.default_rng(n)
+    q = rng.normal(size=(4, n))
+    q /= np.linalg.norm(q, axis=0)
+    expected = q.copy()
+    for j in range(1, n):
+        expected[:, j:j + 1] = _quaternion_product(q[:, j:j + 1],
+                                                   expected[:, j - 1:j])
+    assert np.abs(_prefix_products(q.copy()) - expected).max() < 1e-14
+
+
 def test_resolution_guard_stops_at_first_interval_over_limit():
-    # stable couplings, then h * omega = 3 from knot 700 of 1025 (past the
-    # first block of step matrices): a rotation never overflows, so the
-    # guard, not a blow-up, must stop the run where a step turns by more
-    # than the limit. propagate raises at the end of that interval, and
-    # the batch kernel returns NaN for the device and only for it.
-    x = np.linspace(-0.5e-6, 0.5e-6, 1025)
+    # stable couplings, then h * omega = 3 from knot 1400 of 2049 (past the
+    # first block of propagate's scan, in the batch kernel's right half): a
+    # rotation never overflows, so the guard, not a blow-up, must stop the
+    # run where a step turns by more than the limit. propagate raises at
+    # the end of that interval, and the batch kernel returns NaN for the
+    # device and only for it.
+    x = np.linspace(-0.5e-6, 0.5e-6, 2049)
     h = x[1] - x[0]
     omega = np.full(x.size, 1e6)
-    omega[700:] = 3.0 / h
+    omega[1400:] = 3.0 / h
     mid = 0.5 * (omega[:-1] + omega[1:])
     schedule = CouplingSchedule(x, omega, 0.5 * omega, mid, 0.5 * mid)
     angles = [_angle(_magnus_exponent(
         h, (omega[j], 0.5 * omega[j]), (mid[j], 0.5 * mid[j]),
         (omega[j + 1], 0.5 * omega[j + 1]))) for j in range(x.size - 1)]
     first = np.flatnonzero(np.array(angles) > _MAX_STEP_ANGLE)[0]
-    assert first == 699
+    assert first == 1399
+    assert first > _STEP_BLOCK
     with pytest.raises(PropagationError, match="resolution limit") as caught:
         propagate(schedule, START)
     assert caught.value.position == x[first + 1]
@@ -255,14 +277,12 @@ def test_resolution_guard_stops_at_first_interval_over_limit():
     stable = np.full(x.size, 1e6)
     rows = np.stack([omega, stable])
     mids = np.stack([mid, stable[1:]])
-    finals = propagate_batch_three(np.full(2, h), rows, mids,
-                                   np.stack([START, START]))
+    finals = propagate_batch_three(np.full(2, h), rows, mids)
     assert np.isnan(finals[0]).all()
     assert np.isfinite(finals[1]).all()
     # a non-finite coupling is over any limit, in the left half as well
     rows[1, 3] = math.nan
-    finals = propagate_batch_three(np.full(2, h), rows, mids,
-                                   np.stack([START, START]))
+    finals = propagate_batch_three(np.full(2, h), rows, mids)
     assert np.isnan(finals).all()
 
 
@@ -276,8 +296,7 @@ def test_batch_three_guard_sees_the_left_half():
     stable = np.full(x.size, 1e6)
     rows = np.stack([omega, stable])
     mids = 0.5 * (rows[:, :-1] + rows[:, 1:])
-    finals = propagate_batch_three(np.full(2, h), rows, mids,
-                                   np.stack([START, START]))
+    finals = propagate_batch_three(np.full(2, h), rows, mids)
     assert np.isnan(finals[0]).all()
     assert np.isfinite(finals[1]).all()
 
@@ -288,8 +307,7 @@ def test_batch_three_needs_an_odd_knot_count(knots):
     # half must be whole pairs of intervals: 7 and 131 are odd but 3 (mod 4)
     with pytest.raises(ValueError, match=r"1 \(mod 4\) and >= 5"):
         propagate_batch_three(np.full(1, 1e-9), np.full((1, knots), 1e6),
-                              np.full((1, max(knots - 1, 0)), 1e6),
-                              START[None, :])
+                              np.full((1, max(knots - 1, 0)), 1e6))
 
 
 @pytest.mark.parametrize("margin, accepted", [(0.99, True), (1.01, False)])
@@ -302,7 +320,7 @@ def test_pair_limit_is_the_interval_limit_per_length(margin, accepted):
     omega = np.full(x.size, margin * _MAX_STEP_ANGLE / (math.sqrt(2.0) * h))
     schedule = CouplingSchedule(x, omega, omega, omega[1:], omega[1:])
     finals = propagate_batch_three(np.array([h]), omega[None, :],
-                                   omega[None, 1:], START[None, :])[0]
+                                   omega[None, 1:])[0]
     if accepted:
         final = propagate(schedule, START).amplitudes[-1]
         assert np.abs(finals - final).max() < 1e-12
@@ -324,20 +342,20 @@ def test_kernels_conserve_the_norm(seed, half, turn, substeps):
     rng = np.random.default_rng(seed)
     x = np.linspace(-0.5e-6, 0.5e-6, knots)
     h = x[1] - x[0]
-    omega = rng.uniform(0.0, turn / h, (3, 4, knots))
-    initial = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    initial /= np.linalg.norm(initial, axis=1, keepdims=True)
-    schedule = CouplingSchedule(x, omega[0, 0], omega[0, 1],
-                                omega[0, 2, 1:], omega[0, 3, 1:])
-    trajectory = propagate(schedule, initial[0], step=h / substeps)
+    omega = rng.uniform(0.0, turn / h, (4, knots))
+    initial = rng.normal(size=3) + 1j * rng.normal(size=3)
+    initial /= np.linalg.norm(initial)
+    schedule = CouplingSchedule(x, omega[0], omega[1], omega[2, 1:],
+                                omega[3, 1:])
+    trajectory = propagate(schedule, initial, step=h / substeps)
     assert np.abs(trajectory.intensities.sum(axis=1) - 1.0).max() < 1e-13
     # the batch kernel takes knot counts 1 (mod 4) only, so it gets a table
-    # of its own over the same length
+    # of its own over the same length; its devices start in the input sheet
     knots = 4 * ((half + 1) // 2) + 1
     h = 1e-6 / (knots - 1)
     omega = rng.uniform(0.0, turn / h, (3, knots))
     omega_mid = rng.uniform(0.0, turn / h, (3, knots - 1))
-    finals = propagate_batch_three(np.full(3, h), omega, omega_mid, initial,
+    finals = propagate_batch_three(np.full(3, h), omega, omega_mid,
                                    substeps=substeps)
     assert np.abs(np.sum(np.abs(finals) ** 2, axis=1) - 1.0).max() < 1e-13
 
@@ -360,7 +378,7 @@ def _batch_three_of(schedule, substeps):
     the schedule's omega2 is its omega1 reversed."""
     return propagate_batch_three(
         np.array([schedule.spacing]), schedule.omega1[None, :],
-        schedule.omega1_mid[None, :], START[None, :], substeps=substeps)[0]
+        schedule.omega1_mid[None, :], substeps=substeps)[0]
 
 
 def test_batch_three_matches_scalar_integrator(default_config, default_mode):
@@ -422,11 +440,11 @@ def _pair_exponent(width, samples1, samples2):
 
 
 def _batch_three_stepwise(h, omega1, omega2, omega1_mid, omega2_mid,
-                          a_init, substeps):
+                          substeps):
     """The batch kernel written as one rotation per pair of consecutive
     substeps over the whole device, left half included, device by device,
-    in a Python loop; a substep's couplings come from the quadratic through
-    its interval's start, midpoint and end samples."""
+    in a Python loop, from the input sheet; a substep's couplings come from
+    the quadratic through its interval's start, midpoint and end samples."""
     basis = np.array([1.0, 1j, 1.0])
     out = []
     for b in range(len(h)):
@@ -436,7 +454,7 @@ def _batch_three_stepwise(h, omega1, omega2, omega1_mid, omega2_mid,
             samples2 = omega2[b, j], omega2_mid[b, j], omega2[b, j + 1]
             samples += [_substep_samples(samples1, samples2, s, substeps)
                         for s in range(substeps)]
-        state = basis * a_init[b]
+        state = basis * START
         for first, second in zip(samples[0::2], samples[1::2]):
             u1, u2 = zip(*(first + second[1:]))
             state = _rotation(_pair_exponent(2.0 * h[b] / substeps,
@@ -458,12 +476,11 @@ def test_batch_three_matches_stepwise_rotation_loop(monkeypatch):
     omega1 = rng.uniform(0.0, 3e7, (batch, knots))
     omega1_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
     h = rng.uniform(5e-10, 2e-9, batch)
-    a_init = rng.normal(size=(batch, 3)) + 1j * rng.normal(size=(batch, 3))
-    tables = (omega1, omega1_mid, a_init)
+    tables = (omega1, omega1_mid)
     for substeps in (1, 2):
         expected = _batch_three_stepwise(h, omega1, omega1[:, ::-1],
                                          omega1_mid, omega1_mid[:, ::-1],
-                                         a_init, substeps)
+                                         substeps)
         got = propagate_batch_three(h, *tables, substeps=substeps)
         assert _relative_gap(got, expected) < 1e-13
         for b in (0, batch - 1):
