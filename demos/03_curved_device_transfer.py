@@ -13,8 +13,8 @@ import os
 import numpy as np
 
 from graphene_spp import (RunConfig, adiabaticity_report, dark_state,
-                          mode_at_wavevector, run_device,
-                          stirap_stretch_search, wavevector_to_omega)
+                          run_device, stirap_stretch_search,
+                          wavevector_to_omega)
 from graphene_spp import io as gio
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -73,8 +73,7 @@ print(f"\nstretch search at lambda0 = {config.lambda0_um} um: "
       f"-> {'no stretch reaches 0.95' if search.stretch is None else search.stretch}")
 
 # at a softer wavevector scale the same geometry transfers cleanly
-omega_soft = wavevector_to_omega(config, 35e6)
-soft = mode_at_wavevector(config, 35e6)
+omega_soft, soft = wavevector_to_omega(config, 35e6)
 soft_search = stirap_stretch_search(config, mode=soft)
 print(f"same search at Re q = 35 1/um (lambda0 = "
       f"{2 * np.pi * 299792458.0 / omega_soft * 1e6:.1f} um): "

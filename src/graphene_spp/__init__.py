@@ -17,9 +17,9 @@ from .dynamics import (PropagationError, Trajectory, dark_state, field_map,
                        propagate, propagate_constant, two_level_analytic)
 from .experiments import (DeviceRun, ExperimentError, StretchSearchResult,
                           SweepAxis, SweepResult, SweepSpec,
-                          mode_at_wavevector, parallel_comparator,
-                          robustness_metric, run_device, run_sweep,
-                          stirap_stretch_search, wavevector_to_omega)
+                          parallel_comparator, robustness_metric, run_device,
+                          run_sweep, stirap_stretch_search,
+                          wavevector_to_omega)
 from .geometry import (AdiabaticityReport, CouplingSchedule, DeviceGeometry,
                        GeometryError, adiabaticity_report, build_schedule,
                        sheet_separations)
@@ -42,7 +42,7 @@ __all__ = [
     "coupling_at_separations", "coupling_coefficient", "coupling_vs_distance",
     "dark_state", "default_relaxation_rate", "drude_conductivity",
     "effective_graphene_permittivity", "field_map",
-    "load_config", "mode_at_wavevector", "overlap_integral",
+    "load_config", "overlap_integral",
     "parallel_comparator", "parse_config", "propagate", "propagate_constant",
     "propagation_length", "render_validation_text", "robustness_metric",
     "run_device", "run_oracle_suite", "run_sweep", "sheet_separations",

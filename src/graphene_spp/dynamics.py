@@ -48,9 +48,9 @@ _TREE_QUATERNIONS = 32768
 # The rotation by pi about (1, 0, 1)/sqrt(2) that maps a mirror-symmetric
 # device's right half onto its left, as a quaternion (w, x, y, z).
 _MIRROR = np.array([0.0, math.sqrt(0.5), 0.0, math.sqrt(0.5)])
-# Intervals per block of propagate's quaternion scan. Blocks bound the
-# scan's memory on long schedules; fewer, longer blocks take fewer scan
-# levels (notes/decisions.md "One rotation algebra").
+# Steps per block of propagate's quaternion scan, substeps included. Blocks
+# bound the scan's memory on long schedules; fewer, longer blocks take fewer
+# scan levels (notes/decisions.md "One rotation algebra").
 _STEP_BLOCK = 1024
 # Largest rotation angle (rad) of one Magnus step over one interval. The
 # Magnus series converges while the step's integral of ||A|| stays below pi.
@@ -101,7 +101,7 @@ class Trajectory:
 def _substeps_for(spacing: float, step: float | None) -> int:
     if step is None:
         return 1
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be > 0")
     if step > spacing * (1.0 + 1e-12):
         raise ValueError("step must not exceed the schedule grid spacing")
@@ -305,7 +305,7 @@ def propagate(schedule: CouplingSchedule, initial,
     _MAX_STEP_ANGLE, or by a non-finite angle.
 
     In the basis s = (a0, i a1, a2) every step is a rotation, a unit
-    quaternion. In blocks of _STEP_BLOCK intervals, a prefix scan
+    quaternion. In blocks of about _STEP_BLOCK steps, a prefix scan
     (_prefix_products) over the steps, substeps included, gives the running
     rotation from the block's start to every knot, and its rotation matrix
     times the block's starting state records the trajectory there.
@@ -318,12 +318,13 @@ def propagate(schedule: CouplingSchedule, initial,
                          "semantics")
     x = schedule.x_grid
     m = _substeps_for(schedule.spacing, step)
+    block = max(1, _STEP_BLOCK // m)
     basis = np.array([1.0, 1j, 1.0])
     out = np.empty((len(x), 3), dtype=complex)
     out[0] = basis * a
     pairs = out.view(float).reshape(len(x), 3, 2)
-    for j0 in range(0, len(x) - 1, _STEP_BLOCK):
-        j1 = min(j0 + _STEP_BLOCK, len(x) - 1)
+    for j0 in range(0, len(x) - 1, block):
+        j1 = min(j0 + block, len(x) - 1)
         h = np.repeat((x[j0 + 1:j1 + 1] - x[j0:j1]) / m, m)
         with np.errstate(over="ignore", invalid="ignore"):
             q, angle = _magnus_quaternions(h, *_substep_couplings(
@@ -462,7 +463,8 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1):
     reversed and is not passed. Every device starts in the input sheet,
     a = (1, 0, 0). Returns the final (B, 3) amplitudes; a device with a
     pair step over _MAX_PAIR_ANGLE, or a non-finite one, gets a row of NaN.
-    Any other N raises ValueError.
+    Any other N, or substeps that is not an integer >= 1, raises
+    ValueError.
 
     Each pair of consecutive intervals is one 6th-order Magnus step
     (_pair_quaternions) from its five samples, knot, midpoint, knot,
@@ -483,13 +485,15 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1):
     at a time, _tree_block(B) pair steps without substeps, and multiplied
     pairwise, in log2 levels, into one quaternion per device and block;
     the block products are reduced the same way, so a device's result does
-    not depend on the batch it is run in. In the basis (a0, i a1, a2) the
-    input sheet is (1, 0, 0), so the final state is the first column of the
-    device's rotation matrix.
+    not depend on the batch it is run in, bit for bit when substeps is a
+    power of two. In the basis (a0, i a1, a2) the input sheet is (1, 0, 0),
+    so the final state is the first column of the device's rotation matrix.
     """
     omega1, omega1_mid = (np.asarray(omega, dtype=float)
                           for omega in (omega1, omega1_mid))
     batch, knots = omega1.shape
+    if not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
+        raise ValueError("substeps must be an integer >= 1")
     if knots % 4 != 1 or knots < 5:
         raise ValueError("the knot count must be 1 (mod 4) and >= 5, so "
                          "that x = 0 is a knot and each half is whole "

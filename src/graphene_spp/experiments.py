@@ -123,8 +123,10 @@ class SweepResult:
     metadata: dict
 
 
-def wavevector_to_omega(config: RunConfig, target_q: float) -> float:
-    """Angular frequency whose bound mode has Re q equal to target_q (1/m).
+def wavevector_to_omega(config: RunConfig,
+                        target_q: float) -> tuple[float, SppMode]:
+    """Angular frequency whose bound mode has Re q equal to target_q (1/m),
+    and that mode, as (omega, mode).
 
     The exact inverse of the forward model. The Drude sheet
     sigma = D/(gamma - i omega), D = 4 sigma0 E_F/(pi hbar), puts the
@@ -136,7 +138,9 @@ def wavevector_to_omega(config: RunConfig, target_q: float) -> float:
     real part. In v = t/(b s) the cubic is monic with coefficients of order
     one, v^3 + (g - a) v^2 - v - g = 0 with g = b gamma^2/t and
     a = eps/(c^2 b t). Its roots are the reciprocals, so its root of largest
-    real part is the one. The mode is then solved once at omega = sqrt(s).
+    real part is the one. The mode is then solved once at omega = sqrt(s)
+    and returned with omega, the cubic's own, which the mode's excitation
+    frequency may miss in the last bit.
     Raises ExperimentError for a target that is not finite and > 0, when b
     (at a Fermi level far outside the model) or the frequency is not
     representable, when that mode is unsolvable (e.g. below the light
@@ -164,20 +168,14 @@ def wavevector_to_omega(config: RunConfig, target_q: float) -> float:
     if not 0 < omega < math.inf:
         raise ExperimentError(unrepresentable)
     try:
-        attained = config.solve_mode(omega=omega).q.real
+        mode = config.solve_mode(omega=omega)
     except _UNSOLVABLE as exc:
         raise ExperimentError(f"{where} has no bound mode for this material: "
                               f"{exc}") from exc
-    if not abs(attained - target_q) <= 1e-12 * target_q:
+    if not abs(mode.q.real - target_q) <= 1e-12 * target_q:
         raise ExperimentError(f"inversion missed {where}: attained "
-                              f"{attained * 1e-6:.17g} 1/um")
-    return omega
-
-
-def mode_at_wavevector(config: RunConfig, target_q: float) -> SppMode:
-    """Bound mode whose Re q matches target_q (1/m) via frequency inversion."""
-    omega = wavevector_to_omega(config, target_q)
-    return config.solve_mode(omega=omega)
+                              f"{mode.q.real * 1e-6:.17g} 1/um")
+    return omega, mode
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,7 @@ def parallel_comparator(wavevector: float, length: float, separation: float,
                for v in (wavevector, length, separation)):
         raise ExperimentError("wavevector, length, and separation must be "
                               "finite and > 0")
-    mode = mode_at_wavevector(config, wavevector)
+    _, mode = wavevector_to_omega(config, wavevector)
     intensity = float(_two_sheet_outputs([mode], np.zeros(1, dtype=int),
                                          np.array([length]), separation,
                                          config)[0])
@@ -230,19 +228,6 @@ def _damped(intensity, alpha, length):
     """Lossless output intensities damped at the uniform amplitude rate
     alpha over length: the exact envelope exp(-2 alpha L)."""
     return intensity * np.exp(-2.0 * alpha * length)
-
-
-def _inverted_mode(config: RunConfig, target: float, inversion: list):
-    """Mode at Re q = target (1/m), its inversion appended to the record."""
-    omega = wavevector_to_omega(config, target)
-    mode = config.solve_mode(omega=omega)
-    inversion.append({
-        "target_per_um": target * 1e-6,
-        "omega_rad_per_s": omega,
-        "lambda0_um": 2 * math.pi * CONSTANTS.c / omega * 1e6,
-        "attained_Re_q_per_um": mode.q.real * 1e-6,
-    })
-    return mode
 
 
 def _cell_parameters(spec: SweepSpec):
@@ -265,8 +250,16 @@ def _cell_parameters(spec: SweepSpec):
             targets, mode_index = axis.values * scale, index
         else:
             cells[key] = (axis.values * scale)[index]
-    inversion = []
-    modes = [_inverted_mode(cfg, target, inversion) for target in targets]
+    modes, inversion = [], []
+    for target in targets:
+        omega, mode = wavevector_to_omega(cfg, target)
+        modes.append(mode)
+        inversion.append({
+            "target_per_um": target * 1e-6,
+            "omega_rad_per_s": omega,
+            "lambda0_um": 2 * math.pi * CONSTANTS.c / omega * 1e6,
+            "attained_Re_q_per_um": mode.q.real * 1e-6,
+        })
     return cells, modes or [cfg.solve_mode()], mode_index, inversion
 
 

@@ -165,7 +165,7 @@ def test_criterion_06_stirap_transfer(validation_report):
     # 'adiabatic transfer at the default scale', and the report's
     # stretch_search entry).
     base = RunConfig()
-    omega = wavevector_to_omega(base, REFERENCE_WAVEVECTOR_PER_UM * 1e6)
+    omega, _ = wavevector_to_omega(base, REFERENCE_WAVEVECTOR_PER_UM * 1e6)
     config = replace(base,
                      lambda0_um=2 * math.pi * speed_of_light / omega * 1e6)
     started = time.perf_counter()

@@ -1,6 +1,7 @@
 """Propagation integrators, dark state, loss handling, field maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,33 @@ def test_propagate_step_subdivides(default_config, default_mode):
         propagate(schedule, START, step=schedule.spacing * 2)
 
 
+@pytest.mark.parametrize("fraction", [math.nan, 0.0, -0.25],
+                         ids=["nan", "zero", "negative"])
+def test_propagate_rejects_bad_steps(default_config, default_mode, fraction):
+    # a NaN step is bad input, named as such, not a failed float-to-int
+    # conversion
+    schedule = _schedule(default_config, default_mode, 129)
+    with pytest.raises(ValueError, match=r"step must be > 0"):
+        propagate(schedule, START, step=schedule.spacing * fraction)
+
+
+def test_propagate_memory_does_not_grow_with_substeps(default_config,
+                                                      default_mode):
+    # a scan block holds about _STEP_BLOCK steps, substeps included, so the
+    # heap peak does not grow with the substep count m
+    schedule = _schedule(default_config, default_mode, 4096)
+    peaks = {}
+    for m in (1, 16):
+        tracemalloc.start()
+        try:
+            propagate(schedule, START,
+                      step=None if m == 1 else schedule.spacing / m)
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] <= 1.5 * peaks[1]
+
+
 def test_propagate_complex_initial_state_matches_stepwise_loop(
         default_config, default_mode):
     # the kernel runs in the real basis (a0, i a1, a2); any complex state
@@ -308,6 +336,14 @@ def test_batch_three_needs_an_odd_knot_count(knots):
     with pytest.raises(ValueError, match=r"1 \(mod 4\) and >= 5"):
         propagate_batch_three(np.full(1, 1e-9), np.full((1, knots), 1e6),
                               np.full((1, max(knots - 1, 0)), 1e6))
+
+
+@pytest.mark.parametrize("substeps", [0, -1, 1.5, math.nan])
+def test_batch_three_rejects_bad_substeps(substeps):
+    # a named error, not an IndexError or a broadcast error from the kernel
+    with pytest.raises(ValueError, match=r"substeps must be an integer >= 1"):
+        propagate_batch_three(np.full(1, 1e-9), np.full((1, 5), 1e6),
+                              np.full((1, 4), 1e6), substeps=substeps)
 
 
 @pytest.mark.parametrize("margin, accepted", [(0.99, True), (1.01, False)])

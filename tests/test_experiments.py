@@ -14,22 +14,24 @@ from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
                                       _cell_parameters, _three_sheet_finals,
                                       _three_sheet_outputs,
                                       figure_coupling_axes, figure_map_spec,
-                                      mode_at_wavevector, parallel_comparator,
-                                      robustness_metric, run_device,
-                                      run_sweep, stirap_stretch_search,
+                                      parallel_comparator, robustness_metric,
+                                      run_device, run_sweep,
+                                      stirap_stretch_search,
                                       wavevector_to_omega)
 from tests.conftest import continuous_device_finals
 
 
 def test_wavevector_inversion_hits_target(default_config):
-    omega = wavevector_to_omega(default_config, 35e6)
+    omega, _ = wavevector_to_omega(default_config, 35e6)
     mode = default_config.solve_mode(omega=omega)
     assert mode.q.real == pytest.approx(35e6, rel=1e-12)
 
 
 def test_wavevector_inversion_matches_mode_helper(default_config):
-    mode = mode_at_wavevector(default_config, 50e6)
+    # the returned mode is the one solved at the returned frequency
+    omega, mode = wavevector_to_omega(default_config, 50e6)
     assert mode.q.real == pytest.approx(50e6, rel=1e-12)
+    assert mode == default_config.solve_mode(omega=omega)
 
 
 def test_wavevector_inversion_rejects_absurd_target(default_config):
@@ -65,9 +67,9 @@ def test_wavevector_inversion_rejects_bad_targets(default_config, target):
        target=st.floats(1e6, 5e8))
 def test_wavevector_inversion_round_trips(fermi, eps_h, gamma, target):
     config = RunConfig(E_F_eV=fermi, eps_h=eps_h, gamma_per_s=gamma)
-    omega = wavevector_to_omega(config, target)
-    attained = config.solve_mode(omega=omega).q.real
-    assert abs(attained - target) <= 1e-12 * target
+    omega, mode = wavevector_to_omega(config, target)
+    assert mode == config.solve_mode(omega=omega)
+    assert abs(mode.q.real - target) <= 1e-12 * target
 
 
 def test_wavevector_inversion_solves_the_mode_once(default_config,
@@ -80,8 +82,47 @@ def test_wavevector_inversion_solves_the_mode_once(default_config,
         return solve(self, omega)
 
     monkeypatch.setattr(RunConfig, "solve_mode", counted)
-    omega = wavevector_to_omega(default_config, 35e6)
+    omega, _ = wavevector_to_omega(default_config, 35e6)
     assert calls == [omega]
+
+
+def _count_solves(monkeypatch):
+    """A list that grows by one entry per dispersion solve of a config."""
+    from graphene_spp import config as config_module
+
+    solve = config_module.solve_dispersion
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(config_module, "solve_dispersion", counted)
+    return calls
+
+
+@pytest.mark.parametrize("figure, solves", [("4b", 4), ("4c", 1)])
+def test_map_solves_each_mode_once(default_config, monkeypatch, figure,
+                                   solves):
+    # one solve per wavevector target, the inversion's own; the map takes
+    # each target's mode from it
+    calls = _count_solves(monkeypatch)
+    result = run_sweep(figure_map_spec(figure, default_config, (4, 3)))
+    assert len(calls) == solves
+    assert len(result.metadata["wavevector_inversion"]) == solves
+
+
+def test_validation_report_solves_each_mode_once(default_config,
+                                                 monkeypatch):
+    # the configured mode (by the default device run), the reference-scale
+    # inversion and the reference-scale device run
+    from graphene_spp import validation
+
+    monkeypatch.setattr(validation, "run_oracle_suite",
+                        lambda config, seed=0: {})
+    calls = _count_solves(monkeypatch)
+    validation.build_validation_report(default_config)
+    assert len(calls) == 3
 
 
 def test_wavevector_inversion_propagates_programming_errors(
@@ -118,10 +159,9 @@ def test_run_device_lossy_default(default_config):
 
 def test_parallel_comparator_follows_rabi_formula(default_config):
     from graphene_spp.coupling import coupling_coefficient
-    from graphene_spp.experiments import mode_at_wavevector
 
     target = 35e6
-    mode = mode_at_wavevector(default_config, target)
+    _, mode = wavevector_to_omega(default_config, target)
     strength = abs(coupling_coefficient(mode, 20e-9).c12.real)
     for length in (0.2e-6, 0.5e-6):
         output = parallel_comparator(target, length, 20e-9,
@@ -173,7 +213,7 @@ def test_three_layer_sweep_matches_direct_runs(default_config):
     from graphene_spp.dynamics import propagate
     from graphene_spp.geometry import build_schedule
 
-    mode = mode_at_wavevector(default_config, 40e6)
+    _, mode = wavevector_to_omega(default_config, 40e6)
     geom = replace(default_config, L_um=1.1).geometry()
     schedule = build_schedule(geom, mode, default_config.n_samples,
                               default_config.k0_convention)
@@ -186,7 +226,8 @@ def test_three_sheet_finals_follow_their_cells_bitwise(default_config):
     # rows grouped by mode and by layout must land back on their own cells:
     # shuffling a batch of interleaved modes permutes the outputs exactly,
     # and each output equals its device run alone
-    modes = [mode_at_wavevector(default_config, q) for q in (30e6, 40e6)]
+    modes = [wavevector_to_omega(default_config, q)[1]
+             for q in (30e6, 40e6)]
     lengths = np.array([0.9e-6, 1.0e-6, 1.1e-6])
     cells = {"length": np.tile(lengths, 4),
              "radius": np.repeat([800e-9, 900e-9], 6),
@@ -326,7 +367,7 @@ def test_lossy_sweep_is_lossless_sweep_times_envelope(default_config, layers):
                      layers=layers)
     lossless = run_sweep(spec).grid
     lossy = run_sweep(replace(spec, lossy=True)).grid
-    alpha = np.array([mode_at_wavevector(default_config, q * 1e6).q.imag
+    alpha = np.array([wavevector_to_omega(default_config, q * 1e6)[1].q.imag
                       for q in wavevector.values])
     envelope = np.exp(-2.0 * alpha[None, :] * length.values[:, None] * 1e-6)
     assert np.array_equal(np.isnan(lossy), np.isnan(lossless))
@@ -383,7 +424,7 @@ def test_stretch_search_reports_scan(default_config):
 
 
 def test_stretch_search_succeeds_at_reference_scale(default_config):
-    mode = mode_at_wavevector(default_config, 35e6)
+    _, mode = wavevector_to_omega(default_config, 35e6)
     result = stirap_stretch_search(default_config, mode=mode)
     assert result.stretch is not None
     assert result.stretch <= 4.0
