@@ -21,7 +21,8 @@ OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
 config = RunConfig()
-device = run_device(config)
+mode = config.solve_mode()
+device = run_device(config, mode)
 schedule = device.schedule
 x = schedule.x_grid
 
@@ -67,14 +68,14 @@ print(f"wrote {os.path.join(OUT, 'device_transfer.csv')}")
 # this length: no uniform stretch of (L, R, offset) up to 4x rescues the
 # transfer, because widening the arc also widens the waist gap and the
 # coupling loses exponentially what the length gains linearly.
-search = stirap_stretch_search(config)
+search = stirap_stretch_search(config, mode)
 print(f"\nstretch search at lambda0 = {config.lambda0_um} um: "
       f"best output {search.best_output:.4f} at s = {search.best_stretch:g} "
       f"-> {'no stretch reaches 0.95' if search.stretch is None else search.stretch}")
 
 # at a softer wavevector scale the same geometry transfers cleanly
 omega_soft, soft = wavevector_to_omega(config, 35e6)
-soft_search = stirap_stretch_search(config, mode=soft)
+soft_search = stirap_stretch_search(config, soft)
 print(f"same search at Re q = 35 1/um (lambda0 = "
       f"{2 * np.pi * 299792458.0 / omega_soft * 1e6:.1f} um): "
       f"s = {soft_search.stretch:.2f} is the smallest stretch reaching "

@@ -241,7 +241,7 @@ def _robustness(config: RunConfig, figure: str, grid: tuple[int, int],
         return _coupling_sweep(config)
     if figure == "3":
         # one mode solve, one schedule build, one propagation
-        device = run_device(config)
+        device = run_device(config, config.solve_mode())
         return (_schedule(config, device.schedule)
                 + _device(config, device, with_field_map=True))
     lossy = None if loss is None else (loss == "on")
@@ -320,7 +320,8 @@ def main(argv=None) -> int:
                 config.geometry(), config.solve_mode(), config.n_samples,
                 config.k0_convention))
         elif args.command == "device-run":
-            artifacts = _device(config, run_device(config), args.field_map)
+            device = run_device(config, config.solve_mode())
+            artifacts = _device(config, device, args.field_map)
         elif args.command == "robustness-sweep":
             artifacts = _robustness(config, args.figure,
                                     _parse_grid(args.grid), args.loss)

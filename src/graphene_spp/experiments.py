@@ -41,6 +41,8 @@ _KNOT_TOLERANCE = 5e-8
 # reach, and the fine step below the first coarse factor reaching it.
 _STRETCH_TARGET = 0.95
 _REFINE_STEP = 0.01
+# Re q (1/um) of the published device, and figure 4c's fixed wavevector.
+REFERENCE_WAVEVECTOR_PER_UM = 35.0
 # Errors by which a trial frequency has no solvable bound mode.
 _UNSOLVABLE = (NoBoundModeError, ConvergenceError, MaterialDomainError)
 
@@ -192,10 +194,9 @@ class DeviceRun:
     alpha: float
 
 
-def run_device(config: RunConfig) -> DeviceRun:
-    """Solve the mode, build the coupling schedule (knots and exact
+def run_device(config: RunConfig, mode: SppMode) -> DeviceRun:
+    """Build the device's coupling schedule at mode (knots and exact
     midpoints), and propagate (1, 0, 0) once, without loss, at 4th order."""
-    mode = config.solve_mode()
     schedule = build_schedule(config.geometry(), mode, config.n_samples,
                               config.k0_convention)
     initial = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -447,17 +448,14 @@ def _stretched_outputs(config: RunConfig, stretches: np.ndarray,
 
 
 def stirap_stretch_search(config: RunConfig,
-                          mode: SppMode | None = None) -> StretchSearchResult:
-    """Scan uniform stretches s of (L, R, offset), d_min held fixed.
+                          mode: SppMode) -> StretchSearchResult:
+    """Scan uniform stretches s of (L, R, offset) at mode, d_min held fixed.
 
     The arc validity constraint is invariant under the stretch, so every
     scanned geometry is admissible. A coarse pass over s = 1 to 4 in steps
     of 0.1 locates the first factor whose output reaches 0.95; a fine pass
-    then tightens it to 0.01. A mode other than the configured one may be
-    supplied to run the same scan at a different excitation.
+    then tightens it to 0.01.
     """
-    if mode is None:
-        mode = config.solve_mode()
     coarse = 1.0 + 0.1 * np.arange(31)
     outputs = _stretched_outputs(config, coarse, mode)
 
@@ -524,5 +522,5 @@ def figure_map_spec(figure: str, config: RunConfig, grid: tuple[int, int],
         return SweepSpec(axis1=axis1, axis2=axis2, config=config,
                          layers=3,
                          lossy=bool(lossy) if lossy is not None else True,
-                         fixed_wavevector_per_um=35.0)
+                         fixed_wavevector_per_um=REFERENCE_WAVEVECTOR_PER_UM)
     raise ExperimentError(f"unknown map figure {figure!r}")

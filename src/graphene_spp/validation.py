@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 
 from .config import RunConfig, config_hash
 from .coupling import coupling_coefficient, overlap_integral
-from .dispersion import (INFINITE_PROPAGATION, confinement_length,
-                         propagation_length)
+from .dispersion import SppMode, confinement_length, propagation_length
 from .dynamics import propagate, propagate_batch_two, two_level_analytic
-from .experiments import (run_device, stirap_stretch_search,
-                          wavevector_to_omega)
+from .experiments import (REFERENCE_WAVEVECTOR_PER_UM, run_device,
+                          stirap_stretch_search, wavevector_to_omega)
 from .geometry import build_schedule
 from .materials import (CONSTANTS, default_relaxation_rate,
                         drude_conductivity)
@@ -39,9 +37,8 @@ REFERENCE_VALUES = {
     "propagation_length_um": 4.092,
     "coupling_abs_per_um": 24.0,
     "confinement_nm": 23.0,
-    "Re_q_per_um": 35.0,
+    "Re_q_per_um": REFERENCE_WAVEVECTOR_PER_UM,
 }
-REFERENCE_WAVEVECTOR_PER_UM = 35.0
 LOSSY_PAPER_BAND = (0.6, 0.9)
 LOSSY_ACCEPTANCE_BAND = (0.4, 1.0)
 # Each oracle's pass flag is f"{name}_pass"; its reported error is named here.
@@ -68,16 +65,16 @@ def _comparison(name: str, computed: float, reference: float, unit: str,
 
 def build_validation_report(config: RunConfig, seed: int = 0) -> dict:
     """Assemble the full comparison/discrepancy report as a JSON-ready dict,
-    with the oracle suite run at seed; the default device run's mode serves
-    every comparison at the configured excitation."""
+    with the oracle suite run at seed; the configured mode is solved once,
+    and it and the inversion's mode serve every run at their scale."""
     sheet = config.sheet()
-    device = run_device(config)
-    mode = device.mode
+    mode = config.solve_mode()
+    device = run_device(config, mode)
     gamma_no_two_pi = default_relaxation_rate(sheet, "no_two_pi")
     gamma_literal = default_relaxation_rate(sheet, "literal_two_pi")
 
-    lx = propagation_length(mode)
-    lx_um = math.inf if lx == INFINITE_PROPAGATION else lx * 1e6
+    # INFINITE_PROPAGATION is inf, and stays inf when scaled
+    lx_um = propagation_length(mode) * 1e6
     confinement_nm = confinement_length(mode) * 1e9
     d_min = config.d_min_nm * 1e-9
     pair_vacuum = coupling_coefficient(mode, d_min, "vacuum")
@@ -127,11 +124,11 @@ def build_validation_report(config: RunConfig, seed: int = 0) -> dict:
     lossy_final = device.trajectory.damped(device.alpha).final_intensities
     norm_defect = abs(float(lossless_final.sum()) - 1.0)
 
-    stretch_default = stirap_stretch_search(config, mode=mode)
-    stretch_paper = stirap_stretch_search(config, mode=paper_mode)
+    stretch_default = stirap_stretch_search(config, mode)
+    stretch_paper = stirap_stretch_search(config, paper_mode)
 
     lossy_output = float(lossy_final[2])
-    paper_device = run_device(replace(config, lambda0_um=paper_lambda0_um))
+    paper_device = run_device(config, paper_mode)
     paper_lossy = paper_device.trajectory.damped(paper_device.alpha)
     return {
         "config_hash": config_hash(config),
@@ -199,12 +196,14 @@ def build_validation_report(config: RunConfig, seed: int = 0) -> dict:
                 "propagation_length_um": paper_lx * 1e6,
             },
         },
-        "oracle_suite": run_oracle_suite(config, seed=seed),
+        "oracle_suite": run_oracle_suite(config, mode, seed=seed),
     }
 
 
-def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
-    """Exercise every oracle against the production code paths.
+def run_oracle_suite(config: RunConfig, mode: SppMode,
+                     seed: int = 0) -> dict:
+    """Exercise every oracle against the production code paths (the
+    staircase check on config's device at mode).
 
     Returns per-check maximum errors and pass flags; raises OracleFailure if
     an oracle cannot produce a trustworthy reference. The overlap, residual
@@ -244,10 +243,10 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
         fermi = residual_rng.uniform(0.05, 0.3)
         gamma = float(residual_rng.choice([0.0, 2e12]))
         trial = RunConfig(lambda0_um=lam, E_F_eV=fermi, gamma_per_s=gamma)
-        mode = trial.solve_mode()
-        sigma = drude_conductivity(mode.excitation.angular_frequency,
+        trial_mode = trial.solve_mode()
+        sigma = drude_conductivity(trial_mode.excitation.angular_frequency,
                                    trial.sheet(), gamma)
-        residuals[i] = oracles.dispersion_residual(mode, sigma)
+        residuals[i] = oracles.dispersion_residual(trial_mode, sigma)
     residual_max = float(residuals.max())
 
     chains = np.empty((25, 2))
@@ -266,7 +265,6 @@ def run_oracle_suite(config: RunConfig, seed: int = 0) -> dict:
                          for c, x in chains])
     expm_max = float(np.abs(reference - analytic).max())
 
-    mode = config.solve_mode()
     start_vec = np.array([1.0, 0.0, 0.0], dtype=complex)
     staircase_errors = []
     for knots in (1025, 2049):

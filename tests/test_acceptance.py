@@ -17,7 +17,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.constants import speed_of_light
 
 from graphene_spp.config import RunConfig
 from graphene_spp.coupling import coupling_coefficient, overlap_integral
@@ -165,11 +164,9 @@ def test_criterion_06_stirap_transfer(validation_report):
     # 'adiabatic transfer at the default scale', and the report's
     # stretch_search entry).
     base = RunConfig()
-    omega, _ = wavevector_to_omega(base, REFERENCE_WAVEVECTOR_PER_UM * 1e6)
-    config = replace(base,
-                     lambda0_um=2 * math.pi * speed_of_light / omega * 1e6)
+    _, mode = wavevector_to_omega(base, REFERENCE_WAVEVECTOR_PER_UM * 1e6)
     started = time.perf_counter()
-    device = run_device(config)
+    device = run_device(base, mode)
     assert device.mode.q.real == pytest.approx(
         REFERENCE_WAVEVECTOR_PER_UM * 1e6, rel=1e-5)
     final = device.trajectory.final_intensities
@@ -177,7 +174,7 @@ def test_criterion_06_stirap_transfer(validation_report):
     norm_defect = float(np.abs(norms - 1.0).max())
     assert norm_defect < 1e-9
 
-    search = stirap_stretch_search(config)
+    search = stirap_stretch_search(base, mode)
     elapsed = time.perf_counter() - started
 
     direct_ok = final[2] >= 0.95 and final[1] <= 0.05
@@ -201,7 +198,7 @@ def test_criterion_06_stirap_transfer(validation_report):
 
 def test_criterion_07_counterintuitive_ordering_and_dark_state():
     config = RunConfig()
-    device = run_device(config)
+    device = run_device(config, config.solve_mode())
     schedule = device.schedule
     assert np.argmax(schedule.omega2) < np.argmax(schedule.omega1)
 
@@ -238,7 +235,7 @@ def test_criterion_08_robustness_comparison():
 def test_criterion_09_loss_behavior(validation_report):
     config = RunConfig()
     started = time.perf_counter()
-    device = run_device(config)
+    device = run_device(config, config.solve_mode())
     lossy = device.trajectory.damped(device.alpha)
     totals = np.sum(lossy.intensities, axis=1)
     assert np.all(np.diff(totals) <= 1e-12), "total intensity grew under loss"

@@ -302,7 +302,7 @@ def test_oracle_failure_in_verify_exits_2(tmp_path, monkeypatch, capsys):
     import graphene_spp.validation as validation
     from graphene_spp.oracles import OracleFailure
 
-    def failing(config, seed=0):
+    def failing(config, mode, seed=0):
         raise OracleFailure("panel budget exhausted")
 
     monkeypatch.setattr(validation, "run_oracle_suite", failing)

@@ -3,15 +3,17 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphene_spp.config import RunConfig
 from graphene_spp.dispersion import (INFINITE_PROPAGATION, ConvergenceError,
                                      Excitation, NoBoundModeError,
                                      confinement_length, propagation_length,
                                      solve_dispersion)
-from graphene_spp.materials import Medium, drude_conductivity
+from graphene_spp.materials import (MaterialDomainError, Medium,
+                                    drude_conductivity)
 from graphene_spp.oracles import dispersion_residual
 from tests.conftest import as_complex
 
@@ -30,16 +32,21 @@ def test_golden_pins(default_config, goldens):
         assert mode.k == pytest.approx(as_complex(pin["k_per_m"]), rel=1e-12)
 
 
-def test_residual_small_across_parameter_grid(default_config):
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        config = replace(default_config,
-                         lambda0_um=float(rng.uniform(5.0, 15.0)),
-                         E_F_eV=float(rng.uniform(0.05, 0.3)),
-                         gamma_per_s=float(rng.choice([0.0, 2e12])))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(lam=st.floats(5.0, 15.0), fermi=st.floats(0.05, 0.3),
+       gamma=st.floats(0.0, 5e12), eps_h=st.floats(1.0, 12.0))
+def test_residual_small_across_parameter_grid(default_config, lam, fermi,
+                                              gamma, eps_h):
+    # every case either raises a named error or returns a bound root of the
+    # dispersion relation; nothing fails silently
+    config = replace(default_config, lambda0_um=lam, E_F_eV=fermi,
+                     gamma_per_s=gamma, eps_h=eps_h)
+    try:
         mode = config.solve_mode()
-        assert dispersion_residual(mode, _sigma(config)) < 1e-10
-        assert mode.k.real > 0
+    except (NoBoundModeError, ConvergenceError, MaterialDomainError):
+        return
+    assert dispersion_residual(mode, _sigma(config)) < 1e-10
+    assert mode.k.real > 0
 
 
 def test_perturbed_root_has_large_residual(default_config, default_mode):

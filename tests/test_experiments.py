@@ -114,15 +114,26 @@ def test_map_solves_each_mode_once(default_config, monkeypatch, figure,
 
 def test_validation_report_solves_each_mode_once(default_config,
                                                  monkeypatch):
-    # the configured mode (by the default device run), the reference-scale
-    # inversion and the reference-scale device run
+    # the configured mode and the reference-scale inversion's; the device
+    # runs, the searches and the oracle suite take the mode they are given
     from graphene_spp import validation
 
     monkeypatch.setattr(validation, "run_oracle_suite",
-                        lambda config, seed=0: {})
+                        lambda config, mode, seed=0: {})
     calls = _count_solves(monkeypatch)
     validation.build_validation_report(default_config)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_validation_report_solve_count_with_oracle_suite(default_config,
+                                                         monkeypatch):
+    # the 60 residual-oracle draws at seed 0 add one solve each to the two
+    # of the report itself; the staircase check takes the configured mode
+    from graphene_spp import validation
+
+    calls = _count_solves(monkeypatch)
+    validation.build_validation_report(default_config, seed=0)
+    assert len(calls) == 62
 
 
 def test_wavevector_inversion_propagates_programming_errors(
@@ -136,8 +147,9 @@ def test_wavevector_inversion_propagates_programming_errors(
         wavevector_to_omega(default_config, 35e6)
 
 
-def test_run_device_lossless_default(default_config):
-    run = run_device(default_config)
+def test_run_device_lossless_default(default_config, default_mode):
+    run = run_device(default_config, default_mode)
+    assert run.mode is default_mode
     assert run.alpha == run.mode.q.imag
     assert run.trajectory.amplitudes.shape[0] == default_config.n_samples
     # feasibility pins for the default configuration
@@ -147,8 +159,8 @@ def test_run_device_lossless_default(default_config):
     assert np.sum(final) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_run_device_lossy_default(default_config):
-    run = run_device(default_config)
+def test_run_device_lossy_default(default_config, default_mode):
+    run = run_device(default_config, default_mode)
     assert run.alpha > 0
     lossy = run.trajectory.damped(run.alpha)
     final = lossy.final_intensities
@@ -410,8 +422,8 @@ def test_figure_coupling_axes(default_config):
         assert np.all(np.diff(np.abs(c12)) < 0)
 
 
-def test_stretch_search_reports_scan(default_config):
-    result = stirap_stretch_search(default_config)
+def test_stretch_search_reports_scan(default_config, default_mode):
+    result = stirap_stretch_search(default_config, default_mode)
     assert result.target == 0.95
     np.testing.assert_allclose(result.scanned_stretches,
                                np.arange(10, 41) / 10, rtol=0, atol=1e-14)
@@ -425,7 +437,7 @@ def test_stretch_search_reports_scan(default_config):
 
 def test_stretch_search_succeeds_at_reference_scale(default_config):
     _, mode = wavevector_to_omega(default_config, 35e6)
-    result = stirap_stretch_search(default_config, mode=mode)
+    result = stirap_stretch_search(default_config, mode)
     assert result.stretch is not None
     assert result.stretch <= 4.0
     assert result.best_output >= 0.95

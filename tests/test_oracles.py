@@ -366,13 +366,33 @@ def _nan_chains(coupling, span, n_steps):
     (validation, "propagate_batch_two", _nan_chains, "two_level"),
     (oracles, "expm_reference", lambda *args: np.full(2, math.nan), "expm"),
 ], ids=["overlap", "dispersion", "two-level", "expm"])
-def test_oracle_suite_fails_a_nan_error(default_config, monkeypatch, module,
-                                        name, fake, check):
+def test_oracle_suite_fails_a_nan_error(default_config, default_mode,
+                                        monkeypatch, module, name, fake,
+                                        check):
     # a NaN error is not a small error: the check that met it fails, and
     # only that one
     monkeypatch.setattr(module, name, fake)
-    suite = validation.run_oracle_suite(default_config, seed=0)
+    suite = validation.run_oracle_suite(default_config, default_mode, seed=0)
     flags = {key: value for key, value in suite.items()
              if key.endswith("_pass")}
     assert flags.pop(f"{check}_pass") is False
     assert all(flags.values())
+
+
+def test_oracle_suite_staircase_runs_the_given_mode(default_config,
+                                                    monkeypatch):
+    # the staircase check builds its schedules from the caller's mode, not
+    # from the last random trial of the residual check
+    _, mode = validation.wavevector_to_omega(default_config, 35e6)
+    seen = []
+    real = validation.build_schedule
+
+    def recording(geometry, schedule_mode, *args):
+        seen.append(schedule_mode)
+        return real(geometry, schedule_mode, *args)
+
+    monkeypatch.setattr(validation, "build_schedule", recording)
+    suite = validation.run_oracle_suite(default_config, mode, seed=0)
+    assert len(seen) == 2
+    assert all(schedule_mode is mode for schedule_mode in seen)
+    assert suite["staircase_pass"]

@@ -37,8 +37,10 @@ print(json.dumps({"code": code, "metrics": len(metrics),
 @pytest.mark.parametrize("command", [
     ["robustness-sweep", "--figure", "4b", "--grid", "4x3"],
     ["robustness-sweep", "--figure", "4c", "--grid", "3x2"],
+    ["robustness-sweep", "--figure", "4a", "--grid", "4x3"],
+    ["robustness-sweep", "--figure", "3"],
     ["verify", "--seed", "1"],
-], ids=["fig4b-map", "fig4c-map", "verify"])
+], ids=["fig4b-map", "fig4c-map", "fig4a-map", "fig3-device", "verify"])
 def test_benchmark_workload_has_every_per_layer_metric(tmp_path, command):
     # a fresh interpreter, as the benchmark runs each workload; no bytecode
     # is written next to the benchmark's sources
