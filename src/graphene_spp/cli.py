@@ -252,9 +252,9 @@ def _robustness(config: RunConfig, figure: str, grid: tuple[int, int],
     def write_json(path, chash):
         metadata = dict(result.metadata, figure=figure)
         if figure == "4c":
-            reference = parallel_comparator(
-                spec.fixed_wavevector_per_um * 1e6, config.L_um * 1e-6,
-                config.d_min_nm * 1e-9, config, lossy=spec.lossy)
+            reference = parallel_comparator(config, result.modes[0],
+                                            config.L_um * 1e-6,
+                                            lossy=spec.lossy)
             metadata["comparator_reference"] = reference
             metadata["comparator_note"] = (
                 "two parallel sheets at the minimum gap, same wavevector "

@@ -117,12 +117,14 @@ class SweepResult:
     three-sheet device it also records nonfinite_cells, the geometry-valid
     cells whose output came out non-finite (a numerical blow-up, which
     would otherwise read as one more invalid cell), and the step-doubling
-    knot choice: knots, knot_error_estimate and knot_tolerance.
+    knot choice: knots, knot_error_estimate and knot_tolerance. modes are
+    the modes run, in inversion-table order (else the configured mode).
     """
 
     spec: SweepSpec
     grid: np.ndarray
     metadata: dict
+    modes: tuple
 
 
 def wavevector_to_omega(config: RunConfig,
@@ -205,23 +207,19 @@ def run_device(config: RunConfig, mode: SppMode) -> DeviceRun:
                      alpha=mode.q.imag)
 
 
-def parallel_comparator(wavevector: float, length: float, separation: float,
-                        config: RunConfig, lossy: bool = False) -> float:
+def parallel_comparator(config: RunConfig, mode: SppMode, length: float,
+                        lossy: bool = False) -> float:
     """Output intensity of two parallel sheets after length L (meters).
 
-    The two-channel system is integrated as one cell of the figure 4a map
-    (_two_sheet_outputs); for the lossless case the result matches
-    sin^2(C L) to the integrator tolerance, and lossy multiplies it by
-    exp(-2 Im q L), as the map does.
+    The pair carries mode at the configured minimum gap and is integrated
+    as one cell of the figure 4a map (_two_sheet_outputs); for the lossless
+    case the result matches sin^2(C L) to the integrator tolerance, and
+    lossy multiplies it by exp(-2 Im q L), as the map does.
     """
-    if not all(math.isfinite(v) and v > 0
-               for v in (wavevector, length, separation)):
-        raise ExperimentError("wavevector, length, and separation must be "
-                              "finite and > 0")
-    _, mode = wavevector_to_omega(config, wavevector)
+    if not (math.isfinite(length) and length > 0):
+        raise ExperimentError("length must be finite and > 0")
     intensity = float(_two_sheet_outputs([mode], np.zeros(1, dtype=int),
-                                         np.array([length]), separation,
-                                         config)[0])
+                                         np.array([length]), config)[0])
     return _damped(intensity, mode.q.imag, length) if lossy else intensity
 
 
@@ -261,19 +259,19 @@ def _cell_parameters(spec: SweepSpec):
             "lambda0_um": 2 * math.pi * CONSTANTS.c / omega * 1e6,
             "attained_Re_q_per_um": mode.q.real * 1e-6,
         })
-    return cells, modes or [cfg.solve_mode()], mode_index, inversion
+    return cells, tuple(modes) or (cfg.solve_mode(),), mode_index, inversion
 
 
 def _two_sheet_outputs(modes, mode_index, length: np.ndarray,
-                       separation: float, config: RunConfig) -> np.ndarray:
+                       config: RunConfig) -> np.ndarray:
     """Lossless output-sheet intensities of a batch of parallel sheet pairs.
 
-    Pair i carries modes[mode_index[i]] at the given separation (meters)
-    over length[i] and starts in the input sheet; every pair is integrated
-    in n_samples - 1 steps, in _CHUNK slices.
+    Pair i carries modes[mode_index[i]] at the configured minimum gap over
+    length[i] and starts in the input sheet; every pair is integrated in
+    n_samples - 1 steps, in _CHUNK slices.
     """
     couplings = np.array([
-        abs(coupling_coefficient(mode, separation,
+        abs(coupling_coefficient(mode, config.d_min_nm * 1e-9,
                                  config.k0_convention).c12.real)
         for mode in modes])[mode_index]
     n_steps = max(config.n_samples - 1, 1)
@@ -359,8 +357,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     length = cells["length"]
 
     if spec.layers == 2:
-        flat = _two_sheet_outputs(modes, mode_index, length,
-                                  cfg.d_min_nm * 1e-9, cfg)
+        flat = _two_sheet_outputs(modes, mode_index, length, cfg)
         invalid = 0
     else:
         valid = length / 2.0 + cells["offset"] / 2.0 <= cells["radius"]
@@ -403,12 +400,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         metadata["knots"] = knots
         metadata["knot_error_estimate"] = estimate
         metadata["knot_tolerance"] = _KNOT_TOLERANCE
-    return SweepResult(spec=spec, grid=grid, metadata=metadata)
+    return SweepResult(spec=spec, grid=grid, metadata=metadata, modes=modes)
 
 
 def robustness_metric(result: SweepResult) -> tuple[float, float, float]:
     """(min, mean, stddev) of the output intensity over the grid, skipping
-    NaN cells."""
+    invalid-geometry cells.
+
+    Raises ExperimentError when a geometry-valid cell came out non-finite:
+    a blow-up is no invalid cell, and the statistics of the rest would hide
+    it.
+    """
+    nonfinite = result.metadata.get("nonfinite_cells", 0)
+    if nonfinite > 0:
+        raise ExperimentError(f"{nonfinite} geometry-valid cells came out "
+                              "non-finite")
     finite = result.grid[np.isfinite(result.grid)]
     if finite.size == 0:
         raise ExperimentError("grid contains only invalid cells")

@@ -446,6 +446,22 @@ def test_fig4c_comparator_runs_only_for_its_sidecar(tmp_path, monkeypatch,
     assert len(counted) == calls
 
 
+def test_fig4c_solves_its_wavevector_once(tmp_path, monkeypatch):
+    # the sidecar's comparator takes the mode the map inverted
+    from graphene_spp import config as config_module
+
+    calls = []
+
+    def counted(*args, _solve=config_module.solve_dispersion, **kwargs):
+        calls.append(1)
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(config_module, "solve_dispersion", counted)
+    assert main(["--config", _cfg(tmp_path), "--out", str(tmp_path / "out"),
+                 "robustness-sweep", "--figure", "4c", "--grid", "3x2"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("formats", ["default", "csv"])
 @pytest.mark.parametrize("command", list(_ARTIFACTS))
 def test_printed_paths_are_the_files_written_in_order(

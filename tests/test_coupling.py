@@ -9,6 +9,7 @@ from graphene_spp.coupling import (CouplingDomainError, PairCoupling,
                                    coupling_at_separations,
                                    coupling_coefficient, coupling_vs_distance,
                                    overlap_integral)
+from graphene_spp.oracles import QuadratureSpec, overlap_quadrature
 from tests.conftest import as_complex
 
 
@@ -48,6 +49,22 @@ def test_overlap_matches_its_complex_exp_form(real, imag, depths):
     assert type(scalar) is complex
     assert type(overlap_integral(k, d[0])) is complex
     assert abs(scalar - reference[0]) <= bound[0]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(real=st.floats(1e6, 1e9), imag=st.floats(-1.0, 1.0),
+       depths=st.lists(st.floats(0.0, 40.0), max_size=9))
+def test_overlap_closed_form_matches_quadrature(real, imag, depths):
+    # the oracle suite's quadrature spec; touching sheets (d = 0) in every
+    # draw. Its error estimate is not asserted to bound the error: at
+    # rounding level it does not always.
+    k = complex(real, imag * real)
+    d = np.array([0.0, *depths]) / real
+    tight = QuadratureSpec(absolute_tolerance=1e-300,
+                           relative_tolerance=5e-14, max_subdivisions=65536)
+    reference = overlap_quadrature(k, k, d, tight)
+    error = np.abs(overlap_integral(k, d) - reference) / np.abs(reference)
+    assert np.all(error <= 1e-12)
 
 
 @pytest.mark.parametrize("k, d", [

@@ -172,26 +172,21 @@ def test_run_device_lossy_default(default_config, default_mode):
 def test_parallel_comparator_follows_rabi_formula(default_config):
     from graphene_spp.coupling import coupling_coefficient
 
-    target = 35e6
-    _, mode = wavevector_to_omega(default_config, target)
-    strength = abs(coupling_coefficient(mode, 20e-9).c12.real)
+    _, mode = wavevector_to_omega(default_config, 35e6)
+    gap = default_config.d_min_nm * 1e-9
+    strength = abs(coupling_coefficient(mode, gap).c12.real)
     for length in (0.2e-6, 0.5e-6):
-        output = parallel_comparator(target, length, 20e-9,
-                                     config=default_config)
+        output = parallel_comparator(default_config, mode, length)
         assert output == pytest.approx(math.sin(strength * length) ** 2,
                                        abs=1e-6)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
-@pytest.mark.parametrize("argument", [0, 1, 2])
-def test_parallel_comparator_rejects_nonfinite_input(default_config, bad,
-                                                     argument):
-    # (wavevector, length, separation); a NaN length used to come back as a
-    # NaN intensity, a NaN separation as a CouplingDomainError
-    args = [35e6, 0.5e-6, 20e-9]
-    args[argument] = bad
+def test_parallel_comparator_rejects_nonfinite_input(default_config,
+                                                     default_mode, bad):
+    # a NaN length used to come back as a NaN intensity
     with pytest.raises(ExperimentError, match="finite and > 0"):
-        parallel_comparator(*args, config=default_config)
+        parallel_comparator(default_config, default_mode, bad)
 
 
 def test_sweep_axis_validation():
@@ -356,14 +351,29 @@ def test_robustness_metric_skips_invalid_cells(default_config):
     assert mean == pytest.approx(float(finite.mean()))
 
 
+@pytest.mark.parametrize("length_um, radius_nm, invalid", [
+    (8.0, 5000.0, 0), (16.0, 9000.0, 6)])
+def test_robustness_metric_rejects_nonfinite_cells(length_um, radius_nm,
+                                                   invalid):
+    # at n_samples = 64 the knot count stops at 129, where the long 4b
+    # devices blow up; a blow-up is no invalid cell, so the statistics of
+    # the cells left (or "only invalid cells") must not be returned
+    config = RunConfig(L_um=length_um, R_nm=radius_nm, n_samples=64)
+    result = run_sweep(figure_map_spec("4b", config, (6, 5)))
+    assert result.metadata["invalid_cells"] == invalid
+    nonfinite = result.metadata["nonfinite_cells"]
+    assert nonfinite > 0
+    with pytest.raises(ExperimentError, match=f"{nonfinite} geometry-valid"):
+        robustness_metric(result)
+
+
 def test_two_layer_sweep_matches_comparator(default_config):
     wavevector = SweepAxis("wavevector_per_um", np.array([30.0, 35.0]))
     length = SweepAxis("length_um", np.array([0.5, 1.0]))
     spec = SweepSpec(axis1=wavevector, axis2=length, config=default_config,
                      layers=2)
     result = run_sweep(spec)
-    direct = parallel_comparator(35e6, 1.0e-6, default_config.d_min_nm * 1e-9,
-                                 config=default_config)
+    direct = parallel_comparator(default_config, result.modes[1], 1.0e-6)
     assert result.grid[1, 1] == pytest.approx(direct, rel=1e-4, abs=1e-9)
     # the comparator runs the map's kernel at the map's step count
     assert result.grid[1, 1] == direct

@@ -8,9 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphene_spp
 from graphene_spp import oracles, validation
+from graphene_spp.config import RunConfig
 from graphene_spp.coupling import overlap_integral
 from graphene_spp.dynamics import propagate, two_level_analytic
 from graphene_spp.geometry import build_schedule
@@ -303,6 +306,32 @@ def test_staircase_with_uniform_loss(default_config, default_mode):
     span = schedule.x_grid[-1] - schedule.x_grid[0]
     predicted = lossless * math.exp(-alpha * span)
     assert np.abs(lossy - predicted).max() < 1e-10
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(fermi=st.floats(0.1, 0.3), gap_nm=st.floats(10.0, 40.0),
+       length_um=st.floats(0.5, 1.4), rate=st.floats(0.0, 5.0))
+def test_loss_envelope_identity_on_three_sheet_chain(fermi, gap_nm,
+                                                     length_um, rate):
+    # uniform loss commutes with the chain's coupling matrix, so it is the
+    # envelope exp(-alpha L) on the staircase and on the integrator alike
+    config = RunConfig(E_F_eV=fermi, d_min_nm=gap_nm, L_um=length_um)
+    mode = config.solve_mode()
+    schedule = build_schedule(config.geometry(), mode, 257,
+                              config.k0_convention)
+    start = np.array([1.0, 0.0, 0.0], dtype=complex)
+    alpha = rate * mode.q.imag
+    x = schedule.x_grid
+    envelope = math.exp(-alpha * (x[-1] - x[0]))
+    lossless = staircase_evolution(x, schedule.omega1_mid,
+                                   schedule.omega2_mid, start)
+    lossy = staircase_evolution(x, schedule.omega1_mid, schedule.omega2_mid,
+                                start, loss=alpha)
+    assert np.abs(lossy - envelope * lossless).max() <= 1e-13
+    integrated = propagate(schedule, start)
+    gap = integrated.amplitudes[-1] - lossless
+    damped = integrated.damped(alpha).amplitudes[-1]
+    assert np.abs((damped - lossy) - envelope * gap).max() <= 1e-13
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])

@@ -3,7 +3,8 @@
 `benchmark/tracer.py` reads argument names of the package's public functions
 (`propagate_batch_three`'s `substeps`, `propagate`'s `step`, ...). Renaming
 one makes the dependent per-layer metric missing, which the benchmark
-reports only when it is run; this test reports it in the ordinary suite.
+reports only when it is run; this test reports it in the ordinary suite,
+for the benchmark's workloads and for every other CLI command.
 """
 
 import json
@@ -40,7 +41,12 @@ print(json.dumps({"code": code, "metrics": len(metrics),
     ["robustness-sweep", "--figure", "4a", "--grid", "4x3"],
     ["robustness-sweep", "--figure", "3"],
     ["verify", "--seed", "1"],
-], ids=["fig4b-map", "fig4c-map", "fig4a-map", "fig3-device", "verify"])
+    ["dispersion"],
+    ["coupling-sweep"],
+    ["schedule"],
+    ["device-run", "--field-map"],
+], ids=["fig4b-map", "fig4c-map", "fig4a-map", "fig3-device", "verify",
+        "dispersion", "coupling-sweep", "schedule", "device-run-field-map"])
 def test_benchmark_workload_has_every_per_layer_metric(tmp_path, command):
     # a fresh interpreter, as the benchmark runs each workload; no bytecode
     # is written next to the benchmark's sources
