@@ -191,15 +191,23 @@ def dispersion_residual(mode, sigma_g: complex) -> float:
 
 
 def _propagators(stack: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """exp(-i M_j h_j) for a (..., m, m) stack of complex matrices M_j and
-    spans h_j of the stack's leading shape.
+    """exp(-i M_j h_j) for a (..., m, m) stack of real or complex matrices
+    M_j and spans h_j of the stack's leading shape.
 
-    One batched eigendecomposition; every M_j must be reconstructed from its
-    eigenpairs to 1e-12 relative, so a defective matrix fails loudly.
+    One batched eigendecomposition. A stack that equals its conjugate
+    transpose exactly is Hermitian: `eigh` diagonalizes it, and the adjoint
+    of its unitary eigenvector matrix is the inverse. Any other stack, a
+    lossy one among them, takes `eig` and `inv`. On either path every M_j
+    must be reconstructed from its eigenpairs to 1e-12 relative, so a
+    defective matrix fails loudly.
     """
-    vals, vecs = np.linalg.eig(stack)
     try:
-        inverse = np.linalg.inv(vecs)
+        if np.array_equal(stack, np.swapaxes(stack, -1, -2).conj()):
+            vals, vecs = np.linalg.eigh(stack)
+            inverse = np.swapaxes(vecs, -1, -2).conj()
+        else:
+            vals, vecs = np.linalg.eig(stack)
+            inverse = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise OracleFailure("eigendecomposition failed") from exc
     misfit = np.linalg.norm((vecs * vals[..., None, :]) @ inverse - stack,
@@ -224,13 +232,17 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
 def expm_reference(hamiltonian, a0, span) -> np.ndarray:
     """Evolve a0 under a constant effective Hamiltonian via eigendecomposition.
 
-    hamiltonian is a square complex matrix M (a lossy one is H - i alpha I)
-    or a (..., m, m) stack of them, and span a length or an array that
-    broadcasts against the stack's leading shape; computes exp(-i M span) a0
-    for every matrix and span in one batch, (..., m), and verifies that the
-    eigendecomposition actually reconstructs each M.
+    hamiltonian is a square real or complex matrix M (a lossy one is
+    H - i alpha I) or a (..., m, m) stack of them, and span a length or an
+    array that broadcasts against the stack's leading shape; computes
+    exp(-i M span) a0 for every matrix and span in one batch, (..., m), and
+    verifies that the eigendecomposition actually reconstructs each M. Real
+    input stays real, so a lossless chain is diagonalized as a real
+    symmetric stack by `eigh`; a stack that is not exactly Hermitian takes
+    `eig` (see `_propagators`).
     """
-    m = np.asarray(hamiltonian, dtype=complex)
+    m = np.asarray(hamiltonian)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     spans = np.asarray(span, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("hamiltonian must be a square matrix or a stack "
@@ -258,9 +270,14 @@ def staircase_evolution(x_grid, omega1, omega2, a0, loss=0.0) -> np.ndarray:
     averages, it is the reference for the linearly interpolated system.
     Either way it is second-order accurate in the grid spacing. The
     interval propagators come from batched eigendecompositions of
-    (n, 3, 3) stacks of consecutive intervals, each stack is reduced to its
-    ordered product by a pairwise tree, and the products are applied in
-    order; a completely separate code path from the production integrator.
+    (n, 3, 3) stacks of consecutive intervals. Without loss the stacks are
+    real symmetric and `eigh` diagonalizes them. With loss the matrices
+    H_j - i diag(loss) are not Hermitian and take `eig`, so the loss stays
+    inside each exponential instead of becoming an envelope on the lossless
+    result, which is the identity this reference checks. Each stack is
+    reduced to its ordered product by a pairwise tree, and the products are
+    applied in order; a completely separate code path from the production
+    integrator.
     """
     x = np.asarray(x_grid, dtype=float)
     w1 = np.asarray(omega1, dtype=float)
@@ -279,13 +296,16 @@ def staircase_evolution(x_grid, omega1, omega2, a0, loss=0.0) -> np.ndarray:
     alpha = np.broadcast_to(np.asarray(loss, dtype=float), (3,))
     if not np.all(np.isfinite(alpha)):
         raise ValueError("loss must be finite")
+    lossless = not np.any(alpha)
     a = np.asarray(a0, dtype=complex)
     # Blocks of intervals bound the stacks' memory (about 1 kB per interval).
     for start in range(0, h.size, _STAIRCASE_BLOCK):
         part = slice(start, start + _STAIRCASE_BLOCK)
-        stack = np.zeros((h[part].size, 3, 3), dtype=complex)
+        stack = np.zeros((h[part].size, 3, 3),
+                         dtype=float if lossless else complex)
         stack[:, 0, 1] = stack[:, 1, 0] = w1[part]
         stack[:, 1, 2] = stack[:, 2, 1] = w2[part]
-        stack[:, range(3), range(3)] = -1j * alpha
+        if not lossless:
+            stack[:, range(3), range(3)] = -1j * alpha
         a = _ordered_product(_propagators(stack, h[part])) @ a
     return a

@@ -152,6 +152,21 @@ def test_robustness_sweep_records_knot_choice(tmp_path):
     assert capped["knot_error_estimate"] > capped["knot_tolerance"]
 
 
+def test_robustness_sweep_refuses_a_map_that_blew_up(tmp_path, capsys):
+    # at n_samples = 64 the knot doubling stops at 129 knots, where 26 of
+    # this long device's 30 cells come out NaN: a named error and no file,
+    # not a map whose blow-ups read as invalid geometry
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("n_samples = 64\nL_um = 8\nR_nm = 5000\n")
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out),
+                 "robustness-sweep", "--figure", "4b", "--grid", "6x5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "26 geometry-valid cells" in err
+    assert not any(out.iterdir())
+
+
 def test_robustness_sweep_fig4c_comparator_reference(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", _cfg(tmp_path), "--out", str(out),

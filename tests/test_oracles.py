@@ -269,6 +269,99 @@ def test_expm_rejects_large_chains():
         expm_reference(chain_matrix([1.0] * 9), [1.0] + [0.0] * 9, 1.0)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0.0, 1.0e6], [0.0, 0.0]],
+    [[1.0e6, 1.0e6], [0.0, 1.0e6]],
+    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+], ids=["nilpotent-2", "jordan-2", "nilpotent-3"])
+def test_expm_refuses_a_defective_matrix(matrix):
+    # a Jordan block has no eigenbasis: no propagator is better than a
+    # wrong one
+    start = [1.0] + [0.0] * (len(matrix) - 1)
+    with pytest.raises(OracleFailure):
+        expm_reference(matrix, start, 1.0e-6)
+
+
+def _eig_propagators(stack, spans):
+    # exp(-i M h) from the general eigendecomposition, as the lossy path
+    # forms it
+    vals, vecs = np.linalg.eig(stack)
+    phases = np.exp(-1j * vals * spans[..., None])
+    return (vecs * phases[..., None, :]) @ np.linalg.inv(vecs)
+
+
+class _Spy:
+    """Records each call of a numpy.linalg routine, then delegates."""
+
+    def __init__(self, monkeypatch, name):
+        self.real, self.dtypes = getattr(np.linalg, name), []
+        monkeypatch.setattr(np.linalg, name, self)
+
+    def __call__(self, stack, *args, **kwargs):
+        self.dtypes.append(stack.dtype)
+        return self.real(stack, *args, **kwargs)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True],
+                         ids=["real-symmetric", "complex-hermitian"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_hermitian_stack_takes_eigh_and_matches_eig(monkeypatch, m,
+                                                    complex_entries):
+    rng = np.random.default_rng(31 + m)
+    stack = rng.normal(size=(64, m, m))
+    if complex_entries:
+        stack = stack + 1j * rng.normal(size=(64, m, m))
+    stack = stack + np.swapaxes(stack, -1, -2).conj()
+    spans = rng.uniform(0.1, 2.0, 64)
+    expected = _eig_propagators(stack, spans)
+    eigh, eig = _Spy(monkeypatch, "eigh"), _Spy(monkeypatch, "eig")
+    steps = oracles._propagators(stack, spans)
+    assert eigh.dtypes == [stack.dtype] and eig.dtypes == []
+    assert np.abs(steps - expected).max() <= 1e-13
+
+
+def test_one_ulp_off_hermitian_takes_eig(monkeypatch):
+    # exactly Hermitian or not: a stack off by one ulp in one element is
+    # not diagonalized by eigh, which would read only one triangle of it
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(16, 3, 3))
+    stack = stack + np.swapaxes(stack, -1, -2)
+    stack[9, 2, 1] = np.nextafter(stack[9, 2, 1], np.inf)
+    spans = rng.uniform(0.1, 2.0, 16)
+    eigh, eig = _Spy(monkeypatch, "eigh"), _Spy(monkeypatch, "eig")
+    steps = oracles._propagators(stack, spans)
+    assert eigh.dtypes == [] and eig.dtypes == [stack.dtype]
+    assert np.array_equal(steps, _eig_propagators(stack, spans))
+
+
+def test_expm_keeps_a_real_chain_real(monkeypatch):
+    # a lossless chain is diagonalized as the real symmetric matrix it is;
+    # H - i alpha I is not Hermitian and goes to eig
+    eigh, eig = _Spy(monkeypatch, "eigh"), _Spy(monkeypatch, "eig")
+    expm_reference(chain_matrix([1.0e6, 2.0e6]), [1.0, 0.0, 0.0], 1.0e-6)
+    expm_reference(chain_matrix([1.0e6]) - 1j * 2.0e5 * np.eye(2),
+                   [1.0, 0.0], 1.0e-6)
+    assert eigh.dtypes == [np.dtype(float)]
+    assert eig.dtypes == [np.dtype(complex)]
+
+
+def test_lossless_staircase_diagonalizes_real_stacks(monkeypatch,
+                                                     default_config,
+                                                     default_mode):
+    # lossless: one real symmetric eigh per 128-interval block; lossy: the
+    # matrices H - i diag(loss) are not Hermitian and stay on eig
+    schedule = build_schedule(default_config.geometry(), default_mode, 257,
+                              default_config.k0_convention)
+    start = np.array([1.0, 0.0, 0.0], dtype=complex)
+    args = (schedule.x_grid, schedule.omega1_mid, schedule.omega2_mid, start)
+    eigh, eig = _Spy(monkeypatch, "eigh"), _Spy(monkeypatch, "eig")
+    staircase_evolution(*args)
+    assert eigh.dtypes == [np.dtype(float)] * 2 and eig.dtypes == []
+    staircase_evolution(*args, loss=default_mode.q.imag)
+    assert eigh.dtypes == [np.dtype(float)] * 2
+    assert eig.dtypes == [np.dtype(complex)] * 2
+
+
 def _knot_averages(omega):
     return 0.5 * (omega[:-1] + omega[1:])
 
