@@ -123,11 +123,14 @@ _CHANNELS = ("I_input", "I_middle", "I_output")
 
 
 def _write_artifacts(config: RunConfig, out: str, artifacts) -> list[str]:
-    """Write a command's artifacts under out, skipping each whose kind
-    `formats` leaves out (validation.txt, the report verify prints, has no
-    kind to gate); the paths written, in order."""
+    """Write a command's artifacts under out, created here, after the
+    command has run, so that a failed command leaves no directory; each
+    artifact whose kind `formats` leaves out is skipped (validation.txt,
+    the report verify prints, has no kind to gate). Returns the paths
+    written, in order."""
     kinds = config.formats.split(",")
     chash = config_hash(config)
+    ensure_directory(out)
     written = []
     for name, writer in artifacts:
         kind = name.rsplit(".", 1)[1]
@@ -315,7 +318,6 @@ def main(argv=None) -> int:
         config = (load_config(args.config) if args.config is not None
                   else RunConfig())
         out = args.out if args.out is not None else config.out_dir
-        ensure_directory(out)
         if args.command == "dispersion":
             artifacts = _dispersion(config)
         elif args.command == "coupling-sweep":

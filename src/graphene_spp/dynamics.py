@@ -18,8 +18,10 @@ falls 64x per halving of h, and the knot count must be 1 (mod 4). It
 multiplies the steps' quaternions pairwise. Its devices are
 mirror-symmetric, omega2 being omega1 reversed, so it integrates the right
 half of each and gets the left half from that rotation by a fixed
-conjugation. A step that turns by more than _MAX_STEP_ANGLE per interval
-is an under-resolved run, where the Magnus series stops converging:
+conjugation; devices that differ only in length share one right half, so
+a row records each of them at its own breakpoint. A step that turns by
+more than _MAX_STEP_ANGLE per interval is an under-resolved run, where the
+Magnus series stops converging:
 `propagate` raises PropagationError, the batch kernel returns NaN for a
 device with a pair step over _MAX_PAIR_ANGLE, the same limit per unit
 length. For a constant Hamiltonian one RK4 step is a fixed matrix, so a
@@ -277,14 +279,15 @@ def _rotation_matrices(q):
 
 
 def _prefix_products(q):
-    """The running products q0, q1 q0, q2 q1 q0, ... of a (4, n) quaternion
-    stack, formed in place by a Hillis-Steele scan in ceil(log2 n) levels:
-    the level of stride s = 1, 2, 4, ... multiplies element j by element
-    j - s, after which element j holds the product of up to 2s elements
-    ending at j."""
+    """The running products q0, q1 q0, q2 q1 q0, ... of a (4, ..., n)
+    quaternion stack along its last axis, formed in place by a
+    Hillis-Steele scan in ceil(log2 n) levels: the level of stride s = 1,
+    2, 4, ... multiplies element j by element j - s, after which element j
+    holds the product of up to 2s elements ending at j. Element j's
+    association depends on j alone, not on n."""
     s = 1
-    while s < q.shape[1]:
-        q[:, s:] = _quaternion_product(q[:, s:], q[:, :-s])
+    while s < q.shape[-1]:
+        q[..., s:] = _quaternion_product(q[..., s:], q[..., :-s])
         s *= 2
     return q
 
@@ -452,19 +455,25 @@ def _pairwise_product(q):
     return q[..., 0]
 
 
-def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1):
+def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1,
+                          breaks=None):
     """Lossless three-channel propagation of a batch of mirror-symmetric
-    devices.
+    devices, each row recorded at one or more device lengths.
 
-    h: (B,) interval widths (uniform per device); omega1: (B, N) couplings
-    at the knots, N = 4 j + 1 with j >= 1, so that x = 0 is a knot and each
-    half is whole pairs of intervals; omega1_mid: (B, N - 1) couplings at
-    the interval midpoints. The arcs are mirror images, so omega2 is omega1
-    reversed and is not passed. Every device starts in the input sheet,
-    a = (1, 0, 0). Returns the final (B, 3) amplitudes; a device with a
-    pair step over _MAX_PAIR_ANGLE, or a non-finite one, gets a row of NaN.
-    Any other N, or substeps that is not an integer >= 1, raises
-    ValueError.
+    omega1: (B, N) couplings at the knots, N = 4 P + 1 with P >= 1, so that
+    x = 0 is a knot and each half is P whole pairs of intervals;
+    omega1_mid: (B, N - 1) couplings at the interval midpoints. The arcs
+    are mirror images, so omega2 is omega1 reversed and is not passed. h:
+    the interval widths, (B,) one per row or (B, P) one per pair of the
+    right half, the two intervals of a pair being equal. breaks: (M,)
+    strictly increasing pair counts, the last P (default (P,)): member m of
+    a row is the device whose right half is the row's first breaks[m]
+    pairs, and whose left half is their mirror image. Every device starts
+    in the input sheet, a = (1, 0, 0). Returns the final (B M, 3)
+    amplitudes, member by member within each row; a member with a pair step
+    over _MAX_PAIR_ANGLE before its breakpoint, or a non-finite one, gets a
+    row of NaN. Any other N or breaks, or substeps that is not an integer
+    >= 1, raises ValueError.
 
     Each pair of consecutive intervals is one 6th-order Magnus step
     (_pair_quaternions) from its five samples, knot, midpoint, knot,
@@ -473,21 +482,26 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1):
     through its start, midpoint and end samples, and the pair steps then
     take consecutive substeps two at a time.
 
-    Only the right half [0, L/2] is integrated. A left pair and its mirror
-    image swap omega1 and omega2 at every sample, and reverse tau: alpha1
-    and alpha3 are even moments and alpha2 an odd one, so their Magnus
-    vectors obey Omega_L = -M Omega_R, with M the rotation by pi about
-    (1, 0, 1)/sqrt(2); the left half is then M U_R^T M and the device
-    U_R M U_R^T M, the quaternion r m r* m, exactly for the discrete steps.
-    |Omega_L| = |Omega_R|, so the angle guard sees every pair.
+    Only the right half is integrated, once per row for all its members.
+    A left pair and its mirror image swap omega1 and omega2 at every
+    sample, and reverse tau: alpha1 and alpha3 are even moments and alpha2
+    an odd one, so their Magnus vectors obey Omega_L = -M Omega_R, with M
+    the rotation by pi about (1, 0, 1)/sqrt(2); the left half is then
+    M U_R^T M and the device U_R M U_R^T M, the quaternion r m r* m,
+    exactly for the discrete steps. |Omega_L| = |Omega_R|, so the angle
+    guard sees every pair.
 
-    The right half's unit quaternions are formed 2 _tree_block(B) intervals
-    at a time, _tree_block(B) pair steps without substeps, and multiplied
-    pairwise, in log2 levels, into one quaternion per device and block;
-    the block products are reduced the same way, so a device's result does
-    not depend on the batch it is run in, bit for bit when substeps is a
-    power of two. In the basis (a0, i a1, a2) the input sheet is (1, 0, 0),
-    so the final state is the first column of the device's rotation matrix.
+    The right half's unit quaternions are formed _tree_block(B) pair steps
+    without substeps at a time. Each segment between consecutive
+    breakpoints is multiplied pairwise, in log2 levels, block piece by
+    block piece, and the pieces' products are reduced the same way; the
+    segment products are then chained in order by a prefix scan, whose
+    m-th product depends only on the first m + 1 segments. So a member's
+    result does not depend on the members after it, and a one-member row's
+    result does not depend on the batch it is run in, bit for bit when
+    substeps is a power of two. In the basis (a0, i a1, a2) the input
+    sheet is (1, 0, 0), so the final state is the first column of the
+    member's rotation matrix.
     """
     omega1, omega1_mid = (np.asarray(omega, dtype=float)
                           for omega in (omega1, omega1_mid))
@@ -499,39 +513,60 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1):
                          "that x = 0 is a knot and each half is whole "
                          "pairs of intervals")
     centre = knots // 2
+    pairs = centre // 2
+    breaks = np.array([pairs]) if breaks is None else np.asarray(breaks)
+    if not (breaks.ndim == 1 and breaks.size >= 1
+            and np.issubdtype(breaks.dtype, np.integer)
+            and breaks[0] >= 1 and breaks[-1] == pairs
+            and np.all(np.diff(breaks) > 0)):
+        raise ValueError("breaks must be strictly increasing pair counts "
+                         "that end at the half's pair count")
+    breaks = breaks.tolist()
     # the right half's knots and midpoints; omega2 there is omega1's left
     # half reversed
     right1, right1_mid = omega1[:, centre:], omega1_mid[:, centre:]
     right2, right2_mid = omega1[:, centre::-1], omega1_mid[:, centre - 1::-1]
-    width = 2.0 * np.asarray(h, dtype=float)[:, None] / substeps
-    # an even number of intervals per block, so whole pairs of substeps
-    block = 2 * _tree_block(batch)
-    products = []
-    resolved = np.ones(batch, dtype=bool)
+    width = np.broadcast_to(2.0 * np.asarray(h, dtype=float).reshape(
+        batch, -1) / substeps, (batch, pairs))
+    block = _tree_block(batch)
+    pieces = [[] for _ in breaks]
+    first_over = np.full(batch, pairs * substeps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j0 in range(0, centre, block):
-            j1 = min(j0 + block, centre)
+        for p0 in range(0, pairs, block):
+            p1 = min(p0 + block, pairs)
             samples = []
             for knot, mid in ((right1, right1_mid), (right2, right2_mid)):
                 start, middle, end = _substep_couplings(
-                    knot[:, j0:j1 + 1], mid[:, j0:j1], substeps)
+                    knot[:, 2 * p0:2 * p1 + 1], mid[:, 2 * p0:2 * p1],
+                    substeps)
                 samples.append((start[:, 0::2], middle[:, 0::2],
                                 end[:, 0::2], middle[:, 1::2], end[:, 1::2]))
-            q, angle = _pair_quaternions(width, *samples)
-            resolved &= np.all(angle <= _MAX_PAIR_ANGLE, axis=1)
-            products.append(_pairwise_product(q))
+            q, angle = _pair_quaternions(
+                np.repeat(width[:, p0:p1], substeps, axis=1), *samples)
+            # each row's first pair step over the limit, if any so far
+            over = ~(angle <= _MAX_PAIR_ANGLE)
+            first_over = np.minimum(first_over, np.where(
+                over.any(axis=1), over.argmax(axis=1) + p0 * substeps,
+                first_over))
+            for piece, s0, s1 in zip(pieces, [0, *breaks[:-1]], breaks):
+                if s0 < p1 and s1 > p0:
+                    piece.append(_pairwise_product(
+                        q[..., (max(s0, p0) - p0) * substeps:
+                          (min(s1, p1) - p0) * substeps]))
             # the block's steps go before the next block's are formed,
             # which holds peak memory to one block
             del samples, q, angle
-    r = _pairwise_product(np.stack(products, axis=-1))
-    conjugate = r * np.array([1.0, -1.0, -1.0, -1.0])[:, None]
-    mirror = _MIRROR[:, None]
+    r = _prefix_products(np.stack(
+        [_pairwise_product(np.stack(piece, axis=-1)) for piece in pieces],
+        axis=-1))
+    conjugate = r * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+    mirror = _MIRROR[:, None, None]
     total = _quaternion_product(
         _quaternion_product(_quaternion_product(r, mirror), conjugate),
         mirror)
     a = _rotation_matrices(total)[..., 0] / np.array([1.0, 1j, 1.0])
-    a[~resolved] = np.nan
-    return a
+    a[first_over[:, None] < substeps * np.array(breaks)] = np.nan
+    return a.reshape(-1, 3)
 
 
 def propagate_batch_two(coupling, span, n_steps: int):

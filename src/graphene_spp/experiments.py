@@ -20,7 +20,8 @@ from .coupling import coupling_at_separations, coupling_coefficient
 from .dispersion import ConvergenceError, NoBoundModeError, SppMode
 from .dynamics import (Trajectory, propagate, propagate_batch_three,
                        propagate_batch_two)
-from .geometry import CouplingSchedule, _omega1_table, build_schedule
+from .geometry import (CouplingSchedule, _length_lattice, _member_breaks,
+                       _omega1_table, build_schedule)
 from .materials import CONSTANTS, MaterialDomainError, ev_to_joule
 
 # Sweep axis -> (cell parameter it sets, factor from the axis unit to SI);
@@ -285,61 +286,113 @@ def _two_sheet_outputs(modes, mode_index, length: np.ndarray,
 
 def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
                         knots: int) -> np.ndarray:
-    """Lossless output-sheet intensities of a batch of three-sheet devices.
+    """Lossless output-sheet intensities of a batch of groups of three-sheet
+    devices that differ only in length.
 
-    cells holds per-device SI arrays "length", "radius" and "offset"; device
-    i carries modes[mode_index[i]] at the configured minimum gap and starts
-    in the input sheet. Its row of one schedule table of 2 knots - 1
-    samples (geometry._omega1_table, built per mode, not per device) holds
-    the knots at even and the exact interval midpoints at odd indices.
+    cells holds per-group SI arrays "radius" and "offset" and the lengths
+    "length", (G,) for one device per group or (G, M) for M members,
+    strictly increasing along each row and the same in every row; group g
+    carries modes[mode_index[g]] at the
+    configured minimum gap, and every device starts in the input sheet.
+    Each group is one row of one schedule table (geometry._omega1_table,
+    couplings computed per mode, not per group) on its mirrored lattice
+    (geometry._length_lattice): the shortest member's knots-knot grid, then
+    the gaps up to each longer member's end, with the knots at even and
+    the exact interval midpoints at odd indices. The kernel integrates the
+    row's right half once and records every member at its breakpoint, so a
+    one-member group is its device's knots-knot run. Returns the
+    intensities shaped like cells["length"].
     """
-    length = cells["length"]
-    omega1 = _omega1_table(length, cells["radius"], cells["offset"],
+    length = np.asarray(cells["length"], dtype=float)
+    x, h, breaks = _length_lattice(length.reshape(len(mode_index), -1),
+                                   knots)
+    omega1 = _omega1_table(x, cells["radius"], cells["offset"],
                            config.d_min_nm * 1e-9, modes, mode_index,
-                           2 * knots - 1, config.k0_convention)
-    h = length / (knots - 1)
-    amps = propagate_batch_three(h, omega1[:, ::2], omega1[:, 1::2])
-    return np.abs(amps[:, 2]) ** 2
+                           config.k0_convention)
+    amps = propagate_batch_three(h, omega1[:, ::2], omega1[:, 1::2],
+                                 breaks=breaks)
+    return (np.abs(amps[:, 2]) ** 2).reshape(length.shape)
 
 
 def _three_sheet_outputs(cells: dict, modes, mode_index, config: RunConfig,
                          probes: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Lossless output intensities of a batch of three-sheet devices at a
-    knot count chosen by step doubling on its probe rows.
+    """Lossless output intensities of a batch of groups of three-sheet
+    devices at a knot count chosen by step doubling on its probes.
 
     The batch is given as _three_sheet_finals takes it; probes indexes the
-    rows that choose the knot count. Starting from _FIRST_KNOTS, the count
-    doubles (k -> 2k - 1, which keeps k = 1 (mod 4) for the kernel's pair
-    steps) until the Richardson estimate max |I_fine - I_coarse| / 63 of
-    the output-intensity error on the probes is at most _KNOT_TOLERANCE, or
-    until the next count would exceed config.n_samples. The divisor is
-    2^6 - 1 because the kernel is 6th order: halving h shrinks the error
-    64x, so the fine run's error is 1/63 of the difference. The first pair
-    is always run, so a batch uses at least 2 _FIRST_KNOTS - 1 knots and
-    always has an estimate; a NaN estimate keeps doubling. The probes are
-    lossless: the loss envelope scales every intensity, and so its error,
-    by exp(-2 alpha L) <= 1. The whole batch then runs at that count in
-    _CHUNK slices. Returns (outputs, knots, estimate of the error at
+    devices that choose the knot count, in the order of the flattened
+    lengths, and each probe runs as a one-member group, its own device.
+    Starting from _FIRST_KNOTS, the count doubles (k -> 2k - 1, which keeps
+    k = 1 (mod 4) for the kernel's pair steps) until the Richardson
+    estimate max |I_fine - I_coarse| / 63 of the output-intensity error on
+    the probes is at most _KNOT_TOLERANCE, or until the next count would
+    exceed config.n_samples. The divisor is 2^6 - 1 because the kernel is
+    6th order: halving h shrinks the error 64x, so the fine run's error is
+    1/63 of the difference. The first pair is always run, so a batch uses
+    at least 2 _FIRST_KNOTS - 1 knots and always has an estimate; a NaN
+    estimate keeps doubling. The probes are lossless: the loss envelope
+    scales every intensity, and so its error, by exp(-2 alpha L) <= 1.
+    The estimate is the shortest member's: a longer member's pairs are no
+    wider than its own device's, so its error is no larger.
+
+    The whole batch then runs at that count, in slices of groups whose
+    table holds at most the samples of _CHUNK one-member rows. Returns
+    (outputs shaped like cells["length"], knots, estimate of the error at
     knots).
     """
-    def finals(rows, knots):
-        return _three_sheet_finals(
-            {key: values[rows] for key, values in cells.items()}, modes,
-            mode_index[rows], config, knots)
+    length = np.asarray(cells["length"], dtype=float)
+    rows = length.reshape(len(mode_index), -1)
 
+    def finals(lengths, groups, knots):
+        return _three_sheet_finals(
+            {"length": lengths, "radius": cells["radius"][groups],
+             "offset": cells["offset"][groups]}, modes, mode_index[groups],
+            config, knots)
+
+    group, member = np.divmod(probes, rows.shape[1])
     knots = _FIRST_KNOTS
-    coarse = finals(probes, knots)
+    coarse = finals(rows[group, member], group, knots)
     while True:
         knots = 2 * knots - 1
-        fine = finals(probes, knots)
+        fine = finals(rows[group, member], group, knots)
         estimate = float(np.max(np.abs(fine - coarse))) / 63.0
         if estimate <= _KNOT_TOLERANCE or 2 * knots - 1 > config.n_samples:
             break
         coarse = fine
+    samples = 8 * int(_member_breaks(rows[0], knots)[-1]) + 1
+    step = max(1, _CHUNK * (2 * knots - 1) // samples)
     outputs = np.concatenate([
-        finals(slice(start, start + _CHUNK), knots)
-        for start in range(0, mode_index.size, _CHUNK)])
-    return outputs, knots, estimate
+        finals(rows[part], part, knots)
+        for part in (slice(start, start + step)
+                     for start in range(0, len(mode_index), step))])
+    return outputs.reshape(length.shape), knots, estimate
+
+
+def _device_groups(spec: SweepSpec, valid: np.ndarray) -> np.ndarray:
+    """Flat cell indices of the valid cells as a (G, M) batch.
+
+    When one axis is the length, the valid cells fill a rectangle and a
+    group is cheaper than its members run one by one, a group is one value
+    of the other axis (one mode, radius and offset) and its members are
+    the valid lengths, increasing. Otherwise each valid cell is a
+    one-member group. A group's pairs are at most the shortest member's
+    width, so its right half takes about (K - 1)/4 x L_max/L_0 pairs
+    against M (K - 1)/4 for its M members one by one: it is cheaper when
+    L_max/L_0 < M.
+    """
+    n1, n2 = spec.axis1.values.size, spec.axis2.values.size
+    grid = valid.reshape(n2, n1)
+    rows, cols = grid.any(axis=1), grid.any(axis=0)
+    per_device = np.flatnonzero(valid)[:, None]
+    if ("length_um" not in (spec.axis1.name, spec.axis2.name)
+            or not np.array_equal(grid, np.outer(rows, cols))):
+        return per_device
+    lengths = (spec.axis2.values[rows] if spec.axis2.name == "length_um"
+               else spec.axis1.values[cols])
+    if lengths[-1] / lengths[0] >= lengths.size:
+        return per_device
+    index = np.arange(n1 * n2).reshape(n2, n1)[np.ix_(rows, cols)]
+    return index.T if spec.axis2.name == "length_um" else index
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -348,7 +401,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Three-layer cells violating the arc-validity constraint
     L/2 + offset/2 <= R are reported as NaN; a grid with no valid cell raises.
     Both devices are integrated without loss; a lossy spec then damps every
-    cell by the exact envelope exp(-2 Im q L) of its mode and length.
+    cell by the exact envelope exp(-2 Im q L) of its mode and length. The
+    three-layer cells of a length axis run as groups (_device_groups), one
+    integration per value of the other axis, where that costs less than
+    running them one by one.
     """
     cfg = spec.config
     cells, modes, mode_index, inversion = _cell_parameters(spec)
@@ -361,20 +417,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         invalid = 0
     else:
         valid = length / 2.0 + cells["offset"] / 2.0 <= cells["radius"]
-        idx = np.flatnonzero(valid)
-        invalid = total - idx.size
-        if invalid == total:
+        if not valid.any():
             raise ExperimentError("every grid cell violates the arc validity "
                                   "constraint L/2 + offset/2 <= R")
+        invalid = total - np.count_nonzero(valid)
+        index = _device_groups(spec, valid)
         # validity is monotone in L, offset and R along increasing axes, so
         # some corner is valid whenever any cell is
         corners = np.array(sorted({0, n1 - 1, total - n1, total - 1}))
-        probes = np.searchsorted(idx, corners[valid[corners]])
+        probes = np.flatnonzero(np.isin(index, corners[valid[corners]]))
         outputs, knots, estimate = _three_sheet_outputs(
-            {key: values[idx] for key, values in cells.items()}, modes,
-            mode_index[idx], cfg, probes)
+            {"length": length[index], "radius": cells["radius"][index[:, 0]],
+             "offset": cells["offset"][index[:, 0]]}, modes,
+            mode_index[index[:, 0]], cfg, probes)
         flat = np.full(total, np.nan)
-        flat[idx] = outputs
+        flat[index] = outputs
         nonfinite = int(np.count_nonzero(~np.isfinite(outputs)))
     if spec.lossy:
         alpha = np.array([mode.q.imag for mode in modes])[mode_index]

@@ -145,15 +145,12 @@ def build_schedule(geom: DeviceGeometry, mode: SppMode, n_samples: int = 4096,
     """
     if n_samples < 64:
         raise ValueError("n_samples must be at least 64")
-    length = np.array([geom.length])
-    samples = 2 * n_samples - 1
-    omega1 = _omega1_table(length, np.array([geom.radius]),
+    x = _antisymmetric_grid(np.array([geom.length]), 2 * n_samples - 1)
+    omega1 = _omega1_table(x, np.array([geom.radius]),
                            np.array([geom.offset]), geom.min_gap, [mode],
-                           np.zeros(1, dtype=int), samples,
-                           k0_convention)[0]
+                           np.zeros(1, dtype=int), k0_convention)[0]
     omega2 = omega1[::-1]
-    x = _antisymmetric_grid(length, samples)[0]
-    return CouplingSchedule(x_grid=x[::2], omega1=omega1[::2],
+    return CouplingSchedule(x_grid=x[0, ::2], omega1=omega1[::2],
                             omega2=omega2[::2], omega1_mid=omega1[1::2],
                             omega2_mid=omega2[1::2])
 
@@ -165,36 +162,95 @@ def _antisymmetric_grid(length: np.ndarray, n_samples: int) -> np.ndarray:
     return 0.5 * (x - x[:, ::-1])
 
 
-def _omega1_table(length, radius, offset, min_gap: float, modes, mode_index,
-                  n_samples: int, k0_convention: str) -> np.ndarray:
+def _member_breaks(lengths, knots: int) -> np.ndarray:
+    """(M,) pair steps of a lattice's right half up to each member's end.
+
+    lengths: (M,) member lengths, strictly increasing. The shortest
+    member's half takes (knots - 1)/4 pairs, as its own knots-knot grid
+    does; each gap between consecutive member half-lengths then takes
+    ceil(gap / 2 h0) pairs, h0 = L0/(knots - 1), and at least one.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    half, h0 = lengths / 2.0, lengths[0] / (knots - 1)
+    # a gap of a whole number of pairs must not gain one by rounding, and
+    # a gap below the slack still takes one
+    gaps = np.maximum(np.ceil(np.diff(half) / (2.0 * h0) - 1e-12), 1.0)
+    return (knots - 1) // 4 + np.concatenate([[0], np.cumsum(gaps)]).astype(
+        int)
+
+
+def _length_lattice(length, knots: int):
+    """Mirrored sample rows of groups of devices that differ only in length.
+
+    length: (G, M) member lengths, strictly increasing along each row and,
+    when M > 1, the same in every row (one group per value of a sweep's
+    other axis); knots is 1 (mod 4). A group's devices share the arc gap
+    d1(x), which does not depend on L, so one row serves them all. Its
+    right half is the shortest member's: the right half of its knots-knot
+    grid, taken from the same _antisymmetric_grid values, so that a
+    one-member group's row is that grid bit for bit. Each gap between
+    consecutive member half-lengths then takes _member_breaks' pairs, equal
+    and ending exactly at the next half-length L_j/2, so that no pair is
+    wider than a member's own pair. A pair is four samples: midpoint, knot,
+    midpoint, knot.
+
+    Returns (x, h, breaks): x (G, n) the rows, the right half X mirrored as
+    concat(-X[::-1], X[1:]), so exactly antisymmetric and omega2 is the
+    table row reversed; h (G, P) the interval width of each pair of the
+    right half, L0/(knots - 1) on the shortest member's half; breaks (M,)
+    the pairs up to each member's end, the last P.
+    """
+    length = np.asarray(length, dtype=float)
+    breaks = _member_breaks(length[0], knots)
+    first = breaks[0]
+    x = _antisymmetric_grid(length[:, 0], 2 * knots - 1)[:, knots - 1:]
+    h = np.broadcast_to(length[:, :1] / (knots - 1), (length.shape[0], first))
+    # each gap's samples as fractions of the gap, in gap order
+    counts = np.diff(breaks)
+    gap = np.repeat(np.arange(counts.size), 4 * counts)
+    k = np.arange(gap.size) - np.repeat(4 * (breaks[:-1] - first), 4 * counts)
+    fraction = (k + 1.0) / np.repeat(4 * counts, 4 * counts)
+    half = length / 2.0
+    tail = half[:, gap] + (half[:, gap + 1] - half[:, gap]) * fraction
+    # the gaps end exactly at the members' half-lengths
+    tail[:, 4 * (breaks[1:] - first) - 1] = half[:, 1:]
+    right = np.concatenate([x, tail], axis=1)
+    pair_gap = np.repeat(np.arange(counts.size), counts)
+    widths = (half[:, pair_gap + 1] - half[:, pair_gap]) / (2.0 * counts[
+        pair_gap])
+    return (np.concatenate([-right[:, :0:-1], right], axis=1),
+            np.concatenate([h, widths], axis=1), breaks)
+
+
+def _omega1_table(x, radius, offset, min_gap: float, modes, mode_index,
+                  k0_convention: str) -> np.ndarray:
     """(B, n) table of omega1 = |Re C(d1(x))| for a batch of devices.
 
-    Row i is device (length[i], radius[i], offset[i]) at the shared min_gap,
-    carrying modes[mode_index[i]], sampled on its antisymmetric grid; its
-    omega2 is the row reversed. The layouts, mode_index (one index into
-    modes per device) and the table are validated once per call. Separations are computed once per distinct layout, and
-    the coupling once per mode over that mode's rows, in calls of at most
-    _COUPLING_BLOCK samples: whole rows, or column blocks of a longer row.
+    Row i samples device (radius[i], offset[i]) at the shared min_gap,
+    carrying modes[mode_index[i]], at the positions x[i], an exactly
+    antisymmetric row (x[i, ::-1] == -x[i]: _antisymmetric_grid or
+    _length_lattice), so that its omega2 is the row reversed. The layouts,
+    of length 2 x[:, -1], mode_index (one index into modes per device) and
+    the table are validated once per call. The coupling is computed once
+    per mode over that mode's rows, in calls of at most _COUPLING_BLOCK
+    samples: whole rows, or column blocks of a longer row.
     """
+    x = np.asarray(x, dtype=float)
+    n_samples = x.shape[1]
     if n_samples < 64:
-        raise ValueError("n_samples must be at least 64")
-    length, radius, offset = (np.asarray(v, dtype=float)
-                              for v in (length, radius, offset))
-    _check_layout(radius, offset, min_gap, length)
+        raise ValueError("a table row must hold at least 64 samples")
+    radius, offset = (np.asarray(v, dtype=float) for v in (radius, offset))
+    _check_layout(radius, offset, min_gap, 2.0 * x[:, -1])
     mode_index = np.asarray(mode_index)
-    if (mode_index.shape != (length.size,)
+    if (mode_index.shape != (x.shape[0],)
             or not np.issubdtype(mode_index.dtype, np.integer)
             or not np.all((0 <= mode_index) & (mode_index < len(modes)))):
         raise ValueError("mode_index must hold one index into modes per "
                          "device")
-    layouts, row = np.unique(np.stack([length, radius, offset], axis=1),
-                             axis=0, return_inverse=True)
-    length, radius, offset = (layouts[:, [i]] for i in range(3))
-    d1 = _arc_gap(_antisymmetric_grid(length[:, 0], n_samples)
-                  - offset / 2.0, radius, min_gap)
+    d1 = _arc_gap(x - offset[:, None] / 2.0, radius[:, None], min_gap)
     # Every cell is written below: each device's row is in exactly one
     # mode's cells, and the column blocks cover the row.
-    omega1 = np.empty((row.size, n_samples))
+    omega1 = np.empty(x.shape)
     rows = max(1, _COUPLING_BLOCK // n_samples)
     width = min(n_samples, _COUPLING_BLOCK)
     for m, mode in enumerate(modes):
@@ -203,7 +259,7 @@ def _omega1_table(length, radius, offset, min_gap: float, modes, mode_index,
             block = cells[start:start + rows]
             for col in range(0, n_samples, width):
                 cols = slice(col, col + width)
-                c, _ = coupling_at_separations(mode, d1[row[block], cols],
+                c, _ = coupling_at_separations(mode, d1[block, cols],
                                                k0_convention)
                 omega1[block, cols] = np.abs(c.real)
     if not np.all(np.isfinite(omega1)):

@@ -153,9 +153,11 @@ def test_robustness_sweep_records_knot_choice(tmp_path):
 
 
 def test_robustness_sweep_refuses_a_map_that_blew_up(tmp_path, capsys):
-    # at n_samples = 64 the knot doubling stops at 129 knots, where 26 of
-    # this long device's 30 cells come out NaN: a named error and no file,
-    # not a map whose blow-ups read as invalid geometry
+    # at n_samples = 64 the knot doubling stops at 129 knots, where 20 of
+    # this long device's 30 cells come out NaN: the four longer wavevectors
+    # at every length (each wavevector's lengths are one integration on
+    # the shortest length's pairs). A named error and no directory, not a
+    # map whose blow-ups read as invalid geometry
     cfg = tmp_path / "long.cfg"
     cfg.write_text("n_samples = 64\nL_um = 8\nR_nm = 5000\n")
     out = tmp_path / "out"
@@ -163,8 +165,15 @@ def test_robustness_sweep_refuses_a_map_that_blew_up(tmp_path, capsys):
                  "robustness-sweep", "--figure", "4b", "--grid", "6x5"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "26 geometry-valid cells" in err
-    assert not any(out.iterdir())
+    assert err.startswith("error: ") and "20 geometry-valid cells" in err
+    assert not out.exists()
+
+
+def test_successful_command_creates_a_missing_nested_out(tmp_path):
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["--config", _cfg(tmp_path), "--out", str(out),
+                 "dispersion"]) == 0
+    assert out.is_dir() and any(out.iterdir())
 
 
 def test_robustness_sweep_fig4c_comparator_reference(tmp_path):
@@ -326,7 +335,7 @@ def test_oracle_failure_in_verify_exits_2(tmp_path, monkeypatch, capsys):
                  "--seed", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: oracle failure: panel budget exhausted")
-    assert not (out / "validation.json").exists()
+    assert not out.exists()
 
 
 def test_internal_value_error_escapes_main(tmp_path, monkeypatch):

@@ -16,7 +16,8 @@ from graphene_spp.dynamics import (_MAX_STEP_ANGLE, _STEP_BLOCK,
                                    propagate, propagate_batch_three,
                                    propagate_batch_two, propagate_constant,
                                    two_level_analytic)
-from graphene_spp.geometry import CouplingSchedule, build_schedule
+from graphene_spp.geometry import (CouplingSchedule, _length_lattice,
+                                   build_schedule)
 from graphene_spp.oracles import expm_reference
 from tests.conftest import (as_complex, chain_matrix,
                             continuous_device_finals)
@@ -523,6 +524,72 @@ def test_batch_three_matches_stepwise_rotation_loop(monkeypatch):
             alone = propagate_batch_three(h[[b]], *(t[[b]] for t in tables),
                                           substeps=substeps)
             assert np.array_equal(alone[0], got[b])
+
+
+def _member_rows(lengths, knots=65, seed=11):
+    """Random couplings on one group's lattice (geometry._length_lattice),
+    as the kernel takes them: (h, knot couplings, midpoint couplings,
+    breaks), each table of one row."""
+    _, h, breaks = _length_lattice(np.array([lengths]), knots)
+    samples = 8 * breaks[-1] + 1
+    row = np.random.default_rng(seed).uniform(0.0, 2e7, (1, samples))
+    return h, row[:, ::2], row[:, 1::2], breaks
+
+
+def _truncated(h, knots, mids, pairs):
+    """The tables of the same row's device whose right half is its first
+    pairs pairs, and its mirror image."""
+    centre = knots.shape[1] // 2
+    return (h[:, :pairs], knots[:, centre - 2 * pairs:centre + 2 * pairs + 1],
+            mids[:, centre - 2 * pairs:centre + 2 * pairs])
+
+
+def test_batch_three_members_are_prefixes_of_their_row():
+    # one integration records every member: member j equals, bit for bit,
+    # the last member of the same lattice cut at its breakpoint, so it
+    # depends on no later member; the shortest member is its own
+    # one-member run. A longer member run alone reduces its pairs in one
+    # tree instead of segment by segment, which agrees to rounding.
+    lengths = [0.8e-6, 0.83e-6, 0.9e-6, 0.91e-6, 1.2e-6]
+    h, knots, mids, breaks = _member_rows(lengths)
+    assert breaks.tolist() == [16, 17, 19, 20, 26]
+    members = propagate_batch_three(h, knots, mids, breaks=breaks)
+    assert members.shape == (len(lengths), 3)
+    assert np.isfinite(members).all()
+    for j, pairs in enumerate(breaks):
+        cut = _truncated(h, knots, mids, pairs)
+        last = propagate_batch_three(*cut, breaks=breaks[:j + 1])[-1]
+        assert np.array_equal(last, members[j])
+        alone = propagate_batch_three(*cut)[0]
+        assert _relative_gap(alone, members[j]) < 1e-14
+        if j == 0:
+            assert np.array_equal(alone, members[0])
+            flat = propagate_batch_three(h[:, 0], cut[1], cut[2])[0]
+            assert np.array_equal(flat, members[0])
+
+
+def test_batch_three_members_past_an_over_limit_pair_are_nan():
+    # the angle guard applies per member, to the pairs up to its own
+    # breakpoint: an over-limit pair in the third member's first gap pair
+    # fails it and every longer member, whichever half holds the pair
+    h, knots, mids, breaks = _member_rows([0.8e-6, 0.9e-6, 1.0e-6, 1.1e-6])
+    assert breaks.tolist() == [16, 18, 20, 22]
+    centre = knots.shape[1] // 2
+    pair = breaks[1]
+    for knot in (centre + 2 * pair + 1, centre - 2 * pair - 1):
+        over = knots.copy()
+        over[0, knot] = 10.0 / h[0, pair]
+        members = propagate_batch_three(h, over, mids, breaks=breaks)
+        assert np.isfinite(members[:2]).all()
+        assert np.isnan(members[2:]).all()
+
+
+@pytest.mark.parametrize("breaks", [[4], [2, 2, 5], [0, 5], [3, 5.0],
+                                    [[5]], []])
+def test_batch_three_rejects_bad_breaks(breaks):
+    with pytest.raises(ValueError, match="breaks must be"):
+        propagate_batch_three(np.full(1, 1e-9), np.full((1, 21), 1e6),
+                              np.full((1, 20), 1e6), breaks=breaks)
 
 
 def test_batch_two_matches_analytic():

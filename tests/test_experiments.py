@@ -9,15 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphene_spp.config import RunConfig
+from graphene_spp.dynamics import propagate_batch_three
 from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
                                       ExperimentError, SweepAxis, SweepSpec,
-                                      _cell_parameters, _three_sheet_finals,
+                                      _cell_parameters, _device_groups,
+                                      _three_sheet_finals,
                                       _three_sheet_outputs,
                                       figure_coupling_axes, figure_map_spec,
                                       parallel_comparator, robustness_metric,
                                       run_device, run_sweep,
                                       stirap_stretch_search,
                                       wavevector_to_omega)
+from graphene_spp.geometry import _antisymmetric_grid, _omega1_table
 from tests.conftest import continuous_device_finals
 
 
@@ -297,6 +300,106 @@ def test_map_error_is_at_most_the_fourth_order_kernels(default_config,
     error = np.abs(result.grid.ravel()[valid] - reference).max()
     assert knots == 129
     assert error <= _FOURTH_ORDER_MAP_ERROR[figure]
+
+
+def test_length_rows_are_one_integration_per_wavevector(default_config):
+    # each wavevector's lengths are one integration on the shortest
+    # length's pairs, so the shortest row is the per-device run bit for
+    # bit, and no row is further than the per-device map from a map at
+    # four times the knot intervals. Largest row errors, measured: 2.3e-9
+    # per device at 1.2 um, 2.0e-10 grouped
+    spec = figure_map_spec("4b", default_config, (12, 12), lossy=False)
+    result = run_sweep(spec)
+    knots = result.metadata["knots"]
+    assert knots == 129 and result.metadata["invalid_cells"] == 0
+    cells, modes, mode_index, _ = _cell_parameters(spec)
+
+    def per_device(knots):
+        return _three_sheet_finals(cells, modes, mode_index, default_config,
+                                   knots).reshape(result.grid.shape)
+
+    flat, fine = per_device(knots), per_device(4 * (knots - 1) + 1)
+    assert np.array_equal(result.grid[0], flat[0])
+    grouped_error = np.abs(result.grid - fine).max(axis=1)
+    flat_error = np.abs(flat - fine).max(axis=1)
+    assert np.all(grouped_error <= flat_error)
+    assert grouped_error[-1] < 0.2 * flat_error[-1]
+    # with the length as the first axis the groups are the grid's rows
+    swapped = run_sweep(replace(spec, axis1=spec.axis2, axis2=spec.axis1))
+    assert np.array_equal(swapped.grid, result.grid.T)
+
+
+def _per_device_outputs(cells, modes, mode_index, config, knots):
+    """Output intensities built device by device: each on its own
+    knots-knot grid at uniform h, one kernel row with one member each."""
+    x = _antisymmetric_grid(cells["length"], 2 * knots - 1)
+    table = _omega1_table(x, cells["radius"], cells["offset"],
+                          config.d_min_nm * 1e-9, modes, mode_index,
+                          config.k0_convention)
+    amps = propagate_batch_three(cells["length"] / (knots - 1),
+                                 table[:, ::2], table[:, 1::2])
+    return np.abs(amps[:, 2]) ** 2
+
+
+def test_batches_without_a_length_axis_run_per_device(default_config):
+    # figure 4c and the stretch search have no group of lengths: their
+    # outputs are the per-device runs, bit for bit
+    spec = figure_map_spec("4c", default_config, (6, 5), lossy=False)
+    result = run_sweep(spec)
+    cells, modes, mode_index, _ = _cell_parameters(spec)
+    valid = np.isfinite(result.grid.ravel())
+    assert 0 < np.count_nonzero(valid) < valid.size
+    expected = _per_device_outputs(
+        {key: values[valid] for key, values in cells.items()}, modes,
+        mode_index[valid], default_config, result.metadata["knots"])
+    assert np.array_equal(result.grid.ravel()[valid], expected)
+
+    mode = default_config.solve_mode()
+    search = stirap_stretch_search(default_config, mode)
+    stretches = search.scanned_stretches
+    cells = {"length": default_config.L_um * 1e-6 * stretches,
+             "radius": default_config.R_nm * 1e-9 * stretches,
+             "offset": default_config.delta_nm * 1e-9 * stretches}
+    mode_index = np.zeros(stretches.size, dtype=int)
+    _, knots, _ = _three_sheet_outputs(cells, [mode], mode_index,
+                                       default_config,
+                                       np.array([0, stretches.size - 1]))
+    assert np.array_equal(search.scanned_outputs, _per_device_outputs(
+        cells, [mode], mode_index, default_config, knots))
+
+
+def test_length_axes_group_only_where_cheaper(default_config):
+    # a group's right half takes about L_max/L_0 times its shortest
+    # member's pairs, its M members one by one M times: two lengths 100x
+    # apart run per device, bit for bit, and two lengths 1.5x apart group
+    config = replace(default_config, R_nm=6000.0)
+    wavevector = SweepAxis("wavevector_per_um", np.array([30.0, 40.0]))
+
+    def spec(lengths):
+        return SweepSpec(axis1=wavevector, axis2=SweepAxis(
+            "length_um", np.array(lengths)), config=config)
+
+    valid = np.ones(4, dtype=bool)
+    assert _device_groups(spec([0.8, 1.2]), valid).tolist() == [[0, 2],
+                                                                [1, 3]]
+    wide = spec([0.1, 10.0])
+    assert _device_groups(wide, valid).tolist() == [[0], [1], [2], [3]]
+    result = run_sweep(wide)
+    cells, modes, mode_index, _ = _cell_parameters(wide)
+    assert np.array_equal(result.grid.ravel(), _per_device_outputs(
+        cells, modes, mode_index, config, result.metadata["knots"]))
+
+
+def test_a_length_gap_below_rounding_takes_one_pair(default_config):
+    # two lengths 2e-14 apart, far below the pair count's rounding slack,
+    # still group, their gap taking one pair, and read the same output
+    lengths = SweepAxis("length_um", np.array([1.0, 1.0 + 2e-14]))
+    spec = figure_map_spec("4b", default_config, (3, 2), lossy=False)
+    spec = replace(spec, axis2=lengths)
+    assert _device_groups(spec, np.ones(6, dtype=bool)).shape == (3, 2)
+    grid = run_sweep(spec).grid
+    assert np.isfinite(grid).all()
+    np.testing.assert_allclose(grid[1], grid[0], rtol=0.0, atol=1e-12)
 
 
 def test_invalid_geometry_cells_are_nan(default_config):

@@ -11,7 +11,8 @@ from graphene_spp import geometry
 from graphene_spp.coupling import coupling_at_separations
 from graphene_spp.geometry import (CouplingSchedule, DeviceGeometry,
                                    GeometryError, _antisymmetric_grid,
-                                   _omega1_table, adiabaticity_report,
+                                   _length_lattice, _omega1_table,
+                                   adiabaticity_report,
                                    build_schedule, sheet_separations)
 
 
@@ -118,10 +119,10 @@ def test_arcs_mirror_bit_for_bit(default_mode, radius_nm, offset, length,
     assert np.array_equal(schedule.omega2, omega2[::2])
     assert np.array_equal(schedule.omega2_mid, omega2[1::2])
     assert np.array_equal(schedule.omega2, schedule.omega1[::-1])
-    table = _omega1_table(np.full(2, length), np.full(2, radius),
-                          np.full(2, offset), geom.min_gap,
-                          [default_mode], np.zeros(2, dtype=int), samples,
-                          convention)
+    table = _omega1_table(_antisymmetric_grid(np.full(2, length), samples),
+                          np.full(2, radius), np.full(2, offset),
+                          geom.min_gap, [default_mode],
+                          np.zeros(2, dtype=int), convention)
     assert np.array_equal(table[1][::-1], omega2_on(samples))
 
 
@@ -135,9 +136,9 @@ def test_schedule_knots_are_even_samples_of_the_midpoint_table(
     mode = config.solve_mode()
 
     def row(n):
-        return _omega1_table(np.array([geom.length]), np.array([geom.radius]),
-                             np.array([geom.offset]), geom.min_gap, [mode],
-                             np.zeros(1, dtype=int), n,
+        return _omega1_table(_antisymmetric_grid(np.array([geom.length]), n),
+                             np.array([geom.radius]), np.array([geom.offset]),
+                             geom.min_gap, [mode], np.zeros(1, dtype=int),
                              config.k0_convention)[0]
 
     for n in (64, 129, 500, 1025, 4096):
@@ -151,6 +152,48 @@ def test_schedule_knots_are_even_samples_of_the_midpoint_table(
         assert np.array_equal(
             schedule.x_grid,
             geometry._antisymmetric_grid(np.array([geom.length]), n)[0])
+
+
+@pytest.mark.parametrize("lengths, expected", [
+    # 15, 35 and 150 nm gaps at 25 nm per pair: the last is exactly six
+    # pairs and gains none by rounding
+    ([0.8e-6, 0.83e-6, 0.9e-6, 1.2e-6], [16, 17, 19, 25]),
+    # a first gap of 500 nm at 21.9 nm per pair more than doubles the
+    # half-length, where the gap's last fraction alone would miss its end
+    # (0.35e-6 + 0.5e-6 != 0.85e-6)
+    ([0.7e-6, 1.7e-6, 1.75e-6, 1.8e-6], [16, 39, 41, 43]),
+    # a gap far below the rounding slack still takes one pair
+    ([1.0e-6, 1.0e-6 * (1.0 + 2e-14)], [16, 17]),
+])
+def test_length_lattice_extends_the_shortest_members_grid(lengths,
+                                                         expected):
+    # a group's row: the shortest member's own grid, then each gap in equal
+    # pairs no wider than that grid's, ending exactly at every member's
+    # half-length; every group of a batch holds the same lengths
+    knots = 65
+    length = np.array([lengths, lengths])
+    x, h, breaks = _length_lattice(length, knots)
+    assert breaks.tolist() == expected
+    assert x.shape == (2, 8 * breaks[-1] + 1) and h.shape == (2, breaks[-1])
+    assert np.array_equal(x[:, ::-1], -x)
+    assert np.all(np.diff(x, axis=1) >= 0)
+    centre = x.shape[1] // 2
+    grid = _antisymmetric_grid(length[:, 0], 2 * knots - 1)
+    assert np.array_equal(x[:, centre - knots + 1:centre + knots], grid)
+    assert np.array_equal(x[:, centre + 4 * breaks], length / 2.0)
+    h0 = length[:, :1] / (knots - 1)
+    assert np.array_equal(h[:, :breaks[0]], np.broadcast_to(h0, (2, 16)))
+    assert np.all((0.0 < h) & (h <= h0 * (1.0 + 1e-12)))
+    # each pair's knots are 2 h apart, its midpoints halfway
+    pair_span = x[:, centre + 4:: 4] - x[:, centre:-4:4]
+    np.testing.assert_allclose(pair_span, 2.0 * h, rtol=1e-9)
+    # one member per group: each group's own grid, bit for bit
+    length = np.array([[lengths[0]], [lengths[-1]]])
+    x, h, breaks = _length_lattice(length, knots)
+    assert np.array_equal(x, _antisymmetric_grid(length[:, 0],
+                                                 2 * knots - 1))
+    assert breaks.tolist() == [16]
+    assert np.array_equal(h, np.broadcast_to(length / (knots - 1), (2, 16)))
 
 
 def test_schedule_rejects_bad_midpoints(default_mode):
@@ -231,10 +274,12 @@ def test_table_rejects_any_bad_row_like_device_geometry(default_mode, field,
               "min_gap": 20e-9, "length": cells["length"][row]}
     with pytest.raises(GeometryError, match=message):
         DeviceGeometry(**fields)
+    # an infinite length makes its row's positions infinite or NaN
+    with np.errstate(invalid="ignore"):
+        x = _antisymmetric_grid(cells["length"], 129)
     with pytest.raises(GeometryError, match=message):
-        _omega1_table(cells["length"], cells["radius"], cells["offset"],
-                      20e-9, [default_mode], np.zeros(5, dtype=int), 129,
-                      "vacuum")
+        _omega1_table(x, cells["radius"], cells["offset"], 20e-9,
+                      [default_mode], np.zeros(5, dtype=int), "vacuum")
 
 
 @pytest.mark.parametrize("min_gap, message", [
@@ -242,17 +287,17 @@ def test_table_rejects_any_bad_row_like_device_geometry(default_mode, field,
 def test_table_rejects_bad_min_gap(default_mode, min_gap, message):
     cells = _layouts()
     with pytest.raises(GeometryError, match=message):
-        _omega1_table(cells["length"], cells["radius"], cells["offset"],
-                      min_gap, [default_mode], np.zeros(5, dtype=int), 129,
-                      "vacuum")
+        _omega1_table(_antisymmetric_grid(cells["length"], 129),
+                      cells["radius"], cells["offset"], min_gap,
+                      [default_mode], np.zeros(5, dtype=int), "vacuum")
 
 
 def test_table_rejects_short_grids(default_mode):
     cells = _layouts()
     with pytest.raises(ValueError, match="at least 64"):
-        _omega1_table(cells["length"], cells["radius"], cells["offset"],
-                      20e-9, [default_mode], np.zeros(5, dtype=int), 63,
-                      "vacuum")
+        _omega1_table(_antisymmetric_grid(cells["length"], 63),
+                      cells["radius"], cells["offset"], 20e-9,
+                      [default_mode], np.zeros(5, dtype=int), "vacuum")
 
 
 @pytest.mark.parametrize("mode_index", [
@@ -264,16 +309,16 @@ def test_table_rejects_a_mode_index_that_misses_a_row(default_mode,
     # the table is allocated unfilled: every row must name one of the modes
     cells = _layouts()
     with pytest.raises(ValueError, match="mode_index"):
-        _omega1_table(cells["length"], cells["radius"], cells["offset"],
-                      20e-9, [default_mode, default_mode], mode_index, 129,
-                      "vacuum")
+        _omega1_table(_antisymmetric_grid(cells["length"], 129),
+                      cells["radius"], cells["offset"], 20e-9,
+                      [default_mode, default_mode], mode_index, "vacuum")
 
 
 @pytest.mark.parametrize("n_samples", [129, 4097])
 def test_table_rows_are_bitwise_per_device_schedules(default_config,
                                                      monkeypatch, n_samples):
     # a shuffled batch: three interleaved modes on layouts that repeat
-    # across modes, so separations are shared and couplings are grouped;
+    # across modes, so couplings are grouped by mode over repeated rows;
     # at 4097 samples each mode's rows take several capped calls
     sizes = []
 
@@ -291,9 +336,9 @@ def test_table_rows_are_bitwise_per_device_schedules(default_config,
     mode_index = mode_index[order]
     for convention in ("vacuum", "film"):
         sizes.clear()
-        table = _omega1_table(cells["length"], cells["radius"],
-                              cells["offset"], 20e-9, modes, mode_index,
-                              n_samples, convention)
+        table = _omega1_table(
+            _antisymmetric_grid(cells["length"], n_samples), cells["radius"],
+            cells["offset"], 20e-9, modes, mode_index, convention)
         assert sum(sizes) == table.size
         assert max(sizes) <= geometry._COUPLING_BLOCK
         for i in range(mode_index.size):
