@@ -34,9 +34,10 @@ AXIS_NAMES = tuple(_AXES)
 
 _CHUNK = 512
 # Step-doubling knot choice of three-sheet batches (_three_sheet_outputs):
-# the first knot count probed and the output-intensity error estimate to
-# reach.
+# the first knot count probed, the last one allowed and the
+# output-intensity error estimate to reach.
 _FIRST_KNOTS = 65
+_MAX_KNOTS = 2049
 _KNOT_TOLERANCE = 5e-8
 # Uniform-stretch scan (stirap_stretch_search): the output intensity to
 # reach, and the fine step below the first coarse factor reaching it.
@@ -113,13 +114,13 @@ class SweepSpec:
 class SweepResult:
     """Output-intensity grid with shape (len(axis2), len(axis1)).
 
-    Invalid-geometry cells hold NaN; metadata records their count together
-    with the wavevector inversion table and the config hash. For the
-    three-sheet device it also records nonfinite_cells, the geometry-valid
-    cells whose output came out non-finite (a numerical blow-up, which
-    would otherwise read as one more invalid cell), and the step-doubling
-    knot choice: knots, knot_error_estimate and knot_tolerance. modes are
-    the modes run, in inversion-table order (else the configured mode).
+    Invalid-geometry cells hold NaN, and they are the only NaN cells: a
+    three-sheet map that blows up or does not resolve is refused
+    (_three_sheet_outputs). metadata records their count together with the
+    wavevector inversion table and the config hash, and for the
+    three-sheet device the step-doubling knot choice: knots,
+    knot_error_estimate and knot_tolerance. modes are the modes run, in
+    inversion-table order (else the configured mode).
     """
 
     spec: SweepSpec
@@ -275,11 +276,11 @@ def _two_sheet_outputs(modes, mode_index, length: np.ndarray,
         abs(coupling_coefficient(mode, config.d_min_nm * 1e-9,
                                  config.k0_convention).c12.real)
         for mode in modes])[mode_index]
-    n_steps = max(config.n_samples - 1, 1)
     outputs = np.empty(length.size)
     for start in range(0, length.size, _CHUNK):
         part = slice(start, start + _CHUNK)
-        amps = propagate_batch_two(couplings[part], length[part], n_steps)
+        amps = propagate_batch_two(couplings[part], length[part],
+                                   config.n_samples - 1)
         outputs[part] = np.abs(amps[:, 1]) ** 2
     return outputs
 
@@ -325,18 +326,20 @@ def _three_sheet_outputs(cells: dict, modes, mode_index, config: RunConfig,
     Starting from _FIRST_KNOTS, the count doubles (k -> 2k - 1, which keeps
     k = 1 (mod 4) for the kernel's pair steps) until the Richardson
     estimate max |I_fine - I_coarse| / 63 of the output-intensity error on
-    the probes is at most _KNOT_TOLERANCE, or until the next count would
-    exceed config.n_samples. The divisor is 2^6 - 1 because the kernel is
-    6th order: halving h shrinks the error 64x, so the fine run's error is
-    1/63 of the difference. The first pair is always run, so a batch uses
-    at least 2 _FIRST_KNOTS - 1 knots and always has an estimate; a NaN
-    estimate keeps doubling. The probes are lossless: the loss envelope
-    scales every intensity, and so its error, by exp(-2 alpha L) <= 1.
-    The estimate is the shortest member's: a longer member's pairs are no
-    wider than its own device's, so its error is no larger.
+    the probes is at most _KNOT_TOLERANCE; at _MAX_KNOTS knots it raises
+    ExperimentError naming the estimate. The divisor is 2^6 - 1 because
+    the kernel is 6th order: halving h shrinks the error 64x, so the fine
+    run's error is 1/63 of the difference. The first pair is always run,
+    so a batch uses at least 2 _FIRST_KNOTS - 1 knots and always has an
+    estimate; a NaN estimate (a probe the kernel refused) keeps doubling.
+    The probes are lossless: the loss envelope scales every intensity, and
+    so its error, by exp(-2 alpha L) <= 1. The estimate is the shortest
+    member's: a longer member's pairs are no wider than its own device's,
+    so its error is no larger.
 
     The whole batch then runs at that count, in slices of groups whose
-    table holds at most the samples of _CHUNK one-member rows. Returns
+    table holds at most the samples of _CHUNK one-member rows; any
+    non-finite device raises ExperimentError naming the count. Returns
     (outputs shaped like cells["length"], knots, estimate of the error at
     knots).
     """
@@ -350,21 +353,25 @@ def _three_sheet_outputs(cells: dict, modes, mode_index, config: RunConfig,
             config, knots)
 
     group, member = np.divmod(probes, rows.shape[1])
-    knots = _FIRST_KNOTS
-    coarse = finals(rows[group, member], group, knots)
-    while True:
-        knots = 2 * knots - 1
+    knots, estimate = _FIRST_KNOTS, math.nan
+    fine = finals(rows[group, member], group, knots)
+    while not estimate <= _KNOT_TOLERANCE:
+        if knots >= _MAX_KNOTS:
+            raise ExperimentError(f"knot error estimate {estimate:.3g} is "
+                                  f"over {_KNOT_TOLERANCE:g} at {knots} knots")
+        coarse, knots = fine, 2 * knots - 1
         fine = finals(rows[group, member], group, knots)
         estimate = float(np.max(np.abs(fine - coarse))) / 63.0
-        if estimate <= _KNOT_TOLERANCE or 2 * knots - 1 > config.n_samples:
-            break
-        coarse = fine
     samples = 8 * int(_member_breaks(rows[0], knots)[-1]) + 1
     step = max(1, _CHUNK * (2 * knots - 1) // samples)
     outputs = np.concatenate([
         finals(rows[part], part, knots)
         for part in (slice(start, start + step)
                      for start in range(0, len(mode_index), step))])
+    nonfinite = np.count_nonzero(~np.isfinite(outputs))
+    if nonfinite:
+        raise ExperimentError(f"{nonfinite} of {outputs.size} three-sheet "
+                              f"devices are non-finite at {knots} knots")
     return outputs.reshape(length.shape), knots, estimate
 
 
@@ -399,7 +406,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the output intensity over the axis1 x axis2 grid.
 
     Three-layer cells violating the arc-validity constraint
-    L/2 + offset/2 <= R are reported as NaN; a grid with no valid cell raises.
+    L/2 + offset/2 <= R are reported as NaN; a grid with no valid cell
+    raises, and so does one whose valid cells do not resolve or blow up
+    (_three_sheet_outputs).
     Both devices are integrated without loss; a lossy spec then damps every
     cell by the exact envelope exp(-2 Im q L) of its mode and length. The
     three-layer cells of a length axis run as groups (_device_groups), one
@@ -432,7 +441,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             mode_index[index[:, 0]], cfg, probes)
         flat = np.full(total, np.nan)
         flat[index] = outputs
-        nonfinite = int(np.count_nonzero(~np.isfinite(outputs)))
     if spec.lossy:
         alpha = np.array([mode.q.imag for mode in modes])[mode_index]
         flat = _damped(flat, alpha, length)
@@ -453,7 +461,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "dispersion_residual_contract": "< 1e-10, enforced at solve time",
     }
     if spec.layers == 3:
-        metadata["nonfinite_cells"] = nonfinite
         metadata["knots"] = knots
         metadata["knot_error_estimate"] = estimate
         metadata["knot_tolerance"] = _KNOT_TOLERANCE
@@ -462,16 +469,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def robustness_metric(result: SweepResult) -> tuple[float, float, float]:
     """(min, mean, stddev) of the output intensity over the grid, skipping
-    invalid-geometry cells.
-
-    Raises ExperimentError when a geometry-valid cell came out non-finite:
-    a blow-up is no invalid cell, and the statistics of the rest would hide
-    it.
+    invalid-geometry cells, the only NaN cells run_sweep returns.
     """
-    nonfinite = result.metadata.get("nonfinite_cells", 0)
-    if nonfinite > 0:
-        raise ExperimentError(f"{nonfinite} geometry-valid cells came out "
-                              "non-finite")
     finite = result.grid[np.isfinite(result.grid)]
     if finite.size == 0:
         raise ExperimentError("grid contains only invalid cells")

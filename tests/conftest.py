@@ -20,6 +20,23 @@ def chain_matrix(couplings):
     return np.diag(c, 1) + np.diag(c, -1)
 
 
+def blow_up_kernel_rows(monkeypatch, rows, batch=None):
+    """Make experiments.propagate_batch_three return NaN on the given rows
+    of every call with batch rows (of every call when batch is None), as a
+    kernel that refused those devices would."""
+    import graphene_spp.experiments as experiments
+
+    kernel = experiments.propagate_batch_three
+
+    def blow_up(*args, **kwargs):
+        amps = kernel(*args, **kwargs)
+        if batch is None or len(amps) == batch:
+            amps[rows] = np.nan
+        return amps
+
+    monkeypatch.setattr(experiments, "propagate_batch_three", blow_up)
+
+
 @pytest.fixture(scope="session")
 def default_config() -> RunConfig:
     return RunConfig()

@@ -16,6 +16,7 @@ from graphene_spp.cli import main
 from graphene_spp.experiments import _KNOT_TOLERANCE
 from graphene_spp.io import read_csv
 from graphene_spp.validation import ORACLE_METRICS
+from tests.conftest import blow_up_kernel_rows
 
 
 def _cfg(tmp_path, extra=""):
@@ -125,47 +126,73 @@ def test_robustness_sweep_matrix_and_sidecar(tmp_path):
 
 
 def test_robustness_sweep_records_knot_choice(tmp_path):
-    # the step-doubling knot choice is recorded as it came out: at the
-    # default n_samples the estimate meets the tolerance, while
-    # n_samples = 256 stops the doubling at 129 knots, short of it. The
-    # capped device is twice as long, with a wider offset and gap, so that
-    # the 6th-order kernel still needs more than 129 knots on it (estimate
-    # 1.2e-7 there; uncapped it stops at 257 with 1.8e-9) while every
-    # 65-knot pair step stays inside the angle limit
+    # the step-doubling knot choice is recorded as it came out, with the
+    # estimate within the tolerance. The long device is twice as long,
+    # with a wider offset and gap, so that the 6th-order kernel needs more
+    # than 129 knots on it (estimate 1.2e-7 there, 1.8e-9 at 257) while
+    # every 65-knot pair step stays inside the angle limit; n_samples =
+    # 256 does not stop its doubling at 129 knots
     default_cfg = tmp_path / "default.cfg"
     default_cfg.write_text("")
     long_device = ("L_um = 2.0\nR_nm = 1500.0\ndelta_nm = 400.0\n"
                    "d_min_nm = 35.0\n")
     metas = {}
     for label, cfg in (("default", str(default_cfg)),
-                       ("capped", _cfg(tmp_path, long_device))):
+                       ("long", _cfg(tmp_path, long_device))):
         out = tmp_path / label
         assert main(["--config", cfg, "--out", str(out), "robustness-sweep",
                      "--figure", "4b", "--grid", "3x3"]) == 0
         metas[label] = json.loads((out / "fig_4b.json").read_text())
-    default, capped = metas["default"], metas["capped"]
-    assert (default["knot_tolerance"] == capped["knot_tolerance"]
+    default, long = metas["default"], metas["long"]
+    assert (default["knot_tolerance"] == long["knot_tolerance"]
             == _KNOT_TOLERANCE)
-    assert 0.0 <= default["knot_error_estimate"] <= default["knot_tolerance"]
-    assert default["knots"] <= default["n_samples"]
-    assert capped["knots"] == 129
-    assert capped["knot_error_estimate"] > capped["knot_tolerance"]
+    assert default["knots"] == 129 and long["knots"] == 257
+    for meta in (default, long):
+        assert 0.0 <= meta["knot_error_estimate"] <= meta["knot_tolerance"]
 
 
-def test_robustness_sweep_refuses_a_map_that_blew_up(tmp_path, capsys):
-    # at n_samples = 64 the knot doubling stops at 129 knots, where 20 of
-    # this long device's 30 cells come out NaN: the four longer wavevectors
-    # at every length (each wavevector's lengths are one integration on
-    # the shortest length's pairs). A named error and no directory, not a
-    # map whose blow-ups read as invalid geometry
+def _run_long_map(tmp_path, out):
     cfg = tmp_path / "long.cfg"
     cfg.write_text("n_samples = 64\nL_um = 8\nR_nm = 5000\n")
-    out = tmp_path / "out"
-    code = main(["--config", str(cfg), "--out", str(out),
+    return main(["--config", str(cfg), "--out", str(out),
                  "robustness-sweep", "--figure", "4b", "--grid", "6x5"])
-    assert code == 2
+
+
+def test_robustness_sweep_refuses_a_map_that_blew_up(tmp_path, capsys,
+                                                     monkeypatch):
+    # this long device blew up at 129 knots when n_samples = 64 capped the
+    # doubling; uncapped it resolves at 513 knots, every cell finite
+    out = tmp_path / "resolved"
+    assert _run_long_map(tmp_path, out) == 0
+    meta = json.loads((out / "fig_4b.json").read_text())
+    assert meta["knots"] == 513 and meta["invalid_cells"] == 0
+    _, rows = read_csv(out / "fig_4b.csv")
+    assert np.isfinite(np.asarray(rows)[:, 1:]).all()
+    # one device of the 30-member main pass blows up: a named error and
+    # no directory, not a map whose blow-up reads as invalid geometry
+    blow_up_kernel_rows(monkeypatch, 7, batch=30)
+    out = tmp_path / "blown"
+    assert _run_long_map(tmp_path, out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "20 geometry-valid cells" in err
+    assert err.startswith("error: ") and "1 of 30 three-sheet devices" in err
+    assert "at 513 knots" in err
+    assert not out.exists()
+
+
+def test_robustness_sweep_refuses_an_unresolved_map(tmp_path, capsys,
+                                                    monkeypatch):
+    # a tolerance no knot count meets: the doubling stops at the cap with
+    # a named error, and no directory is left
+    import graphene_spp.experiments as experiments
+
+    monkeypatch.setattr(experiments, "_KNOT_TOLERANCE", 1e-300)
+    out = tmp_path / "out"
+    assert main(["--config", _cfg(tmp_path), "--out", str(out),
+                 "robustness-sweep", "--figure", "4b",
+                 "--grid", "4x3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: knot error estimate ")
+    assert "at 2049 knots" in err
     assert not out.exists()
 
 

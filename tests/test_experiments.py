@@ -21,7 +21,7 @@ from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
                                       stirap_stretch_search,
                                       wavevector_to_omega)
 from graphene_spp.geometry import _antisymmetric_grid, _omega1_table
-from tests.conftest import continuous_device_finals
+from tests.conftest import blow_up_kernel_rows, continuous_device_finals
 
 
 def test_wavevector_inversion_hits_target(default_config):
@@ -412,34 +412,58 @@ def test_invalid_geometry_cells_are_nan(default_config):
     assert np.isnan(result.grid[0, 0]) and np.isnan(result.grid[1, 0])
     assert np.isfinite(result.grid[:, 1]).all()
     assert result.metadata["invalid_cells"] == 2
-    assert result.metadata["nonfinite_cells"] == 0
 
 
 def test_nonfinite_cells_are_counted_apart_from_invalid(default_config,
                                                         monkeypatch):
-    import graphene_spp.experiments as experiments
-
-    kernel = experiments.propagate_batch_three
-
-    def blow_up_first_row(*args, **kwargs):
-        amps = kernel(*args, **kwargs)
-        amps[0] = np.nan
-        return amps
-
-    monkeypatch.setattr(experiments, "propagate_batch_three",
-                        blow_up_first_row)
+    # the first device of every batch blows up, the probes too: a NaN
+    # estimate keeps doubling the knots up to the cap (65, 129, ..., 2049),
+    # and the map is refused there, not returned with the blow-up read as
+    # one more invalid-geometry cell
+    blow_up_kernel_rows(monkeypatch, 0)
     radius = SweepAxis("radius_nm", np.array([400.0, 800.0]))
     offset = SweepAxis("offset_nm", np.array([100.0, 200.0]))
     spec = SweepSpec(axis1=radius, axis2=offset, config=default_config,
                      fixed_wavevector_per_um=35.0)
-    result = run_sweep(spec)
-    assert result.metadata["invalid_cells"] == 2
-    assert result.metadata["nonfinite_cells"] == 1
-    assert np.count_nonzero(np.isnan(result.grid)) == 3
-    # the probes blow up too: a NaN estimate keeps doubling the knots up
-    # to the n_samples cap (65, 129, ..., 2049; 4097 > 4096)
-    assert math.isnan(result.metadata["knot_error_estimate"])
-    assert result.metadata["knots"] == 2049
+    with pytest.raises(ExperimentError, match="estimate nan .* at 2049 knots"):
+        run_sweep(spec)
+
+
+def test_a_map_unresolved_at_the_knot_cap_is_refused(default_config,
+                                                     monkeypatch):
+    import graphene_spp.experiments as experiments
+
+    monkeypatch.setattr(experiments, "_KNOT_TOLERANCE", 1e-300)
+    spec = figure_map_spec("4b", default_config, (4, 3), lossy=False)
+    with pytest.raises(ExperimentError,
+                       match=r"estimate \d\S* is over 1e-300 at 2049 knots"):
+        run_sweep(spec)
+
+
+def test_a_blow_up_off_the_probes_is_refused(default_config, monkeypatch):
+    # the 4x3 map's four wavevectors are one integration each, 12 members
+    # in all; the probes (its four corners) stay finite, so the estimate
+    # stops the doubling at 129 knots, and member 4 of the main pass is
+    # the one non-finite device
+    blow_up_kernel_rows(monkeypatch, 4, batch=12)
+    spec = figure_map_spec("4b", default_config, (4, 3), lossy=False)
+    with pytest.raises(ExperimentError,
+                       match="1 of 12 three-sheet devices .* at 129 knots"):
+        run_sweep(spec)
+
+
+def test_map_resolution_does_not_depend_on_n_samples():
+    # n_samples is the device run's knot count, not the maps' cap: this
+    # long device needs 257 knots, and its map is the same at 256 samples
+    # as at the default 4096
+    long_device = RunConfig(L_um=2.0, R_nm=1500.0, delta_nm=400.0,
+                            d_min_nm=35.0)
+    results = [run_sweep(figure_map_spec("4b", replace(
+        long_device, n_samples=n_samples), (3, 3), lossy=False))
+        for n_samples in (256, 4096)]
+    assert [result.metadata["knots"] for result in results] == [257, 257]
+    for row, reference in zip(results[0].grid, results[1].grid):
+        assert np.array_equal(row, reference)
 
 
 def test_robustness_metric_skips_invalid_cells(default_config):
@@ -454,20 +478,23 @@ def test_robustness_metric_skips_invalid_cells(default_config):
     assert mean == pytest.approx(float(finite.mean()))
 
 
-@pytest.mark.parametrize("length_um, radius_nm, invalid", [
-    (8.0, 5000.0, 0), (16.0, 9000.0, 6)])
+@pytest.mark.parametrize("length_um, radius_nm, invalid, knots", [
+    (8.0, 5000.0, 0, 513), (16.0, 9000.0, 6, 1025)],
+    ids=["8.0-5000.0-0", "16.0-9000.0-6"])
 def test_robustness_metric_rejects_nonfinite_cells(length_um, radius_nm,
-                                                   invalid):
-    # at n_samples = 64 the knot count stops at 129, where the long 4b
-    # devices blow up; a blow-up is no invalid cell, so the statistics of
-    # the cells left (or "only invalid cells") must not be returned
+                                                   invalid, knots):
+    # these long 4b devices blew up when n_samples = 64 stopped the knot
+    # doubling at 129; doubled to their own resolution they come out
+    # finite, so the metric sees no NaN but the invalid-geometry cells
     config = RunConfig(L_um=length_um, R_nm=radius_nm, n_samples=64)
     result = run_sweep(figure_map_spec("4b", config, (6, 5)))
     assert result.metadata["invalid_cells"] == invalid
-    nonfinite = result.metadata["nonfinite_cells"]
-    assert nonfinite > 0
-    with pytest.raises(ExperimentError, match=f"{nonfinite} geometry-valid"):
-        robustness_metric(result)
+    assert result.metadata["knots"] == knots
+    assert (result.metadata["knot_error_estimate"]
+            <= result.metadata["knot_tolerance"])
+    assert np.count_nonzero(np.isnan(result.grid)) == invalid
+    low, mean, _ = robustness_metric(result)
+    assert 0.0 <= low <= mean <= 1.0
 
 
 def test_two_layer_sweep_matches_comparator(default_config):
@@ -565,6 +592,19 @@ def test_stretch_search_succeeds_at_reference_scale(default_config):
                                      default_config.k0_convention)
     assert result.output == pytest.approx(abs(exact[2]) ** 2,
                                           abs=_KNOT_TOLERANCE)
+
+
+@pytest.mark.parametrize("wavevector", [None, 35e6],
+                         ids=["default", "reference"])
+def test_stretch_search_refuses_a_blow_up(default_config, monkeypatch,
+                                          wavevector):
+    # stretch 1.5 of the 31-stretch coarse scan blows up off the two end
+    # probes; argmax would take its NaN as the best output
+    mode = (default_config.solve_mode() if wavevector is None
+            else wavevector_to_omega(default_config, wavevector)[1])
+    blow_up_kernel_rows(monkeypatch, 5, batch=31)
+    with pytest.raises(ExperimentError, match="1 of 31 three-sheet devices"):
+        stirap_stretch_search(default_config, mode)
 
 
 def test_sweep_metadata_records_inversion(default_config):

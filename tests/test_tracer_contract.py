@@ -37,6 +37,8 @@ print(json.dumps({"code": code, "metrics": len(metrics),
 
 @pytest.mark.parametrize("command", [
     ["robustness-sweep", "--figure", "4b", "--grid", "4x3"],
+    ["--config", "long.cfg", "robustness-sweep", "--figure", "4b",
+     "--grid", "6x5"],
     ["robustness-sweep", "--figure", "4c", "--grid", "3x2"],
     ["robustness-sweep", "--figure", "4a", "--grid", "4x3"],
     ["robustness-sweep", "--figure", "3"],
@@ -45,11 +47,15 @@ print(json.dumps({"code": code, "metrics": len(metrics),
     ["coupling-sweep"],
     ["schedule"],
     ["device-run", "--field-map"],
-], ids=["fig4b-map", "fig4c-map", "fig4a-map", "fig3-device", "verify",
-        "dispersion", "coupling-sweep", "schedule", "device-run-field-map"])
+], ids=["fig4b-map", "fig4b-map-long-device", "fig4c-map", "fig4a-map",
+        "fig3-device", "verify", "dispersion", "coupling-sweep", "schedule",
+        "device-run-field-map"])
 def test_benchmark_workload_has_every_per_layer_metric(tmp_path, command):
     # a fresh interpreter, as the benchmark runs each workload; no bytecode
-    # is written next to the benchmark's sources
+    # is written next to the benchmark's sources. The long device's 4b map
+    # doubles its knots three times, to 513
+    (tmp_path / "long.cfg").write_text("n_samples = 64\nL_um = 8\n"
+                                       "R_nm = 5000\n")
     src = pathlib.Path(graphene_spp.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     argv = ["--out", str(tmp_path / "out"), *command]
