@@ -44,9 +44,6 @@ from .dispersion import SppMode
 from .geometry import CouplingSchedule, DeviceGeometry, sheet_separations
 
 
-# Quaternions per column block of propagate_batch_three's tree (_tree_block):
-# 64 pair steps of a 512-device chunk.
-_TREE_QUATERNIONS = 32768
 # The rotation by pi about (1, 0, 1)/sqrt(2) that maps a mirror-symmetric
 # device's right half onto its left, as a quaternion (w, x, y, z).
 _MIRROR = np.array([0.0, math.sqrt(0.5), 0.0, math.sqrt(0.5)])
@@ -432,22 +429,11 @@ def field_map(trajectory: Trajectory, geom: DeviceGeometry, mode: SppMode,
     return np.abs(psi) ** 2
 
 
-def _tree_block(batch: int) -> int:
-    """Pair steps per column block of propagate_batch_three's quaternion
-    tree: the largest power of two >= 64 whose block of the batch holds at
-    most _TREE_QUATERNIONS quaternions, so that a small batch is not
-    bound by per-block overhead."""
-    block = 64
-    while 2 * block * batch <= _TREE_QUATERNIONS:
-        block *= 2
-    return block
-
-
 def _pairwise_product(q):
     """The product ... q2 q1 q0 of a (4, B, n) quaternion stack along its
     last axis, multiplied pairwise in log2 levels; an odd last element is
-    carried to the next level. The association depends only on n, so a
-    stack of power-of-two block products reduces exactly as one block."""
+    carried to the next level. The association depends only on n, never
+    on B, so each row's product is the same in any batch."""
     while q.shape[-1] > 1:
         n = q.shape[-1]
         paired = _quaternion_product(q[..., 1:n:2], q[..., 0:n - 1:2])
@@ -491,17 +477,19 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1,
     exactly for the discrete steps. |Omega_L| = |Omega_R|, so the angle
     guard sees every pair.
 
-    The right half's unit quaternions are formed _tree_block(B) pair steps
-    without substeps at a time. Each segment between consecutive
-    breakpoints is multiplied pairwise, in log2 levels, block piece by
-    block piece, and the pieces' products are reduced the same way; the
-    segment products are then chained in order by a prefix scan, whose
-    m-th product depends only on the first m + 1 segments. So a member's
-    result does not depend on the members after it, and a one-member row's
-    result does not depend on the batch it is run in, bit for bit when
-    substeps is a power of two. In the basis (a0, i a1, a2) the input
-    sheet is (1, 0, 0), so the final state is the first column of the
-    member's rotation matrix.
+    The right half's unit quaternions are formed for the whole batch in
+    one pass. Each segment between consecutive breakpoints is multiplied
+    pairwise, in log2 levels (_pairwise_product), and the segment products
+    are then chained in order by a prefix scan, whose m-th product depends
+    only on the first m + 1 segments. So a member's result does not depend
+    on the members after it, and a row's results do not depend on the
+    batch it is run in, bit for bit, for any substeps. The pass holds a
+    fixed multiple of the tables passed in, growing with substeps: a heap
+    peak of about 3.1x omega1 and omega1_mid together at substeps = 1 and
+    9.2x at 2. The caller bounds the tables.
+
+    In the basis (a0, i a1, a2) the input sheet is (1, 0, 0), so the
+    final state is the first column of the member's rotation matrix.
     """
     omega1, omega1_mid = (np.asarray(omega, dtype=float)
                           for omega in (omega1, omega1_mid))
@@ -528,37 +516,21 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1,
     right2, right2_mid = omega1[:, centre::-1], omega1_mid[:, centre - 1::-1]
     width = np.broadcast_to(2.0 * np.asarray(h, dtype=float).reshape(
         batch, -1) / substeps, (batch, pairs))
-    block = _tree_block(batch)
-    pieces = [[] for _ in breaks]
-    first_over = np.full(batch, pairs * substeps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for p0 in range(0, pairs, block):
-            p1 = min(p0 + block, pairs)
-            samples = []
-            for knot, mid in ((right1, right1_mid), (right2, right2_mid)):
-                start, middle, end = _substep_couplings(
-                    knot[:, 2 * p0:2 * p1 + 1], mid[:, 2 * p0:2 * p1],
-                    substeps)
-                samples.append((start[:, 0::2], middle[:, 0::2],
-                                end[:, 0::2], middle[:, 1::2], end[:, 1::2]))
-            q, angle = _pair_quaternions(
-                np.repeat(width[:, p0:p1], substeps, axis=1), *samples)
-            # each row's first pair step over the limit, if any so far
-            over = ~(angle <= _MAX_PAIR_ANGLE)
-            first_over = np.minimum(first_over, np.where(
-                over.any(axis=1), over.argmax(axis=1) + p0 * substeps,
-                first_over))
-            for piece, s0, s1 in zip(pieces, [0, *breaks[:-1]], breaks):
-                if s0 < p1 and s1 > p0:
-                    piece.append(_pairwise_product(
-                        q[..., (max(s0, p0) - p0) * substeps:
-                          (min(s1, p1) - p0) * substeps]))
-            # the block's steps go before the next block's are formed,
-            # which holds peak memory to one block
-            del samples, q, angle
-    r = _prefix_products(np.stack(
-        [_pairwise_product(np.stack(piece, axis=-1)) for piece in pieces],
-        axis=-1))
+        samples = []
+        for knot, mid in ((right1, right1_mid), (right2, right2_mid)):
+            start, middle, end = _substep_couplings(knot, mid, substeps)
+            samples.append((start[:, 0::2], middle[:, 0::2], end[:, 0::2],
+                            middle[:, 1::2], end[:, 1::2]))
+        q, angle = _pair_quaternions(np.repeat(width, substeps, axis=1),
+                                     *samples)
+        # each row's first pair step over the limit, if any
+        over = ~(angle <= _MAX_PAIR_ANGLE)
+        first_over = np.where(over.any(axis=1), over.argmax(axis=1),
+                              pairs * substeps)
+        r = _prefix_products(np.stack(
+            [_pairwise_product(q[..., s0 * substeps:s1 * substeps])
+             for s0, s1 in zip([0, *breaks[:-1]], breaks)], axis=-1))
     conjugate = r * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
     mirror = _MIRROR[:, None, None]
     total = _quaternion_product(

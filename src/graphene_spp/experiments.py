@@ -32,6 +32,11 @@ _AXES = {"wavevector_per_um": ("wavevector", 1e6),
          "offset_nm": ("offset", 1e-9)}
 AXIS_NAMES = tuple(_AXES)
 
+# The one bound on a batch's memory: a three-sheet batch runs in slices
+# whose schedule table holds at most the samples of _CHUNK one-member
+# rows (_three_sheet_outputs), and the kernel holds a fixed multiple of
+# its table. A two-sheet batch holds a few 2x2 matrices per pair and runs
+# whole.
 _CHUNK = 512
 # Step-doubling knot choice of three-sheet batches (_three_sheet_outputs):
 # the first knot count probed, the last one allowed and the
@@ -270,19 +275,14 @@ def _two_sheet_outputs(modes, mode_index, length: np.ndarray,
 
     Pair i carries modes[mode_index[i]] at the configured minimum gap over
     length[i] and starts in the input sheet; every pair is integrated in
-    n_samples - 1 steps, in _CHUNK slices.
+    n_samples - 1 steps, all in one batch.
     """
     couplings = np.array([
         abs(coupling_coefficient(mode, config.d_min_nm * 1e-9,
                                  config.k0_convention).c12.real)
         for mode in modes])[mode_index]
-    outputs = np.empty(length.size)
-    for start in range(0, length.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        amps = propagate_batch_two(couplings[part], length[part],
-                                   config.n_samples - 1)
-        outputs[part] = np.abs(amps[:, 1]) ** 2
-    return outputs
+    amps = propagate_batch_two(couplings, length, config.n_samples - 1)
+    return np.abs(amps[:, 1]) ** 2
 
 
 def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
@@ -455,12 +455,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                   "values": spec.axis1.values.tolist()},
         "axis2": {"name": spec.axis2.name,
                   "values": spec.axis2.values.tolist()},
-        "n_samples": cfg.n_samples,
         "invalid_cells": invalid,
         "wavevector_inversion": inversion,
         "dispersion_residual_contract": "< 1e-10, enforced at solve time",
     }
-    if spec.layers == 3:
+    if spec.layers == 2:
+        # the comparator's n_samples - 1 steps; a three-sheet map's knots
+        # are chosen by step doubling instead
+        metadata["n_samples"] = cfg.n_samples
+    else:
         metadata["knots"] = knots
         metadata["knot_error_estimate"] = estimate
         metadata["knot_tolerance"] = _KNOT_TOLERANCE
@@ -470,6 +473,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 def robustness_metric(result: SweepResult) -> tuple[float, float, float]:
     """(min, mean, stddev) of the output intensity over the grid, skipping
     invalid-geometry cells, the only NaN cells run_sweep returns.
+
+    run_sweep never returns a grid without a finite cell (it raises
+    first), but a SweepResult built by hand can hold one; that is the case
+    the ExperimentError guards.
     """
     finite = result.grid[np.isfinite(result.grid)]
     if finite.size == 0:

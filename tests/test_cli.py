@@ -125,6 +125,23 @@ def test_robustness_sweep_matrix_and_sidecar(tmp_path):
     assert (out / "fig_4b.svg").exists()
 
 
+def test_map_sidecars_record_n_samples_only_for_the_comparator(tmp_path):
+    # n_samples sets the 4a comparator's n_samples - 1 steps; a three-sheet
+    # map's knots come from step doubling, so its sidecar does not name it
+    metas = {}
+    for figure in ("4a", "4b", "4c"):
+        out = tmp_path / figure
+        assert main(["--config", _cfg(tmp_path), "--out", str(out),
+                     "robustness-sweep", "--figure", figure,
+                     "--grid", "3x3"]) == 0
+        metas[figure] = json.loads((out / f"fig_{figure}.json").read_text())
+    assert metas["4a"]["n_samples"] == 256
+    assert "knots" not in metas["4a"]
+    for figure in ("4b", "4c"):
+        assert "n_samples" not in metas[figure]
+        assert metas[figure]["knots"] >= 129
+
+
 def test_robustness_sweep_records_knot_choice(tmp_path):
     # the step-doubling knot choice is recorded as it came out, with the
     # estimate within the tolerance. The long device is twice as long,

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphene_spp import dynamics
 from graphene_spp.dynamics import (_MAX_STEP_ANGLE, _STEP_BLOCK,
                                    PropagationError, Trajectory,
                                    _prefix_products, _quaternion_product,
@@ -500,16 +499,15 @@ def _batch_three_stepwise(h, omega1, omega2, omega1_mid, omega2_mid,
     return np.array(out)
 
 
-def test_batch_three_matches_stepwise_rotation_loop(monkeypatch):
+def test_batch_three_matches_stepwise_rotation_loop():
     # the mirrored right half and its quaternion tree must give the product
     # of the pair rotations over the whole device up to rounding, which
-    # checks Omega_L = -M Omega_R for the pair step. At 64-pair blocks,
-    # the 201 pairs of a 805-knot half span three full blocks and a partial
-    # one of odd length. Each device's row does not depend on the rest of
-    # the batch, bit for bit, although a lone device runs in one block.
+    # checks Omega_L = -M Omega_R for the pair step. Each device's row does
+    # not depend on the rest of the batch, bit for bit: the 201 pairs of a
+    # 805-knot half are one tree per row, whatever the batch size and the
+    # substep count, including the 603 pair steps of substeps = 3
     rng = np.random.default_rng(5)
     batch, knots = 7, 805
-    monkeypatch.setattr(dynamics, "_TREE_QUATERNIONS", 64 * batch)
     omega1 = rng.uniform(0.0, 3e7, (batch, knots))
     omega1_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
     h = rng.uniform(5e-10, 2e-9, batch)
@@ -520,10 +518,36 @@ def test_batch_three_matches_stepwise_rotation_loop(monkeypatch):
                                          substeps)
         got = propagate_batch_three(h, *tables, substeps=substeps)
         assert _relative_gap(got, expected) < 1e-13
-        for b in (0, batch - 1):
+    batch = 600
+    omega1 = rng.uniform(0.0, 3e7, (batch, knots))
+    omega1_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
+    h = rng.uniform(5e-10, 2e-9, batch)
+    tables = (omega1, omega1_mid)
+    for substeps in (1, 2, 3):
+        got = propagate_batch_three(h, *tables, substeps=substeps)
+        assert np.isfinite(got).all()
+        for b in range(batch):
             alone = propagate_batch_three(h[[b]], *(t[[b]] for t in tables),
                                           substeps=substeps)
             assert np.array_equal(alone[0], got[b])
+
+
+def test_batch_three_heap_is_a_fixed_multiple_of_its_tables():
+    # the kernel integrates each row in one pass, so its heap peak is a
+    # fixed multiple of the tables passed in; at the knot cap of a
+    # 512-row batch that is about 3.1x omega1 and omega1_mid together
+    rng = np.random.default_rng(9)
+    batch, knots = 512, 2049
+    omega1 = rng.uniform(0.0, 2e7, (batch, knots))
+    omega1_mid = rng.uniform(0.0, 2e7, (batch, knots - 1))
+    h = np.full(batch, 1e-9)
+    tracemalloc.start()
+    try:
+        propagate_batch_three(h, omega1, omega1_mid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (omega1.nbytes + omega1_mid.nbytes)
 
 
 def _member_rows(lengths, knots=65, seed=11):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from graphene_spp.config import RunConfig
 from graphene_spp.dynamics import propagate_batch_three
 from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
-                                      ExperimentError, SweepAxis, SweepSpec,
+                                      ExperimentError, SweepAxis,
+                                      SweepResult, SweepSpec,
                                       _cell_parameters, _device_groups,
                                       _three_sheet_finals,
                                       _three_sheet_outputs,
@@ -478,6 +479,17 @@ def test_robustness_metric_skips_invalid_cells(default_config):
     assert mean == pytest.approx(float(finite.mean()))
 
 
+def test_robustness_metric_rejects_a_grid_without_finite_cells(
+        default_config):
+    # run_sweep raises before it returns such a grid, but a hand-built
+    # result can hold one
+    spec = figure_map_spec("4b", default_config, (3, 3))
+    result = SweepResult(spec=spec, grid=np.full((3, 3), np.nan),
+                         metadata={}, modes=())
+    with pytest.raises(ExperimentError, match="only invalid cells"):
+        robustness_metric(result)
+
+
 @pytest.mark.parametrize("length_um, radius_nm, invalid, knots", [
     (8.0, 5000.0, 0, 513), (16.0, 9000.0, 6, 1025)],
     ids=["8.0-5000.0-0", "16.0-9000.0-6"])
@@ -507,6 +519,22 @@ def test_two_layer_sweep_matches_comparator(default_config):
     assert result.grid[1, 1] == pytest.approx(direct, rel=1e-4, abs=1e-9)
     # the comparator runs the map's kernel at the map's step count
     assert result.grid[1, 1] == direct
+
+
+def test_two_layer_sweep_is_one_batch_past_the_chunk(default_config):
+    # more than _CHUNK cells run as one batch: a cell past index _CHUNK
+    # equals its pair run alone, bit for bit
+    wavevector = SweepAxis("wavevector_per_um", np.array([30.0, 35.0]))
+    lengths = np.linspace(0.5, 2.0, _CHUNK // 2 + 44)
+    spec = SweepSpec(axis1=wavevector,
+                     axis2=SweepAxis("length_um", lengths),
+                     config=default_config, layers=2)
+    result = run_sweep(spec)
+    # the last cell, at flat index 2 lengths.size - 1 = 599
+    assert result.grid.size - 1 > _CHUNK
+    direct = parallel_comparator(default_config, result.modes[1],
+                                 lengths[-1] * 1e-6)
+    assert result.grid[-1, 1] == direct
 
 
 @pytest.mark.parametrize("layers", [2, 3])
