@@ -18,7 +18,6 @@ reference constant k0 are supported:
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +44,18 @@ class PairCoupling:
             raise CouplingDomainError("separation must be > 0")
 
 
-def overlap_integral(k: complex, d):
+def overlap_integral(k, d):
     """(d + 1/k) exp(-k d), the closed form of
     int exp(-k|z - d/2|) exp(-k|z + d/2|) dz. d may be a scalar or an
-    array (>= 0)."""
-    k = complex(k)
-    if not (k.real > 0 and cmath.isfinite(k)):
+    array (>= 0); k a complex scalar, or an array that broadcasts against
+    d, such as a (rows, 1) column giving each row of d its own k."""
+    k = np.asarray(k, dtype=complex)
+    if not np.all((k.real > 0) & np.isfinite(k)):
         raise CouplingDomainError("k must be finite with Re k > 0")
+    # Python's complex division, element by element: numpy's rounds
+    # differently
+    inverse = np.array([1.0 / value for value in k.ravel().tolist()],
+                       dtype=complex).reshape(k.shape)
     d = np.asarray(d, dtype=float)
     if not np.all(d >= 0):
         raise CouplingDomainError("separation must be >= 0")
@@ -59,7 +63,6 @@ def overlap_integral(k: complex, d):
     # arithmetic: numpy's complex exp and complex division cost about
     # twice as much, and its complex product rounds a lone element
     # differently from one in a longer array
-    inverse = 1.0 / k
     phase = k.imag * d
     magnitude = np.exp(-k.real * d)
     cos = np.cos(phase)
@@ -67,7 +70,7 @@ def overlap_integral(k: complex, d):
     sin = np.sin(phase)
     sin *= magnitude
     shifted = d + inverse.real
-    total = np.empty(d.shape, dtype=complex)
+    total = np.empty(shifted.shape, dtype=complex)
     real, imag = total.real, total.imag
     np.multiply(shifted, cos, out=real)
     real += inverse.imag * sin
@@ -86,13 +89,31 @@ def _k0_squared(mode: SppMode, k0_convention: str) -> complex:
     raise ValueError(f"unknown k0 convention {k0_convention!r}")
 
 
+def _mode_factors(modes, k0_convention: str):
+    """Each mode's k and (1/2) (k^2 - k0^2)/(q N^2), the two per-mode
+    factors of C, as lists of Python complexes: dividing an array by N^2
+    cost five times the product, and numpy's complex division rounds
+    differently."""
+    ks, scales = [], []
+    for mode in modes:
+        k0_sq = _k0_squared(mode, k0_convention)
+        ks.append(mode.k)
+        scales.append(0.5 * (mode.k**2 - k0_sq) / mode.q
+                      / mode.normalization**2)
+    return ks, scales
+
+
+def _couplings(k, scale, d):
+    """C = scale * overlap_integral(k, d) from _mode_factors' k and scale:
+    one complex each, or (rows, 1) columns giving each row of d its own
+    mode. The broadcast complex product rounds as the scalar one does."""
+    return scale * overlap_integral(k, d)
+
+
 def coupling_at_separations(mode: SppMode, d, k0_convention: str = "vacuum"):
     """Vectorized coupling over separations, same mode on both sheets."""
-    k0_sq = _k0_squared(mode, k0_convention)
-    # the prefactor and 1/N^2 as one complex scalar: dividing the array by
-    # N^2 cost five times the product
-    scale = 0.5 * (mode.k**2 - k0_sq) / mode.q / mode.normalization**2
-    c = scale * overlap_integral(mode.k, d)
+    (k,), (scale,) = _mode_factors((mode,), k0_convention)
+    c = _couplings(k, scale, d)
     # Returned twice, as (c12, c21), because callers outside the package
     # unpack a pair; with one host medium both directions are equal.
     return c, c

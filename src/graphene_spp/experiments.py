@@ -134,10 +134,10 @@ class SweepResult:
     modes: tuple
 
 
-def wavevector_to_omega(config: RunConfig,
-                        target_q: float) -> tuple[float, SppMode]:
+def wavevector_to_omega(config: RunConfig, target_q):
     """Angular frequency whose bound mode has Re q equal to target_q (1/m),
-    and that mode, as (omega, mode).
+    and that mode, as (omega, mode); for a vector of targets, the array of
+    frequencies and the tuple of modes, in target order.
 
     The exact inverse of the forward model. The Drude sheet
     sigma = D/(gamma - i omega), D = 4 sigma0 E_F/(pi hbar), puts the
@@ -149,44 +149,91 @@ def wavevector_to_omega(config: RunConfig,
     real part. In v = t/(b s) the cubic is monic with coefficients of order
     one, v^3 + (g - a) v^2 - v - g = 0 with g = b gamma^2/t and
     a = eps/(c^2 b t). Its roots are the reciprocals, so its root of largest
-    real part is the one. The mode is then solved once at omega = sqrt(s)
-    and returned with omega, the cubic's own, which the mode's excitation
-    frequency may miss in the last bit.
-    Raises ExperimentError for a target that is not finite and > 0, when b
-    (at a Fermi level far outside the model) or the frequency is not
-    representable, when that mode is unsolvable (e.g. below the light
-    line), or when it misses the target by more than 1e-12 relative.
+    real part is the one. Every target's cubic is solved in one stacked
+    eigenvalue call on np.roots' own companion matrices (_largest_roots),
+    so a batch gives, bit for bit, the targets' one-by-one answers. Each
+    mode is then solved once at omega = sqrt(s) and returned with omega,
+    the cubic's own, which the mode's excitation frequency may miss in the
+    last bit.
+    Raises ExperimentError naming the first failing target: one that is
+    not finite and > 0, one without a representable frequency (also when
+    b, at a Fermi level far outside the model, is not representable), one
+    whose mode is unsolvable (e.g. below the light line), or one whose mode
+    misses it by more than 1e-12 relative.
     """
-    if not (math.isfinite(target_q) and target_q > 0):
-        raise ExperimentError("target wavevector must be finite and > 0")
-    where = f"wavevector {target_q * 1e-6:.4g} 1/um"
-    unrepresentable = (f"{where} has no representable frequency for this "
-                       "material")
+    targets = np.asarray(target_q, dtype=float)
+    if targets.ndim > 1:
+        raise ExperimentError("target wavevectors must be a scalar or a "
+                              "vector")
+    flat = targets.reshape(-1)
+    bad = np.flatnonzero(~(np.isfinite(flat) & (flat > 0)))
+    if bad.size:
+        raise ExperimentError(f"target {_named(flat[bad[0]])} must be "
+                              "finite and > 0")
     eps = config.medium().permittivity
     fermi = ev_to_joule(config.sheet().fermi_level_ev)
     drude = CONSTANTS.sigma0 * 4.0 * fermi / (math.pi * CONSTANTS.hbar)
     b = 2.0 * eps * CONSTANTS.eps0 / drude if drude > 0 else math.inf
-    if not 0 < b < math.inf:
-        raise ExperimentError(unrepresentable)
     gamma = config.gamma()
-    g = b * gamma * gamma / target_q
-    a = eps / (CONSTANTS.c**2 * b) / target_q
-    cubic = [1.0, g - a, -1.0, -g]
-    v = float(np.roots(cubic).real.max()) if math.isfinite(g - a) else math.nan
-    # the cubic is -a < 0 at v = 1, so v > 1 unless the coefficients are
-    # beyond what np.roots resolves
-    omega = math.sqrt(target_q / (b * v)) if v > 1 else math.nan
-    if not 0 < omega < math.inf:
-        raise ExperimentError(unrepresentable)
-    try:
-        mode = config.solve_mode(omega=omega)
-    except _UNSOLVABLE as exc:
-        raise ExperimentError(f"{where} has no bound mode for this material: "
-                              f"{exc}") from exc
-    if not abs(mode.q.real - target_q) <= 1e-12 * target_q:
-        raise ExperimentError(f"inversion missed {where}: attained "
-                              f"{mode.q.real * 1e-6:.17g} 1/um")
-    return omega, mode
+    v = (_largest_roots(b * gamma * gamma / flat,
+                        eps / (CONSTANTS.c**2 * b) / flat)
+         if 0 < b < math.inf else np.full(flat.size, math.nan))
+    omegas, modes = [], []
+    for target, root in zip(flat.tolist(), v.tolist()):
+        # the cubic is -a < 0 at v = 1, so v > 1 unless the coefficients
+        # are beyond what the eigenvalue solver resolves
+        omega = math.sqrt(target / (b * root)) if root > 1 else math.nan
+        if not 0 < omega < math.inf:
+            raise ExperimentError(f"{_named(target)} has no representable "
+                                  "frequency for this material")
+        try:
+            mode = config.solve_mode(omega=omega)
+        except _UNSOLVABLE as exc:
+            raise ExperimentError(f"{_named(target)} has no bound mode for "
+                                  f"this material: {exc}") from exc
+        if not abs(mode.q.real - target) <= 1e-12 * target:
+            raise ExperimentError(f"inversion missed {_named(target)}: "
+                                  f"attained {mode.q.real * 1e-6:.17g} 1/um")
+        omegas.append(omega)
+        modes.append(mode)
+    if targets.ndim == 0:
+        return omegas[0], modes[0]
+    return np.array(omegas), tuple(modes)
+
+
+def _named(target: float) -> str:
+    return f"wavevector {target * 1e-6:.4g} 1/um"
+
+
+def _largest_roots(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Largest real part of the roots of v^3 + (g - a) v^2 - v - g, per
+    element, as np.roots finds them one cubic at a time; NaN where a
+    coefficient is not finite.
+
+    np.roots takes the eigenvalues of the companion matrix with first row
+    -p[1:] and ones below the diagonal, after dropping trailing zero
+    coefficients as roots at 0: a zero g (a lossless sheet) leaves
+    v^2 - a v - 1, whose positive root outranks that 0. The same matrices,
+    stacked, go to one np.linalg.eigvals call per degree, and LAPACK
+    solves each matrix of a stack as it solves it alone.
+    """
+    with np.errstate(invalid="ignore"):
+        lead = g - a
+    v = np.full(g.size, math.nan)
+    solvable = np.isfinite(lead)
+    for degree, rows in ((3, solvable & (g != 0)), (2, solvable & (g == 0))):
+        rows = np.flatnonzero(rows)
+        if not rows.size:
+            continue
+        companion = np.zeros((rows.size, degree, degree))
+        companion[:, 0, 0] = -lead[rows]
+        companion[:, 0, 1] = 1.0
+        if degree == 3:
+            companion[:, 0, 2] = g[rows]
+            companion[:, 2, 1] = 1.0
+        companion[:, 1, 0] = 1.0
+        v[rows] = np.linalg.eigvals(companion).real.max(axis=1)
+    return v
 
 
 @dataclass(frozen=True)
@@ -247,8 +294,8 @@ def _cell_parameters(spec: SweepSpec):
              "radius": np.full(n1 * n2, cfg.R_nm * 1e-9),
              "offset": np.full(n1 * n2, cfg.delta_nm * 1e-9)}
     mode_index = np.zeros(n1 * n2, dtype=int)
-    targets = ([spec.fixed_wavevector_per_um * 1e6]
-               if spec.fixed_wavevector_per_um is not None else [])
+    targets = np.array([spec.fixed_wavevector_per_um * 1e6]
+                       if spec.fixed_wavevector_per_um is not None else [])
     for axis, index in ((spec.axis1, np.tile(np.arange(n1), n2)),
                         (spec.axis2, np.repeat(np.arange(n2), n1))):
         key, scale = _AXES[axis.name]
@@ -256,17 +303,16 @@ def _cell_parameters(spec: SweepSpec):
             targets, mode_index = axis.values * scale, index
         else:
             cells[key] = (axis.values * scale)[index]
-    modes, inversion = [], []
-    for target in targets:
-        omega, mode = wavevector_to_omega(cfg, target)
-        modes.append(mode)
-        inversion.append({
-            "target_per_um": target * 1e-6,
-            "omega_rad_per_s": omega,
-            "lambda0_um": 2 * math.pi * CONSTANTS.c / omega * 1e6,
-            "attained_Re_q_per_um": mode.q.real * 1e-6,
-        })
-    return cells, tuple(modes) or (cfg.solve_mode(),), mode_index, inversion
+    if not targets.size:
+        return cells, (cfg.solve_mode(),), mode_index, []
+    omegas, modes = wavevector_to_omega(cfg, targets)
+    inversion = [{"target_per_um": target * 1e-6,
+                  "omega_rad_per_s": omega,
+                  "lambda0_um": 2 * math.pi * CONSTANTS.c / omega * 1e6,
+                  "attained_Re_q_per_um": mode.q.real * 1e-6}
+                 for target, omega, mode in zip(targets.tolist(),
+                                                omegas.tolist(), modes)]
+    return cells, modes, mode_index, inversion
 
 
 def _two_sheet_outputs(modes, mode_index, length: np.ndarray,

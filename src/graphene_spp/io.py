@@ -32,7 +32,11 @@ def emit_csv(path, header, table, config_hash: str | None = None) -> None:
     if config_hash is not None:
         lines.append(f"# config_hash={config_hash}")
     lines.append(",".join(str(name) for name in header))
-    lines.extend(",".join(map(format_number, row)) for row in table.tolist())
+    # one printf template per table: "%.17g" writes what format_number
+    # writes (nan, +-inf, -0 and subnormals included), without a format
+    # call per cell
+    template = ",".join(["%.17g"] * table.shape[1])
+    lines.extend(template % tuple(row) for row in table.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -66,10 +70,11 @@ def emit_json(path, payload: dict, config_hash: str, version: str) -> None:
     the CSV writes for it ("inf", "-inf" or "nan")."""
     document = {"config_hash": config_hash, "version": version}
     document.update(payload)
+    # one string, one write: json.dump writes each of its chunks apart
+    text = json.dumps(_json_ready(document), indent=2, sort_keys=True,
+                      allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(_json_ready(document), handle, indent=2, sort_keys=True,
-                  allow_nan=False)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _json_ready(value):

@@ -228,8 +228,8 @@ def run_oracle_suite(config: RunConfig, mode: SppMode,
     cases = [(complex(overlap_rng.uniform(0.2, 3.0) * 1e8,
                       overlap_rng.uniform(-0.3, 0.3) * 1e8),
               overlap_rng.uniform(1.0, 100.0) * 1e-9) for _ in range(100)]
-    closed = np.array([complex(overlap_integral(k, d)) for k, d in cases])
     k, d = (np.array(column) for column in zip(*cases))
+    closed = overlap_integral(k, d)
     reference, details = oracles.overlap_quadrature(k, k, d, tight,
                                                     return_details=True)
     overlap_max = float(np.max(np.abs(closed - reference)

@@ -33,7 +33,8 @@ def test_two_runs_print_the_same_digests():
                  "device-run/field_map.csv",
                  "fig1b/coupling_sweep.csv", "fig3/schedule.csv",
                  "fig3/device_run_lossy.csv", "fig4a/fig_4a.csv",
-                 "fig4b/fig_4b.json", "fig4c/fig_4c.svg",
+                 "fig4b/fig_4b.json", "fig4b-lossless/fig_4b.csv",
+                 "fig4b-lossless/fig_4b.json", "fig4c/fig_4c.svg",
                  "verify/validation.json", "verify/validation.txt",
                  "verify-lossless/validation.json"):
         assert len(first[name]) == 64

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from graphene_spp.config import (ConfigError, RunConfig, config_hash,
                                  load_config, parse_config)
-from graphene_spp.io import (emit_csv, emit_json, format_number, read_csv)
+from graphene_spp.io import (_json_ready, emit_csv, emit_json, format_number,
+                             read_csv)
 from graphene_spp.svg import (_ANCHORS, _INVALID_FILL, _colors,
                               emit_svg_heatmap, emit_svg_lines)
 
@@ -216,6 +217,37 @@ def test_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert "config_hash=f00d" in lines[0]
     assert lines[4:] == ["nan,inf", "-inf,-0"]
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                  -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  0.1, 1 / 3, -123456789.0, 1e16, 123456789012345678.0]
+
+
+def test_emission_writes_special_values_as_format_number_does(tmp_path):
+    # the CSV's row template and the JSON's one write give, byte for byte,
+    # a format_number call per cell and json.dump's chunked writes
+    table = np.array([SPECIAL_VALUES, SPECIAL_VALUES[::-1]])
+    path = tmp_path / "special.csv"
+    emit_csv(path, [f"c{i}" for i in range(table.shape[1])], table,
+             config_hash="f00d")
+    rows = [",".join(map(format_number, row)) for row in table.tolist()]
+    assert path.read_text().splitlines()[2:] == rows
+    assert "nan,inf,-inf,-0,0,4.9406564584124654e-324" in rows[0]
+    integers = tmp_path / "integers.csv"
+    emit_csv(integers, ["n", "m"], np.array([[2**60 + 1, -3], [0, 7]]))
+    assert integers.read_text().splitlines()[1:] == [
+        f"{format_number(2**60 + 1)},-3", "0,7"]
+    path = tmp_path / "special.json"
+    payload = {"values": SPECIAL_VALUES, "nested": {"z": -0.0, "a": [5e-324]}}
+    emit_json(path, payload, config_hash="f00d", version="0")
+    expected = tmp_path / "expected.json"
+    with open(expected, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(_json_ready({"config_hash": "f00d", "version": "0",
+                               **payload}),
+                  handle, indent=2, sort_keys=True, allow_nan=False)
+        handle.write("\n")
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_read_csv_rejects_a_non_numeric_cell(tmp_path):

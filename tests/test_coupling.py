@@ -79,6 +79,32 @@ def test_overlap_rejects_nan(k, d):
         overlap_integral(k, d)
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(ks=st.lists(st.tuples(st.floats(1e6, 1e9), st.floats(-1.0, 1.0)),
+                   min_size=1, max_size=6),
+       depths=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=20))
+def test_overlap_with_array_k_is_bitwise_the_scalar_calls(ks, depths):
+    # a (rows, 1) column of k gives each row of d its own k, bit for bit
+    # the scalar call on that row; so does an elementwise k against d
+    k = np.array([complex(real, imag * real) for real, imag in ks])
+    d = np.array(depths)[None, :] / k.real[:, None]
+    rows = overlap_integral(k[:, None], d)
+    assert rows.shape == d.shape
+    for i, value in enumerate(k):
+        assert np.array_equal(rows[i], overlap_integral(complex(value), d[i]))
+    pairs = overlap_integral(k, d[:, 0])
+    assert np.array_equal(pairs, [overlap_integral(complex(value), depth)
+                                  for value, depth in zip(k, d[:, 0])])
+
+
+@pytest.mark.parametrize("bad", [complex(float("nan"), 1e7),
+                                 complex(1e8, float("inf")), -1e8, 0.0])
+def test_overlap_rejects_a_bad_element_of_an_array_k(bad):
+    k = np.array([1e8 + 1e6j, bad, 2e8 + 0j])[:, None]
+    with pytest.raises(CouplingDomainError, match="Re k > 0"):
+        overlap_integral(k, np.full((3, 4), 20e-9))
+
+
 def test_coupling_coefficient_rejects_zero_separation(default_mode):
     with pytest.raises(CouplingDomainError):
         coupling_coefficient(default_mode, 0.0)

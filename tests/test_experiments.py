@@ -14,7 +14,7 @@ from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
                                       ExperimentError, SweepAxis,
                                       SweepResult, SweepSpec,
                                       _cell_parameters, _device_groups,
-                                      _three_sheet_finals,
+                                      _largest_roots, _three_sheet_finals,
                                       _three_sheet_outputs,
                                       figure_coupling_axes, figure_map_spec,
                                       parallel_comparator, robustness_metric,
@@ -22,6 +22,7 @@ from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
                                       stirap_stretch_search,
                                       wavevector_to_omega)
 from graphene_spp.geometry import _antisymmetric_grid, _omega1_table
+from graphene_spp.materials import CONSTANTS, ev_to_joule
 from tests.conftest import blow_up_kernel_rows, continuous_device_finals
 
 
@@ -74,6 +75,57 @@ def test_wavevector_inversion_round_trips(fermi, eps_h, gamma, target):
     omega, mode = wavevector_to_omega(config, target)
     assert mode == config.solve_mode(omega=omega)
     assert abs(mode.q.real - target) <= 1e-12 * target
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(fermi=0.15, eps_h=3.9, gamma=0.0,
+         targets=[25e6, 35e6, 50e6, 1e6, 5e8])
+@example(fermi=0.15, eps_h=3.9, gamma="auto", targets=[35e6, 25e6, 35e6])
+@given(fermi=st.floats(0.02, 0.6), eps_h=st.floats(1.0, 12.0),
+       gamma=st.just(0.0) | st.just("auto") | st.floats(0.0, 1e13),
+       targets=st.lists(st.floats(1e6, 5e8), min_size=1, max_size=12))
+def test_wavevector_batch_is_bitwise_the_scalar_path(fermi, eps_h, gamma,
+                                                     targets):
+    # one stacked eigenvalue call gives each target's own answer, and the
+    # cubic's largest root is np.roots' own, lossless quadratic included
+    config = RunConfig(E_F_eV=fermi, eps_h=eps_h, gamma_per_s=gamma)
+    omegas, modes = wavevector_to_omega(config, np.array(targets))
+    assert isinstance(omegas, np.ndarray) and len(modes) == len(targets)
+    for target, omega, mode in zip(targets, omegas.tolist(), modes):
+        assert (omega, mode) == wavevector_to_omega(config, target)
+        assert mode == config.solve_mode(omega=omega)
+    eps = config.medium().permittivity
+    drude = (CONSTANTS.sigma0 * 4.0 * ev_to_joule(config.E_F_eV)
+             / (math.pi * CONSTANTS.hbar))
+    b = 2.0 * eps * CONSTANTS.eps0 / drude
+    g = b * config.gamma() ** 2 / np.array(targets)
+    a = eps / (CONSTANTS.c**2 * b) / np.array(targets)
+    expected = [np.roots([1.0, gi - ai, -1.0, -gi]).real.max()
+                for gi, ai in zip(g, a)]
+    assert np.array_equal(_largest_roots(g, a), expected)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1e-3, "wavevector 1e-09 1/um has no bound mode"),
+    (math.nan, "target wavevector nan 1/um must be finite and > 0"),
+    (-5e6, "target wavevector -5 1/um must be finite and > 0")])
+def test_wavevector_batch_names_its_failing_target(default_config,
+                                                   monkeypatch, bad,
+                                                   message):
+    # a bad target in the middle of a batch fails the batch, named; its
+    # good neighbours before it were solved, none after it
+    solve = RunConfig.solve_mode
+    calls = []
+
+    def counted(self, omega=None):
+        calls.append(omega)
+        return solve(self, omega)
+
+    monkeypatch.setattr(RunConfig, "solve_mode", counted)
+    with pytest.raises(ExperimentError, match=message):
+        wavevector_to_omega(default_config,
+                            np.array([30e6, 35e6, bad, 40e6, 45e6]))
+    assert len(calls) == (3 if math.isfinite(bad) and bad > 0 else 0)
 
 
 def test_wavevector_inversion_solves_the_mode_once(default_config,

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphene_spp import geometry
-from graphene_spp.coupling import coupling_at_separations
+from graphene_spp import coupling, geometry
+from graphene_spp.coupling import coupling_at_separations, overlap_integral
 from graphene_spp.geometry import (CouplingSchedule, DeviceGeometry,
                                    GeometryError, _antisymmetric_grid,
                                    _length_lattice, _omega1_table,
@@ -314,19 +314,24 @@ def test_table_rejects_a_mode_index_that_misses_a_row(default_mode,
                       [default_mode, default_mode], mode_index, "vacuum")
 
 
-@pytest.mark.parametrize("n_samples", [129, 4097])
+@pytest.mark.parametrize("n_samples, block", [
+    (129, 8192), (4097, 8192), (129, 300), (129, 100), (4097, 1000)],
+    ids=["129", "4097", "129-mixed-rows", "129-columns", "4097-columns"])
 def test_table_rows_are_bitwise_per_device_schedules(default_config,
-                                                     monkeypatch, n_samples):
+                                                     monkeypatch, n_samples,
+                                                     block):
     # a shuffled batch: three interleaved modes on layouts that repeat
-    # across modes, so couplings are grouped by mode over repeated rows;
-    # at 4097 samples each mode's rows take several capped calls
+    # across modes, so a block of rows carries several modes; at 4097
+    # samples, or under a smaller block, the rows take several capped
+    # calls, and a block below a row's width splits it into column blocks
     sizes = []
 
-    def recorded(mode, d, k0_convention):
+    def recorded(k, d):
         sizes.append(np.size(d))
-        return coupling_at_separations(mode, d, k0_convention)
+        return overlap_integral(k, d)
 
-    monkeypatch.setattr(geometry, "coupling_at_separations", recorded)
+    monkeypatch.setattr(coupling, "overlap_integral", recorded)
+    monkeypatch.setattr(geometry, "_COUPLING_BLOCK", block)
     modes = [replace(default_config, E_F_eV=fermi).solve_mode()
              for fermi in (0.1, 0.15, 0.2)]
     cells = {key: np.tile(values, 3) for key, values in _layouts().items()}
@@ -359,11 +364,11 @@ def test_long_rows_go_out_in_column_blocks(default_mode, monkeypatch, block):
     # than the block; it must be split, and equal one unsplit call
     sizes = []
 
-    def recorded(mode, d, k0_convention):
+    def recorded(k, d):
         sizes.append(np.size(d))
-        return coupling_at_separations(mode, d, k0_convention)
+        return overlap_integral(k, d)
 
-    monkeypatch.setattr(geometry, "coupling_at_separations", recorded)
+    monkeypatch.setattr(coupling, "overlap_integral", recorded)
     monkeypatch.setattr(geometry, "_COUPLING_BLOCK", block)
     geom = _geom()
     schedule = build_schedule(geom, default_mode, 8192)

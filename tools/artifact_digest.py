@@ -2,10 +2,12 @@
 
 The commands are `dispersion`, `schedule`, `device-run --field-map`, the
 figures 1b, 3, 4a, 4b and 4c (the maps at `--grid`), `verify --seed 0`, and
-`verify --seed 0` again under a lossless config (`gamma_per_s = 0`, whose
-report holds infinite propagation lengths). Each runs in process into its
-own subdirectory of a temporary directory, which is removed afterwards; the
-output is one JSON object mapping "<command>/<file>" to the hex digest.
+the 4b map and `verify --seed 0` again under a lossless config
+(`gamma_per_s = 0`: the wavevector inversion solves a quadratic there, not
+a cubic, and the report holds infinite propagation lengths). Each runs in
+process into its own subdirectory of a temporary directory, which is
+removed afterwards; the output is one JSON object mapping
+"<command>/<file>" to the hex digest.
 Byte-identity between two revisions is then one diff:
 
     python3 tools/artifact_digest.py > new.json
@@ -55,6 +57,9 @@ def commands(grid: str, lossless_config: str) -> dict[str, list[str]]:
     for figure in ("1b", "3", "4a", "4b", "4c"):
         table[f"fig{figure}"] = ["robustness-sweep", "--figure", figure,
                                  "--grid", grid]
+    table["fig4b-lossless"] = ["--config", lossless_config,
+                               "robustness-sweep", "--figure", "4b",
+                               "--grid", grid]
     table["verify"] = ["verify", "--seed", "0"]
     table["verify-lossless"] = ["--config", lossless_config, "verify",
                                 "--seed", "0"]
