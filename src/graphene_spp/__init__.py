@@ -12,7 +12,8 @@ from .coupling import (CouplingDomainError, PairCoupling,
                        coupling_vs_distance, overlap_integral)
 from .dispersion import (INFINITE_PROPAGATION, ConvergenceError, Excitation,
                          NoBoundModeError, SppMode, confinement_length,
-                         propagation_length, solve_dispersion)
+                         propagation_length, solve_dispersion,
+                         solve_dispersion_batch)
 from .dynamics import (PropagationError, Trajectory, dark_state, field_map,
                        propagate, propagate_constant, two_level_analytic)
 from .experiments import (DeviceRun, ExperimentError, StretchSearchResult,
@@ -46,6 +47,6 @@ __all__ = [
     "parallel_comparator", "parse_config", "propagate", "propagate_constant",
     "propagation_length", "render_validation_text", "robustness_metric",
     "run_device", "run_oracle_suite", "run_sweep", "sheet_separations",
-    "solve_dispersion", "stirap_stretch_search", "two_level_analytic",
-    "wavevector_to_omega",
+    "solve_dispersion", "solve_dispersion_batch", "stirap_stretch_search",
+    "two_level_analytic", "wavevector_to_omega",
 ]

@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_hash, load_config
 from .coupling import CouplingDomainError
-from .dispersion import (ConvergenceError, NoBoundModeError,
+from .dispersion import (ConvergenceError, Excitation, NoBoundModeError,
                          confinement_length, propagation_length)
 from .dynamics import PropagationError, field_map
 from .experiments import (ExperimentError, figure_coupling_axes,
@@ -144,8 +143,8 @@ def _write_artifacts(config: RunConfig, out: str, artifacts) -> list[str]:
 def _dispersion(config: RunConfig) -> list:
     lambdas = np.union1d(np.linspace(5.0, 15.0, 101),
                          np.array([config.lambda0_um]))
-    modes = [replace(config, lambda0_um=float(lam)).solve_mode()
-             for lam in lambdas]
+    modes = config.solve_modes(Excitation(vacuum_wavelength=lam * 1e-6)
+                               for lam in lambdas.tolist())
     q = np.array([mode.q for mode in modes])
     # INFINITE_PROPAGATION is inf, and stays inf when scaled
     table = np.column_stack([

@@ -14,9 +14,9 @@ import numbers
 from dataclasses import dataclass, fields
 
 from .coupling import K0_CONVENTIONS
-from .dispersion import Excitation, SppMode, solve_dispersion
+from .dispersion import Excitation, SppMode, solve_dispersion_batch
 from .geometry import DeviceGeometry
-from .materials import (CONSTANTS, GAMMA_CONVENTIONS, GrapheneSheet, Medium,
+from .materials import (GAMMA_CONVENTIONS, GrapheneSheet, Medium,
                         default_relaxation_rate, drude_conductivity)
 
 
@@ -154,14 +154,20 @@ class RunConfig:
 
     def solve_mode(self, omega: float | None = None) -> SppMode:
         """Bound mode at the configured (or an overriding) angular frequency."""
-        excitation = self.excitation()
-        if omega is not None:
-            excitation = Excitation(
-                vacuum_wavelength=2 * math.pi * CONSTANTS.c / omega)
-        sigma = drude_conductivity(excitation.angular_frequency, self.sheet(),
-                                   self.gamma())
-        return solve_dispersion(excitation, self.medium(), sigma,
-                                thickness=self.thickness_nm * 1e-9)
+        excitation = (self.excitation() if omega is None
+                      else Excitation.at_angular_frequency(omega))
+        return self.solve_modes((excitation,))[0]
+
+    def solve_modes(self, excitations) -> tuple[SppMode, ...]:
+        """solve_mode's vector form: the bound mode at each of excitations,
+        in order, from one solve_dispersion_batch; the first without one
+        raises what solve_mode raises for it."""
+        excitations = tuple(excitations)
+        sigma = drude_conductivity(
+            [excitation.angular_frequency for excitation in excitations],
+            self.sheet(), self.gamma())
+        return solve_dispersion_batch(excitations, self.medium(), sigma,
+                                      thickness=self.thickness_nm * 1e-9)
 
 
 def parse_config(text: str) -> RunConfig:

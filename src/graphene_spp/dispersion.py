@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .materials import CONSTANTS, Medium, effective_graphene_permittivity
 
 
@@ -38,6 +40,10 @@ class Excitation:
         if not (math.isfinite(self.vacuum_wavelength)
                 and self.vacuum_wavelength > 0):
             raise ValueError("vacuum_wavelength must be finite and > 0")
+
+    @classmethod
+    def at_angular_frequency(cls, omega: float) -> Excitation:
+        return cls(vacuum_wavelength=2 * math.pi * CONSTANTS.c / omega)
 
     @property
     def angular_frequency(self) -> float:
@@ -92,13 +98,64 @@ def solve_dispersion(excitation: Excitation, medium: Medium,
     |2 eps/k + i sigma/(eps0 omega)| < 1e-10 * |sigma/(eps0 omega)| (a NaN
     residual fails too) and be bound
     (Re q above the light line of the medium); otherwise a ConvergenceError
-    carrying the residual is raised.
+    carrying the residual is raised. The one-element solve_dispersion_batch.
     """
-    sigma_g = complex(sigma_g)
+    return solve_dispersion_batch((excitation,), medium, (sigma_g,),
+                                  thickness)[0]
+
+
+def solve_dispersion_batch(excitations, medium: Medium, sigma_g,
+                           thickness: float = 0.33e-9) -> tuple[SppMode, ...]:
+    """solve_dispersion for each of excitations, with its own conductivity
+    in sigma_g, in one medium and at one thickness: the tuple of modes,
+    bit for bit the one-at-a-time solves.
+
+    q, k, the residual and k0 are taken per element in Python's complex
+    arithmetic, whose product and division round differently from numpy's;
+    only the film permittivity is one array call, which is bitwise its 0-d
+    calls. The first element without a mode raises the error and message
+    that solve_dispersion raises for it, with the modes of the elements
+    before it, as one-at-a-time solves find them, in its `modes`
+    attribute (its length is the failing element's index).
+    """
+    excitations = tuple(excitations)
+    sigmas = np.asarray(sigma_g, dtype=complex).reshape(-1).tolist()
+    if len(sigmas) != len(excitations):
+        raise ValueError("sigma_g must hold one conductivity per excitation")
+    omegas = [excitation.angular_frequency for excitation in excitations]
+    eps = medium.permittivity
+    roots, failure = [], None
+    for omega, sigma in zip(omegas, sigmas):
+        try:
+            roots.append(_bound_root(omega, eps, sigma))
+        except (NoBoundModeError, ConvergenceError) as exc:
+            failure = exc
+            break
+    # the solved elements are finished, thickness check included, before
+    # the failure is raised, as in one-at-a-time solves
+    solved = len(roots)
+    films = (effective_graphene_permittivity(
+        np.array(omegas[:solved]), np.array(sigmas[:solved]),
+        thickness).tolist() if solved else [])
+    modes = []
+    for excitation, omega, (q, k), eps_g in zip(excitations, omegas, roots,
+                                                 films):
+        k0 = cmath.sqrt(q * q - omega * omega * eps_g / CONSTANTS.c**2)
+        if k0.real < 0:
+            k0 = -k0
+        modes.append(SppMode(q=q, k=k, eps_g=eps_g, k0=k0,
+                             normalization=math.sqrt(1.0 / k.real),
+                             excitation=excitation, medium=medium))
+    if failure is not None:
+        failure.modes = tuple(modes)
+        raise failure
+    return tuple(modes)
+
+
+def _bound_root(omega: float, eps: float, sigma_g: complex):
+    """(q, k) of the closed-form root, or solve_dispersion's error."""
     if sigma_g.imag <= 0:
         raise NoBoundModeError("bound mode requires Im(sigma_g) > 0")
-    omega = excitation.angular_frequency
-    eps = medium.permittivity
     drive = 1j * sigma_g / (CONSTANTS.eps0 * omega)
 
     q = _closed_form_root(omega, eps, sigma_g)
@@ -119,13 +176,7 @@ def solve_dispersion(excitation: Excitation, medium: Medium,
     if q.real <= (omega / CONSTANTS.c) * math.sqrt(eps):
         raise ConvergenceError("root is not bound (faster than light in the "
                                "host medium)")
-    eps_g = effective_graphene_permittivity(omega, sigma_g, thickness)
-    k0 = cmath.sqrt(q * q - omega * omega * eps_g / CONSTANTS.c**2)
-    if k0.real < 0:
-        k0 = -k0
-    normalization = math.sqrt(1.0 / k.real)
-    return SppMode(q=q, k=k, eps_g=eps_g, k0=k0, normalization=normalization,
-                   excitation=excitation, medium=medium)
+    return q, k
 
 
 #: Reported instead of an exception when a lossless mode does not decay.

@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import RunConfig, config_hash
 from .coupling import coupling_at_separations, coupling_coefficient
-from .dispersion import ConvergenceError, NoBoundModeError, SppMode
+from .dispersion import (ConvergenceError, Excitation, NoBoundModeError,
+                         SppMode)
 from .dynamics import (Trajectory, propagate, propagate_batch_three,
                        propagate_batch_two)
 from .geometry import (CouplingSchedule, _length_lattice, _member_breaks,
@@ -151,10 +152,10 @@ def wavevector_to_omega(config: RunConfig, target_q):
     a = eps/(c^2 b t). Its roots are the reciprocals, so its root of largest
     real part is the one. Every target's cubic is solved in one stacked
     eigenvalue call on np.roots' own companion matrices (_largest_roots),
-    so a batch gives, bit for bit, the targets' one-by-one answers. Each
-    mode is then solved once at omega = sqrt(s) and returned with omega,
-    the cubic's own, which the mode's excitation frequency may miss in the
-    last bit.
+    so a batch gives, bit for bit, the targets' one-by-one answers. The
+    modes are then solved in one batch (RunConfig.solve_modes), each once
+    at omega = sqrt(s), and returned with omega, the cubic's own, which the
+    mode's excitation frequency may miss in the last bit.
     Raises ExperimentError naming the first failing target: one that is
     not finite and > 0, one without a representable frequency (also when
     b, at a Fermi level far outside the model, is not representable), one
@@ -178,27 +179,35 @@ def wavevector_to_omega(config: RunConfig, target_q):
     v = (_largest_roots(b * gamma * gamma / flat,
                         eps / (CONSTANTS.c**2 * b) / flat)
          if 0 < b < math.inf else np.full(flat.size, math.nan))
-    omegas, modes = [], []
-    for target, root in zip(flat.tolist(), v.tolist()):
-        # the cubic is -a < 0 at v = 1, so v > 1 unless the coefficients
-        # are beyond what the eigenvalue solver resolves
-        omega = math.sqrt(target / (b * root)) if root > 1 else math.nan
-        if not 0 < omega < math.inf:
+    # the cubic is -a < 0 at v = 1, so v > 1 unless the coefficients are
+    # beyond what the eigenvalue solver resolves
+    omegas = [math.sqrt(target / (b * root)) if root > 1 else math.nan
+              for target, root in zip(flat.tolist(), v.tolist())]
+    # the targets before the first without a frequency are solved at once;
+    # an unsolvable one stops the batch and carries the modes before it
+    # (none for a conductivity or film error, which is the first target's)
+    representable = next((i for i, omega in enumerate(omegas)
+                          if not 0 < omega < math.inf), len(omegas))
+    try:
+        modes, failure = config.solve_modes(
+            Excitation.at_angular_frequency(omega)
+            for omega in omegas[:representable]), None
+    except _UNSOLVABLE as exc:
+        modes, failure = getattr(exc, "modes", ()), exc
+    for i, target in enumerate(flat.tolist()):
+        if i == representable:
             raise ExperimentError(f"{_named(target)} has no representable "
                                   "frequency for this material")
-        try:
-            mode = config.solve_mode(omega=omega)
-        except _UNSOLVABLE as exc:
+        if i == len(modes):
             raise ExperimentError(f"{_named(target)} has no bound mode for "
-                                  f"this material: {exc}") from exc
-        if not abs(mode.q.real - target) <= 1e-12 * target:
+                                  f"this material: {failure}") from failure
+        if not abs(modes[i].q.real - target) <= 1e-12 * target:
             raise ExperimentError(f"inversion missed {_named(target)}: "
-                                  f"attained {mode.q.real * 1e-6:.17g} 1/um")
-        omegas.append(omega)
-        modes.append(mode)
+                                  f"attained {modes[i].q.real * 1e-6:.17g} "
+                                  "1/um")
     if targets.ndim == 0:
         return omegas[0], modes[0]
-    return np.array(omegas), tuple(modes)
+    return np.array(omegas), modes
 
 
 def _named(target: float) -> str:
@@ -347,8 +356,10 @@ def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
     the gaps up to each longer member's end, with the knots at even and
     the exact interval midpoints at odd indices. The kernel integrates the
     row's right half once and records every member at its breakpoint, so a
-    one-member group is its device's knots-knot run. Returns the
-    intensities shaped like cells["length"].
+    one-member group is its device's knots-knot run. Each axis value's work
+    is done once: groups of equal lengths (every 4b and 4c map) share one
+    lattice row, passed on as read-only views that no step writes into.
+    Returns the intensities shaped like cells["length"].
     """
     length = np.asarray(cells["length"], dtype=float)
     x, h, breaks = _length_lattice(length.reshape(len(mode_index), -1),

@@ -198,9 +198,17 @@ def _length_lattice(length, knots: int):
     concat(-X[::-1], X[1:]), so exactly antisymmetric and omega2 is the
     table row reversed; h (G, P) the interval width of each pair of the
     right half, L0/(knots - 1) on the shortest member's half; breaks (M,)
-    the pairs up to each member's end, the last P.
+    the pairs up to each member's end, the last P. A row depends on its
+    own lengths alone, so when every row of length equals the first (a 4b
+    map's groups, or a 4c map's one-member groups of one length) the
+    first row is built once and x and h are read-only broadcast views of
+    it.
     """
     length = np.asarray(length, dtype=float)
+    if length.shape[0] > 1 and np.all(length == length[0]):
+        x, h, breaks = _length_lattice(length[:1], knots)
+        return (np.broadcast_to(x, (length.shape[0], x.shape[1])),
+                np.broadcast_to(h, (length.shape[0], h.shape[1])), breaks)
     breaks = _member_breaks(length[0], knots)
     first = breaks[0]
     x = _antisymmetric_grid(length[:, 0], 2 * knots - 1)[:, knots - 1:]

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 
 from .config import RunConfig, config_hash
 from .coupling import coupling_coefficient, overlap_integral
-from .dispersion import SppMode, confinement_length, propagation_length
+from .dispersion import (Excitation, SppMode, confinement_length,
+                         propagation_length, solve_dispersion_batch)
 from .dynamics import propagate, propagate_batch_two, two_level_analytic
 from .experiments import (REFERENCE_WAVEVECTOR_PER_UM, run_device,
                           stirap_stretch_search, wavevector_to_omega)
@@ -237,17 +239,26 @@ def run_oracle_suite(config: RunConfig, mode: SppMode,
     overlap_estimate_max = float(np.max(details["error_estimate"]
                                         / np.abs(reference)))
 
-    residuals = np.empty(60)
-    for i in range(residuals.size):
-        lam = residual_rng.uniform(5.0, 15.0)
-        fermi = residual_rng.uniform(0.05, 0.3)
+    # 60 sheets of the default device, each at its own wavelength, Fermi
+    # level and relaxation rate, solved in one batch
+    default = RunConfig()
+    default_sheet = default.sheet()
+    excitations, sigmas = [], []
+    for _ in range(60):
+        excitation = Excitation(
+            vacuum_wavelength=residual_rng.uniform(5.0, 15.0) * 1e-6)
+        sheet = replace(default_sheet,
+                        fermi_level_ev=residual_rng.uniform(0.05, 0.3))
         gamma = float(residual_rng.choice([0.0, 2e12]))
-        trial = RunConfig(lambda0_um=lam, E_F_eV=fermi, gamma_per_s=gamma)
-        trial_mode = trial.solve_mode()
-        sigma = drude_conductivity(trial_mode.excitation.angular_frequency,
-                                   trial.sheet(), gamma)
-        residuals[i] = oracles.dispersion_residual(trial_mode, sigma)
-    residual_max = float(residuals.max())
+        excitations.append(excitation)
+        sigmas.append(drude_conductivity(excitation.angular_frequency,
+                                         sheet, gamma))
+    trial_modes = solve_dispersion_batch(
+        excitations, default.medium(), sigmas,
+        thickness=default.thickness_nm * 1e-9)
+    residual_max = float(np.max([
+        oracles.dispersion_residual(trial_mode, sigma)
+        for trial_mode, sigma in zip(trial_modes, sigmas)]))
 
     chains = np.empty((25, 2))
     for row in chains:

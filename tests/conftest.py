@@ -37,6 +37,24 @@ def blow_up_kernel_rows(monkeypatch, rows, batch=None):
     monkeypatch.setattr(experiments, "propagate_batch_three", blow_up)
 
 
+def count_mode_solves(monkeypatch):
+    """A list that grows by one excitation per mode solved by a config's
+    solves or by verify's residual oracle: every dispersion solve goes
+    through solve_dispersion_batch."""
+    from graphene_spp import config, validation
+
+    calls = []
+    for module in (config, validation):
+        def counted(excitations, *args, _solve=module.solve_dispersion_batch,
+                    **kwargs):
+            excitations = tuple(excitations)
+            calls.extend(excitations)
+            return _solve(excitations, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_dispersion_batch", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def default_config() -> RunConfig:
     return RunConfig()

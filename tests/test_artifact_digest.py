@@ -36,7 +36,9 @@ def test_two_runs_print_the_same_digests():
                  "fig4b/fig_4b.json", "fig4b-lossless/fig_4b.csv",
                  "fig4b-lossless/fig_4b.json", "fig4c/fig_4c.svg",
                  "verify/validation.json", "verify/validation.txt",
-                 "verify-lossless/validation.json"):
+                 "verify-lossless/validation.json",
+                 "dispersion-auto/dispersion.csv", "fig4b-auto/fig_4b.csv",
+                 "fig4b-auto/fig_4b.json"):
         assert len(first[name]) == 64
     # figure 3 writes the same schedule and device run as the commands
     assert first["fig3/schedule.csv"] == first["schedule/schedule.csv"]
@@ -44,6 +46,10 @@ def test_two_runs_print_the_same_digests():
             == first["device-run/field_map.csv"])
     assert (first["verify-lossless/validation.json"]
             != first["verify/validation.json"])
+    # the mobility-derived relaxation rate is not the configured one
+    assert (first["dispersion-auto/dispersion.csv"]
+            != first["dispersion/dispersion.csv"])
+    assert first["fig4b-auto/fig_4b.csv"] != first["fig4b/fig_4b.csv"]
 
 
 def test_keep_creates_a_missing_directory(tmp_path):

@@ -16,7 +16,7 @@ from graphene_spp.cli import main
 from graphene_spp.experiments import _KNOT_TOLERANCE
 from graphene_spp.io import read_csv
 from graphene_spp.validation import ORACLE_METRICS
-from tests.conftest import blow_up_kernel_rows
+from tests.conftest import blow_up_kernel_rows, count_mode_solves
 
 
 def _cfg(tmp_path, extra=""):
@@ -516,15 +516,7 @@ def test_fig4c_comparator_runs_only_for_its_sidecar(tmp_path, monkeypatch,
 
 def test_fig4c_solves_its_wavevector_once(tmp_path, monkeypatch):
     # the sidecar's comparator takes the mode the map inverted
-    from graphene_spp import config as config_module
-
-    calls = []
-
-    def counted(*args, _solve=config_module.solve_dispersion, **kwargs):
-        calls.append(1)
-        return _solve(*args, **kwargs)
-
-    monkeypatch.setattr(config_module, "solve_dispersion", counted)
+    calls = count_mode_solves(monkeypatch)
     assert main(["--config", _cfg(tmp_path), "--out", str(tmp_path / "out"),
                  "robustness-sweep", "--figure", "4c", "--grid", "3x2"]) == 0
     assert len(calls) == 1

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphene_spp.config import RunConfig
+from graphene_spp.dispersion import Excitation
 from graphene_spp.dynamics import propagate_batch_three
 from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
                                       ExperimentError, SweepAxis,
@@ -23,7 +24,8 @@ from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
                                       wavevector_to_omega)
 from graphene_spp.geometry import _antisymmetric_grid, _omega1_table
 from graphene_spp.materials import CONSTANTS, ev_to_joule
-from tests.conftest import blow_up_kernel_rows, continuous_device_finals
+from tests.conftest import (blow_up_kernel_rows, continuous_device_finals,
+                            count_mode_solves)
 
 
 def test_wavevector_inversion_hits_target(default_config):
@@ -112,49 +114,43 @@ def test_wavevector_batch_is_bitwise_the_scalar_path(fermi, eps_h, gamma,
 def test_wavevector_batch_names_its_failing_target(default_config,
                                                    monkeypatch, bad,
                                                    message):
-    # a bad target in the middle of a batch fails the batch, named; its
-    # good neighbours before it were solved, none after it
-    solve = RunConfig.solve_mode
-    calls = []
-
-    def counted(self, omega=None):
-        calls.append(omega)
-        return solve(self, omega)
-
-    monkeypatch.setattr(RunConfig, "solve_mode", counted)
+    # a bad target in the middle of a batch fails the batch, named: an
+    # unsolvable one fails the one batch solve of all five, which names
+    # it; a target that is not a wavevector is refused before any solve
+    calls = count_mode_solves(monkeypatch)
     with pytest.raises(ExperimentError, match=message):
         wavevector_to_omega(default_config,
                             np.array([30e6, 35e6, bad, 40e6, 45e6]))
-    assert len(calls) == (3 if math.isfinite(bad) and bad > 0 else 0)
+    assert len(calls) == (5 if math.isfinite(bad) and bad > 0 else 0)
+
+
+@pytest.mark.parametrize("failing", [[1e-3, 1e300, 2e-3], [1e300, 1e-3]],
+                         ids=["unsolvable-first", "unrepresentable-first"])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_wavevector_batch_reports_the_first_failing_target(default_config,
+                                                           position,
+                                                           failing):
+    # targets without a bound mode or without a frequency, in either
+    # order: the batch raises what the one-at-a-time inversions raise for
+    # the first of them
+    targets = [30e6, 35e6, 40e6, 45e6, 50e6]
+    targets[position:position] = failing
+    messages = []
+    for target in targets:
+        try:
+            wavevector_to_omega(default_config, target)
+        except ExperimentError as exc:
+            messages.append(str(exc))
+    with pytest.raises(ExperimentError) as caught:
+        wavevector_to_omega(default_config, np.array(targets))
+    assert str(caught.value) == messages[0]
 
 
 def test_wavevector_inversion_solves_the_mode_once(default_config,
                                                    monkeypatch):
-    solve = RunConfig.solve_mode
-    calls = []
-
-    def counted(self, omega=None):
-        calls.append(omega)
-        return solve(self, omega)
-
-    monkeypatch.setattr(RunConfig, "solve_mode", counted)
+    calls = count_mode_solves(monkeypatch)
     omega, _ = wavevector_to_omega(default_config, 35e6)
-    assert calls == [omega]
-
-
-def _count_solves(monkeypatch):
-    """A list that grows by one entry per dispersion solve of a config."""
-    from graphene_spp import config as config_module
-
-    solve = config_module.solve_dispersion
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(config_module, "solve_dispersion", counted)
-    return calls
+    assert calls == [Excitation.at_angular_frequency(omega)]
 
 
 @pytest.mark.parametrize("figure, solves", [("4b", 4), ("4c", 1)])
@@ -162,7 +158,7 @@ def test_map_solves_each_mode_once(default_config, monkeypatch, figure,
                                    solves):
     # one solve per wavevector target, the inversion's own; the map takes
     # each target's mode from it
-    calls = _count_solves(monkeypatch)
+    calls = count_mode_solves(monkeypatch)
     result = run_sweep(figure_map_spec(figure, default_config, (4, 3)))
     assert len(calls) == solves
     assert len(result.metadata["wavevector_inversion"]) == solves
@@ -176,7 +172,7 @@ def test_validation_report_solves_each_mode_once(default_config,
 
     monkeypatch.setattr(validation, "run_oracle_suite",
                         lambda config, mode, seed=0: {})
-    calls = _count_solves(monkeypatch)
+    calls = count_mode_solves(monkeypatch)
     validation.build_validation_report(default_config)
     assert len(calls) == 2
 
@@ -187,7 +183,7 @@ def test_validation_report_solve_count_with_oracle_suite(default_config,
     # of the report itself; the staircase check takes the configured mode
     from graphene_spp import validation
 
-    calls = _count_solves(monkeypatch)
+    calls = count_mode_solves(monkeypatch)
     validation.build_validation_report(default_config, seed=0)
     assert len(calls) == 62
 
@@ -195,10 +191,10 @@ def test_validation_report_solve_count_with_oracle_suite(default_config,
 def test_wavevector_inversion_propagates_programming_errors(
         default_config, monkeypatch):
     # only an unsolvable mode becomes an ExperimentError; a bug must surface
-    def broken(self, omega=None):
+    def broken(self, excitations):
         raise TypeError("broken solver")
 
-    monkeypatch.setattr(RunConfig, "solve_mode", broken)
+    monkeypatch.setattr(RunConfig, "solve_modes", broken)
     with pytest.raises(TypeError, match="broken solver"):
         wavevector_to_omega(default_config, 35e6)
 

@@ -1,5 +1,6 @@
 """Arc geometry, separation profiles, coupling schedules, adiabaticity."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,65 @@ def test_length_lattice_extends_the_shortest_members_grid(lengths,
     assert np.array_equal(h, np.broadcast_to(length / (knots - 1), (2, 16)))
 
 
+@pytest.mark.parametrize("lengths", [[1.0e-6], [0.8e-6, 0.9e-6, 1.2e-6]],
+                         ids=["one-member", "three-members"])
+def test_shared_lattice_row_is_bitwise_the_per_row_build(lengths):
+    # groups of equal lengths (4c's one-member groups, 4b's columns) take
+    # one row, as read-only views; each row is the group's own build
+    knots = 129
+    length = np.tile(lengths, (6, 1))
+    x, h, breaks = _length_lattice(length, knots)
+    rows = [_length_lattice(length[i:i + 1], knots) for i in range(6)]
+    assert np.array_equal(x, np.vstack([row[0] for row in rows]))
+    assert np.array_equal(h, np.vstack([row[1] for row in rows]))
+    assert all(np.array_equal(breaks, row[2]) for row in rows)
+    for view in (x, h):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[1, 0] = 0.0
+    # a differing row takes the per-row build
+    length[-1] *= 1.5
+    x, h, _ = _length_lattice(length, knots)
+    assert x.flags.writeable and h.flags.writeable
+    assert np.array_equal(x[0], rows[0][0][0])
+
+
+def test_read_only_lattice_runs_as_writable_copies(default_config,
+                                                   monkeypatch):
+    # the kernel and _three_sheet_finals write into neither x nor h: a 4b
+    # batch on its shared, read-only lattice gives the same bits as the
+    # same lattice copied into writable arrays
+    from graphene_spp import experiments
+    from graphene_spp.dynamics import propagate_batch_three
+    from graphene_spp.experiments import _three_sheet_finals
+
+    modes = [replace(default_config, E_F_eV=fermi).solve_mode()
+             for fermi in (0.1, 0.15, 0.2)]
+    cells = {"length": np.tile([0.9e-6, 1.0e-6, 1.1e-6], (3, 1)),
+             "radius": np.full(3, 800e-9), "offset": np.full(3, 200e-9)}
+    seen = []
+
+    def kernel(h, omega1, omega1_mid, substeps=1, breaks=None):
+        seen.append(h.flags.writeable)
+        shared = propagate_batch_three(h, omega1, omega1_mid, substeps,
+                                       breaks)
+        copied = propagate_batch_three(np.array(h), np.array(omega1),
+                                       np.array(omega1_mid), substeps,
+                                       np.array(breaks))
+        assert np.array_equal(shared, copied)
+        return shared
+
+    monkeypatch.setattr(experiments, "propagate_batch_three", kernel)
+    finals = _three_sheet_finals(cells, modes, np.arange(3), default_config,
+                                 65)
+    assert seen == [False]
+    for group in range(3):
+        alone = _three_sheet_finals(
+            {key: values[[group]] for key, values in cells.items()},
+            [modes[group]], np.zeros(1, dtype=int), default_config, 65)
+        assert np.array_equal(alone, finals[[group]])
+
+
 def test_schedule_rejects_bad_midpoints(default_mode):
     schedule = build_schedule(_geom(), default_mode, 65)
     fields = {name: getattr(schedule, name)
@@ -314,6 +374,20 @@ def test_table_rejects_a_mode_index_that_misses_a_row(default_mode,
                       [default_mode, default_mode], mode_index, "vacuum")
 
 
+def _shaped_layouts(shape):
+    """Fifteen per-device layouts: _layouts' five, three times ("mixed");
+    one layout ("4b", a wavevector column's devices, whose rows are equal
+    but for their modes); or one length over _layouts' radii and offsets
+    ("4c", a radius x offset map's devices, sharing only their lattice)."""
+    cells = {key: np.tile(values, 3) for key, values in _layouts().items()}
+    if shape != "mixed":
+        cells["length"] = np.full(15, 1e-6)
+    if shape == "4b":
+        cells["radius"], cells["offset"] = np.full(15, 800e-9), np.full(
+            15, 200e-9)
+    return cells
+
+
 @pytest.mark.parametrize("n_samples, block", [
     (129, 8192), (4097, 8192), (129, 300), (129, 100), (4097, 1000)],
     ids=["129", "4097", "129-mixed-rows", "129-columns", "4097-columns"])
@@ -323,7 +397,9 @@ def test_table_rows_are_bitwise_per_device_schedules(default_config,
     # a shuffled batch: three interleaved modes on layouts that repeat
     # across modes, so a block of rows carries several modes; at 4097
     # samples, or under a smaller block, the rows take several capped
-    # calls, and a block below a row's width splits it into column blocks
+    # calls, and a block below a row's width splits it into column blocks;
+    # rows of one layout on one grid (4b) and rows that share only the
+    # grid (4c) each give their own device's schedule
     sizes = []
 
     def recorded(k, d):
@@ -334,12 +410,13 @@ def test_table_rows_are_bitwise_per_device_schedules(default_config,
     monkeypatch.setattr(geometry, "_COUPLING_BLOCK", block)
     modes = [replace(default_config, E_F_eV=fermi).solve_mode()
              for fermi in (0.1, 0.15, 0.2)]
-    cells = {key: np.tile(values, 3) for key, values in _layouts().items()}
     mode_index = np.repeat(np.arange(3), 5)
     order = np.random.default_rng(7).permutation(mode_index.size)
-    cells = {key: values[order] for key, values in cells.items()}
     mode_index = mode_index[order]
-    for convention in ("vacuum", "film"):
+    for shape, convention in itertools.product(("mixed", "4b", "4c"),
+                                               ("vacuum", "film")):
+        cells = {key: values[order]
+                 for key, values in _shaped_layouts(shape).items()}
         sizes.clear()
         table = _omega1_table(
             _antisymmetric_grid(cells["length"], n_samples), cells["radius"],

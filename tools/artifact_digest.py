@@ -1,10 +1,12 @@
 """Print the SHA-256 of every artifact of the standard command set as JSON.
 
 The commands are `dispersion`, `schedule`, `device-run --field-map`, the
-figures 1b, 3, 4a, 4b and 4c (the maps at `--grid`), `verify --seed 0`, and
+figures 1b, 3, 4a, 4b and 4c (the maps at `--grid`), `verify --seed 0`,
 the 4b map and `verify --seed 0` again under a lossless config
 (`gamma_per_s = 0`: the wavevector inversion solves a quadratic there, not
-a cubic, and the report holds infinite propagation lengths). Each runs in
+a cubic, and the report holds infinite propagation lengths), and
+`dispersion` and the 4b map under a config whose relaxation rate is
+derived from the mobility (`gamma_per_s = auto`). Each runs in
 process into its own subdirectory of a temporary directory, which is
 removed afterwards; the output is one JSON object mapping
 "<command>/<file>" to the hex digest.
@@ -49,9 +51,11 @@ NUMBER = re.compile(r"(?<![\w#.])(?:[-+]?(?:\d+(?:\.\d*)?|\.\d+)"
                     r"(?:[eE][-+]?\d+)?|-?(?:nan|inf))(?![\w.])")
 
 
-def commands(grid: str, lossless_config: str) -> dict[str, list[str]]:
-    """Subdirectory name -> CLI arguments after --out; lossless_config is
-    the path of a config file setting gamma_per_s = 0."""
+def commands(grid: str, lossless_config: str,
+             auto_config: str) -> dict[str, list[str]]:
+    """Subdirectory name -> CLI arguments after --out; lossless_config and
+    auto_config are the paths of config files setting gamma_per_s = 0 and
+    gamma_per_s = auto."""
     table = {"dispersion": ["dispersion"], "schedule": ["schedule"],
              "device-run": ["device-run", "--field-map"]}
     for figure in ("1b", "3", "4a", "4b", "4c"):
@@ -63,6 +67,9 @@ def commands(grid: str, lossless_config: str) -> dict[str, list[str]]:
     table["verify"] = ["verify", "--seed", "0"]
     table["verify-lossless"] = ["--config", lossless_config, "verify",
                                 "--seed", "0"]
+    table["dispersion-auto"] = ["--config", auto_config, "dispersion"]
+    table["fig4b-auto"] = ["--config", auto_config, "robustness-sweep",
+                           "--figure", "4b", "--grid", grid]
     return table
 
 
@@ -73,10 +80,11 @@ def run_commands(grid: str, root: pathlib.Path) -> dict[str, pathlib.Path]:
     from graphene_spp import cli
 
     root.mkdir(parents=True, exist_ok=True)
-    config = root / "lossless.cfg"
-    config.write_text("gamma_per_s = 0\n")
+    lossless, auto = root / "lossless.cfg", root / "auto.cfg"
+    lossless.write_text("gamma_per_s = 0\n")
+    auto.write_text("gamma_per_s = auto\n")
     found = {}
-    for name, argv in commands(grid, str(config)).items():
+    for name, argv in commands(grid, str(lossless), str(auto)).items():
         out = root / name
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["--out", str(out), *argv])
