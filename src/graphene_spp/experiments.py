@@ -22,7 +22,7 @@ from .dispersion import (ConvergenceError, Excitation, NoBoundModeError,
 from .dynamics import (Trajectory, propagate, propagate_batch_three,
                        propagate_batch_two)
 from .geometry import (CouplingSchedule, _length_lattice, _member_breaks,
-                       _omega1_table, build_schedule)
+                       _omega1_table, _rider_lattice, build_schedule)
 from .materials import CONSTANTS, MaterialDomainError, ev_to_joule
 
 # Sweep axis -> (cell parameter it sets, factor from the axis unit to SI);
@@ -35,7 +35,8 @@ AXIS_NAMES = tuple(_AXES)
 
 # The one bound on a batch's memory: a three-sheet batch runs in slices
 # whose schedule table holds at most the samples of _CHUNK one-member
-# rows (_three_sheet_outputs), and the kernel holds a fixed multiple of
+# rows (_three_sheet_outputs), the probes riding along the first slice
+# counted against its budget, and the kernel holds a fixed multiple of
 # its table. A two-sheet batch holds a few 2x2 matrices per pair and runs
 # whole.
 _CHUNK = 512
@@ -341,7 +342,7 @@ def _two_sheet_outputs(modes, mode_index, length: np.ndarray,
 
 
 def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
-                        knots: int) -> np.ndarray:
+                        knots: int, riders=None):
     """Lossless output-sheet intensities of a batch of groups of three-sheet
     devices that differ only in length.
 
@@ -359,17 +360,39 @@ def _three_sheet_finals(cells: dict, modes, mode_index, config: RunConfig,
     one-member group is its device's knots-knot run. Each axis value's work
     is done once: groups of equal lengths (every 4b and 4c map) share one
     lattice row, passed on as read-only views that no step writes into.
-    Returns the intensities shaped like cells["length"].
+
+    riders, as (cells, mode_index) of R one-device groups, ride along in
+    the same table and kernel call as rows after the batch's
+    (geometry._rider_lattice): each device's run alone at (knots + 1)/2
+    knots and at knots, bit for bit. Returns the intensities shaped like
+    cells["length"], and with riders also the riders' (2, R) intensities,
+    coarse then fine.
     """
     length = np.asarray(cells["length"], dtype=float)
-    x, h, breaks = _length_lattice(length.reshape(len(mode_index), -1),
-                                   knots)
-    omega1 = _omega1_table(x, cells["radius"], cells["offset"],
-                           config.d_min_nm * 1e-9, modes, mode_index,
-                           config.k0_convention)
+    groups = len(mode_index)
+    x, h, breaks = _length_lattice(length.reshape(groups, -1), knots)
+    radius, offset = cells["radius"], cells["offset"]
+    if riders is not None:
+        rider_cells, rider_index = riders
+        coarse, fine = (_rider_lattice(rider_cells["length"], k, breaks)
+                        for k in ((knots + 1) // 2, knots))
+        x = np.concatenate([x, coarse[0], fine[0]])
+        h = np.concatenate([h, coarse[1], fine[1]])
+        radius, offset, mode_index = (
+            np.concatenate([batch, rider, rider])
+            for batch, rider in ((radius, rider_cells["radius"]),
+                                 (offset, rider_cells["offset"]),
+                                 (mode_index, rider_index)))
+    omega1 = _omega1_table(x, radius, offset, config.d_min_nm * 1e-9, modes,
+                           mode_index, config.k0_convention)
     amps = propagate_batch_three(h, omega1[:, ::2], omega1[:, 1::2],
                                  breaks=breaks)
-    return (np.abs(amps[:, 2]) ** 2).reshape(length.shape)
+    finals = (np.abs(amps[:, 2]) ** 2).reshape(-1, breaks.size)
+    outputs = finals[:groups].reshape(length.shape)
+    if riders is None:
+        return outputs
+    # a rider is whole at the first breakpoint, where its own pairs end
+    return outputs, finals[groups:, 0].reshape(2, -1)
 
 
 def _three_sheet_outputs(cells: dict, modes, mode_index, config: RunConfig,
@@ -386,45 +409,60 @@ def _three_sheet_outputs(cells: dict, modes, mode_index, config: RunConfig,
     the probes is at most _KNOT_TOLERANCE; at _MAX_KNOTS knots it raises
     ExperimentError naming the estimate. The divisor is 2^6 - 1 because
     the kernel is 6th order: halving h shrinks the error 64x, so the fine
-    run's error is 1/63 of the difference. The first pair is always run,
-    so a batch uses at least 2 _FIRST_KNOTS - 1 knots and always has an
-    estimate; a NaN estimate (a probe the kernel refused) keeps doubling.
-    The probes are lossless: the loss envelope scales every intensity, and
-    so its error, by exp(-2 alpha L) <= 1. The estimate is the shortest
-    member's: a longer member's pairs are no wider than its own device's,
-    so its error is no larger.
+    run's error is 1/63 of the difference. The first pair (_FIRST_KNOTS,
+    2 _FIRST_KNOTS - 1) runs in the same pass as the batch's first slice
+    at 2 _FIRST_KNOTS - 1 knots, each probe as two rider rows of it
+    (_three_sheet_finals), so a batch uses at least that count and always
+    has an estimate; when the estimate misses, that slice is dropped and
+    the probes double alone. A NaN estimate (a probe the kernel refused)
+    keeps doubling. The probes are lossless: the loss envelope scales
+    every intensity, and so its error, by exp(-2 alpha L) <= 1. The
+    estimate is the shortest member's: a longer member's pairs are no
+    wider than its own device's, so its error is no larger.
 
     The whole batch then runs at that count, in slices of groups whose
-    table holds at most the samples of _CHUNK one-member rows; any
-    non-finite device raises ExperimentError naming the count. Returns
-    (outputs shaped like cells["length"], knots, estimate of the error at
-    knots).
+    table holds at most the samples of _CHUNK one-member rows, riders
+    included: the first slice at 2 _FIRST_KNOTS - 1 knots gives up two
+    rows per probe, keeping at least one group. Any non-finite device
+    raises ExperimentError naming the count. Returns (outputs shaped like
+    cells["length"], knots, estimate of the error at knots).
     """
     length = np.asarray(cells["length"], dtype=float)
     rows = length.reshape(len(mode_index), -1)
 
-    def finals(lengths, groups, knots):
+    def finals(part, knots, riders=None):
         return _three_sheet_finals(
-            {"length": lengths, "radius": cells["radius"][groups],
-             "offset": cells["offset"][groups]}, modes, mode_index[groups],
-            config, knots)
+            {"length": rows[part], "radius": cells["radius"][part],
+             "offset": cells["offset"][part]}, modes, mode_index[part],
+            config, knots, riders)
+
+    def step(knots):
+        samples = 8 * int(_member_breaks(rows[0], knots)[-1]) + 1
+        return max(1, _CHUNK * (2 * knots - 1) // samples)
 
     group, member = np.divmod(probes, rows.shape[1])
-    knots, estimate = _FIRST_KNOTS, math.nan
-    fine = finals(rows[group, member], group, knots)
+    probe_cells = {"length": rows[group, member],
+                   "radius": cells["radius"][group],
+                   "offset": cells["offset"][group]}
+    knots = 2 * _FIRST_KNOTS - 1
+    head = max(1, step(knots) - 2 * probes.size)
+    first, (coarse, fine) = finals(slice(0, head), knots,
+                                   (probe_cells, mode_index[group]))
+    estimate = float(np.max(np.abs(fine - coarse))) / 63.0
     while not estimate <= _KNOT_TOLERANCE:
         if knots >= _MAX_KNOTS:
             raise ExperimentError(f"knot error estimate {estimate:.3g} is "
                                   f"over {_KNOT_TOLERANCE:g} at {knots} knots")
         coarse, knots = fine, 2 * knots - 1
-        fine = finals(rows[group, member], group, knots)
+        fine = _three_sheet_finals(probe_cells, modes, mode_index[group],
+                                   config, knots)
         estimate = float(np.max(np.abs(fine - coarse))) / 63.0
-    samples = 8 * int(_member_breaks(rows[0], knots)[-1]) + 1
-    step = max(1, _CHUNK * (2 * knots - 1) // samples)
-    outputs = np.concatenate([
-        finals(rows[part], part, knots)
-        for part in (slice(start, start + step)
-                     for start in range(0, len(mode_index), step))])
+        # the first slice ran at a coarser count than the batch's
+        first, head = first[:0], 0
+    size = step(knots)
+    outputs = np.concatenate([first] + [
+        finals(slice(start, start + size), knots)
+        for start in range(head, len(mode_index), size)])
     nonfinite = np.count_nonzero(~np.isfinite(outputs))
     if nonfinite:
         raise ExperimentError(f"{nonfinite} of {outputs.size} three-sheet "

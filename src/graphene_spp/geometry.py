@@ -230,6 +230,42 @@ def _length_lattice(length, knots: int):
             np.concatenate([h, widths], axis=1), breaks)
 
 
+def _rider_lattice(length, knots: int, breaks):
+    """Rows of one-device runs that ride along a batch with the given
+    breaks, in the same table and kernel call.
+
+    length: (R,) device lengths; knots: each run's own knot count, whose
+    right half takes P_r = (knots - 1)/4 pairs. A rider's row is its own
+    knots-knot grid (_antisymmetric_grid, a one-member group's
+    _length_lattice row bit for bit), centred in the batch's row width of
+    8 breaks[-1] + 1 samples and padded at both ends with copies of its end
+    samples; the padding's pairs have width 0. So 2 x[:, -1] is still the
+    device's length, the row is still exactly antisymmetric, and each
+    padding pair is a rotation by angle 0, (1, -+0, +-0, +-0), whose
+    product with any quaternion is that quaternion up to the signs of its
+    zero parts. When P_r is a power of two and at most breaks[0],
+    propagate_batch_three's pairwise product of the first segment holds the
+    rider's P_r pairs as one complete subtree, formed as in the run alone,
+    so the rider's first member is its run alone bit for bit. Any other
+    knots raise ValueError.
+
+    Returns (x, h): x (R, 8 breaks[-1] + 1) and h (R, breaks[-1]).
+    """
+    own, pairs = (knots - 1) // 4, int(breaks[-1])
+    if knots != 4 * own + 1 or own < 1 or own & (own - 1) or own > breaks[0]:
+        raise ValueError(f"a rider's {knots} knots must give a power-of-two "
+                         f"pair count of at most the first segment's "
+                         f"{breaks[0]}")
+    length = np.asarray(length, dtype=float)
+    pad, end = 4 * (pairs - own), 4 * (pairs + own) + 1
+    x = np.empty((length.size, 8 * pairs + 1))
+    x[:, pad:end] = _antisymmetric_grid(length, 2 * knots - 1)
+    x[:, :pad], x[:, end:] = x[:, pad:pad + 1], x[:, end - 1:end]
+    h = np.zeros((length.size, pairs))
+    h[:, :own] = length[:, None] / (knots - 1)
+    return x, h
+
+
 def _omega1_table(x, radius, offset, min_gap: float, modes, mode_index,
                   k0_convention: str) -> np.ndarray:
     """(B, n) table of omega1 = |Re C(d1(x))| for a batch of devices.

@@ -20,18 +20,24 @@ def chain_matrix(couplings):
     return np.diag(c, 1) + np.diag(c, -1)
 
 
-def blow_up_kernel_rows(monkeypatch, rows, batch=None):
+def blow_up_kernel_rows(monkeypatch, rows, batch=None, riders=0):
     """Make experiments.propagate_batch_three return NaN on the given rows
-    of every call with batch rows (of every call when batch is None), as a
-    kernel that refused those devices would."""
+    of every call with at least batch rows (of every call when batch is
+    None), as a kernel that refused those devices would. A batch's first
+    pass carries its probes as rider rows after its own
+    (experiments._three_sheet_outputs), so rows index that call's batch
+    part; riders > 0 also NaNs the last riders device rows of every call,
+    the riders of a first pass and the probes run alone."""
     import graphene_spp.experiments as experiments
 
     kernel = experiments.propagate_batch_three
 
-    def blow_up(*args, **kwargs):
-        amps = kernel(*args, **kwargs)
-        if batch is None or len(amps) == batch:
+    def blow_up(h, omega1, *args, **kwargs):
+        amps = kernel(h, omega1, *args, **kwargs)
+        if batch is None or len(amps) >= batch:
             amps[rows] = np.nan
+        members = len(amps) // len(omega1)
+        amps[max(0, len(amps) - riders * members):] = np.nan
         return amps
 
     monkeypatch.setattr(experiments, "propagate_batch_three", blow_up)

@@ -38,7 +38,8 @@ def test_two_runs_print_the_same_digests():
                  "verify/validation.json", "verify/validation.txt",
                  "verify-lossless/validation.json",
                  "dispersion-auto/dispersion.csv", "fig4b-auto/fig_4b.csv",
-                 "fig4b-auto/fig_4b.json"):
+                 "fig4b-auto/fig_4b.json", "fig4b-long/fig_4b.csv",
+                 "fig4b-long/fig_4b.json", "fig4b-long/fig_4b.svg"):
         assert len(first[name]) == 64
     # figure 3 writes the same schedule and device run as the commands
     assert first["fig3/schedule.csv"] == first["schedule/schedule.csv"]
@@ -50,6 +51,8 @@ def test_two_runs_print_the_same_digests():
     assert (first["dispersion-auto/dispersion.csv"]
             != first["dispersion/dispersion.csv"])
     assert first["fig4b-auto/fig_4b.csv"] != first["fig4b/fig_4b.csv"]
+    # the 8 um device's map is its own, resolved past the first doubling
+    assert first["fig4b-long/fig_4b.csv"] != first["fig4b/fig_4b.csv"]
 
 
 def test_keep_creates_a_missing_directory(tmp_path):
@@ -84,6 +87,10 @@ def test_every_json_artifact_is_strict_json(tmp_path):
     lengths = {entry["name"]: entry["computed"]
                for entry in lossless["comparisons"]}
     assert lengths["propagation_length"] == "inf"
+    # the 8 um map's first knot error estimate misses, so the digests also
+    # cover the probes doubling alone and a batch past the first pass
+    assert documents["fig4b/fig_4b.json"]["knots"] == 129
+    assert documents["fig4b-long/fig_4b.json"]["knots"] == 513
 
 
 def test_numeric_move_aligns_numbers_only():

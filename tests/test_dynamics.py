@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from graphene_spp.dynamics import (_MAX_STEP_ANGLE, _STEP_BLOCK,
                                    PropagationError, Trajectory,
-                                   _prefix_products, _quaternion_product,
+                                   _pair_quaternions, _prefix_products,
+                                   _quaternion_product, _rotation_matrices,
                                    dark_state, field_map,
                                    propagate, propagate_batch_three,
                                    propagate_batch_two, propagate_constant,
                                    two_level_analytic)
 from graphene_spp.geometry import (CouplingSchedule, _length_lattice,
-                                   build_schedule)
+                                   _rider_lattice, build_schedule)
 from graphene_spp.oracles import expm_reference
 from tests.conftest import (as_complex, chain_matrix,
                             continuous_device_finals)
@@ -614,6 +615,77 @@ def test_batch_three_rejects_bad_breaks(breaks):
     with pytest.raises(ValueError, match="breaks must be"):
         propagate_batch_three(np.full(1, 1e-9), np.full((1, 21), 1e6),
                               np.full((1, 20), 1e6), breaks=breaks)
+
+
+def _pulse_table(x):
+    """A smooth coupling row at positions x from products and quotients
+    alone, which round the same at any index, so that equal positions get
+    equal couplings."""
+    return 2e7 / (1.0 + ((x - 1e-7) / 2.5e-7) ** 2) + 5e6
+
+
+@pytest.mark.parametrize("layout", ["alone", "4b"])
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("own", [16, 32, 64, 128, 256, 512])
+def test_a_padded_rider_is_its_run_alone_bit_for_bit(own, factor, layout):
+    # a one-device run of own pairs, padded as a rider into a first
+    # segment of factor * own pairs: alone in a call of one one-member
+    # row, or after 50 rows of a 4b map's 50-member lattice
+    rider_knots, knots = 4 * own + 1, 4 * factor * own + 1
+    length = np.array([1.0e-6])
+    if layout == "alone":
+        x, h = np.empty((0, 8 * factor * own + 1)), np.empty((0, factor * own))
+        breaks = np.array([factor * own])
+    else:
+        lengths = np.linspace(0.8e-6, 1.2e-6, 50)
+        x, h, breaks = _length_lattice(np.tile(lengths, (50, 1)), knots)
+        assert breaks.size == 50 and breaks[0] == factor * own
+    padded_x, padded_h = _rider_lattice(length, rider_knots, breaks)
+    assert padded_x[0, -1] == length[0] / 2.0
+    assert np.array_equal(padded_x[:, ::-1], -padded_x)
+    table = _pulse_table(np.concatenate([x, padded_x]))
+    members = propagate_batch_three(
+        np.concatenate([h, padded_h]), table[:, ::2], table[:, 1::2],
+        breaks=breaks).reshape(-1, breaks.size, 3)
+    x_alone, h_alone, _ = _length_lattice(length[:, None], rider_knots)
+    alone_table = _pulse_table(x_alone)
+    alone = propagate_batch_three(h_alone, alone_table[:, ::2],
+                                  alone_table[:, 1::2])
+    assert np.isfinite(alone).all()
+    assert np.array_equal(members[-1, 0], alone[0])
+
+
+@pytest.mark.parametrize("knots", [97, 257, 66, 1])
+def test_rider_lattice_refuses_riders_off_a_complete_subtree(knots):
+    # 97 knots give 24 pairs, not a power of two; 257 give 64, more than
+    # the first segment's 32; 66 is not 1 (mod 4); 1 gives no pair
+    with pytest.raises(ValueError, match="power-of-two pair count"):
+        _rider_lattice(np.array([1e-6]), knots, np.array([32, 40]))
+
+
+def test_zero_width_steps_change_no_product_value():
+    # a rider's padding pairs have width 0: each is the rotation by angle
+    # 0, (1, -+0, +-0, +-0). Multiplied onto any quaternion it keeps every
+    # part's value; only the sign of a zero part can change, and no
+    # rotation matrix entry's magnitude sees that sign
+    rng = np.random.default_rng(5)
+    samples = [tuple(rng.uniform(0.0, 2e7, (5, 64))) for _ in range(2)]
+    step, angle = _pair_quaternions(np.zeros(64), *samples)
+    assert np.all(angle == 0.0) and np.all(step[0] == 1.0)
+    assert np.all(step[1:] == 0.0)
+    signs = np.array(np.meshgrid(*[[1.0, -1.0]] * 3)).reshape(3, -1)
+    identities = np.concatenate([np.ones((1, signs.shape[1])), 0.0 * signs])
+    assert np.signbit(identities[1:]).any()
+    # every part of q from {+0, -0, a random nonzero value}
+    parts = np.array(np.meshgrid(*[[0, 1, 2]] * 4)).reshape(4, -1)
+    values = rng.normal(size=(4, parts.shape[1]))
+    q = np.where(parts == 0, 0.0, np.where(parts == 1, -0.0, values))
+    q[0, np.all(parts < 2, axis=0)] = 1.0  # no zero quaternion
+    for identity in identities.T:
+        product = _quaternion_product(identity[:, None], q)
+        assert np.array_equal(product, q)
+        assert np.array_equal(np.abs(_rotation_matrices(product)),
+                              np.abs(_rotation_matrices(q)))
 
 
 def test_batch_two_matches_analytic():

@@ -24,6 +24,7 @@ from graphene_spp.experiments import (_CHUNK, _KNOT_TOLERANCE,
                                       wavevector_to_omega)
 from graphene_spp.geometry import _antisymmetric_grid, _omega1_table
 from graphene_spp.materials import CONSTANTS, ev_to_joule
+from graphene_spp.validation import build_validation_report
 from tests.conftest import (blow_up_kernel_rows, continuous_device_finals,
                             count_mode_solves)
 
@@ -327,6 +328,66 @@ def test_three_sheet_outputs_are_chunk_independent(default_config):
     assert np.array_equal(outputs, whole)
 
 
+def test_riders_leave_the_batch_and_are_their_runs_alone(default_config):
+    # a 4b batch of three wavevectors' five lengths carries three probes
+    # as riders at 65 and 129 knots: the batch's outputs are those of the
+    # batch alone, and each rider's are its probe's run alone, bit for bit
+    spec = figure_map_spec("4b", default_config, (3, 5), lossy=False)
+    cells, modes, mode_index, _ = _cell_parameters(spec)
+    index = _device_groups(spec, np.ones(15, dtype=bool))
+    batch = {"length": cells["length"][index],
+             "radius": cells["radius"][index[:, 0]],
+             "offset": cells["offset"][index[:, 0]]}
+    groups = mode_index[index[:, 0]]
+    probes = index.ravel()[[0, 7, 14]]
+    riders = ({key: values[probes] for key, values in cells.items()},
+              mode_index[probes])
+    outputs, ridden = _three_sheet_finals(batch, modes, groups,
+                                          default_config, 129, riders)
+    assert np.array_equal(outputs, _three_sheet_finals(
+        batch, modes, groups, default_config, 129))
+    assert ridden.shape == (2, 3)
+    for row, knots in zip(ridden, (65, 129)):
+        assert np.array_equal(row, _three_sheet_finals(
+            riders[0], modes, riders[1], default_config, knots))
+
+
+def test_the_first_doubling_rides_along_the_batch(default_config,
+                                                  monkeypatch):
+    # the probes' 65- and 129-knot runs share the batch's first pass: a
+    # default 4b map is one table and one kernel call, verify's three
+    # stretch scans are three of each, and the 8 um map, whose first
+    # estimate misses, adds its probes alone at 257 and 513 knots and then
+    # its batch at 513
+    import graphene_spp.experiments as experiments
+
+    calls = []
+    for name in ("propagate_batch_three", "_omega1_table"):
+        def counted(*args, _name=name, _call=getattr(experiments, name),
+                    **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+
+    def counts(run):
+        calls.clear()
+        run()
+        return (calls.count("propagate_batch_three"),
+                calls.count("_omega1_table"))
+
+    def run_map(config):
+        result = run_sweep(figure_map_spec("4b", config, (50, 50)))
+        return result.metadata["knots"]
+
+    assert counts(lambda: run_map(default_config)) == (1, 1)
+    assert counts(lambda: build_validation_report(default_config,
+                                                  seed=0)) == (3, 3)
+    long_device = replace(default_config, L_um=8.0, R_nm=5000.0)
+    assert run_map(long_device) == 513
+    assert counts(lambda: run_map(long_device)) == (4, 4)
+
+
 # Largest error of the lossless 12x12 map against the same map at four
 # times the knot intervals, measured with the 4th-order Magnus kernel that
 # preceded the 6th-order pair steps, both maps at 257 knots. The RK4 kernel
@@ -465,11 +526,12 @@ def test_invalid_geometry_cells_are_nan(default_config):
 
 def test_nonfinite_cells_are_counted_apart_from_invalid(default_config,
                                                         monkeypatch):
-    # the first device of every batch blows up, the probes too: a NaN
-    # estimate keeps doubling the knots up to the cap (65, 129, ..., 2049),
-    # and the map is refused there, not returned with the blow-up read as
-    # one more invalid-geometry cell
-    blow_up_kernel_rows(monkeypatch, 0)
+    # the first device of every call blows up, and so do the two probes,
+    # the four rows riding along the first pass and the probes run alone:
+    # a NaN estimate keeps doubling the knots up to the cap (65, 129, ...,
+    # 2049), and the map is refused there, not returned with the blow-up
+    # read as one more invalid-geometry cell
+    blow_up_kernel_rows(monkeypatch, 0, riders=4)
     radius = SweepAxis("radius_nm", np.array([400.0, 800.0]))
     offset = SweepAxis("offset_nm", np.array([100.0, 200.0]))
     spec = SweepSpec(axis1=radius, axis2=offset, config=default_config,
@@ -491,9 +553,9 @@ def test_a_map_unresolved_at_the_knot_cap_is_refused(default_config,
 
 def test_a_blow_up_off_the_probes_is_refused(default_config, monkeypatch):
     # the 4x3 map's four wavevectors are one integration each, 12 members
-    # in all; the probes (its four corners) stay finite, so the estimate
-    # stops the doubling at 129 knots, and member 4 of the main pass is
-    # the one non-finite device
+    # in all, and its four corner probes ride along the same pass after
+    # them; the probes stay finite, so the estimate stops the doubling at
+    # 129 knots, and member 4 of the batch is the one non-finite device
     blow_up_kernel_rows(monkeypatch, 4, batch=12)
     spec = figure_map_spec("4b", default_config, (4, 3), lossy=False)
     with pytest.raises(ExperimentError,
@@ -675,7 +737,8 @@ def test_stretch_search_succeeds_at_reference_scale(default_config):
 def test_stretch_search_refuses_a_blow_up(default_config, monkeypatch,
                                           wavevector):
     # stretch 1.5 of the 31-stretch coarse scan blows up off the two end
-    # probes; argmax would take its NaN as the best output
+    # probes, which ride along the same pass after the 31 stretches;
+    # argmax would take its NaN as the best output
     mode = (default_config.solve_mode() if wavevector is None
             else wavevector_to_omega(default_config, wavevector)[1])
     blow_up_kernel_rows(monkeypatch, 5, batch=31)

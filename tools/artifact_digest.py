@@ -4,9 +4,11 @@ The commands are `dispersion`, `schedule`, `device-run --field-map`, the
 figures 1b, 3, 4a, 4b and 4c (the maps at `--grid`), `verify --seed 0`,
 the 4b map and `verify --seed 0` again under a lossless config
 (`gamma_per_s = 0`: the wavevector inversion solves a quadratic there, not
-a cubic, and the report holds infinite propagation lengths), and
-`dispersion` and the 4b map under a config whose relaxation rate is
-derived from the mobility (`gamma_per_s = auto`). Each runs in
+a cubic, and the report holds infinite propagation lengths), `dispersion`
+and the 4b map under a config whose relaxation rate is derived from the
+mobility (`gamma_per_s = auto`), and the 4b map of an 8 um device
+(`L_um = 8`, `R_nm = 5000`), whose first knot error estimate misses, so
+that its probes double alone (to 513 knots at 50x50). Each runs in
 process into its own subdirectory of a temporary directory, which is
 removed afterwards; the output is one JSON object mapping
 "<command>/<file>" to the hex digest.
@@ -51,11 +53,11 @@ NUMBER = re.compile(r"(?<![\w#.])(?:[-+]?(?:\d+(?:\.\d*)?|\.\d+)"
                     r"(?:[eE][-+]?\d+)?|-?(?:nan|inf))(?![\w.])")
 
 
-def commands(grid: str, lossless_config: str,
-             auto_config: str) -> dict[str, list[str]]:
-    """Subdirectory name -> CLI arguments after --out; lossless_config and
-    auto_config are the paths of config files setting gamma_per_s = 0 and
-    gamma_per_s = auto."""
+def commands(grid: str, lossless_config: str, auto_config: str,
+             long_config: str) -> dict[str, list[str]]:
+    """Subdirectory name -> CLI arguments after --out; lossless_config,
+    auto_config and long_config are the paths of config files setting
+    gamma_per_s = 0, gamma_per_s = auto, and L_um = 8 with R_nm = 5000."""
     table = {"dispersion": ["dispersion"], "schedule": ["schedule"],
              "device-run": ["device-run", "--field-map"]}
     for figure in ("1b", "3", "4a", "4b", "4c"):
@@ -70,6 +72,8 @@ def commands(grid: str, lossless_config: str,
     table["dispersion-auto"] = ["--config", auto_config, "dispersion"]
     table["fig4b-auto"] = ["--config", auto_config, "robustness-sweep",
                            "--figure", "4b", "--grid", grid]
+    table["fig4b-long"] = ["--config", long_config, "robustness-sweep",
+                           "--figure", "4b", "--grid", grid]
     return table
 
 
@@ -81,10 +85,13 @@ def run_commands(grid: str, root: pathlib.Path) -> dict[str, pathlib.Path]:
 
     root.mkdir(parents=True, exist_ok=True)
     lossless, auto = root / "lossless.cfg", root / "auto.cfg"
+    long_device = root / "long.cfg"
     lossless.write_text("gamma_per_s = 0\n")
     auto.write_text("gamma_per_s = auto\n")
+    long_device.write_text("L_um = 8\nR_nm = 5000\n")
     found = {}
-    for name, argv in commands(grid, str(lossless), str(auto)).items():
+    for name, argv in commands(grid, str(lossless), str(auto),
+                               str(long_device)).items():
         out = root / name
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["--out", str(out), *argv])
