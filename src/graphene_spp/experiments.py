@@ -37,8 +37,8 @@ AXIS_NAMES = tuple(_AXES)
 # whose schedule table holds at most the samples of _CHUNK one-member
 # rows (_three_sheet_outputs), the probes riding along the first slice
 # counted against its budget, and the kernel holds a fixed multiple of
-# its table. A two-sheet batch holds a few 2x2 matrices per pair and runs
-# whole.
+# its table. A two-sheet batch holds a few complex numbers per pair (its
+# RK4 step's (alpha, beta) and amplitudes) and runs whole.
 _CHUNK = 512
 # Step-doubling knot choice of three-sheet batches (_three_sheet_outputs):
 # the first knot count probed, the last one allowed and the

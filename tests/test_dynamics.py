@@ -698,24 +698,8 @@ def test_batch_two_matches_analytic():
         assert abs(row[1]) ** 2 == pytest.approx(exact1, abs=1e-8)
 
 
-def _constant_stepwise(couplings, span, n_steps):
-    """propagate_constant written as one RK4 step per knot, from channel 1."""
-    m = chain_matrix(couplings)
-    h = span / n_steps
-    a = np.eye(len(m))[0].astype(complex)
-    out = [a]
-    for _ in range(n_steps):
-        k1 = -1j * (m @ a)
-        k2 = -1j * (m @ (a + 0.5 * h * k1))
-        k3 = -1j * (m @ (a + 0.5 * h * k2))
-        k4 = -1j * (m @ (a + h * k3))
-        a = a + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(a)
-    return np.array(out)
-
-
 def _batch_two_stepwise(coupling, span, n_steps):
-    """propagate_batch_two written as one RK4 step per knot."""
+    """Two-channel chains from channel 1, one RK4 step per knot."""
     h = span / n_steps
     a0 = np.ones_like(coupling, dtype=complex)
     a1 = np.zeros_like(coupling, dtype=complex)
@@ -746,16 +730,13 @@ def test_constant_step_matrix_matches_stepwise_loop():
     rng = np.random.default_rng(11)
     batch = 3
     for n_steps in STEP_COUNTS:
-        for dim in (2, 3, 4):
-            couplings = rng.uniform(0.5, 40.0, (batch, dim - 1)) * 1e6
-            area = rng.uniform(0.1, min(20.0 * math.pi, float(n_steps)),
-                               batch)
-            span = area / couplings.max(axis=1)
-            got = propagate_constant(couplings, span, n_steps)
-            assert got.shape == (batch, dim)
-            for b in range(batch):
-                expected = _constant_stepwise(couplings[b], span[b], n_steps)
-                assert _relative_gap(got[b], expected[-1]) < 1e-12
+        couplings = rng.uniform(0.5, 40.0, (batch, 1)) * 1e6
+        area = rng.uniform(0.1, min(20.0 * math.pi, float(n_steps)), batch)
+        span = area / couplings[:, 0]
+        got = propagate_constant(couplings, span, n_steps)
+        assert got.shape == (batch, 2)
+        expected = _batch_two_stepwise(couplings[:, 0], span, n_steps)
+        assert _relative_gap(got, expected) < 1e-12
 
 
 def test_batch_two_step_matrix_matches_stepwise_loop():
@@ -798,18 +779,24 @@ def test_constant_propagation_reports_blow_up():
     assert caught.value.position == 1e-3
 
 
-@pytest.mark.parametrize("span, n_steps", [
-    (1e-6, 0), (-1e-6, 16), (math.nan, 16), (math.inf, 16)],
-    ids=["no-steps", "negative-span", "nan-span", "infinite-span"])
-def test_constant_chains_reject_bad_input(span, n_steps):
+@pytest.mark.parametrize("coupling, span, n_steps", [
+    (1e6, 1e-6, 0), (1e6, -1e-6, 16), (1e6, math.nan, 16),
+    (1e6, math.inf, 16), (1e6, 1e-6, 2.5), (1e6, 1e-6, 16.0),
+    (math.nan, 1e-6, 16), (math.inf, 1e-6, 16)],
+    ids=["no-steps", "negative-span", "nan-span", "infinite-span",
+         "fractional-steps", "float-steps", "nan-coupling",
+         "infinite-coupling"])
+def test_constant_chains_reject_bad_input(coupling, span, n_steps):
     with pytest.raises(ValueError):
-        propagate_constant([1e6], span, n_steps)
+        propagate_constant([coupling], span, n_steps)
     with pytest.raises(ValueError):
-        propagate_batch_two(np.full(4, 1e6), np.full(4, span), n_steps)
+        propagate_batch_two(np.full(4, coupling), np.full(4, span), n_steps)
 
 
 def test_constant_chains_need_a_coupling():
-    for couplings in (1e6, np.empty((3, 0))):
+    # one coupling per chain: none, or the two of a three-channel chain,
+    # is refused
+    for couplings in (1e6, np.empty((3, 0)), np.full((3, 2), 1e6)):
         with pytest.raises(ValueError):
             propagate_constant(couplings, 1e-6)
 
