@@ -47,7 +47,7 @@ from .geometry import CouplingSchedule, DeviceGeometry, sheet_separations
 # The rotation by pi about (1, 0, 1)/sqrt(2) that maps a mirror-symmetric
 # device's right half onto its left, as a quaternion (w, x, y, z).
 _MIRROR = np.array([0.0, math.sqrt(0.5), 0.0, math.sqrt(0.5)])
-# Steps per block of propagate's quaternion scan, substeps included. Blocks
+# Steps per block of propagate's quaternion scan, one per interval. Blocks
 # bound the scan's memory on long schedules; fewer, longer blocks take fewer
 # scan levels (notes/decisions.md "One rotation algebra").
 _STEP_BLOCK = 1024
@@ -89,49 +89,12 @@ class Trajectory:
     def damped(self, alpha) -> "Trajectory":
         """The trajectory under uniform amplitude decay rate alpha: the
         exact envelope exp(-alpha (x - x0)) on these amplitudes."""
-        if np.ndim(alpha) != 0 or not alpha >= 0:
-            raise ValueError("loss must be a scalar rate >= 0")
+        if np.ndim(alpha) != 0 or not 0 <= alpha < math.inf:
+            raise ValueError("loss must be a finite scalar rate >= 0")
         x = self.x_grid
         envelope = np.exp(-float(alpha) * (x - x[0]))
         return Trajectory(x_grid=x, amplitudes=self.amplitudes
                           * envelope[:, None])
-
-
-def _substeps_for(spacing: float, step: float | None) -> int:
-    if step is None:
-        return 1
-    if not step > 0:
-        raise ValueError("step must be > 0")
-    if step > spacing * (1.0 + 1e-12):
-        raise ValueError("step must not exceed the schedule grid spacing")
-    return max(1, math.ceil(spacing / step - 1e-12))
-
-
-def _quadratic_weights(fractions):
-    """Lagrange weights at fractions t of the quadratic through an
-    interval's start (t = 0), midpoint (t = 1/2) and end (t = 1), as a
-    (3, len(t)) array."""
-    t = np.asarray(fractions, dtype=float)
-    return np.stack([(2.0 * t - 1.0) * (t - 1.0), 4.0 * t * (1.0 - t),
-                     t * (2.0 * t - 1.0)])
-
-
-def _substep_couplings(knots, mid, substeps):
-    """Couplings at the start, midpoint and end of every substep when each
-    of the n intervals is split into substeps equal parts, as three
-    (..., n * substeps) arrays, from knots (..., n + 1) and exact interval
-    midpoints (..., n). A substep's samples lie on the quadratic through
-    its interval's start, midpoint and end."""
-    start, end = knots[..., :-1], knots[..., 1:]
-    if substeps == 1:
-        return start, mid, end
-    w_start, w_mid, w_end = _quadratic_weights(
-        np.arange(2 * substeps + 1) / (2 * substeps))
-    u = (w_start * start[..., None] + w_mid * mid[..., None]
-         + w_end * end[..., None])
-    shape = mid.shape[:-1] + (-1,)
-    return (u[..., 0:-1:2].reshape(shape), u[..., 1::2].reshape(shape),
-            u[..., 2::2].reshape(shape))
 
 
 def _rotation_quaternions(s1, s2, twist):
@@ -296,20 +259,23 @@ def propagate(schedule: CouplingSchedule, initial,
     initial is the unit-norm vector of the three channel amplitudes. Each
     interval is one 4th-order Magnus step from the schedule's couplings at
     the interval's start, exact midpoint and end, so the run is 4th order
-    against the continuous device. step, when given, must not exceed the
-    schedule spacing and is rounded to m = ceil(spacing / step) exact
-    substeps; their couplings come from the quadratic through the start,
-    midpoint and end samples, as in `propagate_batch_three`. Loss is
-    `Trajectory.damped` on the result. Raises PropagationError at the end
-    of the first interval holding a step that turns by more than
-    _MAX_STEP_ANGLE, or by a non-finite angle.
+    against the continuous device and its resolution is the schedule's
+    knots alone. step must stay None: the name stays only because
+    `benchmark/tracer.py`'s COUNT_RULES binds it, and it goes with ROADMAP
+    item 1; any other value raises ValueError. Loss is `Trajectory.damped`
+    on the result. Raises PropagationError at the end of the first
+    interval holding a step that turns by more than _MAX_STEP_ANGLE, or by
+    a non-finite angle.
 
     In the basis s = (a0, i a1, a2) every step is a rotation, a unit
-    quaternion. In blocks of about _STEP_BLOCK steps, a prefix scan
-    (_prefix_products) over the steps, substeps included, gives the running
-    rotation from the block's start to every knot, and its rotation matrix
-    times the block's starting state records the trajectory there.
+    quaternion. In blocks of _STEP_BLOCK intervals, a prefix scan
+    (_prefix_products) over the steps gives the running rotation from the
+    block's start to every knot, and its rotation matrix times the block's
+    starting state records the trajectory there.
     """
+    if step is not None:
+        raise ValueError("step must be None: each interval is one Magnus "
+                         "step")
     a = np.asarray(initial, dtype=complex)
     if a.shape != (3,):
         raise ValueError("schedule propagation drives a three-channel system")
@@ -317,27 +283,26 @@ def propagate(schedule: CouplingSchedule, initial,
         raise ValueError("initial state must have unit norm for intensity "
                          "semantics")
     x = schedule.x_grid
-    m = _substeps_for(schedule.spacing, step)
-    block = max(1, _STEP_BLOCK // m)
     basis = np.array([1.0, 1j, 1.0])
     out = np.empty((len(x), 3), dtype=complex)
     out[0] = basis * a
     pairs = out.view(float).reshape(len(x), 3, 2)
-    for j0 in range(0, len(x) - 1, block):
-        j1 = min(j0 + block, len(x) - 1)
-        h = np.repeat((x[j0 + 1:j1 + 1] - x[j0:j1]) / m, m)
+    for j0 in range(0, len(x) - 1, _STEP_BLOCK):
+        j1 = min(j0 + _STEP_BLOCK, len(x) - 1)
+        knots1 = schedule.omega1[j0:j1 + 1]
+        knots2 = schedule.omega2[j0:j1 + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            q, angle = _magnus_quaternions(h, *_substep_couplings(
-                schedule.omega1[j0:j1 + 1], schedule.omega1_mid[j0:j1], m),
-                *_substep_couplings(schedule.omega2[j0:j1 + 1],
-                                    schedule.omega2_mid[j0:j1], m))
+            q, angle = _magnus_quaternions(
+                x[j0 + 1:j1 + 1] - x[j0:j1],
+                knots1[:-1], schedule.omega1_mid[j0:j1], knots1[1:],
+                knots2[:-1], schedule.omega2_mid[j0:j1], knots2[1:])
         over = np.flatnonzero(~(angle <= _MAX_STEP_ANGLE))
         if over.size:
             raise PropagationError(
                 f"Magnus step angle {angle[over[0]]:.3g} rad over the "
                 f"resolution limit {_MAX_STEP_ANGLE} rad",
-                float(x[j0 + over[0] // m + 1]))
-        steps = _prefix_products(q)[:, m - 1::m]
+                float(x[j0 + over[0] + 1]))
+        steps = _prefix_products(q)
         pairs[j0 + 1:j1 + 1] = _rotation_matrices(steps) @ pairs[j0]
     out /= basis
     return Trajectory(x_grid=x.copy(), amplitudes=out)
@@ -389,14 +354,16 @@ def propagate_constant(couplings, span, n_steps: int = 4096):
 def two_level_analytic(coupling: float, span: float) -> tuple[float, float]:
     """Closed-form intensities (cos^2(C span), sin^2(C span)) of the
     constant-coupling two-channel system started in channel 1."""
-    if span < 0:
-        raise ValueError("span must be >= 0")
+    if not (math.isfinite(coupling) and 0 <= span < math.inf):
+        raise ValueError("coupling must be finite, span finite and >= 0")
     phase = float(coupling) * float(span)
     return math.cos(phase) ** 2, math.sin(phase) ** 2
 
 
 def dark_state(omega1: float, omega2: float) -> np.ndarray:
     """Zero-eigenvalue superposition (omega2, 0, -omega1)/sqrt(omega1^2+omega2^2)."""
+    if not (math.isfinite(omega1) and math.isfinite(omega2)):
+        raise ValueError("dark state needs finite couplings")
     norm = math.hypot(omega1, omega2)
     if norm == 0.0:
         raise ValueError("dark state undefined when both couplings vanish")
@@ -458,15 +425,14 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1,
     in the input sheet, a = (1, 0, 0). Returns the final (B M, 3)
     amplitudes, member by member within each row; a member with a pair step
     over _MAX_PAIR_ANGLE before its breakpoint, or a non-finite one, gets a
-    row of NaN. Any other N or breaks, or substeps that is not an integer
-    >= 1, raises ValueError.
+    row of NaN. Any other N or breaks raises ValueError. substeps must stay
+    the integer 1: the name stays only because `benchmark/tracer.py`'s
+    COUNT_RULES binds it, and it goes with ROADMAP item 1; any other value
+    raises ValueError.
 
     Each pair of consecutive intervals is one 6th-order Magnus step
     (_pair_quaternions) from its five samples, knot, midpoint, knot,
-    midpoint, knot, so the error falls 64x per halving of h. Substeps split
-    every interval into exact parts whose couplings come from the quadratic
-    through its start, midpoint and end samples, and the pair steps then
-    take consecutive substeps two at a time.
+    midpoint, knot, so the error falls 64x per halving of h.
 
     Only the right half is integrated, once per row for all its members.
     A left pair and its mirror image swap omega1 and omega2 at every
@@ -483,19 +449,19 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1,
     are then chained in order by a prefix scan, whose m-th product depends
     only on the first m + 1 segments. So a member's result does not depend
     on the members after it, and a row's results do not depend on the
-    batch it is run in, bit for bit, for any substeps. The pass holds a
-    fixed multiple of the tables passed in, growing with substeps: a heap
-    peak of about 3.1x omega1 and omega1_mid together at substeps = 1 and
-    9.2x at 2. The caller bounds the tables.
+    batch it is run in, bit for bit. The pass holds a fixed multiple of
+    the tables passed in: a heap peak of about 3.0x omega1 and omega1_mid
+    together. The caller bounds the tables.
 
     In the basis (a0, i a1, a2) the input sheet is (1, 0, 0), so the
     final state is the first column of the member's rotation matrix.
     """
+    if not (isinstance(substeps, (int, np.integer)) and substeps == 1):
+        raise ValueError("substeps must be 1: each pair of intervals is one "
+                         "pair step")
     omega1, omega1_mid = (np.asarray(omega, dtype=float)
                           for omega in (omega1, omega1_mid))
     batch, knots = omega1.shape
-    if not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
-        raise ValueError("substeps must be an integer >= 1")
     if knots % 4 != 1 or knots < 5:
         raise ValueError("the knot count must be 1 (mod 4) and >= 5, so "
                          "that x = 0 is a knot and each half is whole "
@@ -515,21 +481,18 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1,
     right1, right1_mid = omega1[:, centre:], omega1_mid[:, centre:]
     right2, right2_mid = omega1[:, centre::-1], omega1_mid[:, centre - 1::-1]
     width = np.broadcast_to(2.0 * np.asarray(h, dtype=float).reshape(
-        batch, -1) / substeps, (batch, pairs))
+        batch, -1), (batch, pairs))
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = []
-        for knot, mid in ((right1, right1_mid), (right2, right2_mid)):
-            start, middle, end = _substep_couplings(knot, mid, substeps)
-            samples.append((start[:, 0::2], middle[:, 0::2], end[:, 0::2],
-                            middle[:, 1::2], end[:, 1::2]))
-        q, angle = _pair_quaternions(np.repeat(width, substeps, axis=1),
-                                     *samples)
+        # each pair's knot, midpoint, knot, midpoint, knot
+        q, angle = _pair_quaternions(width, *(
+            (knot[:, :-1:2], mid[:, 0::2], knot[:, 1::2], mid[:, 1::2],
+             knot[:, 2::2])
+            for knot, mid in ((right1, right1_mid), (right2, right2_mid))))
         # each row's first pair step over the limit, if any
         over = ~(angle <= _MAX_PAIR_ANGLE)
-        first_over = np.where(over.any(axis=1), over.argmax(axis=1),
-                              pairs * substeps)
+        first_over = np.where(over.any(axis=1), over.argmax(axis=1), pairs)
         r = _prefix_products(np.stack(
-            [_pairwise_product(q[..., s0 * substeps:s1 * substeps])
+            [_pairwise_product(q[..., s0:s1])
              for s0, s1 in zip([0, *breaks[:-1]], breaks)], axis=-1))
     conjugate = r * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
     mirror = _MIRROR[:, None, None]
@@ -537,7 +500,7 @@ def propagate_batch_three(h, omega1, omega1_mid, substeps: int = 1,
         _quaternion_product(_quaternion_product(r, mirror), conjugate),
         mirror)
     a = _rotation_matrices(total)[..., 0] / np.array([1.0, 1j, 1.0])
-    a[first_over[:, None] < substeps * np.array(breaks)] = np.nan
+    a[first_over[:, None] < np.array(breaks)] = np.nan
     return a.reshape(-1, 3)
 
 

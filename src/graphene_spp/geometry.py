@@ -78,7 +78,8 @@ def sheet_separations(geom: DeviceGeometry, x):
     x = np.asarray(x, dtype=float)
     u1 = x - geom.offset / 2.0
     u2 = x + geom.offset / 2.0
-    if np.any(np.abs(u1) > geom.radius) or np.any(np.abs(u2) > geom.radius):
+    if not (np.all(np.abs(u1) <= geom.radius)
+            and np.all(np.abs(u2) <= geom.radius)):
         raise GeometryError("position outside the arc domain")
     d1 = _arc_gap(u1, geom.radius, geom.min_gap)
     d2 = _arc_gap(u2, geom.radius, geom.min_gap)

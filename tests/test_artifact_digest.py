@@ -30,7 +30,7 @@ def test_two_runs_print_the_same_digests():
     first = _digests()
     assert first == _digests()
     for name in ("dispersion/dispersion.csv", "schedule/schedule.csv",
-                 "device-run/field_map.csv",
+                 "device-run/field_map.csv", "device-run-odd/field_map.csv",
                  "fig1b/coupling_sweep.csv", "fig3/schedule.csv",
                  "fig3/device_run_lossy.csv", "fig4a/fig_4a.csv",
                  "fig4b/fig_4b.json", "fig4b-lossless/fig_4b.csv",
@@ -45,6 +45,9 @@ def test_two_runs_print_the_same_digests():
     assert first["fig3/schedule.csv"] == first["schedule/schedule.csv"]
     assert (first["fig3/field_map.csv"]
             == first["device-run/field_map.csv"])
+    # 2050 knots are a run of their own, to the last block's one interval
+    assert (first["device-run-odd/field_map.csv"]
+            != first["device-run/field_map.csv"])
     assert (first["verify-lossless/validation.json"]
             != first["verify/validation.json"])
     # the mobility-derived relaxation rate is not the configured one

@@ -78,15 +78,20 @@ def test_dark_state_annihilated_everywhere(default_config, default_mode):
 
 
 def test_dark_state_undefined_at_zero_coupling():
-    with pytest.raises(ValueError):
-        dark_state(0.0, 0.0)
+    # no direction at zero coupling, and none from a non-finite one: a
+    # named error, not a NaN vector
+    for couplings in ((0.0, 0.0), (math.inf, 1.0), (1.0, -math.inf),
+                      (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            dark_state(*couplings)
 
 
-def _quadratic(start, mid, end, t):
-    """The quadratic through an interval's start, midpoint and end samples,
-    at fraction t of the interval."""
-    return ((2.0 * t - 1.0) * (t - 1.0) * start
-            + 4.0 * t * (1.0 - t) * mid + t * (2.0 * t - 1.0) * end)
+def test_two_level_analytic_rejects_non_finite_input():
+    # a named error, not (nan, nan) or a bare math domain error
+    for coupling, span in ((1e6, math.nan), (1e6, math.inf), (1e6, -1e-6),
+                           (math.nan, 1e-6), (math.inf, 1e-6)):
+        with pytest.raises(ValueError, match="finite"):
+            two_level_analytic(coupling, span)
 
 
 def _generator(u1, u2):
@@ -122,34 +127,18 @@ def _magnus_rotation(h, u_start, u_mid, u_end, loss=0.0):
         _magnus_exponent(h, u_start, u_mid, u_end))
 
 
-def _substep_samples(samples1, samples2, s, m):
-    """Coupling pairs at the start, midpoint and end of substep s of m,
-    from the quadratic through an interval's start, midpoint and end."""
-    return [(_quadratic(*samples1, t), _quadratic(*samples2, t))
-            for t in (s / m, (s + 0.5) / m, (s + 1.0) / m)]
-
-
-def _propagate_stepwise(schedule, initial, loss, step=None):
+def _propagate_stepwise(schedule, initial, loss):
     """propagate with the uniform loss rate inside every Magnus step, one
-    rotation per interval (per substep when step is given) applied in a
-    Python loop; substep s of m takes its couplings from the quadratic
-    through the interval's start, exact midpoint and end samples at
-    fractions s/m, (s + 1/2)/m, (s + 1)/m."""
+    rotation per interval applied in a Python loop."""
     x = schedule.x_grid
-    m = 1 if step is None else max(1, math.ceil(schedule.spacing / step
-                                                - 1e-12))
     basis = np.array([1.0, 1j, 1.0])
     state = basis * np.asarray(initial, dtype=complex)
     out = [state / basis]
     for j in range(len(x) - 1):
-        h = (x[j + 1] - x[j]) / m
-        samples1 = (schedule.omega1[j], schedule.omega1_mid[j],
-                    schedule.omega1[j + 1])
-        samples2 = (schedule.omega2[j], schedule.omega2_mid[j],
-                    schedule.omega2[j + 1])
-        for s in range(m):
-            state = _magnus_rotation(
-                h, *_substep_samples(samples1, samples2, s, m), loss) @ state
+        state = _magnus_rotation(
+            x[j + 1] - x[j], (schedule.omega1[j], schedule.omega2[j]),
+            (schedule.omega1_mid[j], schedule.omega2_mid[j]),
+            (schedule.omega1[j + 1], schedule.omega2[j + 1]), loss) @ state
         out.append(state / basis)
     return np.array(out)
 
@@ -157,17 +146,17 @@ def _propagate_stepwise(schedule, initial, loss, step=None):
 def test_propagate_matches_stepwise_loss_loop(default_config, default_mode):
     # the loss envelope outside the kernel must agree with damping inside
     # every Magnus step, over whole trajectories: uniform loss commutes
-    # with the chain, so the two differ by rounding only. The schedule spans
-    # several blocks of the scan, so each block must start from the last
-    # state of the one before.
-    schedule = _schedule(default_config, default_mode, 4096)
-    assert len(schedule.x_grid) - 1 > _STEP_BLOCK
+    # with the chain, so the two differ by rounding only. Both schedules
+    # span several blocks of the scan, so each block must start from the
+    # last state of the one before; at 2050 knots the last block holds one
+    # interval.
     alpha = default_mode.q.imag
-    for step in (None, schedule.spacing / 2, schedule.spacing / 3):
+    for knots in (4096, 2 * _STEP_BLOCK + 2):
+        schedule = _schedule(default_config, default_mode, knots)
+        assert len(schedule.x_grid) - 1 > _STEP_BLOCK
         for loss in (0.0, alpha):
-            got = propagate(schedule, START,
-                            step=step).damped(loss).amplitudes
-            expected = _propagate_stepwise(schedule, START, loss, step)
+            got = propagate(schedule, START).damped(loss).amplitudes
+            expected = _propagate_stepwise(schedule, START, loss)
             assert got.shape == expected.shape
             assert _relative_gap(got, expected) < 1e-12
 
@@ -187,7 +176,8 @@ def test_damped_rejects_vector_or_negative_loss(default_config,
     schedule = _schedule(default_config, default_mode, 129)
     alpha = default_mode.q.imag
     trajectory = propagate(schedule, START)
-    for loss in ((0.0, alpha, 0.0), np.full(3, alpha), -alpha):
+    # an infinite rate would put -inf x 0 = NaN at the first knot
+    for loss in ((0.0, alpha, 0.0), np.full(3, alpha), -alpha, np.inf):
         with pytest.raises(ValueError):
             trajectory.damped(loss)
 
@@ -211,42 +201,14 @@ def test_propagate_rejects_bad_initial_states(default_config, default_mode):
         propagate(schedule, np.array([math.nan, 0.0, 0.0]))
 
 
-def test_propagate_step_subdivides(default_config, default_mode):
-    schedule = _schedule(default_config, default_mode, 513)
-    coarse = propagate(schedule, START)
-    fine = propagate(schedule, START,
-                     step=schedule.spacing / 4)
-    # both converged; the step option must not change the answer materially
-    assert np.abs(coarse.amplitudes[-1] - fine.amplitudes[-1]).max() < 1e-7
-    with pytest.raises(ValueError):
-        propagate(schedule, START, step=schedule.spacing * 2)
-
-
-@pytest.mark.parametrize("fraction", [math.nan, 0.0, -0.25],
-                         ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("fraction", [math.nan, 0.0, -0.25, 1.0, 0.25],
+                         ids=["nan", "zero", "negative", "spacing", "quarter"])
 def test_propagate_rejects_bad_steps(default_config, default_mode, fraction):
-    # a NaN step is bad input, named as such, not a failed float-to-int
-    # conversion
+    # each interval is one Magnus step: any step, even one that divides the
+    # spacing, is refused by name before any work
     schedule = _schedule(default_config, default_mode, 129)
-    with pytest.raises(ValueError, match=r"step must be > 0"):
+    with pytest.raises(ValueError, match=r"step must be None"):
         propagate(schedule, START, step=schedule.spacing * fraction)
-
-
-def test_propagate_memory_does_not_grow_with_substeps(default_config,
-                                                      default_mode):
-    # a scan block holds about _STEP_BLOCK steps, substeps included, so the
-    # heap peak does not grow with the substep count m
-    schedule = _schedule(default_config, default_mode, 4096)
-    peaks = {}
-    for m in (1, 16):
-        tracemalloc.start()
-        try:
-            propagate(schedule, START,
-                      step=None if m == 1 else schedule.spacing / m)
-            peaks[m] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[16] <= 1.5 * peaks[1]
 
 
 def test_propagate_complex_initial_state_matches_stepwise_loop(
@@ -339,10 +301,11 @@ def test_batch_three_needs_an_odd_knot_count(knots):
                               np.full((1, max(knots - 1, 0)), 1e6))
 
 
-@pytest.mark.parametrize("substeps", [0, -1, 1.5, math.nan])
+@pytest.mark.parametrize("substeps", [0, -1, 1.5, math.nan, 2, 1.0])
 def test_batch_three_rejects_bad_substeps(substeps):
-    # a named error, not an IndexError or a broadcast error from the kernel
-    with pytest.raises(ValueError, match=r"substeps must be an integer >= 1"):
+    # each pair of intervals is one pair step: anything but the integer 1
+    # is a named error, not an IndexError or a broadcast error
+    with pytest.raises(ValueError, match=r"substeps must be 1"):
         propagate_batch_three(np.full(1, 1e-9), np.full((1, 5), 1e6),
                               np.full((1, 4), 1e6), substeps=substeps)
 
@@ -369,12 +332,12 @@ def test_pair_limit_is_the_interval_limit_per_length(margin, accepted):
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), half=st.integers(1, 150),
-       turn=st.floats(0.0, 0.5), substeps=st.integers(1, 3))
-def test_kernels_conserve_the_norm(seed, half, turn, substeps):
+       turn=st.floats(0.0, 0.5))
+def test_kernels_conserve_the_norm(seed, half, turn):
     # every step is a rotation, so the lossless norm holds to rounding for
     # any couplings with h * omega <= turn, which keeps every interval step
     # and every pair step of the batch kernel (about 2 sqrt(2) turn) well
-    # inside the angle limits, substeps and their quadratic included
+    # inside the angle limits
     knots = 2 * half + 1
     rng = np.random.default_rng(seed)
     x = np.linspace(-0.5e-6, 0.5e-6, knots)
@@ -384,7 +347,7 @@ def test_kernels_conserve_the_norm(seed, half, turn, substeps):
     initial /= np.linalg.norm(initial)
     schedule = CouplingSchedule(x, omega[0], omega[1], omega[2, 1:],
                                 omega[3, 1:])
-    trajectory = propagate(schedule, initial, step=h / substeps)
+    trajectory = propagate(schedule, initial)
     assert np.abs(trajectory.intensities.sum(axis=1) - 1.0).max() < 1e-13
     # the batch kernel takes knot counts 1 (mod 4) only, so it gets a table
     # of its own over the same length; its devices start in the input sheet
@@ -392,8 +355,7 @@ def test_kernels_conserve_the_norm(seed, half, turn, substeps):
     h = 1e-6 / (knots - 1)
     omega = rng.uniform(0.0, turn / h, (3, knots))
     omega_mid = rng.uniform(0.0, turn / h, (3, knots - 1))
-    finals = propagate_batch_three(np.full(3, h), omega, omega_mid,
-                                   substeps=substeps)
+    finals = propagate_batch_three(np.full(3, h), omega, omega_mid)
     assert np.abs(np.sum(np.abs(finals) ** 2, axis=1) - 1.0).max() < 1e-13
 
 
@@ -410,36 +372,28 @@ def test_propagate_is_fourth_order(default_config, default_mode):
     assert errors[1] >= 12.0 * errors[2]
 
 
-def _batch_three_of(schedule, substeps):
+def _batch_three_of(schedule):
     """propagate_batch_three on the schedule's knots and exact midpoints;
     the schedule's omega2 is its omega1 reversed."""
     return propagate_batch_three(
         np.array([schedule.spacing]), schedule.omega1[None, :],
-        schedule.omega1_mid[None, :], substeps=substeps)[0]
+        schedule.omega1_mid[None, :])[0]
 
 
 def test_batch_three_matches_scalar_integrator(default_config, default_mode):
     # fed the same exact midpoints at 257 knots, the batch kernel (6th
     # order over interval pairs) and the recorded run (4th order per
     # interval) take different steps, so each is held to the continuous
-    # device at its own order, and the batch kernel is the closer. Substeps
-    # take their couplings from the quadratic through an interval's start,
-    # midpoint and end samples, whose integral is exact to h^5 per
-    # interval, so they leave both kernels 4th order.
+    # device at its own order, and the batch kernel is the closer.
     exact = continuous_device_finals(default_config.geometry(), default_mode,
                                      default_config.k0_convention)
     schedule = _schedule(default_config, default_mode, 257)
-    # largest error (scalar, batch): measured 4.69e-8, 9.76e-11 at one
-    # substep and 1.11e-8, 8.72e-9 at two
-    bounds = {1: (7e-8, 1.5e-10), 2: (1.7e-8, 1.3e-8)}
-    for substeps, (scalar_bound, batch_bound) in bounds.items():
-        step = None if substeps == 1 else schedule.spacing / substeps
-        scalar = np.abs(propagate(schedule, START, step=step).amplitudes[-1]
-                        - exact).max()
-        batch = np.abs(_batch_three_of(schedule, substeps) - exact).max()
-        assert scalar <= scalar_bound
-        assert batch <= batch_bound
-        assert batch < scalar
+    # largest error: measured 4.69e-8 (scalar) and 9.76e-11 (batch)
+    scalar = np.abs(propagate(schedule, START).amplitudes[-1] - exact).max()
+    batch = np.abs(_batch_three_of(schedule) - exact).max()
+    assert scalar <= 7e-8
+    assert batch <= 1.5e-10
+    assert batch < scalar
 
 
 def test_batch_three_is_sixth_order(default_config, default_mode):
@@ -450,7 +404,7 @@ def test_batch_three_is_sixth_order(default_config, default_mode):
     exact = continuous_device_finals(default_config.geometry(), default_mode,
                                      default_config.k0_convention)
     errors = [np.abs(_batch_three_of(_schedule(default_config, default_mode,
-                                               knots), 1) - exact).max()
+                                               knots)) - exact).max()
               for knots in (65, 129, 257)]
     assert errors[0] >= 50.0 * errors[1]
     assert errors[1] >= 50.0 * errors[2]
@@ -476,26 +430,21 @@ def _pair_exponent(width, samples1, samples2):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _batch_three_stepwise(h, omega1, omega2, omega1_mid, omega2_mid,
-                          substeps):
+def _batch_three_stepwise(h, omega1, omega2, omega1_mid, omega2_mid):
     """The batch kernel written as one rotation per pair of consecutive
-    substeps over the whole device, left half included, device by device,
-    in a Python loop, from the input sheet; a substep's couplings come from
-    the quadratic through its interval's start, midpoint and end samples."""
+    intervals over the whole device, left half included, device by device,
+    in a Python loop, from the input sheet."""
     basis = np.array([1.0, 1j, 1.0])
     out = []
     for b in range(len(h)):
-        samples = []  # (start, midpoint, end) coupling pairs per substep
-        for j in range(omega1.shape[1] - 1):
-            samples1 = omega1[b, j], omega1_mid[b, j], omega1[b, j + 1]
-            samples2 = omega2[b, j], omega2_mid[b, j], omega2[b, j + 1]
-            samples += [_substep_samples(samples1, samples2, s, substeps)
-                        for s in range(substeps)]
         state = basis * START
-        for first, second in zip(samples[0::2], samples[1::2]):
-            u1, u2 = zip(*(first + second[1:]))
-            state = _rotation(_pair_exponent(2.0 * h[b] / substeps,
-                                             u1, u2)) @ state
+        for j in range(0, omega1.shape[1] - 1, 2):
+            # the pair's knot, midpoint, knot, midpoint, knot
+            u1 = (omega1[b, j], omega1_mid[b, j], omega1[b, j + 1],
+                  omega1_mid[b, j + 1], omega1[b, j + 2])
+            u2 = (omega2[b, j], omega2_mid[b, j], omega2[b, j + 1],
+                  omega2_mid[b, j + 1], omega2[b, j + 2])
+            state = _rotation(_pair_exponent(2.0 * h[b], u1, u2)) @ state
         out.append(state / basis)
     return np.array(out)
 
@@ -505,38 +454,32 @@ def test_batch_three_matches_stepwise_rotation_loop():
     # of the pair rotations over the whole device up to rounding, which
     # checks Omega_L = -M Omega_R for the pair step. Each device's row does
     # not depend on the rest of the batch, bit for bit: the 201 pairs of a
-    # 805-knot half are one tree per row, whatever the batch size and the
-    # substep count, including the 603 pair steps of substeps = 3
+    # 805-knot half are one tree per row, whatever the batch size
     rng = np.random.default_rng(5)
     batch, knots = 7, 805
     omega1 = rng.uniform(0.0, 3e7, (batch, knots))
     omega1_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
     h = rng.uniform(5e-10, 2e-9, batch)
-    tables = (omega1, omega1_mid)
-    for substeps in (1, 2):
-        expected = _batch_three_stepwise(h, omega1, omega1[:, ::-1],
-                                         omega1_mid, omega1_mid[:, ::-1],
-                                         substeps)
-        got = propagate_batch_three(h, *tables, substeps=substeps)
-        assert _relative_gap(got, expected) < 1e-13
+    expected = _batch_three_stepwise(h, omega1, omega1[:, ::-1], omega1_mid,
+                                     omega1_mid[:, ::-1])
+    got = propagate_batch_three(h, omega1, omega1_mid)
+    assert _relative_gap(got, expected) < 1e-13
     batch = 600
     omega1 = rng.uniform(0.0, 3e7, (batch, knots))
     omega1_mid = rng.uniform(0.0, 3e7, (batch, knots - 1))
     h = rng.uniform(5e-10, 2e-9, batch)
     tables = (omega1, omega1_mid)
-    for substeps in (1, 2, 3):
-        got = propagate_batch_three(h, *tables, substeps=substeps)
-        assert np.isfinite(got).all()
-        for b in range(batch):
-            alone = propagate_batch_three(h[[b]], *(t[[b]] for t in tables),
-                                          substeps=substeps)
-            assert np.array_equal(alone[0], got[b])
+    got = propagate_batch_three(h, *tables)
+    assert np.isfinite(got).all()
+    for b in range(batch):
+        alone = propagate_batch_three(h[[b]], *(t[[b]] for t in tables))
+        assert np.array_equal(alone[0], got[b])
 
 
 def test_batch_three_heap_is_a_fixed_multiple_of_its_tables():
     # the kernel integrates each row in one pass, so its heap peak is a
     # fixed multiple of the tables passed in; at the knot cap of a
-    # 512-row batch that is about 3.1x omega1 and omega1_mid together
+    # 512-row batch that is about 3.0x omega1 and omega1_mid together
     rng = np.random.default_rng(9)
     batch, knots = 512, 2049
     omega1 = rng.uniform(0.0, 2e7, (batch, knots))

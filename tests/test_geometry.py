@@ -45,6 +45,14 @@ def test_separation_formula_off_waist():
     assert d1 == pytest.approx(expected, rel=1e-12)
 
 
+def test_separations_outside_or_off_the_arcs_are_refused():
+    # a NaN position is in no arc's domain: a named error, not (nan, nan)
+    geom = _geom()
+    for x in (np.nan, np.array([0.0, np.nan]), np.inf, 1e-6):
+        with pytest.raises(GeometryError, match="outside the arc domain"):
+            sheet_separations(geom, x)
+
+
 def test_validity_bound_enforced():
     # L/2 + delta/2 must stay within the arc radius
     with pytest.raises(GeometryError):

@@ -4,7 +4,9 @@
 (`propagate_batch_three`'s `substeps`, `propagate`'s `step`, ...). Renaming
 one makes the dependent per-layer metric missing, which the benchmark
 reports only when it is run; this test reports it in the ordinary suite,
-for the benchmark's workloads and for every other CLI command.
+for the benchmark's workloads and for every other CLI command. `step` and
+`substeps` are kept for the tracer alone: each refuses any value but its
+default (one step per interval, one pair step per pair).
 """
 
 import json

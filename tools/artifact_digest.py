@@ -1,8 +1,10 @@
 """Print the SHA-256 of every artifact of the standard command set as JSON.
 
 The commands are `dispersion`, `schedule`, `device-run --field-map`, the
-figures 1b, 3, 4a, 4b and 4c (the maps at `--grid`), `verify --seed 0`,
-the 4b map and `verify --seed 0` again under a lossless config
+same device run under `n_samples = 2050` (its 2049 intervals leave one in
+the last block of `propagate`'s scan, so the digests see a block's edge),
+the figures 1b, 3, 4a, 4b and 4c (the maps at `--grid`), `verify --seed
+0`, the 4b map and `verify --seed 0` again under a lossless config
 (`gamma_per_s = 0`: the wavevector inversion solves a quadratic there, not
 a cubic, and the report holds infinite propagation lengths), `dispersion`
 and the 4b map under a config whose relaxation rate is derived from the
@@ -54,12 +56,15 @@ NUMBER = re.compile(r"(?<![\w#.])(?:[-+]?(?:\d+(?:\.\d*)?|\.\d+)"
 
 
 def commands(grid: str, lossless_config: str, auto_config: str,
-             long_config: str) -> dict[str, list[str]]:
+             long_config: str, odd_config: str) -> dict[str, list[str]]:
     """Subdirectory name -> CLI arguments after --out; lossless_config,
-    auto_config and long_config are the paths of config files setting
-    gamma_per_s = 0, gamma_per_s = auto, and L_um = 8 with R_nm = 5000."""
+    auto_config, long_config and odd_config are the paths of config files
+    setting gamma_per_s = 0, gamma_per_s = auto, L_um = 8 with
+    R_nm = 5000, and n_samples = 2050."""
     table = {"dispersion": ["dispersion"], "schedule": ["schedule"],
-             "device-run": ["device-run", "--field-map"]}
+             "device-run": ["device-run", "--field-map"],
+             "device-run-odd": ["--config", odd_config, "device-run",
+                                "--field-map"]}
     for figure in ("1b", "3", "4a", "4b", "4c"):
         table[f"fig{figure}"] = ["robustness-sweep", "--figure", figure,
                                  "--grid", grid]
@@ -85,13 +90,14 @@ def run_commands(grid: str, root: pathlib.Path) -> dict[str, pathlib.Path]:
 
     root.mkdir(parents=True, exist_ok=True)
     lossless, auto = root / "lossless.cfg", root / "auto.cfg"
-    long_device = root / "long.cfg"
+    long_device, odd = root / "long.cfg", root / "odd.cfg"
     lossless.write_text("gamma_per_s = 0\n")
     auto.write_text("gamma_per_s = auto\n")
     long_device.write_text("L_um = 8\nR_nm = 5000\n")
+    odd.write_text("n_samples = 2050\n")
     found = {}
     for name, argv in commands(grid, str(lossless), str(auto),
-                               str(long_device)).items():
+                               str(long_device), str(odd)).items():
         out = root / name
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["--out", str(out), *argv])
